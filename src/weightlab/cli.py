@@ -11,8 +11,8 @@ bounds          closed-form bound calculus for one weight and window (JSON)
 sweep           power-weight sweep of characteristics and bounds (CSV)
 
 Exit codes: 0 on success, 1 when a verified inequality fails, 2 on bad
-input or usage.  Identical configuration and seed give byte-identical
-output files.
+input or usage, or when the grid does not fit in memory.  Identical
+configuration and seed give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import evaluate_bounds, simplified_weak_type_factor
 from .characteristics import characteristic_report, rh_constant
-from .errors import WeightlabError, ConfigError
+from .errors import ConfigError, SparsityViolationError, WeightlabError
 from .gehring import epsilon_range, random_subset_checks, verify_sharp_rh
 from .grid import DyadicGrid
 from .operators import empirical_weak_operator_norm, function_corpus
@@ -171,14 +171,17 @@ def _cmd_sparse_form(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     try:
         with open(args.family, "r", encoding="utf-8") as fh:
-            family = SparseFamily.from_json(fh.read(), grid)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read family file {args.family!r}: {exc}") from exc
-    report = verify_sparsity(family, grid)
-    if not report.ok:
+    try:  # overlapping witnesses are rejected while the family loads
+        family = SparseFamily.from_json(text, grid)
+        violation = verify_sparsity(family, grid).first_violation
+    except SparsityViolationError as exc:
+        violation = str(exc)
+    if violation is not None:
         print(
-            f"sparse-form: family at {args.family!r} is not 1/2-sparse "
-            f"({report.first_violation})",
+            f"sparse-form: family at {args.family!r} is not 1/2-sparse ({violation})",
             file=sys.stderr,
         )
         return 1
@@ -518,6 +521,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (WeightlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(
+            f"error: {args.command} does not fit in memory at depth L={args.depth}",
+            file=sys.stderr,
+        )
         return 2
 
 

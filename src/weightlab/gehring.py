@@ -253,9 +253,9 @@ def random_subset_checks(
 ) -> List[Tuple[DyadicCube, float, InequalityCheck]]:
     """Seeded random (cube, subset) draws checked against the subset bound.
 
-    Samples cycle through the supplied ε values; the draw recipe matches
-    :func:`random_subsets_max_ratio` (uniform level then index, fair coin
-    flips over the cube's finest cells).  One entry per sample.
+    Samples cycle through the supplied ε values.  Cubes are drawn uniformly
+    over levels 0..depth (then index), subsets as fair coin flips over the
+    cube's finest cells; empty draws have ratio 0.  One entry per sample.
     """
     if not epsilons:
         raise ValueError("need at least one epsilon value")
@@ -277,33 +277,3 @@ def random_subset_checks(
         out.append((cube, eps, check))
     return out
 
-
-def random_subsets_max_ratio(
-    w: Weight,
-    q0_star: float,
-    epsilon: float,
-    grid: DyadicGrid,
-    n_samples: int,
-    seed: int,
-) -> float:
-    """Max subset-bound ratio over seeded random (cube, subset) pairs.
-
-    Cubes are drawn uniformly over levels 0..depth (then index), subsets as
-    fair coin flips over the cube's finest cells; empty draws count ratio 0.
-    """
-    rng = np.random.default_rng(seed)
-    rh = rh_constant(w, q0_star, grid)
-    eps_max = epsilon_range(w, q0_star, grid)
-    worst = 0.0
-    for _ in range(n_samples):
-        level = int(rng.integers(0, grid.depth + 1))
-        index = int(rng.integers(0, 1 << level))
-        cube = DyadicCube(level, index)
-        start, stop = cube.cell_range(grid.depth)
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[start:stop] = rng.random(stop - start) < 0.5
-        check = verify_subset_bound(
-            w, q0_star, epsilon, cube, CellSet(mask), grid, rh=rh, epsilon_max=eps_max
-        )
-        worst = max(worst, check.ratio)
-    return worst

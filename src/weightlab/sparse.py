@@ -2,7 +2,11 @@
 
 A family of dyadic cubes is *1/2-sparse* when each cube ``Q`` owns a witness
 cell set ``E_Q ⊆ Q`` with ``|E_Q| > |Q|/2`` (strict) and the witnesses are
-pairwise disjoint. Construction routes:
+pairwise disjoint.  Disjoint witnesses partition part of the grid, so a
+family stores them as one owner array: ``owner[k]`` is the position of the
+cube whose witness holds cell ``k``, or -1.  The builders and the proof
+tracer derive witnesses by one rule, :func:`paint_owner`: a cell belongs to
+its deepest family cube.  Construction routes:
 
 * :func:`build_sparse_random` — seeded top-down selection; a selected cube
   claims every not-yet-claimed cell inside it provided those are strictly
@@ -24,11 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SparsityViolationError, SubsetError, WrongLengthError
+from .errors import SparsityViolationError, SubsetError
 from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
 from .profiles import ExponentProfile
 from .weights import Weight, composed_moment_cells, masked_moment_cells
@@ -36,28 +40,48 @@ from .weights import Weight, composed_moment_cells, masked_moment_cells
 
 @dataclass(frozen=True)
 class SparseFamily:
-    """Cube collection with per-cube witness cell sets (kept in cube order)."""
+    """Cube collection with its witnesses held in one owner array.
+
+    ``owner[k]`` is the position in ``cubes`` of the cube whose witness holds
+    finest cell ``k``, or -1 when no witness does, so the witnesses are
+    pairwise disjoint by construction.  The array is read-only.
+    """
 
     cubes: Tuple[DyadicCube, ...]
-    witnesses: Tuple[CellSet, ...]
+    owner: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.cubes) != len(self.witnesses):
-            raise WrongLengthError("one witness cell set per cube is required")
+        owner = np.array(self.owner, dtype=np.int32)  # the family's own copy
+        if owner.ndim != 1 or np.any((owner < -1) | (owner >= len(self.cubes))):
+            raise ValueError("owner entries must be -1 or positions in cubes")
+        owner.setflags(write=False)
+        object.__setattr__(self, "owner", owner)
 
     def witness(self, cube: DyadicCube) -> CellSet:
-        for c, e in zip(self.cubes, self.witnesses):
-            if c == cube:
-                return e
-        raise KeyError(f"cube {cube} not in family")
+        if cube not in self.cubes:
+            raise KeyError(f"cube {cube} not in family")
+        return CellSet(self.owner == self.cubes.index(cube))
+
+    def witness_sizes(self) -> np.ndarray:
+        """Cell count of every witness, in cube order."""
+        return np.bincount(self.owner[self.owner >= 0], minlength=len(self.cubes))
 
     def __len__(self) -> int:
         return len(self.cubes)
 
     def to_jsonable(self) -> List[dict]:
+        # maximal runs of one owner, grouped by owner in cell order
+        owner = self.owner
+        edges = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+        starts = np.concatenate(([0], edges)).tolist()
+        stops = np.concatenate((edges, [owner.size])).tolist()
+        ranges: List[List[List[int]]] = [[] for _ in self.cubes]
+        for pos, start, stop in zip(owner[starts].tolist(), starts, stops):
+            if pos >= 0:
+                ranges[pos].append([start, stop])
         return [
-            {"level": c.level, "index": c.index, "witness": e.to_ranges()}
-            for c, e in zip(self.cubes, self.witnesses)
+            {"level": c.level, "index": c.index, "witness": r}
+            for c, r in zip(self.cubes, ranges)
         ]
 
     def to_json(self) -> str:
@@ -65,24 +89,57 @@ class SparseFamily:
 
     @classmethod
     def from_jsonable(cls, data: Sequence[dict], grid: DyadicGrid) -> "SparseFamily":
+        """Load cubes and witness cell ranges; overlapping witnesses raise
+        :class:`SparsityViolationError` at the first shared cell found."""
         cubes = []
-        witnesses = []
+        owner = np.full(grid.n_cells, -1, dtype=np.int32)
         try:
             entries = list(data)
-            for entry in entries:
-                cube = DyadicCube(int(entry["level"]), int(entry["index"]))
-                cubes.append(cube)
-                witnesses.append(CellSet.from_ranges(grid, entry["witness"]))
+            for pos, entry in enumerate(entries):
+                cubes.append(DyadicCube(int(entry["level"]), int(entry["index"])))
+                for start, stop in entry["witness"]:
+                    if not 0 <= start <= stop <= grid.n_cells:
+                        raise SubsetError(
+                            f"cell range [{start}, {stop}) outside grid of "
+                            f"{grid.n_cells} cells"
+                        )
+                    cells = owner[start:stop]
+                    taken = (cells >= 0) & (cells != pos)
+                    if taken.any():
+                        raise SparsityViolationError(
+                            f"witnesses overlap at cell {start + int(taken.argmax())}"
+                        )
+                    cells[:] = pos
         except (TypeError, KeyError) as exc:
             raise ValueError(
                 "family JSON must be a list of objects with "
                 "'level', 'index', and 'witness' keys"
             ) from exc
-        return cls(cubes=tuple(cubes), witnesses=tuple(witnesses))
+        return cls(cubes=tuple(cubes), owner=owner)
 
     @classmethod
     def from_json(cls, text: str, grid: DyadicGrid) -> "SparseFamily":
         return cls.from_jsonable(json.loads(text), grid)
+
+
+def paint_owner(cubes: Sequence[DyadicCube], grid: DyadicGrid) -> np.ndarray:
+    """Owner array giving every cell to its deepest cube of ``cubes`` (-1 when
+    none contains it): cubes are painted coarse to fine over their whole cell
+    ranges.  A cube listed twice keeps only its later position."""
+    owner = np.full(grid.n_cells, -1, dtype=np.int32)
+    for pos in sorted(range(len(cubes)), key=lambda i: cubes[i].level):
+        start, stop = cubes[pos].cell_range(grid.depth)
+        owner[start:stop] = pos
+    return owner
+
+
+def _painted_family(cubes: Sequence[DyadicCube], grid: DyadicGrid) -> SparseFamily:
+    """Family with the deepest-cube witnesses; raises unless it is 1/2-sparse."""
+    family = SparseFamily(cubes=tuple(cubes), owner=paint_owner(cubes, grid))
+    report = verify_sparsity(family, grid)
+    if not report.ok:
+        raise SparsityViolationError(report.first_violation or "invalid family")
+    return family
 
 
 @dataclass(frozen=True)
@@ -92,25 +149,32 @@ class SparsityReport:
 
 
 def verify_sparsity(family: SparseFamily, grid: DyadicGrid) -> SparsityReport:
-    """Exact check: witness containment, strict half measure, disjointness."""
-    coverage = np.zeros(grid.n_cells, dtype=np.int64)
-    for cube, cells in zip(family.cubes, family.witnesses):
-        if cells.n_cells != grid.n_cells:
-            return SparsityReport(False, f"witness of {cube} sized for a different grid")
-        if not cells.within_cube(grid, cube):
-            return SparsityReport(False, f"witness of {cube} leaves the cube")
-        start, stop = cube.cell_range(grid.depth)
-        if 2 * cells.cell_count <= stop - start:
-            return SparsityReport(
-                False,
-                f"witness of {cube} has measure {cells.cell_count}/{stop - start}"
-                " of the cube (strictly more than half is required)",
-            )
-        coverage += cells.mask
-    if np.any(coverage > 1):
-        cell = int(np.argmax(coverage > 1))
-        return SparsityReport(False, f"witnesses overlap at cell {cell}")
-    return SparsityReport(True, None)
+    """Exact check: witness containment and strict half measure, reported for
+    the first failing cube in family order (disjointness holds by
+    construction of the owner array)."""
+    if family.owner.size != grid.n_cells:
+        return SparsityReport(False, "witnesses sized for a different grid")
+    bounds = np.array(
+        [c.cell_range(grid.depth) for c in family.cubes], dtype=np.int64
+    ).reshape(-1, 2)
+    cells = np.flatnonzero(family.owner >= 0)
+    pos = family.owner[cells]
+    outside = (cells < bounds[pos, 0]) | (cells >= bounds[pos, 1])
+    leaves = np.bincount(pos[outside], minlength=len(family)) > 0
+    sizes = family.witness_sizes()
+    extent = bounds[:, 1] - bounds[:, 0]
+    failing = np.flatnonzero(leaves | (2 * sizes <= extent))
+    if failing.size == 0:
+        return SparsityReport(True, None)
+    first = int(failing[0])
+    cube = family.cubes[first]
+    if leaves[first]:
+        return SparsityReport(False, f"witness of {cube} leaves the cube")
+    return SparsityReport(
+        False,
+        f"witness of {cube} has measure {sizes[first]}/{extent[first]}"
+        " of the cube (strictly more than half is required)",
+    )
 
 
 def build_sparse_random(
@@ -119,37 +183,28 @@ def build_sparse_random(
     """Seeded top-down random family; always returns a valid one.
 
     Cubes of level 0..max_level are visited coarse-to-fine in index order and
-    selected with probability ``density``. A selected cube claims all cells
-    inside it that no earlier cube claimed — provided they are strictly more
-    than half of it — otherwise it is dropped.
+    selected with probability ``density``.  A selected cube claims all cells
+    inside it that no earlier cube claimed, provided they are strictly more
+    than half of it, otherwise it is dropped.  Inside a kept cube no cell is
+    left to claim, so a selected cube is kept exactly when no kept cube
+    contains it, and its witness is the whole cube.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     if max_level > grid.depth:
         raise ValueError(f"max_level {max_level} exceeds grid depth {grid.depth}")
     rng = np.random.default_rng(seed)
-    claimed = np.zeros(grid.n_cells, dtype=bool)
+    kept = set()
     cubes: List[DyadicCube] = []
-    witnesses: List[CellSet] = []
     for level in range(max_level + 1):
         for index in range(1 << level):
             if rng.random() >= density:
                 continue
-            cube = DyadicCube(level, index)
-            start, stop = cube.cell_range(grid.depth)
-            free = ~claimed[start:stop]
-            if 2 * int(free.sum()) <= stop - start:
+            if any((level - up, index >> up) in kept for up in range(1, level + 1)):
                 continue
-            mask = np.zeros(grid.n_cells, dtype=bool)
-            mask[start:stop] = free
-            claimed[start:stop] |= free
-            cubes.append(cube)
-            witnesses.append(CellSet(mask))
-    family = SparseFamily(cubes=tuple(cubes), witnesses=tuple(witnesses))
-    report = verify_sparsity(family, grid)
-    if not report.ok:  # unreachable by construction; fail loudly if it breaks
-        raise SparsityViolationError(report.first_violation or "invalid family")
-    return family
+            kept.add((level, index))
+            cubes.append(DyadicCube(level, index))
+    return _painted_family(cubes, grid)  # valid by construction; checked anyway
 
 
 def build_sparse_cz(
@@ -170,42 +225,18 @@ def build_sparse_cz(
     if not np.any(values > 0.0):
         raise SparsityViolationError("density is identically zero")
     totals = tree_totals(grid, values)
-    averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
 
-    root = DyadicCube(0, 0)
-    cubes: List[DyadicCube] = [root]
-    children_of: Dict[DyadicCube, List[DyadicCube]] = {root: []}
-    # Iterative sweep: track each cube's most recent stopping ancestor.
-    stack: List[Tuple[DyadicCube, DyadicCube]] = [(root, root)]
-    while stack:
-        cube, anchor = stack.pop()
-        if cube.level == grid.depth:
-            continue
-        anchor_avg = averages[anchor.level][anchor.index]
-        for child in cube.children(grid.depth):
-            if averages[child.level][child.index] > ratio * anchor_avg:
-                cubes.append(child)
-                children_of[child] = []
-                children_of[anchor].append(child)
-                stack.append((child, child))
-            else:
-                stack.append((child, anchor))
+    # level by level: the average of each cube's most recent stopping ancestor
+    cubes: List[DyadicCube] = [DyadicCube(0, 0)]
+    anchor = totals[0]
+    for level in range(1, grid.depth + 1):
+        averages = totals[level] * float(1 << level)
+        inherited = np.repeat(anchor, 2)
+        stops = averages > ratio * inherited
+        anchor = np.where(stops, averages, inherited)
+        cubes.extend(DyadicCube(level, int(i)) for i in np.flatnonzero(stops))
 
-    cubes.sort()
-    witnesses: List[CellSet] = []
-    for cube in cubes:
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        start, stop = cube.cell_range(grid.depth)
-        mask[start:stop] = True
-        for stopped in children_of[cube]:
-            s0, s1 = stopped.cell_range(grid.depth)
-            mask[s0:s1] = False
-        witnesses.append(CellSet(mask))
-    family = SparseFamily(cubes=tuple(cubes), witnesses=tuple(witnesses))
-    report = verify_sparsity(family, grid)
-    if not report.ok:
-        raise SparsityViolationError(report.first_violation or "invalid family")
-    return family
+    return _painted_family(cubes, grid)
 
 
 def _q_average_factory(
@@ -266,13 +297,16 @@ def sparse_form(
 
 
 def carleson_packing_ok(family: SparseFamily, grid: DyadicGrid) -> bool:
-    """Disjoint-witness packing: Σ_{Q ⊆ Q0} |E_Q| ≤ |Q0| for every family cube."""
-    for outer in family.cubes:
-        start, stop = outer.cell_range(grid.depth)
-        packed = 0
-        for cube, cells in zip(family.cubes, family.witnesses):
-            if outer.contains(cube):
-                packed += cells.cell_count
-        if packed > stop - start:
-            return False
-    return True
+    """Disjoint-witness packing: Σ_{Q ⊆ Q0} |E_Q| ≤ |Q0| for every family cube
+    (Lerner–Nazarov, *Intuitive dyadic calculus*, 2019); each |E_Q| is added
+    to the family cubes among Q's L+1 ancestors."""
+    packed = {(c.level, c.index): 0 for c in family.cubes}
+    for cube, size in zip(family.cubes, family.witness_sizes().tolist()):
+        for up in range(cube.level + 1):
+            key = (cube.level - up, cube.index >> up)
+            if key in packed:
+                packed[key] += size
+    return all(
+        packed[(c.level, c.index)] <= 1 << (grid.depth - c.level)
+        for c in family.cubes
+    )

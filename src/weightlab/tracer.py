@@ -50,6 +50,7 @@ from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunction
 from .gehring import epsilon_range
 from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
 from .profiles import ExponentProfile, GehringProfile
+from .sparse import build_sparse_cz, paint_owner
 from .weights import (
     Weight,
     composed_moment_cells,
@@ -75,15 +76,6 @@ def geometric_weighted_tail_sum(x: float) -> float:
         raise ValueError(f"series scale must be positive, got {x}")
     g = 2.0 ** (1.0 / x)
     return g / (g - 1.0) ** 2
-
-
-def geometric_tail_partial(x: float, terms: int, weighted: bool = False) -> float:
-    """Partial sum crosscheck for the closed forms above."""
-    total = 0.0
-    for s in range(terms):
-        term = 2.0 ** (-s / x)
-        total += s * term if weighted else term
-    return total
 
 
 # --- traced records ------------------------------------------------------------------
@@ -256,36 +248,24 @@ class ProofTrace:
 def peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
     """Split a cube family into layers: layer 0 holds the maximal cubes,
     layer k+1 the maximal cubes of what is left.  Every layer is an
-    antichain and every layer-(k+1) cube sits inside some layer-k cube."""
-    remaining = sorted(set(cubes))
+    antichain and every layer-(k+1) cube sits inside some layer-k cube.
+
+    The strict ancestors of a dyadic cube form a chain, so a cube's layer is
+    the number of its strict ancestors in the family, counted through a
+    ``(level, index)`` set in ``O(L)`` steps per cube.
+    """
+    unique = sorted(set(cubes))
+    keys = {(c.level, c.index) for c in unique}
     layers: List[List[DyadicCube]] = []
-    while remaining:
-        maximal = [
-            c
-            for c in remaining
-            if not any(o != c and o.contains(c) for o in remaining)
-        ]
-        layers.append(maximal)
-        kept = set(maximal)
-        remaining = [c for c in remaining if c not in kept]
+    for cube in unique:
+        layer = sum(
+            (cube.level - up, cube.index >> up) in keys
+            for up in range(1, cube.level + 1)
+        )
+        while len(layers) <= layer:
+            layers.append([])
+        layers[layer].append(cube)
     return layers
-
-
-def layer_witnesses(
-    layers: Sequence[Sequence[DyadicCube]], grid: DyadicGrid
-) -> Dict[DyadicCube, CellSet]:
-    """Witness E_Q = Q minus the next layer's cubes inside Q; the witnesses
-    of a layered family are pairwise disjoint."""
-    out: Dict[DyadicCube, CellSet] = {}
-    for j, layer in enumerate(layers):
-        next_layer = layers[j + 1] if j + 1 < len(layers) else []
-        for cube in layer:
-            cells = CellSet.from_cube(grid, cube)
-            for sub in next_layer:
-                if cube.contains(sub):
-                    cells = cells.difference(CellSet.from_cube(grid, sub))
-            out[cube] = cells
-    return out
 
 
 # --- the trace -----------------------------------------------------------------------
@@ -367,48 +347,6 @@ def build_good_set(
         k *= 2.0
     raise WeightlabError(  # pragma: no cover - the weak-type bound forbids this
         "could not secure a good subset of 3/4 relative mass"
-    )
-
-
-def verify_average_comparison(
-    w: Weight,
-    q0_star: float,
-    epsilon: float,
-    cube: DyadicCube,
-    s: int,
-    good_cells: CellSet,
-    grid: DyadicGrid,
-    rh: Optional[float] = None,
-    epsilon_max: Optional[float] = None,
-) -> AverageComparisonCheck:
-    """Standalone recomputation of the indicator-average comparison for one
-    cube (independent of :func:`trace_proof`, for cross-checking)."""
-    if epsilon_max is None:
-        epsilon_max = epsilon_range(w, q0_star, grid)
-    geh = GehringProfile(q0_star, epsilon, epsilon_max)
-    if rh is None:
-        rh = rh_constant(w, q0_star, grid)
-    masked = w.cell_integrals(grid, q0_star) * good_cells.mask
-    start, stop = cube.cell_range(grid.depth)
-    scale = float(1 << cube.level)
-    lhs = (float(np.sum(masked[start:stop])) * scale) ** (1.0 / q0_star)
-    w_avg = float(np.sum(w.cell_integrals(grid, 1.0)[start:stop])) * scale
-    rhs_strict = (
-        2.0 ** (1.0 / (geh.theta * q0_star))
-        * rh ** (2.0 - geh.gamma)
-        * 2.0 ** (-s * geh.gamma)
-        * w_avg
-    )
-    slack = 2.0**geh.gamma
-    rhs = rhs_strict * slack
-    return AverageComparisonCheck(
-        cube=cube,
-        s=s,
-        lhs=lhs,
-        rhs_strict=rhs_strict,
-        slack_factor=slack,
-        ratio_strict=lhs / rhs_strict if rhs_strict > 0.0 else 0.0,
-        ratio=lhs / rhs if rhs > 0.0 else 0.0,
     )
 
 
@@ -515,17 +453,17 @@ def trace_proof(
         quad = math.fsum(
             row.avg_fsigma**2 * row.indicator_avg * row.cube.measure for row in rows
         )
-        layers = peel_layers([row.cube for row in rows])
-        witnesses = layer_witnesses(layers, grid)
-        witness_mass = math.fsum(
-            float(np.sum(f_sq_sigma, where=cells.mask))
-            for cells in witnesses.values()
+        bin_cubes = [row.cube for row in rows]
+        layers = peel_layers(bin_cubes)
+        # layer witness E_Q: the cells whose deepest cube of the bin is Q
+        owner = paint_owner(bin_cubes, grid)
+        owned = owner >= 0
+        witness_mass = float(np.sum(f_sq_sigma[owned]))
+        restricted_totals = np.bincount(
+            owner[owned], weights=p0_moments[owned], minlength=len(rows)
         )
         comparability = 0.0
-        for row in rows:
-            restricted_total = float(
-                np.sum(p0_moments, where=witnesses[row.cube].mask)
-            )
+        for row, restricted_total in zip(rows, restricted_totals.tolist()):
             restricted_avg = (
                 restricted_total * float(1 << row.cube.level)
             ) ** (1.0 / p0)
@@ -619,8 +557,6 @@ def default_trace_family(
     sigma = dual_weight(w, 2.0)
     moments = composed_moment_cells(grid, grid.check_values(f), sigma, p0)
     effective = moments / grid.cell_measure
-    from .sparse import build_sparse_cz
-
     return list(build_sparse_cz(effective, grid, ratio=ratio).cubes)
 
 

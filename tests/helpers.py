@@ -7,17 +7,23 @@ implementations are checked against independent arithmetic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from weightlab import (
+    AverageComparisonCheck,
     CellSet,
     DyadicCube,
     DyadicGrid,
+    GehringProfile,
     PowerWeight,
+    SparsityReport,
     TabulatedWeight,
     Weight,
+    epsilon_range,
+    rh_constant,
     unit_weight,
 )
 
@@ -113,3 +119,154 @@ def random_cellset(
 
 def left_edge_cube(level: int) -> DyadicCube:
     return DyadicCube(level, 0)
+
+
+def geometric_tail_partial(x: float, terms: int, weighted: bool = False) -> float:
+    """Partial sums of Σ 2^{−s/x} (or Σ s·2^{−s/x}), to check the closed forms."""
+    total = 0.0
+    for s in range(terms):
+        term = 2.0 ** (-s / x)
+        total += s * term if weighted else term
+    return total
+
+
+def verify_average_comparison(
+    w: Weight,
+    q0_star: float,
+    epsilon: float,
+    cube: DyadicCube,
+    s: int,
+    good_cells: CellSet,
+    grid: DyadicGrid,
+    rh: Optional[float] = None,
+    epsilon_max: Optional[float] = None,
+) -> AverageComparisonCheck:
+    """Standalone recomputation of the tracer's indicator-average comparison
+    for one cube, from masked cell moments."""
+    if epsilon_max is None:
+        epsilon_max = epsilon_range(w, q0_star, grid)
+    geh = GehringProfile(q0_star, epsilon, epsilon_max)
+    if rh is None:
+        rh = rh_constant(w, q0_star, grid)
+    masked = w.cell_integrals(grid, q0_star) * good_cells.mask
+    start, stop = cube.cell_range(grid.depth)
+    scale = float(1 << cube.level)
+    lhs = (float(np.sum(masked[start:stop])) * scale) ** (1.0 / q0_star)
+    w_avg = float(np.sum(w.cell_integrals(grid, 1.0)[start:stop])) * scale
+    rhs_strict = (
+        2.0 ** (1.0 / (geh.theta * q0_star))
+        * rh ** (2.0 - geh.gamma)
+        * 2.0 ** (-s * geh.gamma)
+        * w_avg
+    )
+    slack = 2.0**geh.gamma
+    rhs = rhs_strict * slack
+    return AverageComparisonCheck(
+        cube=cube,
+        s=s,
+        lhs=lhs,
+        rhs_strict=rhs_strict,
+        slack_factor=slack,
+        ratio_strict=lhs / rhs_strict if rhs_strict > 0.0 else 0.0,
+        ratio=lhs / rhs if rhs > 0.0 else 0.0,
+    )
+
+
+# --- dense-mask family oracles: one N-cell mask per cube, all-pairs loops ------------
+
+
+def oracle_peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
+    """Layers by repeatedly removing the maximal cubes (all-pairs test)."""
+    remaining = sorted(set(cubes))
+    layers: List[List[DyadicCube]] = []
+    while remaining:
+        maximal = [
+            c
+            for c in remaining
+            if not any(o != c and o.contains(c) for o in remaining)
+        ]
+        layers.append(maximal)
+        kept = set(maximal)
+        remaining = [c for c in remaining if c not in kept]
+    return layers
+
+
+def oracle_layer_witnesses(
+    layers: Sequence[Sequence[DyadicCube]], grid: DyadicGrid
+) -> Dict[DyadicCube, CellSet]:
+    """Witness E_Q = Q minus the next layer's cubes inside Q."""
+    out: Dict[DyadicCube, CellSet] = {}
+    for j, layer in enumerate(layers):
+        next_layer = layers[j + 1] if j + 1 < len(layers) else []
+        for cube in layer:
+            cells = CellSet.from_cube(grid, cube)
+            for sub in next_layer:
+                if cube.contains(sub):
+                    cells = cells.difference(CellSet.from_cube(grid, sub))
+            out[cube] = cells
+    return out
+
+
+def dense_witnesses(family) -> List[CellSet]:
+    """A family's witnesses as one dense mask per cube, in cube order."""
+    return [CellSet(family.owner == pos) for pos in range(len(family))]
+
+
+def oracle_verify_sparsity(
+    cubes: Sequence[DyadicCube], witnesses: Sequence[CellSet], grid: DyadicGrid
+) -> SparsityReport:
+    """Containment, strict half measure and disjointness on dense masks."""
+    coverage = np.zeros(grid.n_cells, dtype=np.int64)
+    for cube, cells in zip(cubes, witnesses):
+        if not cells.within_cube(grid, cube):
+            return SparsityReport(False, f"witness of {cube} leaves the cube")
+        start, stop = cube.cell_range(grid.depth)
+        if 2 * cells.cell_count <= stop - start:
+            return SparsityReport(
+                False,
+                f"witness of {cube} has measure {cells.cell_count}/{stop - start}"
+                " of the cube (strictly more than half is required)",
+            )
+        coverage += cells.mask
+    if np.any(coverage > 1):
+        cell = int(np.argmax(coverage > 1))
+        return SparsityReport(False, f"witnesses overlap at cell {cell}")
+    return SparsityReport(True, None)
+
+
+def oracle_carleson_packing_ok(
+    cubes: Sequence[DyadicCube], witnesses: Sequence[CellSet], grid: DyadicGrid
+) -> bool:
+    """Σ_{Q ⊆ Q0} |E_Q| ≤ |Q0| for every family cube, by all-pairs loops."""
+    for outer in cubes:
+        start, stop = outer.cell_range(grid.depth)
+        packed = sum(
+            cells.cell_count
+            for cube, cells in zip(cubes, witnesses)
+            if outer.contains(cube)
+        )
+        if packed > stop - start:
+            return False
+    return True
+
+
+def oracle_bin_witness_stats(
+    bin_cubes: Sequence[DyadicCube],
+    avg_fsigma: Sequence[float],
+    f_sq_sigma: np.ndarray,
+    p0_moments: np.ndarray,
+    p0: float,
+    grid: DyadicGrid,
+) -> Tuple[float, float]:
+    """(witness_mass, comparability_max) of one tracer bin, one masked sum
+    per cube over the dense layer witnesses."""
+    witnesses = oracle_layer_witnesses(oracle_peel_layers(bin_cubes), grid)
+    witness_mass = math.fsum(
+        float(np.sum(f_sq_sigma, where=cells.mask)) for cells in witnesses.values()
+    )
+    comparability = 0.0
+    for cube, avg in zip(bin_cubes, avg_fsigma):
+        total = float(np.sum(p0_moments, where=witnesses[cube].mask))
+        restricted = (total * float(1 << cube.level)) ** (1.0 / p0)
+        comparability = max(comparability, avg / restricted) if restricted > 0.0 else math.inf
+    return witness_mass, comparability

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from weightlab import cli
 from weightlab.cli import main
 from weightlab.serialize import CSV_HEADER
 
@@ -165,7 +166,7 @@ class TestSparseForm:
             capsys,
         )
         assert code == 1
-        assert "not 1/2-sparse" in err
+        assert "not 1/2-sparse (witnesses overlap at cell 0)" in err
 
     def test_wrong_length_function_file_exits_two(self, tmp_path, capsys):
         fam, f, _ = self.make_inputs(
@@ -448,3 +449,12 @@ class TestUsageErrors:
         code, _, err = run_cli(["char", "--power", "-0.75", "--L", "4"], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_out_of_memory_exits_two_without_traceback(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_char", exhausted)
+        code, _, err = run_cli(["char", "--unit-weight", "--L", "40"], capsys)
+        assert code == 2
+        assert err == "error: char does not fit in memory at depth L=40\n"

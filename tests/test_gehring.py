@@ -20,7 +20,6 @@ from weightlab import (
     gehring_profile,
     max_epsilon_empirical,
     random_subset_checks,
-    random_subsets_max_ratio,
     rh_constant,
     sharp_rh_max_ratio,
     unit_weight,
@@ -109,7 +108,8 @@ class TestSubsetBound:
     def test_random_subsets_never_violate(self, grid6):
         for w in [unit_weight(), PowerWeight(-0.25)] + seeded_tabulated_weights(3):
             eps = epsilon_range(w, 2.0, grid6)
-            assert random_subsets_max_ratio(w, 2.0, eps, grid6, 200, seed=5) <= 1 + 1e-12
+            rows = random_subset_checks(w, 2.0, [eps], grid6, 200, seed=5)
+            assert max(chk.ratio for *_, chk in rows) <= 1 + 1e-12
 
     def test_check_rows_cycle_epsilons(self, grid6):
         eps_list = [0.2, 0.4, 0.6]

@@ -16,6 +16,7 @@ from weightlab import (
     DyadicGrid,
     ExponentProfile,
     SparseFamily,
+    SparsityViolationError,
     TabulatedWeight,
     build_sparse_cz,
     build_sparse_random,
@@ -23,12 +24,19 @@ from weightlab import (
     sparse_form,
     verify_sparsity,
 )
+from weightlab.sparse import paint_owner
 
 
 def full_cube_family(grid: DyadicGrid, cubes) -> SparseFamily:
-    return SparseFamily(
-        tuple(cubes), tuple(CellSet.from_cube(grid, c) for c in cubes)
-    )
+    return SparseFamily(tuple(cubes), paint_owner(cubes, grid))
+
+
+def owner_of(grid: DyadicGrid, witnesses) -> np.ndarray:
+    """Owner array from disjoint witness cell sets, in cube order."""
+    owner = np.full(grid.n_cells, -1)
+    for pos, cells in enumerate(witnesses):
+        owner[cells.mask] = pos
+    return owner
 
 
 class TestVerifySparsity:
@@ -41,34 +49,45 @@ class TestVerifySparsity:
         child = DyadicCube(1, 0)
         witness_root = CellSet.from_cube(grid6, DyadicCube(1, 1))  # right half
         witness_child = CellSet.from_cube(grid6, child)  # left half
-        fam = SparseFamily((root, child), (witness_root.union(CellSet.empty(grid6)), witness_child))
+        fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         # root witness is exactly half: strict sparsity must fail
-        assert not verify_sparsity(fam, grid6).ok
+        report = verify_sparsity(fam, grid6)
+        assert not report.ok and "strictly more than half" in report.first_violation
 
     def test_strict_majority_passes(self, grid6):
         root = DyadicCube(0, 0)
         child = DyadicCube(2, 0)
         witness_root = CellSet.from_cube(grid6, child).complement()  # 3/4 of root
         witness_child = CellSet.from_cube(grid6, child)
-        fam = SparseFamily((root, child), (witness_root, witness_child))
+        fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         assert verify_sparsity(fam, grid6).ok
         assert carleson_packing_ok(fam, grid6)
 
     def test_witness_outside_cube_fails(self, grid6):
         fam = SparseFamily(
-            (DyadicCube(1, 0),), (CellSet.from_cube(grid6, DyadicCube(1, 1)),)
+            (DyadicCube(1, 0),),
+            owner_of(grid6, [CellSet.from_cube(grid6, DyadicCube(1, 1))]),
         )
         report = verify_sparsity(fam, grid6)
         assert not report.ok and "leaves" in report.first_violation
 
     def test_overlapping_witnesses_fail(self, grid6):
-        a = DyadicCube(1, 0)
-        fam = SparseFamily(
-            (DyadicCube(0, 0), a),
-            (CellSet.full(grid6), CellSet.from_cube(grid6, a)),
-        )
-        report = verify_sparsity(fam, grid6)
-        assert not report.ok and "overlap" in report.first_violation
+        # an owner array cannot hold overlapping witnesses: loading rejects them
+        payload = [
+            {"level": 0, "index": 0, "witness": [[0, 64]]},
+            {"level": 1, "index": 0, "witness": [[0, 32]]},
+        ]
+        with pytest.raises(SparsityViolationError, match="overlap at cell 0"):
+            SparseFamily.from_jsonable(payload, grid6)
+
+    def test_owner_must_name_family_positions(self, grid6):
+        with pytest.raises(ValueError, match="owner"):
+            SparseFamily((DyadicCube(0, 0),), np.full(grid6.n_cells, 1))
+
+    def test_owner_is_read_only(self, grid6):
+        fam = full_cube_family(grid6, [DyadicCube(0, 0)])
+        with pytest.raises(ValueError):
+            fam.owner[0] = -1
 
 
 class TestBuilders:
@@ -132,8 +151,7 @@ class TestSerialisation:
         fam = build_sparse_random(grid6, max_level=3, density=0.6, seed=4)
         again = SparseFamily.from_json(fam.to_json(), grid6)
         assert again.cubes == fam.cubes
-        for a, b in zip(again.witnesses, fam.witnesses):
-            np.testing.assert_array_equal(a.mask, b.mask)
+        np.testing.assert_array_equal(again.owner, fam.owner)
 
     def test_jsonable_schema(self, grid6):
         fam = full_cube_family(grid6, [DyadicCube(1, 1)])

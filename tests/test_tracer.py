@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import seeded_tabulated_weights
+from helpers import (
+    geometric_tail_partial,
+    seeded_tabulated_weights,
+    verify_average_comparison,
+)
 from weightlab import (
     CellSet,
     ConfigError,
@@ -25,17 +29,15 @@ from weightlab import (
     build_sparse_cz,
     default_trace_family,
     dual_weight,
-    geometric_tail_partial,
     geometric_tail_sum,
     geometric_weighted_tail_sum,
-    layer_witnesses,
     peel_layers,
     percube_ap_holder_scan,
     trace_proof,
     unit_weight,
-    verify_average_comparison,
     verify_sparsity,
 )
+from weightlab.sparse import paint_owner
 
 P14 = ExponentProfile(p0=1.0, q0=4.0)
 
@@ -233,8 +235,8 @@ class TestLayerPeeling:
     def test_layer_witnesses_are_disjoint_and_contained(self):
         g = DyadicGrid(4)
         cubes = [DyadicCube(0, 0), DyadicCube(1, 0), DyadicCube(2, 0), DyadicCube(2, 2)]
-        layers = peel_layers(cubes)
-        wit = layer_witnesses(layers, g)
+        owner = paint_owner(cubes, g)
+        wit = {cube: CellSet(owner == pos) for pos, cube in enumerate(cubes)}
         assert set(wit) == set(cubes)
         total = np.zeros(g.n_cells, dtype=int)
         for cube, cells in wit.items():
