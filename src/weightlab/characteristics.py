@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, ancestor_value_matrix
+from .grid import DyadicCube, DyadicGrid
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
@@ -86,19 +86,20 @@ def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[np.ndarray]:
 
     For a point x in Q, the restricted maximal function M(w·1_Q)(x) is the
     largest average ⟨w⟩_R over dyadic Q ⊇ R ∋ x, i.e. over the ancestors of
-    x's finest cell down from level(Q). Stacking the ancestor averages as a
-    matrix and taking suffix running maxima over levels yields all integrals
-    in O(depth · n_cells).
+    x's finest cell down from level(Q). One per-cell running maximum, raised
+    level by level from the finest cells to the root, yields all integrals in
+    O(depth · n_cells) time and O(n_cells) memory.
     """
     w.require_moment(1.0)
     pyr = w.pyramid(grid, 1.0)
-    avg_rows = ancestor_value_matrix(grid, w.level_averages(grid, 1.0))
-    # suffix_max[l] = per-cell max of avg_rows[l:], i.e. M(w·1_Q)|_cell for Q at level l
-    suffix_max = np.maximum.accumulate(avg_rows[::-1], axis=0)[::-1]
+    avgs = w.level_averages(grid, 1.0)  # fresh arrays, safe to overwrite
+    running = avgs[grid.depth]  # M(w·1_Q) per cell, for Q at the current level
     out: List[np.ndarray] = []
-    for level in range(grid.depth + 1):
-        integrals = suffix_max[level].reshape(1 << level, -1).sum(axis=1) * grid.cell_measure
-        out.append(integrals / pyr[level])
+    for level in range(grid.depth, -1, -1):
+        rows = running.reshape(1 << level, -1)
+        np.maximum(rows, avgs[level][:, None], out=rows)
+        out.append(rows.sum(axis=1) * grid.cell_measure / pyr[level])
+    out.reverse()
     return out
 
 

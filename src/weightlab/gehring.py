@@ -111,15 +111,22 @@ def sharp_rh_max_ratio(
     Vectorised per level; used by full-grid scans and the ε search.
     """
     q0_star = float(q0_star)
-    epsilon = float(epsilon)
-    w.require_moment(q0_star + epsilon)
-    rh = rh_constant(w, q0_star, grid)
-    top = w.level_averages(grid, q0_star + epsilon)
-    mean = w.level_averages(grid, 1.0)
+    t = q0_star + float(epsilon)
+    w.require_moment(t)
+    return _sharp_rh_worst(w, t, rh_constant(w, q0_star, grid), grid)
+
+
+def _sharp_rh_worst(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
+    """:func:`sharp_rh_max_ratio` at moment ``t`` for a known ``rh``; the moment
+    at ``t`` is summed level by level, not cached on ``w`` (ε searches use it once)."""
+    w_totals = w.pyramid(grid, 1.0)
+    top = w.cell_integrals(grid, t)
     worst = 0.0
-    for k in range(grid.depth + 1):
-        ratios = top[k] / (2.0 * rh ** (q0_star + epsilon) * mean[k] ** (q0_star + epsilon))
+    for k in range(grid.depth, -1, -1):
+        scale = float(1 << k)
+        ratios = top * scale / (2.0 * rh**t * (w_totals[k] * scale) ** t)
         worst = max(worst, float(ratios.max()))
+        top = top[0::2] + top[1::2]
     return worst
 
 
@@ -203,7 +210,7 @@ def max_epsilon_empirical(
 
     def passes(eps: float) -> bool:
         # sharp_rh_max_ratio normalises by the constant 2; rescale to `factor`.
-        return sharp_rh_max_ratio(w, p, eps, grid) <= (factor / 2.0) * (1.0 + 1e-12)
+        return _sharp_rh_worst(w, p + eps, rh, grid) <= (factor / 2.0) * (1.0 + 1e-12)
 
     # The RH-constant definition makes tiny ε pass: ⨍w^p ≤ [w]_{RH_p}^p ⟨w⟩^p.
     rh = rh_constant(w, p, grid)

@@ -236,14 +236,3 @@ class CellSet:
         start, stop = cube.cell_range(grid.depth)
         return bool(self.mask[start:stop].any())
 
-
-def ancestor_value_matrix(grid: DyadicGrid, per_level: List[np.ndarray]) -> np.ndarray:
-    """Expand per-cube values to a (depth+1, n_cells) per-cell matrix.
-
-    Row ``k`` holds, for every finest cell, the value attached to its level-k
-    ancestor. Input ``per_level[k]`` must have length ``2**k``.
-    """
-    rows = np.empty((grid.depth + 1, grid.n_cells), dtype=np.float64)
-    for level, vals in enumerate(per_level):
-        rows[level] = np.repeat(np.asarray(vals, dtype=np.float64), 1 << (grid.depth - level))
-    return rows

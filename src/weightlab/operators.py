@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._parallel import ordered_map
-from .grid import CellSet, DyadicCube, DyadicGrid, ancestor_value_matrix, tree_totals
+from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
 from .weights import (
     Weight,
     composed_moment_cells,
@@ -43,9 +43,12 @@ def square_function_from_cell_integrals(
     given (signed); useful for compositions like f·σ with non-constant σ."""
     totals = tree_totals(grid, np.asarray(cell_integrals, dtype=np.float64))
     averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
-    rows = ancestor_value_matrix(grid, averages)
-    diffs = rows[1:] - rows[:-1]
-    return np.sqrt(np.sum(diffs * diffs, axis=0))
+    # sq = Σ of squared jumps along each level-k cube's ancestor chain, top-down
+    sq = np.zeros(1, dtype=np.float64)
+    for k in range(1, grid.depth + 1):
+        d = averages[k] - np.repeat(averages[k - 1], 2)
+        sq = np.repeat(sq, 2) + d * d
+    return np.sqrt(sq)
 
 
 def dyadic_square_function(
@@ -82,13 +85,17 @@ def weak_lp_norm(
     # candidate λ = each distinct value of |h|; the tail mass w({|h| ≥ λ}) is
     # the cumulative sum at the end of that value's run
     boundaries = np.flatnonzero(np.diff(np.concatenate((sorted_vals, [-1.0]))) != 0.0)
-    best = 0.0
-    for b in boundaries:
-        lam = float(sorted_vals[b])
-        if lam <= 0.0:
-            break
-        best = max(best, lam * float(tail_measure[b]) ** (1.0 / p))
-    return best
+    lam, tail = sorted_vals[boundaries], tail_measure[boundaries]
+    return float(np.max(lam * tail ** (1.0 / p), where=lam > 0.0, initial=0.0))
+
+
+def _ancestor_max(per_level: List[np.ndarray]) -> np.ndarray:
+    """Per finest cell, the largest ``per_level[k][i]`` over the cell's
+    ancestors ``(k, i)``, taken top-down one level at a time."""
+    m = per_level[0]
+    for vals in per_level[1:]:
+        m = np.maximum(np.repeat(m, 2), vals)
+    return m
 
 
 def maximal_p0(
@@ -115,8 +122,7 @@ def maximal_p0(
     totals = tree_totals(grid, moment_cells)
     if restriction is None:
         averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
-        rows = ancestor_value_matrix(grid, averages)
-        return rows.max(axis=0) ** (1.0 / p0)
+        return _ancestor_max(averages) ** (1.0 / p0)
     out = np.zeros(grid.n_cells, dtype=np.float64)
     for cube in restriction:
         avg = totals[cube.level][cube.index] * float(1 << cube.level)
@@ -133,9 +139,7 @@ def maximal_weighted(
     cellw = w.cell_integrals(grid, 1.0)
     num = tree_totals(grid, gvals * cellw)
     den = w.pyramid(grid, 1.0)
-    ratios = [num[k] / den[k] for k in range(grid.depth + 1)]
-    rows = ancestor_value_matrix(grid, ratios)
-    return rows.max(axis=0)
+    return _ancestor_max([num[k] / den[k] for k in range(grid.depth + 1)])
 
 
 # --- test-function corpus ----------------------------------------------------------

@@ -49,6 +49,7 @@ from .characteristics import a_infty_fw, ap_constant, rh_constant
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
+from .operators import maximal_p0
 from .profiles import ExponentProfile, GehringProfile
 from .sparse import build_sparse_cz, paint_owner
 from .weights import (
@@ -321,13 +322,7 @@ def build_good_set(
         raise EmptyGoodSetError("the initial good set carries no weight mass")
 
     ap = ap_constant(w, 2.0 / p0, grid)
-    p0_totals = tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0))
-    m_restricted = np.zeros(grid.n_cells, dtype=np.float64)
-    for cube in family:
-        avg = p0_totals[cube.level][cube.index] * float(1 << cube.level)
-        start, stop = cube.cell_range(grid.depth)
-        np.maximum(m_restricted[start:stop], avg, out=m_restricted[start:stop])
-    m_restricted **= 1.0 / p0
+    m_restricted = maximal_p0(fvals, grid, p0, restriction=family, weight=sigma)
 
     k = K_INITIAL
     for _ in range(MAX_K_DOUBLINGS):

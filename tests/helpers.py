@@ -22,8 +22,10 @@ from weightlab import (
     SparsityReport,
     TabulatedWeight,
     Weight,
+    composed_moment_cells,
     epsilon_range,
     rh_constant,
+    tree_totals,
     unit_weight,
 )
 
@@ -270,3 +272,81 @@ def oracle_bin_witness_stats(
         restricted = (total * float(1 << cube.level)) ** (1.0 / p0)
         comparability = max(comparability, avg / restricted) if restricted > 0.0 else math.inf
     return witness_mass, comparability
+
+
+# --- ancestor-matrix oracles: every ancestor's value copied onto every cell ----------
+
+
+def ancestor_value_matrix(grid: DyadicGrid, per_level: List[np.ndarray]) -> np.ndarray:
+    """Expand per-cube values to a (depth+1, n_cells) per-cell matrix.
+
+    Row ``k`` holds, for every finest cell, the value attached to its level-k
+    ancestor. Input ``per_level[k]`` must have length ``2**k``.
+    """
+    rows = np.empty((grid.depth + 1, grid.n_cells), dtype=np.float64)
+    for level, vals in enumerate(per_level):
+        rows[level] = np.repeat(np.asarray(vals, dtype=np.float64), 1 << (grid.depth - level))
+    return rows
+
+
+def _level_averages(grid: DyadicGrid, totals: List[np.ndarray]) -> List[np.ndarray]:
+    return [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
+
+
+def oracle_a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[np.ndarray]:
+    """Fujii–Wilson per-level arrays from suffix running maxima of the matrix."""
+    pyr = w.pyramid(grid, 1.0)
+    avg_rows = ancestor_value_matrix(grid, w.level_averages(grid, 1.0))
+    suffix_max = np.maximum.accumulate(avg_rows[::-1], axis=0)[::-1]
+    out: List[np.ndarray] = []
+    for level in range(grid.depth + 1):
+        integrals = suffix_max[level].reshape(1 << level, -1).sum(axis=1) * grid.cell_measure
+        out.append(integrals / pyr[level])
+    return out
+
+
+def oracle_square_function_from_cell_integrals(
+    cell_integrals: np.ndarray, grid: DyadicGrid
+) -> np.ndarray:
+    """Square function as the column sums of squared matrix-row differences."""
+    totals = tree_totals(grid, np.asarray(cell_integrals, dtype=np.float64))
+    rows = ancestor_value_matrix(grid, _level_averages(grid, totals))
+    diffs = rows[1:] - rows[:-1]
+    return np.sqrt(np.sum(diffs * diffs, axis=0))
+
+
+def oracle_maximal_p0(
+    f: np.ndarray, grid: DyadicGrid, p0: float, weight: Optional[Weight] = None
+) -> np.ndarray:
+    """Unrestricted L^{p0} maximal function as the column maxima of the matrix."""
+    if weight is not None:
+        moment_cells = composed_moment_cells(grid, f, weight, p0)
+    else:
+        moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
+    rows = ancestor_value_matrix(grid, _level_averages(grid, tree_totals(grid, moment_cells)))
+    return rows.max(axis=0) ** (1.0 / p0)
+
+
+def oracle_maximal_weighted(g: np.ndarray, w: Weight, grid: DyadicGrid) -> np.ndarray:
+    """Weighted maximal function as the column maxima of the ratio matrix."""
+    num = tree_totals(grid, np.abs(grid.check_values(g)) * w.cell_integrals(grid, 1.0))
+    den = w.pyramid(grid, 1.0)
+    rows = ancestor_value_matrix(grid, [num[k] / den[k] for k in range(grid.depth + 1)])
+    return rows.max(axis=0)
+
+
+def oracle_weak_lp_norm(h: np.ndarray, w: Weight, grid: DyadicGrid, p: float) -> float:
+    """Weak norm by a Python loop over the level sets, in descending order."""
+    values = np.abs(grid.check_values(h))
+    cellw = w.cell_integrals(grid, 1.0)
+    order = np.argsort(values, kind="stable")[::-1]
+    sorted_vals = values[order]
+    tail_measure = np.cumsum(cellw[order])
+    boundaries = np.flatnonzero(np.diff(np.concatenate((sorted_vals, [-1.0]))) != 0.0)
+    best = 0.0
+    for b in boundaries:
+        lam = float(sorted_vals[b])
+        if lam <= 0.0:
+            break
+        best = max(best, lam * float(tail_measure[b]) ** (1.0 / p))
+    return best

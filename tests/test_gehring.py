@@ -71,6 +71,15 @@ class TestSharpReverseHolder:
             expected, rel=1e-12
         )
 
+    def test_fresh_epsilon_leaves_pyramid_store_unchanged(self, grid6):
+        w = seeded_tabulated_weights(1)[0]
+        sharp_rh_max_ratio(w, 2.0, 0.1, grid6)
+        store = dict(w._pyramids)
+        for eps in (0.2, 0.05):
+            sharp_rh_max_ratio(w, 2.0, eps, grid6)
+            assert w._pyramids == store
+        assert sorted(t for _, t in store) == [1.0, 2.0]
+
     def test_never_violated_on_corpus(self, grid6):
         for w in standard_weight_corpus(n_tabulated=6):
             eps_max = epsilon_range(w, 2.0, grid6)
@@ -153,6 +162,12 @@ class TestEmpiricalEpsilonSearch:
         eps = res.epsilon_empirical
         assert sharp_rh_max_ratio(w, 2.0, eps, grid6) <= 1 + 1e-9
         assert sharp_rh_max_ratio(w, 2.0, min(eps * 1.01, res.cap * (1 - 1e-9)), grid6) > 1
+
+    def test_search_caches_no_pyramid_per_step(self, grid6):
+        w = seeded_tabulated_weights(1)[0]
+        res = max_epsilon_empirical(w, 2.0, grid6)
+        assert not res.cap_hit
+        assert sorted(t for _, t in w._pyramids) == [1.0, 2.0]
 
     def test_improvement_probe_reports_conjectured_scale(self, grid6):
         w = PowerWeight(-0.25)

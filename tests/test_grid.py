@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import ancestor_value_matrix
 from weightlab import (
     CellSet,
     DyadicCube,
     DyadicGrid,
     LevelOverflowError,
-    ancestor_value_matrix,
     cube_total,
     tree_totals,
 )
