@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from .characteristics import FactorizationCheck, check_factorization
 from .errors import ConfigError
@@ -239,26 +237,6 @@ def loss_chain_values(
 def gamma_at_quarter_epsilon(q0_star: float, a_infty_pow: float) -> float:
     """γ at the pinned gap ε = 1/(4A): equals 1/(q0*·(4A(q0*−1)+1))."""
     return gamma_exponent(q0_star, 1.0 / (4.0 * a_infty_pow))
-
-
-def gamma_quarter_region_max(
-    q0_star_range: Tuple[float, float] = (1.5, 10.0),
-    a_range: Tuple[float, float] = (1.0, 100.0),
-    samples: int = 64,
-) -> float:
-    """Max of γ at ε = 1/(4A) over a (q0*, A) product grid.
-
-    Over q0* ∈ [3/2, 10] × A ∈ [1, 100] the maximum is 2/9 < 1/4, attained
-    at the corner (3/2, 1); the bound fails for q0* close to 1, so the
-    sampled region deliberately starts at 3/2.
-    """
-    q_grid = np.linspace(q0_star_range[0], q0_star_range[1], samples)
-    a_grid = np.linspace(a_range[0], a_range[1], samples)
-    worst = 0.0
-    for q0s in q_grid:
-        for a in a_grid:
-            worst = max(worst, gamma_at_quarter_epsilon(float(q0s), float(a)))
-    return worst
 
 
 # --- power bridge --------------------------------------------------------------------

@@ -67,7 +67,7 @@ def strong_lp_norm(
     if p <= 0.0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     values = np.abs(grid.check_values(h))
-    return float(np.sum(values**p * w.cell_integrals(grid, 1.0))) ** (1.0 / p)
+    return float(np.sum(values**p * w.pyramid(grid, 1.0)[grid.depth])) ** (1.0 / p)
 
 
 def weak_lp_norm(
@@ -78,7 +78,7 @@ def weak_lp_norm(
     if p <= 0.0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     values = np.abs(grid.check_values(h))
-    cellw = w.cell_integrals(grid, 1.0)
+    cellw = w.pyramid(grid, 1.0)[grid.depth]
     order = np.argsort(values, kind="stable")[::-1]  # descending |h|
     sorted_vals = values[order]
     tail_measure = np.cumsum(cellw[order])
@@ -136,9 +136,8 @@ def maximal_weighted(
 ) -> np.ndarray:
     """Weighted maximal function ``sup_{Q ∋ x} (1/w(Q)) ∫_Q |g| w`` per cell."""
     gvals = np.abs(grid.check_values(g))
-    cellw = w.cell_integrals(grid, 1.0)
-    num = tree_totals(grid, gvals * cellw)
     den = w.pyramid(grid, 1.0)
+    num = tree_totals(grid, gvals * den[grid.depth])
     return _ancestor_max([num[k] / den[k] for k in range(grid.depth + 1)])
 
 
@@ -289,10 +288,10 @@ def equivalence_scaffold(
         return EquivalenceScaffold(0.0, 0.0, 0)
     norm = math.sqrt(norm_sq)
     sf = square_function_from_cell_integrals(
-        fvals * sigma.cell_integrals(grid, 1.0), grid
+        fvals * sigma.pyramid(grid, 1.0)[grid.depth], grid
     )
     n2 = weak_lp_norm(sf, w, grid, 2.0) / norm
-    cellw = w.cell_integrals(grid, 1.0)
+    cellw = w.pyramid(grid, 1.0)[grid.depth]
     sf_sq_w = sf * sf * cellw
 
     masks: List[np.ndarray] = []

@@ -316,7 +316,7 @@ def build_good_set(
     f_norm = math.sqrt(f_norm_sq)
 
     good = good_cells if good_cells is not None else CellSet.full(grid)
-    cellw = w.cell_integrals(grid, 1.0)
+    cellw = w.pyramid(grid, 1.0)[grid.depth]
     good_mass = float(np.sum(cellw, where=good.mask))
     if good_mass <= 0.0:
         raise EmptyGoodSetError("the initial good set carries no weight mass")
@@ -374,7 +374,7 @@ def trace_proof(
     threshold = good_set.threshold
     ap = good_set.ap_char
 
-    cellw = w.cell_integrals(grid, 1.0)
+    cellw = w.pyramid(grid, 1.0)[grid.depth]
     rh = rh_constant(w, q0s, grid)
     a_inf = a_infty_fw(w, grid)
     eps_max = epsilon_range(w, q0s, grid)
@@ -441,7 +441,7 @@ def trace_proof(
             )
         )
 
-    f_sq_sigma = fvals * fvals * sigma.cell_integrals(grid, 1.0)
+    f_sq_sigma = fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth]
 
     bins: Dict[Tuple[int, int], BinReport] = {}
     for (r, s), rows in sorted(bins_members.items()):
@@ -613,7 +613,7 @@ def percube_ap_holder_scan(
         grid, composed_moment_cells(grid, fvals, sigma, p0) * mask
     )
     f2s_totals = tree_totals(
-        grid, fvals * fvals * sigma.cell_integrals(grid, 1.0) * mask
+        grid, fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth] * mask
     )
 
     worst_ap = -math.inf

@@ -4,19 +4,24 @@ Two representations:
 
 * :class:`TabulatedWeight` — piecewise constant on the finest cells; every
   moment is an exact finite sum of cell values.
-* :class:`PowerWeight` — ``w(x) = x**alpha``; every moment is computed from
-  the antiderivative ``(b**(alpha*t+1) - a**(alpha*t+1)) / (alpha*t+1)``, so
-  cubes touching the singularity at 0 are handled exactly. A moment exponent
-  ``t`` is admissible iff ``alpha * t > -1``; inadmissible moments raise
+* :class:`PowerWeight` — ``w(x) = x**alpha``; the moment of every cube is
+  computed from the antiderivative ``x**e / e`` with ``e = alpha*t + 1``, in a
+  form that does not cancel (see :meth:`PowerWeight._levels`), so cubes
+  touching the singularity at 0 are handled exactly. A moment exponent ``t`` is
+  admissible iff ``alpha * t > -1``; inadmissible moments raise
   :class:`~weightlab.errors.DivergentMomentError` — they are never clamped,
   because silent clamping would corrupt the supremum-type characteristics.
 
-All instances are immutable; per-exponent cube-total pyramids are memoised on
-the instance (pure, deterministic recomputation, so concurrent builds agree).
+All instances are immutable. A power ``w**s`` is a view of the same class on
+its base weight's data and moment store: its moment ``t`` is the base's moment
+``s*t``. The store memoises read-only cube-total pyramids per ``(depth, s*t)``;
+an entry depends on nothing else, so every view fills it with the same bytes
+(pure, deterministic recomputation, so concurrent builds agree).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -29,10 +34,16 @@ _PyramidKey = Tuple[int, float]
 
 
 class Weight:
-    """Common machinery: cached cube-total pyramids of ``w**t``."""
+    """Common machinery: cube-total pyramids of ``w**t`` in a moment store.
+
+    ``_s`` is the exponent relative to the base weight that owns the data and
+    the store (1 for a base weight); moment ``t`` of this weight is the base's
+    moment ``u = _s * t``, which keys the store and drives every computation.
+    """
 
     def __init__(self) -> None:
         self._pyramids: Dict[_PyramidKey, List[np.ndarray]] = {}
+        self._s = 1.0
 
     # --- contract to implement -------------------------------------------------
     def moment_admissible(self, t: float) -> bool:
@@ -43,13 +54,19 @@ class Weight:
         raise NotImplementedError
 
     def power(self, s: float) -> "Weight":
-        """The pointwise power ``w**s`` as a new weight."""
+        """The pointwise power ``w**s``, a view on this weight's moment store."""
         raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
 
     # --- shared machinery ------------------------------------------------------
+    def _view(self, s: float) -> "Weight":
+        """A shallow copy sharing the base data and store, with exponent ``_s·s``."""
+        view = copy.copy(self)
+        view._s = self._s * float(s)
+        return view
+
     def require_moment(self, t: float) -> None:
         if not self.moment_admissible(t):
             raise DivergentMomentError(
@@ -57,13 +74,23 @@ class Weight:
             )
 
     def pyramid(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
-        """Cube totals ``∫_Q w**t`` for all cubes, cached per (depth, t)."""
-        key = (grid.depth, float(t))
+        """Cube totals ``∫_Q w**t`` for all cubes, cached per (depth, _s·t).
+
+        Every level is read-only: the store is shared by all powers of the
+        base weight, so a write through one would corrupt the others.
+        """
+        key = (grid.depth, self._s * float(t))
         pyr = self._pyramids.get(key)
         if pyr is None:
-            pyr = tree_totals(grid, self.cell_integrals(grid, t))
+            pyr = self._cube_totals(grid, t)
+            for level in pyr:
+                level.setflags(write=False)
             self._pyramids[key] = pyr
         return pyr
+
+    def _cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+        """Uncached :meth:`pyramid`: pairwise tree sums of the cell integrals."""
+        return tree_totals(grid, self.cell_integrals(grid, t))
 
     def level_averages(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
         """Per-level arrays of ``⨍_Q w**t`` (cube averages of the t-th power)."""
@@ -87,35 +114,51 @@ class TabulatedWeight(Weight):
             raise WrongLengthError(
                 f"tabulated weight needs 2**L values, got {arr.size}"
             )
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-            raise ValueError("tabulated weight values must be finite and strictly positive")
+        _require_finite_positive(arr)
         arr.setflags(write=False)
-        self.values = arr
+        self._base = arr
+        # x**s is monotone in x, so a power is valid iff both extremes stay valid
+        self._extremes = np.array([arr.min(), arr.max()])
+
+    @property
+    def values(self) -> np.ndarray:
+        """Cell values of this power at the tabulated depth (``base**_s``)."""
+        return self._base if self._s == 1.0 else self._base**self._s
 
     @property
     def native_depth(self) -> int:
-        return int(self.values.size).bit_length() - 1
+        return int(self._base.size).bit_length() - 1
 
     def _values_at(self, depth: int) -> np.ndarray:
-        """Cell values at the requested depth (refining by repetition)."""
-        if depth < self.native_depth:
+        """Base cell values at the requested depth (refining by repetition)."""
+        native = self.native_depth
+        if depth < native:
             raise WrongLengthError(
-                f"grid depth {depth} is coarser than the tabulated depth {self.native_depth}"
+                f"grid depth {depth} is coarser than the tabulated depth {native}"
             )
-        return np.repeat(self.values, 1 << (depth - self.native_depth))
+        if depth == native:
+            return self._base
+        return np.repeat(self._base, 1 << (depth - native))
 
     def moment_admissible(self, t: float) -> bool:
         return True
 
     def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
         vals = self._values_at(grid.depth)
-        return vals ** float(t) * grid.cell_measure
+        return vals ** (self._s * float(t)) * grid.cell_measure
 
     def power(self, s: float) -> "TabulatedWeight":
-        return TabulatedWeight(self.values ** float(s))
+        view = self._view(s)
+        _require_finite_positive(self._extremes**view._s)
+        return view
 
     def describe(self) -> str:
-        return f"tabulated[{self.values.size} cells]"
+        return f"tabulated[{self._base.size} cells]"
+
+
+def _require_finite_positive(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)) or not np.all(values > 0.0):
+        raise ValueError("tabulated weight values must be finite and strictly positive")
 
 
 class PowerWeight(Weight):
@@ -123,28 +166,75 @@ class PowerWeight(Weight):
 
     def __init__(self, alpha: float) -> None:
         super().__init__()
-        alpha = float(alpha)
-        if not math.isfinite(alpha) or alpha <= -1.0:
-            raise DivergentMomentError(
-                f"power weight exponent must be > -1 for local integrability, got {alpha}"
-            )
-        self.alpha = alpha
+        self._alpha = _require_integrable(float(alpha))
+
+    @property
+    def alpha(self) -> float:
+        """Exponent of this power: the base exponent times ``_s``."""
+        return self._alpha * self._s
 
     def moment_admissible(self, t: float) -> bool:
-        return self.alpha * float(t) > -1.0
+        return self._alpha * (self._s * float(t)) > -1.0
+
+    def _levels(self, grid: DyadicGrid, t: float, top: int) -> List[np.ndarray]:
+        """Integrals of ``x**(e-1)``, ``e = alpha*t + 1 > 0``, over the cubes of
+        levels ``top..depth``, each straight from the antiderivative ``x**e / e``.
+
+        Cube ``i`` of a level, ``[a, b)``, gets ``b**e / e * (1 - (a/b)**e)`` with
+        ``1 - (a/b)**e = -expm1(-e * log1p(1/i))``: nothing cancels, and no factor
+        but ``1/e`` leaves [0, 1], so only an integral below the double range
+        underflows. A left-edge cube gets ``2**(-k*e) / e`` rounded once, and
+        ``e = 1`` gives the cube lengths exactly.
+        """
+        self.require_moment(t)
+        e = self._alpha * (self._s * float(t)) + 1.0
+        levels = range(top, grid.depth + 1)
+        if e == 1.0:
+            return [np.full(1 << k, 0.5**k) for k in levels]
+        n = grid.n_cells
+        # b**e / e at the finest right ends (in place, sparing temporaries);
+        # level k's right ends are every 2**(depth-k)-th of them
+        right = np.arange(1, n + 1, dtype=np.float64)
+        right /= n
+        np.power(right, e, out=right)
+        right /= e
+        gap = np.arange(n, dtype=np.float64)  # 1 - (a/b)**e by cube index
+        rest = gap[1:]
+        np.reciprocal(rest, out=rest)
+        np.log1p(rest, out=rest)
+        rest *= -e
+        np.expm1(rest, out=rest)
+        np.negative(rest, out=rest)
+        gap[0] = 1.0
+        out = [
+            right[(1 << (grid.depth - k)) - 1 :: 1 << (grid.depth - k)] * gap[: 1 << k]
+            for k in levels[:-1]
+        ]
+        out.append(np.multiply(right, gap, out=gap))
+        return out
 
     def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
-        self.require_moment(t)
-        e = self.alpha * float(t) + 1.0
-        edges = np.arange(grid.n_cells + 1, dtype=np.float64) / grid.n_cells
-        antider = edges ** e / e
-        return np.diff(antider)
+        return self._levels(grid, t, grid.depth)[0]
+
+    def _cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+        """Every cube's integral from the antiderivative, not summed from cells."""
+        return self._levels(grid, t, 0)
 
     def power(self, s: float) -> "PowerWeight":
-        return PowerWeight(self.alpha * float(s))
+        view = self._view(s)
+        _require_integrable(view.alpha)
+        return view
 
     def describe(self) -> str:
         return f"x^{self.alpha:g}"
+
+
+def _require_integrable(alpha: float) -> float:
+    if not math.isfinite(alpha) or alpha <= -1.0:
+        raise DivergentMomentError(
+            f"power weight exponent must be > -1 for local integrability, got {alpha}"
+        )
+    return alpha
 
 
 def unit_weight() -> PowerWeight:
@@ -172,7 +262,8 @@ def lp_average(w: Weight, grid: DyadicGrid, cube: DyadicCube, t: float) -> float
 
 
 def pow_weight(w: Weight, s: float) -> Weight:
-    """Pointwise power ``w**s`` (admissibility of the result is enforced)."""
+    """Pointwise power ``w**s``: a view on ``w``'s moment store (admissibility
+    of the result is enforced)."""
     return w.power(s)
 
 
@@ -200,7 +291,7 @@ def measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
         raise WrongLengthError(
             f"cell set over {cells.n_cells} cells does not match grid of {grid.n_cells}"
         )
-    return float(np.sum(w.cell_integrals(grid, 1.0), where=cells.mask))
+    return float(np.sum(w.pyramid(grid, 1.0)[grid.depth], where=cells.mask))
 
 
 def cube_weight_measure(w: Weight, grid: DyadicGrid, cube: DyadicCube) -> float:
@@ -237,4 +328,4 @@ def weighted_l2_norm_sq(
 ) -> float:
     """``∫ f(x)**2 w(x) dx`` for piecewise-constant ``f`` (exact)."""
     f = grid.check_values(f_values)
-    return float(np.sum(f * f * w.cell_integrals(grid, 1.0)))
+    return float(np.sum(f * f * w.pyramid(grid, 1.0)[grid.depth]))

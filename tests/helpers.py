@@ -24,6 +24,7 @@ from weightlab import (
     Weight,
     composed_moment_cells,
     epsilon_range,
+    gamma_at_quarter_epsilon,
     rh_constant,
     tree_totals,
     unit_weight,
@@ -172,6 +173,26 @@ def verify_average_comparison(
         ratio_strict=lhs / rhs_strict if rhs_strict > 0.0 else 0.0,
         ratio=lhs / rhs if rhs > 0.0 else 0.0,
     )
+
+
+def gamma_quarter_region_max(
+    q0_star_range: Tuple[float, float] = (1.5, 10.0),
+    a_range: Tuple[float, float] = (1.0, 100.0),
+    samples: int = 64,
+) -> float:
+    """Max of γ at ε = 1/(4A) over a (q0*, A) product grid.
+
+    Over q0* ∈ [3/2, 10] × A ∈ [1, 100] the maximum is 2/9 < 1/4, attained
+    at the corner (3/2, 1); the bound fails for q0* close to 1, so the
+    sampled region deliberately starts at 3/2.
+    """
+    q_grid = np.linspace(q0_star_range[0], q0_star_range[1], samples)
+    a_grid = np.linspace(a_range[0], a_range[1], samples)
+    worst = 0.0
+    for q0s in q_grid:
+        for a in a_grid:
+            worst = max(worst, gamma_at_quarter_epsilon(float(q0s), float(a)))
+    return worst
 
 
 # --- dense-mask family oracles: one N-cell mask per cube, all-pairs loops ------------
@@ -350,3 +371,25 @@ def oracle_weak_lp_norm(h: np.ndarray, w: Weight, grid: DyadicGrid, p: float) ->
             break
         best = max(best, lam * float(tail_measure[b]) ** (1.0 / p))
     return best
+
+
+# --- cold-copy power oracles: a power as a new weight with its own data and store ----
+
+
+def cold_power(w: Weight, s: float) -> Weight:
+    """``w**s`` built as an independent weight: copied values (rounded once by
+    the power, again by each moment) and an empty pyramid store."""
+    if isinstance(w, PowerWeight):
+        return PowerWeight(w.alpha * float(s))
+    return TabulatedWeight(w.values ** float(s))
+
+
+def longdouble_power_pyramid(alpha: float, t: float, depth: int) -> List[np.ndarray]:
+    """Per-level cube integrals of ``x**(alpha*t)`` as antiderivative differences
+    in long double; the cancellation costs ``log2(2**level / e)`` of its extra bits."""
+    e = np.longdouble(alpha) * np.longdouble(t) + 1
+    out = []
+    for level in range(depth + 1):
+        edges = np.arange((1 << level) + 1, dtype=np.longdouble) / (1 << level)
+        out.append(np.diff(edges**e / e))
+    return out

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import gamma_quarter_region_max
 from weightlab import (
     ConfigError,
     DyadicGrid,
@@ -27,7 +28,6 @@ from weightlab import (
     extrapolation_inflation,
     gamma_at_quarter_epsilon,
     gamma_exponent,
-    gamma_quarter_region_max,
     loss_chain_exponents,
     loss_chain_values,
     power_bridge_check,

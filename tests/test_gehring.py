@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,9 +24,11 @@ from weightlab import (
     random_subset_checks,
     rh_constant,
     sharp_rh_max_ratio,
+    tree_totals,
     unit_weight,
     verify_sharp_rh,
     verify_subset_bound,
+    weights,
 )
 
 
@@ -127,6 +131,21 @@ class TestSubsetBound:
         assert [eps for _, eps, _ in rows] == [0.2, 0.4, 0.6, 0.2, 0.4, 0.6, 0.2]
         assert all(chk.ratio <= 1 + 1e-12 for _, _, chk in rows)
 
+    def test_subset_samples_build_no_pyramid_per_sample(self, grid6, monkeypatch):
+        # every pyramid built lands in w's store, which does not grow with the samples
+        built = []
+        monkeypatch.setattr(
+            weights, "tree_totals", lambda *args: built.append(1) or tree_totals(*args)
+        )
+        stores = []
+        for n_samples in (1, 200):
+            w = seeded_tabulated_weights(1)[0]
+            built.clear()
+            random_subset_checks(w, 2.0, [0.05, 0.1], grid6, n_samples, seed=3)
+            assert len(built) == len(w._pyramids)
+            stores.append(sorted(w._pyramids))
+        assert stores[0] == stores[1]
+
 
 class TestGehringProfileHelper:
     @given(st.floats(1.05, 6.0), st.floats(0.05, 0.95))
@@ -168,6 +187,22 @@ class TestEmpiricalEpsilonSearch:
         res = max_epsilon_empirical(w, 2.0, grid6)
         assert not res.cap_hit
         assert sorted(t for _, t in w._pyramids) == [1.0, 2.0]
+
+    def test_large_first_probe_is_not_taken_for_a_pass(self):
+        # the first probe t = p + 64 has e = 1.4*66 + 1 = 93.4: at depth 12 it
+        # lies beyond the double range of i**(e-1) and 2**(-k*e). Every left-edge
+        # cube of x^1.4 has ratio 3.8**(t/2) / (2*(1.4*t + 1)), so t passes while
+        # that is at most 1.
+        res = max_epsilon_empirical(PowerWeight(1.4), 2.0, DyadicGrid(12))
+        lo, hi = 2.0, 66.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if 0.5 * mid * math.log(3.8) <= math.log(2.0 * (1.4 * mid + 1.0)):
+                lo = mid
+            else:
+                hi = mid
+        assert not res.cap_hit
+        assert res.epsilon_empirical == pytest.approx(lo - 2.0, rel=1e-3)
 
     def test_improvement_probe_reports_conjectured_scale(self, grid6):
         w = PowerWeight(-0.25)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import longdouble_power_pyramid
 from weightlab import (
     CellSet,
     DivergentMomentError,
@@ -106,6 +107,26 @@ class TestPowerWeight:
         g = DyadicGrid(6)
         assert w.cube_integral(g, DyadicCube(0, 0), 1.0) == pytest.approx(2 / 3, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "depth, alpha, t",
+        [(d, a, t) for d in (12, 16) for a in (-0.25, 0.5) for t in (-1.0, 1.0, 2.0)]
+        # e = 53.8 and 61: i**(e-1) and 2**(-k*e) leave the double range
+        + [(20, 0.8, 66.0), (20, 3.0, 20.0)],
+    )
+    def test_cube_integrals_do_not_cancel_at_depth(self, depth, alpha, t):
+        # antiderivative differences lose log2(cell index) bits: 1e-11 at depth 16
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("the long double oracle needs an extended-precision long double")
+        w = PowerWeight(alpha)
+        grid = DyadicGrid(depth)
+        got = w.pyramid(grid, t)
+        np.testing.assert_array_equal(got[depth], w.cell_integrals(grid, t))
+        tiny = np.finfo(np.float64).tiny  # below it a double has no relative precision
+        for level, ref in enumerate(longdouble_power_pyramid(alpha, t, depth)):
+            assert np.all(np.isfinite(got[level])), level
+            err = np.abs(got[level] - ref) / np.maximum(ref, tiny)
+            assert float(np.max(err)) <= 1e-12, level
+
     def test_power_compose(self):
         w = PowerWeight(0.25)
         g = DyadicGrid(5)
@@ -119,6 +140,9 @@ class TestUnitWeight:
         w = unit_weight()
         for cube in grid6.cubes():
             assert cube_weight_measure(w, grid6, cube) == pytest.approx(cube.measure)
+            # e = 1 (any moment of 1, moment 0 of x^a) gives the lengths exactly
+            assert w.cube_integral(grid6, cube, 3.0) == cube.measure
+            assert PowerWeight(0.5).cube_integral(grid6, cube, 0.0) == cube.measure
         full = CellSet.full(grid6)
         assert measure(w, grid6, full) == pytest.approx(1.0)
 
