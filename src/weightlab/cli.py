@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import evaluate_bounds, simplified_weak_type_factor
 from .characteristics import characteristic_report, rh_constant
 from .errors import ConfigError, SparsityViolationError, WeightlabError
-from .gehring import epsilon_range, random_subset_checks, verify_sharp_rh
+from .gehring import epsilon_range, random_subset_checks, sharp_rh_levels
 from .grid import DyadicGrid
 from .operators import empirical_weak_operator_norm, function_corpus
 from .profiles import ExponentProfile
@@ -134,6 +134,8 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
         raise ConfigError(f"the integrability exponent must be >= 1, got {q0s}")
     if args.eps_grid < 1:
         raise ConfigError("--eps-grid must be at least 1")
+    if args.subsets < 0:
+        raise ConfigError("--subsets must be at least 0")
     eps_max = epsilon_range(w, q0s, grid)
     rh = rh_constant(w, q0s, grid)
     epsilons = [eps_max * i / args.eps_grid for i in range(1, args.eps_grid + 1)]
@@ -141,12 +143,15 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     rows: List[Sequence[object]] = []
     worst = 0.0
     for eps in epsilons:
-        for cube in grid.cubes():
-            chk = verify_sharp_rh(w, q0s, eps, cube, grid, rh=rh, epsilon_max=eps_max)
-            worst = max(worst, chk.ratio)
-            rows.append(
-                ["self-improve", cube.level, cube.index, eps, chk.lhs, chk.rhs, chk.ratio]
+        blocks = []  # one block of rows per level, finest first
+        for level, lhs, rhs, ratio in sharp_rh_levels(w, q0s + eps, rh, grid):
+            worst = max(worst, float(ratio.max()))
+            sides = enumerate(zip(lhs.tolist(), rhs.tolist(), ratio.tolist()))
+            blocks.append(
+                [["self-improve", level, i, eps, a, b, r] for i, (a, b, r) in sides]
             )
+        for block in reversed(blocks):
+            rows.extend(block)
     if args.subsets > 0:
         for cube, eps, chk in random_subset_checks(
             w, q0s, epsilons, grid, args.subsets, args.seed

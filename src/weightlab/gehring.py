@@ -6,8 +6,9 @@ dimensional constant is ``2^(d+1) = 4`` on the line) the inequality
 
     ⨍_Q w^{q+ε}  ≤  2 · [w]_{RH_q}^{q+ε} · (⨍_Q w)^{q+ε}
 
-holds on every dyadic cube. :func:`verify_sharp_rh` evaluates both sides
-exactly. :func:`verify_subset_bound` checks the derived subset comparison
+holds on every dyadic cube. :func:`sharp_rh_levels` evaluates both sides
+exactly, level by level. :func:`verify_subset_bound` checks the derived subset
+comparison
 
     w^q(E)/w^q(Q)  ≤  2^{1/θ} · [w]_{RH_q}^{(q+ε)/θ} · (w(E)/w(Q))^{1/θ'}
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,63 +72,44 @@ class InequalityCheck:
         return self.ratio <= 1.0 + 1e-12
 
 
-def verify_sharp_rh(
-    w: Weight,
-    q0_star: float,
-    epsilon: float,
-    cube: DyadicCube,
-    grid: DyadicGrid,
-    rh: Optional[float] = None,
-    epsilon_max: Optional[float] = None,
-) -> InequalityCheck:
-    """Self-improved reverse Hölder inequality on one cube, both sides exact.
+def sharp_rh_levels(
+    w: Weight, t: float, rh: float, grid: DyadicGrid
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Both sides of the sharp reverse Hölder inequality at moment ``t`` on every cube.
 
-    ``rh`` and ``epsilon_max`` may be passed in to avoid recomputation during
-    scans; they default to the weight's own dyadic values on this grid.
+    Yields ``(level, lhs, rhs, ratio)`` one level at a time, finest first, with
+    ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t`` and ``ratio = lhs/rhs`` indexed
+    by cube. The moment at ``t`` comes from :meth:`Weight.cube_totals` and is not
+    cached on ``w`` (ε scans use each ``t`` once); only the current level's
+    arrays stay alive. A ratio that is not a number (both sides 0, as when a
+    cube's moment and mean^t underflow, or both inf) is unverified: it is ``inf``.
     """
-    q0_star = float(q0_star)
-    epsilon = float(epsilon)
-    if epsilon_max is None:
-        epsilon_max = epsilon_range(w, q0_star, grid)
-    if not 0.0 < epsilon <= epsilon_max * (1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(
-            f"epsilon {epsilon} outside the admissible range (0, {epsilon_max}]"
-        )
-    w.require_moment(q0_star + epsilon)
-    if rh is None:
-        rh = rh_constant(w, q0_star, grid)
-    scale = float(1 << cube.level)
-    lhs = w.cube_integral(grid, cube, q0_star + epsilon) * scale
-    mean = w.cube_integral(grid, cube, 1.0) * scale
-    rhs = 2.0 * rh ** (q0_star + epsilon) * mean ** (q0_star + epsilon)
-    return InequalityCheck(lhs=lhs, rhs=rhs)
+    t = float(t)
+    w.require_moment(t)
+    moments = w.cube_totals(grid, t)
+    means = w.pyramid(grid, 1.0)
+    factor = 2.0 * rh**t
+    for k in range(grid.depth, -1, -1):
+        scale = float(1 << k)
+        lhs = moments.pop() * scale
+        rhs = means[k] * scale
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.power(rhs, t, out=rhs)
+            rhs *= factor
+            ratio = lhs / rhs
+        ratio[np.isnan(ratio)] = np.inf
+        yield k, lhs, rhs, ratio
 
 
 def sharp_rh_max_ratio(
     w: Weight, q0_star: float, epsilon: float, grid: DyadicGrid
 ) -> float:
-    """max over ALL dyadic cubes of lhs/rhs for :func:`verify_sharp_rh`.
-
-    Vectorised per level; used by full-grid scans and the ε search.
-    """
+    """max over ALL dyadic cubes of the ratio of :func:`sharp_rh_levels` at
+    moment ``q0* + ε``, with ``[w]_{RH_{q0*}}`` on this grid."""
     q0_star = float(q0_star)
-    t = q0_star + float(epsilon)
-    w.require_moment(t)
-    return _sharp_rh_worst(w, t, rh_constant(w, q0_star, grid), grid)
-
-
-def _sharp_rh_worst(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
-    """:func:`sharp_rh_max_ratio` at moment ``t`` for a known ``rh``; the moment
-    at ``t`` is summed level by level, not cached on ``w`` (ε searches use it once)."""
-    w_totals = w.pyramid(grid, 1.0)
-    top = w.cell_integrals(grid, t)
-    worst = 0.0
-    for k in range(grid.depth, -1, -1):
-        scale = float(1 << k)
-        ratios = top * scale / (2.0 * rh**t * (w_totals[k] * scale) ** t)
-        worst = max(worst, float(ratios.max()))
-        top = top[0::2] + top[1::2]
-    return worst
+    rh = rh_constant(w, q0_star, grid)
+    levels = sharp_rh_levels(w, q0_star + float(epsilon), rh, grid)
+    return max(float(ratio.max()) for *_, ratio in levels)
 
 
 def verify_subset_bound(
@@ -209,8 +191,10 @@ def max_epsilon_empirical(
             )
 
     def passes(eps: float) -> bool:
-        # sharp_rh_max_ratio normalises by the constant 2; rescale to `factor`.
-        return _sharp_rh_worst(w, p + eps, rh, grid) <= (factor / 2.0) * (1.0 + 1e-12)
+        # the kernel normalises by the constant 2; rescale to `factor`.
+        levels = sharp_rh_levels(w, p + eps, rh, grid)
+        worst = max(float(ratio.max()) for *_, ratio in levels)
+        return worst <= (factor / 2.0) * (1.0 + 1e-12)
 
     # The RH-constant definition makes tiny ε pass: ⨍w^p ≤ [w]_{RH_p}^p ⟨w⟩^p.
     rh = rh_constant(w, p, grid)

@@ -82,13 +82,13 @@ class Weight:
         key = (grid.depth, self._s * float(t))
         pyr = self._pyramids.get(key)
         if pyr is None:
-            pyr = self._cube_totals(grid, t)
+            pyr = self.cube_totals(grid, t)
             for level in pyr:
                 level.setflags(write=False)
             self._pyramids[key] = pyr
         return pyr
 
-    def _cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    def cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
         """Uncached :meth:`pyramid`: pairwise tree sums of the cell integrals."""
         return tree_totals(grid, self.cell_integrals(grid, t))
 
@@ -216,7 +216,7 @@ class PowerWeight(Weight):
     def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
         return self._levels(grid, t, grid.depth)[0]
 
-    def _cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    def cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
         """Every cube's integral from the antiderivative, not summed from cells."""
         return self._levels(grid, t, 0)
 

@@ -393,3 +393,22 @@ def longdouble_power_pyramid(alpha: float, t: float, depth: int) -> List[np.ndar
         edges = np.arange((1 << level) + 1, dtype=np.longdouble) / (1 << level)
         out.append(np.diff(edges**e / e))
     return out
+
+
+# --- per-cube sharp reverse Hölder oracle -----------------------------------------------
+
+
+def oracle_sharp_rh(
+    w: Weight, t: float, rh: float, grid: DyadicGrid
+) -> List[Tuple[int, int, float, float, float]]:
+    """``(level, index, lhs, rhs, ratio)`` of the sharp reverse Hölder inequality
+    at moment ``t`` on every cube, coarse to fine, in Python floats one cube at a
+    time: ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t``, ratio 0 where lhs is 0."""
+    rows = []
+    for cube in grid.cubes():
+        scale = float(1 << cube.level)
+        lhs = w.cube_integral(grid, cube, t) * scale
+        mean = w.cube_integral(grid, cube, 1.0) * scale
+        rhs = 2.0 * rh**t * mean**t
+        rows.append((cube.level, cube.index, lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs))
+    return rows

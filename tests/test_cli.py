@@ -10,7 +10,15 @@ import math
 
 import pytest
 
-from weightlab import cli
+from helpers import seeded_tabulated_weights
+from weightlab import (
+    DyadicGrid,
+    PowerWeight,
+    TabulatedWeight,
+    cli,
+    epsilon_range,
+    sharp_rh_max_ratio,
+)
 from weightlab.cli import main
 from weightlab.serialize import CSV_HEADER
 
@@ -105,6 +113,25 @@ class TestVerifyGehring:
         for line in out.splitlines()[2:]:
             ratio = float(line.rsplit(",", 1)[1])
             assert ratio <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("source", ["power", "file"])
+    def test_worst_ratio_is_the_kernel_max_over_the_eps_grid(self, source, tmp_path, capsys):
+        grid = DyadicGrid(6)
+        if source == "power":
+            w, flags = PowerWeight(-0.25), ["--power", "-0.25"]
+        else:
+            values = seeded_tabulated_weights(4)[3].values  # log-normal cells
+            w = TabulatedWeight(values)
+            flags = ["--weight-file", write_lines(tmp_path / "w.txt", values)]
+        code, _, err = run_cli(
+            ["verify-gehring", *flags, "--L", "6", "--eps-grid", "4"], capsys
+        )
+        assert code == 0
+        eps_max = epsilon_range(w, 2.0, grid)
+        expected = max(
+            sharp_rh_max_ratio(w, 2.0, eps_max * i / 4, grid) for i in range(1, 5)
+        )
+        assert float(err.rsplit("worst ratio=", 1)[1]) == expected
 
     def test_csv_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "scan.csv"
@@ -414,6 +441,14 @@ class TestUsageErrors:
         code, _, err = run_cli(["char", "--unit-weight", "--L", "0"], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_negative_subset_count_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["verify-gehring", "--unit-weight", "--L", "3", "--subsets", "-5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "--subsets" in err
 
     def test_weight_file_with_wrong_length(self, tmp_path, capsys):
         wfile = write_lines(tmp_path / "w.txt", [1.0, 2.0, 3.0])

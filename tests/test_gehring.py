@@ -1,4 +1,4 @@
-"""Self-improving integrability: proven ranges, per-cube checks, subset bounds."""
+"""Self-improving integrability: proven ranges, the sharp RH kernel, subset bounds."""
 
 from __future__ import annotations
 
@@ -9,24 +9,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import seeded_tabulated_weights, standard_weight_corpus
+from helpers import oracle_sharp_rh, seeded_tabulated_weights, standard_weight_corpus
 from weightlab import (
     CellSet,
     DIMENSIONAL_FACTOR,
     DyadicCube,
     DyadicGrid,
-    EpsilonOutOfRangeError,
     PowerWeight,
     SubsetError,
+    TabulatedWeight,
     epsilon_range,
     gehring_profile,
     max_epsilon_empirical,
     random_subset_checks,
     rh_constant,
+    sharp_rh_levels,
     sharp_rh_max_ratio,
     tree_totals,
     unit_weight,
-    verify_sharp_rh,
     verify_subset_bound,
     weights,
 )
@@ -50,30 +50,81 @@ class TestEpsilonRange:
             assert b <= a * (1 + 1e-12)
 
 
+def kernel_rows(w, t, rh, grid):
+    """The kernel's cubes as ``(level, index, lhs, rhs, ratio)``, coarse to fine,
+    after checking that it yields every level once, finest first."""
+    levels = list(sharp_rh_levels(w, t, rh, grid))
+    assert [k for k, *_ in levels] == list(range(grid.depth, -1, -1))
+    rows = []
+    for k, lhs, rhs, ratio in reversed(levels):
+        assert lhs.shape == rhs.shape == ratio.shape == (1 << k,)
+        sides = zip(lhs.tolist(), rhs.tolist(), ratio.tolist())
+        rows.extend((k, i, a, b, r) for i, (a, b, r) in enumerate(sides))
+    return rows
+
+
+def assert_within_ulps(actual, expected, ulps):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.all(np.abs(actual - expected) <= ulps * np.spacing(np.abs(expected)))
+
+
+# name -> weight at a depth; tabulated weights are seeded at that native depth
+ORACLE_WEIGHTS = {
+    "unit": lambda depth: unit_weight(),
+    "x^-1/4": lambda depth: PowerWeight(-0.25),
+    "x^0.8": lambda depth: PowerWeight(0.8),
+    **{
+        f"tab{i}": (lambda depth, i=i: seeded_tabulated_weights(4, depth)[i])
+        for i in range(4)
+    },
+}
+
+
 class TestSharpReverseHolder:
     def test_unit_weight_ratio_is_half(self, grid6):
-        chk = verify_sharp_rh(unit_weight(), 2.0, 2 / 3, DyadicCube(3, 5), grid6)
-        assert chk.lhs == pytest.approx(1.0, rel=1e-14)
-        assert chk.rhs == pytest.approx(2.0, rel=1e-14)
-        assert chk.ratio == pytest.approx(0.5, rel=1e-14)
+        w, t = unit_weight(), 2.0 + 2 / 3
+        rh = rh_constant(w, 2.0, grid6)
+        for rows in (kernel_rows(w, t, rh, grid6), oracle_sharp_rh(w, t, rh, grid6)):
+            assert len(rows) == 127
+            for *_, lhs, rhs, ratio in rows:
+                assert lhs == pytest.approx(1.0, rel=1e-14)
+                assert rhs == pytest.approx(2.0, rel=1e-14)
+                assert ratio == pytest.approx(0.5, rel=1e-14)
 
-    def test_epsilon_validation(self, grid6):
-        w = unit_weight()
-        eps_max = epsilon_range(w, 2.0, grid6)
-        with pytest.raises(EpsilonOutOfRangeError):
-            verify_sharp_rh(w, 2.0, eps_max * 1.01, DyadicCube(0, 0), grid6)
-        with pytest.raises(EpsilonOutOfRangeError):
-            verify_sharp_rh(w, 2.0, 0.0, DyadicCube(0, 0), grid6)
+    @pytest.mark.parametrize("depth", [6, 10])
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_kernel_matches_per_cube_oracle(self, name, depth):
+        grid = DyadicGrid(depth)
+        w = ORACLE_WEIGHTS[name](depth)
+        rh = rh_constant(w, 2.0, grid)
+        eps_max = epsilon_range(w, 2.0, grid)
+        for t in (2.0 + eps_max / 2, 2.0 + eps_max, 3.5):
+            got = kernel_rows(w, t, rh, grid)
+            want = oracle_sharp_rh(w, t, rh, grid)
+            assert [r[:2] for r in got] == [r[:2] for r in want]
+            got_sides, want_sides = np.array(got)[:, 2:], np.array(want)[:, 2:]
+            assert np.array_equal(got_sides[:, 0], want_sides[:, 0])
+            assert_within_ulps(got_sides[:, 1:], want_sides[:, 1:], 4)
 
     def test_max_ratio_agrees_with_per_cube_scan(self, grid6):
         w = seeded_tabulated_weights(1)[0]
         eps = epsilon_range(w, 2.0, grid6)
-        expected = max(
-            verify_sharp_rh(w, 2.0, eps, cube, grid6).ratio for cube in grid6.cubes()
-        )
-        assert sharp_rh_max_ratio(w, 2.0, eps, grid6) == pytest.approx(
-            expected, rel=1e-12
-        )
+        rows = oracle_sharp_rh(w, 2.0 + eps, rh_constant(w, 2.0, grid6), grid6)
+        expected = max(ratio for *_, ratio in rows)
+        assert_within_ulps(sharp_rh_max_ratio(w, 2.0, eps, grid6), expected, 4)
+
+    def test_cube_with_both_sides_underflowing_fails(self):
+        # cells 0-31 are tiny: every cube inside them has moment and mean^t 0
+        values = np.ones(64)
+        values[0:32:2], values[1:32:2] = 1e-200, 3e-200
+        w, grid = TabulatedWeight(values), DyadicGrid(6)
+        assert sharp_rh_max_ratio(w, 2.0, 0.1, grid) == math.inf
+        rh = rh_constant(w, 2.0, grid)
+        for k, lhs, rhs, ratio in sharp_rh_levels(w, 2.1, rh, grid):
+            unverified = (lhs == 0.0) & (rhs == 0.0)
+            assert unverified.any() == (k > 0)
+            assert np.all(ratio[unverified] == math.inf)
+            assert np.all(np.isfinite(ratio[~unverified]))
 
     def test_fresh_epsilon_leaves_pyramid_store_unchanged(self, grid6):
         w = seeded_tabulated_weights(1)[0]
