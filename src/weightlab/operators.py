@@ -59,26 +59,51 @@ def dyadic_square_function(
     return square_function_from_cell_integrals(values * grid.cell_measure, grid)
 
 
-def strong_lp_norm(
-    h: Sequence[float] | np.ndarray, w: Weight, grid: DyadicGrid, p: float
-) -> float:
-    """Exact ``(∫ |h|^p w)^{1/p}`` for piecewise-constant ``h``."""
+def _level_norm_inputs(
+    h: Sequence[float] | np.ndarray,
+    w: Weight,
+    grid: DyadicGrid,
+    p: float,
+    level: Optional[int],
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Validated exponent, ``|h|`` per level-``level`` cube and those cubes'
+    w-masses (``level`` defaults to the finest level)."""
     p = float(p)
     if p <= 0.0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    values = np.abs(grid.check_values(h))
-    return float(np.sum(values**p * w.pyramid(grid, 1.0)[grid.depth])) ** (1.0 / p)
+    if level is None:
+        level = grid.depth
+    elif not 1 <= level <= grid.depth:
+        raise ValueError(f"level must lie in 1..{grid.depth}, got {level}")
+    values = np.abs(DyadicGrid(level).check_values(h))
+    return p, values, w.pyramid(grid, 1.0)[level]
+
+
+def strong_lp_norm(
+    h: Sequence[float] | np.ndarray,
+    w: Weight,
+    grid: DyadicGrid,
+    p: float,
+    *,
+    level: Optional[int] = None,
+) -> float:
+    """Exact ``(∫ |h|^p w)^{1/p}`` for ``h`` constant on the cubes of
+    ``level`` (default: the finest cells), given one value per such cube."""
+    p, values, cellw = _level_norm_inputs(h, w, grid, p, level)
+    return float(np.sum(values**p * cellw)) ** (1.0 / p)
 
 
 def weak_lp_norm(
-    h: Sequence[float] | np.ndarray, w: Weight, grid: DyadicGrid, p: float
+    h: Sequence[float] | np.ndarray,
+    w: Weight,
+    grid: DyadicGrid,
+    p: float,
+    *,
+    level: Optional[int] = None,
 ) -> float:
-    """Exact ``sup_λ λ · w({|h| ≥ λ})^{1/p}`` by level-set enumeration."""
-    p = float(p)
-    if p <= 0.0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
-    values = np.abs(grid.check_values(h))
-    cellw = w.pyramid(grid, 1.0)[grid.depth]
+    """Exact ``sup_λ λ · w({|h| ≥ λ})^{1/p}`` by level-set enumeration, for
+    ``h`` given as in :func:`strong_lp_norm`."""
+    p, values, cellw = _level_norm_inputs(h, w, grid, p, level)
     order = np.argsort(values, kind="stable")[::-1]  # descending |h|
     sorted_vals = values[order]
     tail_measure = np.cumsum(cellw[order])
@@ -146,8 +171,18 @@ def maximal_weighted(
 
 @dataclass(frozen=True)
 class CorpusFunction:
+    """A test function constant on the cubes of level ``depth``: ``cells``
+    holds its ``2**depth`` values, on a grid of depth ``grid_depth``."""
+
     name: str
-    values: np.ndarray
+    depth: int
+    cells: np.ndarray
+    grid_depth: int
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense per-cell vector on the full grid (built on each access)."""
+        return np.repeat(self.cells, 1 << (self.grid_depth - self.depth))
 
 
 def function_corpus(
@@ -161,32 +196,31 @@ def function_corpus(
     Haar atoms are L²-normalised (value ±|Q|^{-1/2} on the two halves of a
     cube) for cubes of level ≤ min(structured_max_level, depth−1); indicators
     cover cubes of level ≤ min(structured_max_level, depth); random entries
-    are standard normal vectors from a seeded generator.
+    are standard normal vectors from a seeded generator.  Each function is
+    stored at its natural depth: ``level + 1`` for the atom of a level-``level``
+    cube, ``max(level, 1)`` for an indicator and the grid depth for noise.
     """
     out: List[CorpusFunction] = []
     atom_levels = min(structured_max_level, grid.depth - 1)
     for level in range(atom_levels + 1):
         for index in range(1 << level):
-            cube = DyadicCube(level, index)
-            left, right = cube.children(grid.depth)
-            vals = np.zeros(grid.n_cells, dtype=np.float64)
-            amp = cube.measure**-0.5
-            a0, a1 = left.cell_range(grid.depth)
-            b0, b1 = right.cell_range(grid.depth)
-            vals[a0:a1] = amp
-            vals[b0:b1] = -amp
-            out.append(CorpusFunction(f"haar[{level},{index}]", vals))
+            cells = np.zeros(2 << level, dtype=np.float64)
+            amp = DyadicCube(level, index).measure ** -0.5
+            cells[2 * index] = amp
+            cells[2 * index + 1] = -amp
+            out.append(CorpusFunction(f"haar[{level},{index}]", level + 1, cells, grid.depth))
     ind_levels = min(structured_max_level, grid.depth)
     for level in range(ind_levels + 1):
+        depth = max(level, 1)
         for index in range(1 << level):
-            cube = DyadicCube(level, index)
-            vals = np.zeros(grid.n_cells, dtype=np.float64)
-            start, stop = cube.cell_range(grid.depth)
-            vals[start:stop] = 1.0
-            out.append(CorpusFunction(f"indicator[{level},{index}]", vals))
+            cells = np.zeros(1 << depth, dtype=np.float64)
+            start, stop = DyadicCube(level, index).cell_range(depth)
+            cells[start:stop] = 1.0
+            out.append(CorpusFunction(f"indicator[{level},{index}]", depth, cells, grid.depth))
     rng = np.random.default_rng(seed)
     for i in range(n_random):
-        out.append(CorpusFunction(f"random[{i}]", rng.standard_normal(grid.n_cells)))
+        cells = rng.standard_normal(grid.n_cells)
+        out.append(CorpusFunction(f"random[{i}]", grid.depth, cells, grid.depth))
     return out
 
 
@@ -205,13 +239,19 @@ def empirical_weak_operator_norm(
     corpus: Optional[List[CorpusFunction]] = None,
 ) -> Tuple[float, List[OperatorNormRow]]:
     """Largest corpus ratio ‖Sf‖_{L^{p,∞}(w)} / ‖f‖_{L^p(w)} (a lower bound
-    on the weak operator norm), with one row per test function."""
+    on the weak operator norm), with one row per test function.
+
+    Each function is evaluated at its natural depth ``d``: its square
+    function is constant on level-``d`` cubes too, so both norms read the
+    level-``d`` masses of the weight's pyramid."""
     if corpus is None:
         corpus = function_corpus(grid)
 
     def evaluate(fn: CorpusFunction) -> OperatorNormRow:
-        strong = strong_lp_norm(fn.values, w, grid, p)
-        weak = weak_lp_norm(dyadic_square_function(fn.values, grid), w, grid, p)
+        d = fn.depth
+        strong = strong_lp_norm(fn.cells, w, grid, p, level=d)
+        sf = dyadic_square_function(fn.cells, DyadicGrid(d))
+        weak = weak_lp_norm(sf, w, grid, p, level=d)
         ratio = weak / strong if strong > 0.0 else 0.0
         return OperatorNormRow(fn.name, strong, weak, ratio)
 
@@ -230,15 +270,18 @@ def empirical_maximal_weak_constant(
     """Empirical constant C in ‖M_{p0}f‖_{L^{2,∞}(w)} ≤ C·[w]^{1/2}_{A_{2/p0}}‖f‖_{L²(w)}.
 
     ``ap_sqrt`` is the square root of the A_{2/p0} characteristic of ``w``.
+    Each function is evaluated at its natural depth ``d``: cubes finer than
+    ``d`` only repeat a cell's value, so ``M_{p0}f`` is constant there too.
     """
     if corpus is None:
         corpus = function_corpus(grid)
 
     def evaluate(fn: CorpusFunction) -> float:
-        strong = strong_lp_norm(fn.values, w, grid, 2.0)
+        d = fn.depth
+        strong = strong_lp_norm(fn.cells, w, grid, 2.0, level=d)
         if strong == 0.0:
             return 0.0
-        weak = weak_lp_norm(maximal_p0(fn.values, grid, p0), w, grid, 2.0)
+        weak = weak_lp_norm(maximal_p0(fn.cells, DyadicGrid(d), p0), w, grid, 2.0, level=d)
         return weak / (ap_sqrt * strong)
 
     return max(ordered_map(evaluate, corpus), default=0.0)

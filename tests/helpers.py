@@ -18,16 +18,21 @@ from weightlab import (
     DyadicCube,
     DyadicGrid,
     GehringProfile,
+    OperatorNormRow,
     PowerWeight,
     SparsityReport,
     TabulatedWeight,
     Weight,
     composed_moment_cells,
+    dyadic_square_function,
     epsilon_range,
     gamma_at_quarter_epsilon,
+    maximal_p0,
     rh_constant,
+    strong_lp_norm,
     tree_totals,
     unit_weight,
+    weak_lp_norm,
 )
 
 POWER_ALPHAS = (-0.375, -0.25, -0.125, 0.125, 0.25, 0.375)
@@ -412,3 +417,64 @@ def oracle_sharp_rh(
         rhs = 2.0 * rh**t * mean**t
         rows.append((cube.level, cube.index, lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs))
     return rows
+
+
+# --- dense corpus oracles: every corpus function as a full 2**L vector -------------------
+
+
+def dense_corpus_values(
+    grid: DyadicGrid,
+    seed: int = 2024,
+    n_random: int = 64,
+    structured_max_level: int = 6,
+) -> List[Tuple[str, np.ndarray]]:
+    """``(name, values)`` of the function corpus, each built directly as a
+    ``2**depth`` vector by painting cell ranges of the finest level."""
+    out: List[Tuple[str, np.ndarray]] = []
+    atom_levels = min(structured_max_level, grid.depth - 1)
+    for level in range(atom_levels + 1):
+        for index in range(1 << level):
+            cube = DyadicCube(level, index)
+            left, right = cube.children(grid.depth)
+            vals = np.zeros(grid.n_cells, dtype=np.float64)
+            amp = cube.measure**-0.5
+            a0, a1 = left.cell_range(grid.depth)
+            b0, b1 = right.cell_range(grid.depth)
+            vals[a0:a1] = amp
+            vals[b0:b1] = -amp
+            out.append((f"haar[{level},{index}]", vals))
+    ind_levels = min(structured_max_level, grid.depth)
+    for level in range(ind_levels + 1):
+        for index in range(1 << level):
+            vals = np.zeros(grid.n_cells, dtype=np.float64)
+            start, stop = DyadicCube(level, index).cell_range(grid.depth)
+            vals[start:stop] = 1.0
+            out.append((f"indicator[{level},{index}]", vals))
+    rng = np.random.default_rng(seed)
+    for i in range(n_random):
+        out.append((f"random[{i}]", rng.standard_normal(grid.n_cells)))
+    return out
+
+
+def oracle_corpus_rows(w: Weight, grid: DyadicGrid, p: float, corpus) -> List[OperatorNormRow]:
+    """Operator-norm rows with every function, its square function and both
+    norms evaluated on the finest cells."""
+    rows: List[OperatorNormRow] = []
+    for fn in corpus:
+        strong = strong_lp_norm(fn.values, w, grid, p)
+        weak = weak_lp_norm(dyadic_square_function(fn.values, grid), w, grid, p)
+        rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
+    return rows
+
+
+def oracle_maximal_weak_constant(
+    w: Weight, grid: DyadicGrid, p0: float, ap_sqrt: float, corpus
+) -> float:
+    """Empirical maximal-function constant with every function on the finest cells."""
+    best = 0.0
+    for fn in corpus:
+        strong = strong_lp_norm(fn.values, w, grid, 2.0)
+        if strong > 0.0:
+            weak = weak_lp_norm(maximal_p0(fn.values, grid, p0), w, grid, 2.0)
+            best = max(best, weak / (ap_sqrt * strong))
+    return best
