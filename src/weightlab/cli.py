@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .gehring import epsilon_range, random_subset_checks, sharp_rh_levels
 from .grid import DyadicGrid
 from .operators import empirical_weak_operator_norm, function_corpus
 from .profiles import ExponentProfile
-from .serialize import dump_csv, dump_json, write_text
+from .serialize import dump_json, write_csv, write_text
 from .sparse import SparseFamily, sparse_form, verify_sparsity
 from .tracer import ProofTrace, default_trace_family, trace_proof
 from .weights import PowerWeight, TabulatedWeight, Weight, unit_weight
@@ -140,32 +140,25 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     rh = rh_constant(w, q0s, grid)
     epsilons = [eps_max * i / args.eps_grid for i in range(1, args.eps_grid + 1)]
     columns = ["check", "level", "index", "epsilon", "lhs", "rhs", "ratio"]
-    rows: List[Sequence[object]] = []
     worst = 0.0
-    for eps in epsilons:
-        blocks = []  # one block of rows per level, finest first
-        for level, lhs, rhs, ratio in sharp_rh_levels(w, q0s + eps, rh, grid):
-            worst = max(worst, float(ratio.max()))
-            sides = enumerate(zip(lhs.tolist(), rhs.tolist(), ratio.tolist()))
-            blocks.append(
-                [["self-improve", level, i, eps, a, b, r] for i, (a, b, r) in sides]
-            )
-        for block in reversed(blocks):
-            rows.extend(block)
-    if args.subsets > 0:
-        for cube, eps, chk in random_subset_checks(
-            w, q0s, epsilons, grid, args.subsets, args.seed
-        ):
-            worst = max(worst, chk.ratio)
-            rows.append(
-                ["subset", cube.level, cube.index, eps, chk.lhs, chk.rhs, chk.ratio]
-            )
-    write_text(dump_csv(columns, rows), args.csv)
-    print(
-        f"verify-gehring: {len(rows)} checks, epsilon_max={eps_max!r}, "
-        f"worst ratio={worst!r}",
-        file=sys.stderr,
-    )
+
+    def blocks() -> Iterator[List[object]]:
+        nonlocal worst
+        for eps in epsilons:  # the kernel runs finest first, the file coarse to fine
+            levels = list(sharp_rh_levels(w, q0s + eps, rh, grid))
+            for level, lhs, rhs, ratio in reversed(levels):
+                worst = max(worst, float(ratio.max()))
+                yield ["self-improve", level, np.arange(lhs.size), eps, lhs, rhs, ratio]
+        if args.subsets > 0:
+            for cube, eps, chk in random_subset_checks(
+                w, q0s, epsilons, grid, args.subsets, args.seed
+            ):
+                worst = max(worst, chk.ratio)
+                yield ["subset", cube.level, cube.index, eps, chk.lhs, chk.rhs, chk.ratio]
+
+    n_rows = write_csv(columns, blocks(), args.csv)
+    print(f"verify-gehring: {n_rows} checks, epsilon_max={eps_max!r}, "
+          f"worst ratio={worst!r}", file=sys.stderr)
     return 0 if worst <= RATIO_SLACK else 1
 
 
@@ -211,15 +204,18 @@ def _cmd_sparse_form(args: argparse.Namespace) -> int:
 def _cmd_weak_norm(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
-    corpus = function_corpus(grid, seed=args.seed)
-    best, rows = empirical_weak_operator_norm(w, grid, p=args.p, corpus=corpus)
     columns = ["function", "strong_norm_f", "weak_norm_sf", "ratio"]
-    table = [[r.name, r.strong_norm, r.weak_norm_sf, r.ratio] for r in rows]
-    write_text(dump_csv(columns, table), args.csv)
-    print(
-        f"weak-norm: {len(rows)} corpus functions, best ratio={best!r}",
-        file=sys.stderr,
-    )
+    best = 0.0
+
+    def table() -> Iterator[List[object]]:
+        nonlocal best
+        corpus = function_corpus(grid, seed=args.seed)
+        best, rows = empirical_weak_operator_norm(w, grid, p=args.p, corpus=corpus)
+        for r in rows:
+            yield [r.name, r.strong_norm, r.weak_norm_sf, r.ratio]
+
+    n_rows = write_csv(columns, table(), args.csv)
+    print(f"weak-norm: {n_rows} corpus functions, best ratio={best!r}", file=sys.stderr)
     return 0
 
 
@@ -258,34 +254,14 @@ def _cmd_trace_proof(args: argparse.Namespace) -> int:
     trace = trace_proof(fvals, w, grid, profile, family, epsilon=args.epsilon)
     write_text(dump_json(trace.to_jsonable()), args.out)
     if args.csv is not None:
-        columns = [
-            "r",
-            "s",
-            "n_cubes",
-            "quad_sum",
-            "cap_via_mass",
-            "cap_via_disjoint",
-            "min_ratio",
-            "mass_ratio",
-            "witness_mass",
-            "comparability_max",
-        ]
-        table = [
-            [
-                r,
-                s,
-                len(b.cubes),
-                b.quad_sum,
-                b.cap_via_mass,
-                b.cap_via_disjoint,
-                b.min_ratio,
-                b.mass_ratio,
-                b.witness_mass,
-                b.comparability_max,
-            ]
+        columns = ["r", "s", "n_cubes", "quad_sum", "cap_via_mass", "cap_via_disjoint",
+                   "min_ratio", "mass_ratio", "witness_mass", "comparability_max"]
+        table = (
+            [r, s, len(b.cubes), b.quad_sum, b.cap_via_mass, b.cap_via_disjoint,
+             b.min_ratio, b.mass_ratio, b.witness_mass, b.comparability_max]
             for (r, s), b in sorted(trace.bins.items())
-        ]
-        write_text(dump_csv(columns, table), args.csv)
+        )
+        write_csv(columns, table, args.csv)
     failures = _trace_gates(trace)
     for message in failures:
         print(f"trace-proof: {message}", file=sys.stderr)
@@ -303,10 +279,7 @@ def _cmd_trace_proof(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
-    q0 = float(args.q0)
-    if not q0 > 2.0:
-        raise ConfigError(f"the upper window exponent must exceed 2, got {q0}")
-    report = evaluate_bounds(w, grid, args.p0, q0, epsilon=args.epsilon)
+    report = evaluate_bounds(w, grid, args.p0, _finite_q0(args.q0), epsilon=args.epsilon)
     write_text(dump_json(report.to_jsonable()), args.out)
     return 0
 
@@ -321,48 +294,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     q0 = _finite_q0(args.q0)
     profile = ExponentProfile(p0=args.p0, q0=q0)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-    corpus = function_corpus(grid, seed=args.seed)
-    columns = [
-        "alpha",
-        "L",
-        "ap",
-        "rh",
-        "a_infty",
-        "epsilon",
-        "weak_bound",
-        "weak_bound_pinned",
-        "strong_bound",
-        "empirical_weak",
-        "c0",
-    ]
-    ones = np.ones(grid.n_cells, dtype=np.float64)
-    rows: List[Sequence[object]] = []
-    for alpha in alphas:
-        w: Weight = unit_weight() if alpha == 0.0 else PowerWeight(float(alpha))
-        bounds = evaluate_bounds(w, grid, profile.p0, q0)
-        pinned_eta = simplified_weak_type_factor(
-            bounds.rh_char, bounds.a_infty_char, bounds.q0_star, bounds.a_infty_pow_char
-        )
-        pinned = math.sqrt(bounds.ap_char * bounds.rh_char * pinned_eta)
-        empirical, _ = empirical_weak_operator_norm(w, grid, p=2.0, corpus=corpus)
-        family = default_trace_family(ones, w, grid, profile.p0)
-        trace = trace_proof(ones, w, grid, profile, family)
-        rows.append(
-            [
-                float(alpha),
-                grid.depth,
-                bounds.ap_char,
-                bounds.rh_char,
-                bounds.a_infty_char,
-                bounds.epsilon,
-                bounds.weak_bound,
-                pinned,
-                bounds.strong_bound,
-                empirical,
-                trace.c0,
-            ]
-        )
-    write_text(dump_csv(columns, rows), args.csv)
+    columns = ["alpha", "L", "ap", "rh", "a_infty", "epsilon", "weak_bound",
+               "weak_bound_pinned", "strong_bound", "empirical_weak", "c0"]
+
+    def rows() -> Iterator[List[object]]:
+        corpus = function_corpus(grid, seed=args.seed)
+        ones = np.ones(grid.n_cells, dtype=np.float64)
+        for alpha in alphas:
+            w: Weight = unit_weight() if alpha == 0.0 else PowerWeight(float(alpha))
+            bounds = evaluate_bounds(w, grid, profile.p0, q0)
+            pinned_eta = simplified_weak_type_factor(
+                bounds.rh_char, bounds.a_infty_char, bounds.q0_star, bounds.a_infty_pow_char
+            )
+            pinned = math.sqrt(bounds.ap_char * bounds.rh_char * pinned_eta)
+            empirical, _ = empirical_weak_operator_norm(w, grid, p=2.0, corpus=corpus)
+            family = default_trace_family(ones, w, grid, profile.p0)
+            trace = trace_proof(ones, w, grid, profile, family)
+            yield [float(alpha), grid.depth, bounds.ap_char, bounds.rh_char,
+                   bounds.a_infty_char, bounds.epsilon, bounds.weak_bound, pinned,
+                   bounds.strong_bound, empirical, trace.c0]
+
+    write_csv(columns, rows(), args.csv)
     return 0
 
 
@@ -524,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WeightlabError, ValueError) as exc:
+    except (WeightlabError, ValueError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -145,15 +145,14 @@ def maximal_p0(
     else:
         moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
     totals = tree_totals(grid, moment_cells)
-    if restriction is None:
-        averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
-        return _ancestor_max(averages) ** (1.0 / p0)
-    out = np.zeros(grid.n_cells, dtype=np.float64)
-    for cube in restriction:
-        avg = totals[cube.level][cube.index] * float(1 << cube.level)
-        start, stop = cube.cell_range(grid.depth)
-        np.maximum(out[start:stop], avg, out=out[start:stop])
-    return out ** (1.0 / p0)
+    averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
+    if restriction is not None:  # averages are >= 0, so zeroing a cube drops it
+        member = [np.zeros(1 << k, dtype=bool) for k in range(grid.depth + 1)]
+        for cube in restriction:
+            cube.cell_range(grid.depth)  # raises LevelOverflowError below the grid
+            member[cube.level][cube.index] = True
+        averages = [np.where(m, a, 0.0) for m, a in zip(member, averages)]
+    return _ancestor_max(averages) ** (1.0 / p0)
 
 
 def maximal_weighted(

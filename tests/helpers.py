@@ -8,7 +8,7 @@ implementations are checked against independent arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -353,6 +353,28 @@ def oracle_maximal_p0(
     return rows.max(axis=0) ** (1.0 / p0)
 
 
+def oracle_restricted_maximal_p0(
+    f: np.ndarray,
+    grid: DyadicGrid,
+    p0: float,
+    restriction: Sequence[DyadicCube],
+    weight: Optional[Weight] = None,
+) -> np.ndarray:
+    """Restricted L^{p0} maximal function by a loop over the cubes, each
+    raising its cells to its average (0 where no cube covers a cell)."""
+    if weight is not None:
+        moment_cells = composed_moment_cells(grid, f, weight, p0)
+    else:
+        moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
+    totals = tree_totals(grid, moment_cells)
+    out = np.zeros(grid.n_cells, dtype=np.float64)
+    for cube in restriction:
+        avg = totals[cube.level][cube.index] * float(1 << cube.level)
+        start, stop = cube.cell_range(grid.depth)
+        np.maximum(out[start:stop], avg, out=out[start:stop])
+    return out ** (1.0 / p0)
+
+
 def oracle_maximal_weighted(g: np.ndarray, w: Weight, grid: DyadicGrid) -> np.ndarray:
     """Weighted maximal function as the column maxima of the ratio matrix."""
     num = tree_totals(grid, np.abs(grid.check_values(g)) * w.cell_integrals(grid, 1.0))
@@ -478,3 +500,26 @@ def oracle_maximal_weak_constant(
             weak = weak_lp_norm(maximal_p0(fn.values, grid, p0), w, grid, 2.0)
             best = max(best, weak / (ap_sqrt * strong))
     return best
+
+
+# --- row-at-a-time CSV rendering ------------------------------------------------------------
+
+CSV_HEADER = "# weightlab-csv v1"
+
+
+def _format_field(value: object) -> str:
+    if isinstance(value, float):
+        value = float(value)  # numpy scalars are float subclasses with a noisy repr
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return repr(value)
+    return str(value)
+
+
+def dump_csv(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    lines = [CSV_HEADER, ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_format_field(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -17,13 +17,17 @@ from helpers import (
     oracle_a_infty_fw_per_level,
     oracle_maximal_p0,
     oracle_maximal_weighted,
+    oracle_restricted_maximal_p0,
     oracle_square_function_from_cell_integrals,
     oracle_weak_lp_norm,
     seeded_tabulated_weights,
 )
 from weightlab import (
+    DyadicCube,
     DyadicGrid,
+    LevelOverflowError,
     PowerWeight,
+    default_trace_family,
     dual_weight,
     function_corpus,
     maximal_p0,
@@ -104,6 +108,34 @@ def test_maximal_p0_matches_matrix(w, p0, depth):
             maximal_p0(values, grid, p0, weight=w),
             oracle_maximal_p0(values, grid, p0, weight=w),
         )
+
+
+def _restrictions(values, w, grid, p0, rng):
+    """The trace's stopping family for ``values``, a random draw of cubes
+    with repeats, every cube, and no cube."""
+    every = [DyadicCube(k, i) for k in range(grid.depth + 1) for i in range(1 << k)]
+    drawn = [every[j] for j in rng.integers(0, len(every), size=3 * grid.depth)]
+    return [default_trace_family(values, w, grid, p0), drawn + drawn[:5], every, []]
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("p0", (1.0, 1.5))
+@pytest.mark.parametrize("w", [None] + WEIGHTS, ids=["unweighted"] + WEIGHT_IDS)
+def test_restricted_maximal_p0_matches_cube_loop(w, p0, depth):
+    grid = DyadicGrid(depth)
+    rng = np.random.default_rng(depth)
+    for values in _corpus(grid)[-4:]:  # the last indicators and noise
+        for family in _restrictions(values, w or unit_weight(), grid, p0, rng):
+            assert np.array_equal(
+                maximal_p0(values, grid, p0, restriction=family, weight=w),
+                oracle_restricted_maximal_p0(values, grid, p0, family, weight=w),
+            )
+
+
+def test_restricted_maximal_p0_rejects_a_cube_below_the_grid():
+    grid = DyadicGrid(4)
+    with pytest.raises(LevelOverflowError):
+        maximal_p0(np.ones(grid.n_cells), grid, restriction=[DyadicCube(0, 0), DyadicCube(5, 3)])
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
