@@ -27,17 +27,20 @@ from .grid import DyadicCube, DyadicGrid
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
-def _sup_with_argmax(per_level: List[np.ndarray]) -> Tuple[float, DyadicCube]:
-    """Supremum over all cubes with deterministic (level, then index) ties."""
-    best = -math.inf
-    best_cube = DyadicCube(0, 0)
+def _sup(per_level: List[np.ndarray]) -> Tuple[float, int, int]:
+    """Supremum over all cubes with its (level, index); deterministic ties."""
+    best, at_level, at_index = -math.inf, 0, 0
     for level, vals in enumerate(per_level):
         idx = int(np.argmax(vals))  # first occurrence: smallest index
         val = float(vals[idx])
         if val > best:  # strict: earlier (coarser) level wins ties
-            best = val
-            best_cube = DyadicCube(level, idx)
-    return best, best_cube
+            best, at_level, at_index = val, level, idx
+    return best, at_level, at_index
+
+
+def _sup_with_argmax(per_level: List[np.ndarray]) -> Tuple[float, DyadicCube]:
+    best, level, index = _sup(per_level)
+    return best, DyadicCube(level, index)
 
 
 def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[np.ndarray]:
@@ -58,7 +61,7 @@ def ap_constant_argmax(w: Weight, p: float, grid: DyadicGrid) -> Tuple[float, Dy
 
 
 def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
-    return ap_constant_argmax(w, p, grid)[0]
+    return _sup(ap_per_level(w, p, grid))[0]
 
 
 def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> List[np.ndarray]:
@@ -78,7 +81,7 @@ def rh_constant_argmax(w: Weight, q: float, grid: DyadicGrid) -> Tuple[float, Dy
 
 
 def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
-    return rh_constant_argmax(w, q, grid)[0]
+    return _sup(rh_per_level(w, q, grid))[0]
 
 
 def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[np.ndarray]:
@@ -108,7 +111,7 @@ def a_infty_fw_argmax(w: Weight, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
 
 
 def a_infty_fw(w: Weight, grid: DyadicGrid) -> float:
-    return a_infty_fw_argmax(w, grid)[0]
+    return _sup(a_infty_fw_per_level(w, grid))[0]
 
 
 # --- identity / relation checks ---------------------------------------------------

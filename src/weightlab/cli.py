@@ -235,7 +235,7 @@ def _trace_gates(trace: ProofTrace) -> List[str]:
         failures.append(f"bin cap ratio {trace.worst_bin_min_ratio!r} above 1")
     if trace.worst_mass_ratio > RATIO_SLACK:
         failures.append(f"layer-counting ratio {trace.worst_mass_ratio!r} above 1")
-    if trace.clamped:
+    if trace.clamped.size:
         failures.append(f"{len(trace.clamped)} cubes needed bin clamping")
     if not (math.isfinite(trace.c0) and trace.c0 >= 0.0):
         failures.append(f"empirical constant {trace.c0!r} is not finite")

@@ -3,9 +3,11 @@
 The carrier is a dyadic grid of depth ``L``: the finest level has ``N = 2**L``
 half-open cells ``[i/N, (i+1)/N)``. A :class:`DyadicCube` addresses the
 interval ``[index * 2**-level, (index + 1) * 2**-level)`` for any
-``0 <= level <= L``. Cell sets are boolean membership vectors over the finest
-cells, so Lebesgue measure and set algebra are exact integer arithmetic
-divided by ``N``.
+``0 <= level <= L``; inside the family kernels it is one int64 *heap id*
+``2**level - 1 + index`` (:func:`cube_ids`), an encoding only this module
+knows.  Cell sets are boolean membership vectors over the finest cells, so
+Lebesgue measure and set algebra are exact integer arithmetic divided by
+``N``.
 
 Aggregation follows a fixed left-to-right pairwise tree order (each parent
 total is ``left + right``), which makes every derived average bit-stable
@@ -15,7 +17,7 @@ across runs and thread counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,6 +143,83 @@ def tree_totals(grid: DyadicGrid, values: Sequence[float] | np.ndarray) -> List[
 def cube_total(totals: List[np.ndarray], cube: DyadicCube) -> float:
     """Look up one cube's total in a :func:`tree_totals` pyramid."""
     return float(totals[cube.level][cube.index])
+
+
+# --- heap ids: sorting them sorts by (level, index), and a parent is (id - 1) >> 1 ----
+
+
+def cube_ids(
+    cubes: Sequence[DyadicCube] | np.ndarray, grid: Optional[DyadicGrid] = None
+) -> np.ndarray:
+    """Heap ids of a :class:`DyadicCube` sequence or an int array, as int64 in
+    the same order.  With ``grid`` given, a cube below it raises
+    :class:`LevelOverflowError`."""
+    if not isinstance(cubes, np.ndarray):
+        cubes = list(cubes)
+        if cubes and isinstance(cubes[0], DyadicCube):
+            cubes = [(1 << c.level) - 1 + c.index for c in cubes]
+    try:
+        ids = np.asarray(cubes, dtype=np.int64)
+    except OverflowError:
+        raise LevelOverflowError("cube too deep for an int64 heap id") from None
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"heap ids must be >= 0, got {int(ids.min())}")
+    if grid is not None and ids.size and ids.max() >= grid.cube_count:
+        level = split_ids(ids[ids >= grid.cube_count][:1])[0][0]
+        raise LevelOverflowError(f"cube level {level} exceeds grid depth {grid.depth}")
+    return ids
+
+
+def split_ids(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(levels, indices)`` of heap ids; the level is exact, as
+    ``2**level <= id + 1 < 2**(level + 1)``."""
+    levels = np.frexp(ids + 1)[1].astype(np.int64) - 1
+    return levels, ids + 1 - np.left_shift(1, levels)
+
+
+def level_ids(level: int, indices: np.ndarray) -> np.ndarray:
+    """Heap ids of the cubes ``(level, i)`` for ``i`` in ``indices``."""
+    return np.asarray(indices, dtype=np.int64) + ((1 << level) - 1)
+
+
+def id_cubes(ids: np.ndarray) -> List[DyadicCube]:
+    """The :class:`DyadicCube` of each heap id, for the edges only."""
+    levels, indices = split_ids(np.asarray(ids, dtype=np.int64))
+    return [DyadicCube(k, i) for k, i in zip(levels.tolist(), indices.tolist())]
+
+
+def id_cell_ranges(ids: np.ndarray, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-open finest-cell ranges ``[start, stop)`` of heap ids at ``depth``."""
+    levels, indices = split_ids(ids)
+    shift = depth - levels
+    return indices << shift, (indices + 1) << shift
+
+
+def ancestor_hits(ids: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Walk ascending, duplicate-free heap ids up the tree a generation a step.
+
+    Step ``u`` yields ``(hit, pos)``: ``hit[j]`` says whether the cube ``u``
+    levels above cube ``j`` is in the set, and then it is ``ids[pos[j]]``.
+    At most ``L`` steps of one binary search per cube: ``O(n·L)`` searches.
+    """
+    if ids.size == 0:
+        return
+    up = ids
+    for _ in range(int(split_ids(ids[-1:])[0][0])):
+        up = (up - 1) >> 1  # the root's parent is -1, which never hits
+        pos = np.minimum(np.searchsorted(ids, up), ids.size - 1)
+        yield ids[pos] == up, pos
+
+
+def cube_totals(totals: List[np.ndarray], ids: np.ndarray) -> np.ndarray:
+    """Many cubes' totals in a :func:`tree_totals` pyramid, by heap id."""
+    return np.concatenate(totals)[ids]
+
+
+def heap_levels(heap: np.ndarray) -> List[np.ndarray]:
+    """The per-level views of an array indexed by heap id, coarse to fine."""
+    depth = (heap.size + 1).bit_length() - 2
+    return np.split(heap, (1 << np.arange(1, depth + 1)) - 1)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._parallel import ordered_map
-from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
+from .grid import CellSet, DyadicCube, DyadicGrid, cube_ids, heap_levels, tree_totals
 from .weights import (
     Weight,
     composed_moment_cells,
@@ -127,15 +127,15 @@ def maximal_p0(
     f: Sequence[float] | np.ndarray,
     grid: DyadicGrid,
     p0: float = 1.0,
-    restriction: Optional[Sequence[DyadicCube]] = None,
+    restriction: Optional[Sequence[DyadicCube] | np.ndarray] = None,
     weight: Optional[Weight] = None,
 ) -> np.ndarray:
     """Dyadic maximal function of L^{p0} averages, per finest cell.
 
     With ``weight`` given, the averaged function is the composition
     ``|f|·weight`` (exact cell moments); with ``restriction`` given, the
-    supremum runs only over that cube collection and is 0 where no cube
-    covers the cell.
+    supremum runs only over that cube collection (cubes or heap ids) and is 0
+    where no cube covers the cell.
     """
     p0 = float(p0)
     if p0 < 1.0:
@@ -147,11 +147,9 @@ def maximal_p0(
     totals = tree_totals(grid, moment_cells)
     averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
     if restriction is not None:  # averages are >= 0, so zeroing a cube drops it
-        member = [np.zeros(1 << k, dtype=bool) for k in range(grid.depth + 1)]
-        for cube in restriction:
-            cube.cell_range(grid.depth)  # raises LevelOverflowError below the grid
-            member[cube.level][cube.index] = True
-        averages = [np.where(m, a, 0.0) for m, a in zip(member, averages)]
+        member = np.zeros(grid.cube_count, dtype=bool)
+        member[cube_ids(restriction, grid)] = True
+        averages = [np.where(m, a, 0.0) for m, a in zip(heap_levels(member), averages)]
     return _ancestor_max(averages) ** (1.0 / p0)
 
 

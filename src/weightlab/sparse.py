@@ -22,52 +22,70 @@ The quadratic form of interest is
 ``Σ_Q ⟨|f|⟩_{p0,Q}² · ⟨|g|⟩_{q0*,Q} · |Q|`` — evaluated with exact per-cube
 moments, over any cube collection (validity of the collection is the
 caller's concern; the form itself is just a positive sum).
+
+Every kernel here addresses cubes by heap id (see :mod:`weightlab.grid`), so
+it gathers per-cube quantities from pyramids instead of looping over cubes,
+and a cube below the grid raises :class:`~weightlab.errors.LevelOverflowError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SparsityViolationError, SubsetError
-from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
+from .grid import (
+    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, cube_totals, id_cell_ranges,
+    id_cubes, level_ids, split_ids, tree_totals,
+)
 from .profiles import ExponentProfile
-from .weights import Weight, composed_moment_cells, masked_moment_cells
+from .weights import Weight, masked_moment_cells
 
 
 @dataclass(frozen=True)
 class SparseFamily:
-    """Cube collection with its witnesses held in one owner array.
+    """Cube collection, as heap ids in family order, with its witnesses held
+    in one owner array.
 
-    ``owner[k]`` is the position in ``cubes`` of the cube whose witness holds
+    ``owner[k]`` is the position in ``ids`` of the cube whose witness holds
     finest cell ``k``, or -1 when no witness does, so the witnesses are
-    pairwise disjoint by construction.  The array is read-only.
+    pairwise disjoint by construction.  The constructor also takes a
+    :class:`DyadicCube` sequence; both arrays are read-only.
     """
 
-    cubes: Tuple[DyadicCube, ...]
+    ids: np.ndarray
     owner: np.ndarray
 
     def __post_init__(self) -> None:
-        owner = np.array(self.owner, dtype=np.int32)  # the family's own copy
-        if owner.ndim != 1 or np.any((owner < -1) | (owner >= len(self.cubes))):
+        ids = np.array(cube_ids(self.ids))  # the family's own copies
+        owner = np.array(self.owner, dtype=np.int32)
+        if owner.ndim != 1 or np.any((owner < -1) | (owner >= ids.size)):
             raise ValueError("owner entries must be -1 or positions in cubes")
+        ids.setflags(write=False)
         owner.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "owner", owner)
 
+    @property
+    def cubes(self) -> Tuple[DyadicCube, ...]:
+        return tuple(id_cubes(self.ids))
+
     def witness(self, cube: DyadicCube) -> CellSet:
-        if cube not in self.cubes:
+        pos = np.flatnonzero(self.ids == cube_ids([cube])[0])
+        if pos.size == 0:
             raise KeyError(f"cube {cube} not in family")
-        return CellSet(self.owner == self.cubes.index(cube))
+        return CellSet(self.owner == pos[0])
 
     def witness_sizes(self) -> np.ndarray:
-        """Cell count of every witness, in cube order."""
-        return np.bincount(self.owner[self.owner >= 0], minlength=len(self.cubes))
+        """Cell count of every witness, in family order."""
+        return np.bincount(self.owner[self.owner >= 0], minlength=len(self))
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return int(self.ids.size)
 
     def to_jsonable(self) -> List[dict]:
         # maximal runs of one owner, grouped by owner in cell order
@@ -75,13 +93,14 @@ class SparseFamily:
         edges = np.flatnonzero(owner[1:] != owner[:-1]) + 1
         starts = np.concatenate(([0], edges)).tolist()
         stops = np.concatenate((edges, [owner.size])).tolist()
-        ranges: List[List[List[int]]] = [[] for _ in self.cubes]
+        ranges: List[List[List[int]]] = [[] for _ in range(len(self))]
         for pos, start, stop in zip(owner[starts].tolist(), starts, stops):
             if pos >= 0:
                 ranges[pos].append([start, stop])
+        levels, indices = split_ids(self.ids)
         return [
-            {"level": c.level, "index": c.index, "witness": r}
-            for c, r in zip(self.cubes, ranges)
+            {"level": k, "index": i, "witness": r}
+            for k, i, r in zip(levels.tolist(), indices.tolist(), ranges)
         ]
 
     def to_json(self) -> str:
@@ -115,27 +134,33 @@ class SparseFamily:
                 "family JSON must be a list of objects with "
                 "'level', 'index', and 'witness' keys"
             ) from exc
-        return cls(cubes=tuple(cubes), owner=owner)
+        return cls(cubes, owner)
 
     @classmethod
     def from_json(cls, text: str, grid: DyadicGrid) -> "SparseFamily":
         return cls.from_jsonable(json.loads(text), grid)
 
 
-def paint_owner(cubes: Sequence[DyadicCube], grid: DyadicGrid) -> np.ndarray:
+def paint_owner(cubes: Sequence[DyadicCube] | np.ndarray, grid: DyadicGrid) -> np.ndarray:
     """Owner array giving every cell to its deepest cube of ``cubes`` (-1 when
     none contains it): cubes are painted coarse to fine over their whole cell
-    ranges.  A cube listed twice keeps only its later position."""
+    ranges, one level at a time.  A cube listed twice keeps only its later
+    position."""
+    ids = cube_ids(cubes, grid)
+    # np.unique keeps the first occurrence, so run it on the reversed ids
+    unique, first = np.unique(ids[::-1], return_index=True)
+    last = (ids.size - 1 - first).astype(np.int32)
+    levels, indices = split_ids(unique)
     owner = np.full(grid.n_cells, -1, dtype=np.int32)
-    for pos in sorted(range(len(cubes)), key=lambda i: cubes[i].level):
-        start, stop = cubes[pos].cell_range(grid.depth)
-        owner[start:stop] = pos
+    for level in np.unique(levels).tolist():
+        at = levels == level
+        owner.reshape(1 << level, -1)[indices[at]] = last[at, None]
     return owner
 
 
-def _painted_family(cubes: Sequence[DyadicCube], grid: DyadicGrid) -> SparseFamily:
+def _painted_family(ids: np.ndarray, grid: DyadicGrid) -> SparseFamily:
     """Family with the deepest-cube witnesses; raises unless it is 1/2-sparse."""
-    family = SparseFamily(cubes=tuple(cubes), owner=paint_owner(cubes, grid))
+    family = SparseFamily(ids, paint_owner(ids, grid))
     report = verify_sparsity(family, grid)
     if not report.ok:
         raise SparsityViolationError(report.first_violation or "invalid family")
@@ -154,20 +179,18 @@ def verify_sparsity(family: SparseFamily, grid: DyadicGrid) -> SparsityReport:
     construction of the owner array)."""
     if family.owner.size != grid.n_cells:
         return SparsityReport(False, "witnesses sized for a different grid")
-    bounds = np.array(
-        [c.cell_range(grid.depth) for c in family.cubes], dtype=np.int64
-    ).reshape(-1, 2)
+    start, stop = id_cell_ranges(cube_ids(family.ids, grid), grid.depth)
     cells = np.flatnonzero(family.owner >= 0)
     pos = family.owner[cells]
-    outside = (cells < bounds[pos, 0]) | (cells >= bounds[pos, 1])
+    outside = (cells < start[pos]) | (cells >= stop[pos])
     leaves = np.bincount(pos[outside], minlength=len(family)) > 0
     sizes = family.witness_sizes()
-    extent = bounds[:, 1] - bounds[:, 0]
+    extent = stop - start
     failing = np.flatnonzero(leaves | (2 * sizes <= extent))
     if failing.size == 0:
         return SparsityReport(True, None)
     first = int(failing[0])
-    cube = family.cubes[first]
+    cube = id_cubes(family.ids[first : first + 1])[0]
     if leaves[first]:
         return SparsityReport(False, f"witness of {cube} leaves the cube")
     return SparsityReport(
@@ -187,24 +210,21 @@ def build_sparse_random(
     inside it that no earlier cube claimed, provided they are strictly more
     than half of it, otherwise it is dropped.  Inside a kept cube no cell is
     left to claim, so a selected cube is kept exactly when no kept cube
-    contains it, and its witness is the whole cube.
+    contains it, and its witness is the whole cube.  Each level takes one
+    draw of ``2**level`` numbers, the same stream as one draw per cube.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     if max_level > grid.depth:
         raise ValueError(f"max_level {max_level} exceeds grid depth {grid.depth}")
     rng = np.random.default_rng(seed)
-    kept = set()
-    cubes: List[DyadicCube] = []
+    covered = np.zeros(1, dtype=bool)  # cubes of the level inside a kept cube
+    ids: List[np.ndarray] = []
     for level in range(max_level + 1):
-        for index in range(1 << level):
-            if rng.random() >= density:
-                continue
-            if any((level - up, index >> up) in kept for up in range(1, level + 1)):
-                continue
-            kept.add((level, index))
-            cubes.append(DyadicCube(level, index))
-    return _painted_family(cubes, grid)  # valid by construction; checked anyway
+        kept = (rng.random(1 << level) < density) & ~covered
+        ids.append(level_ids(level, np.flatnonzero(kept)))
+        covered = np.repeat(covered | kept, 2)
+    return _painted_family(np.concatenate(ids), grid)  # valid by construction
 
 
 def build_sparse_cz(
@@ -227,51 +247,23 @@ def build_sparse_cz(
     totals = tree_totals(grid, values)
 
     # level by level: the average of each cube's most recent stopping ancestor
-    cubes: List[DyadicCube] = [DyadicCube(0, 0)]
+    ids: List[np.ndarray] = [level_ids(0, [0])]
     anchor = totals[0]
     for level in range(1, grid.depth + 1):
         averages = totals[level] * float(1 << level)
         inherited = np.repeat(anchor, 2)
         stops = averages > ratio * inherited
         anchor = np.where(stops, averages, inherited)
-        cubes.extend(DyadicCube(level, int(i)) for i in np.flatnonzero(stops))
+        ids.append(level_ids(level, np.flatnonzero(stops)))
 
-    return _painted_family(cubes, grid)
-
-
-def _q_average_factory(
-    grid: DyadicGrid,
-    profile: ExponentProfile,
-    g: Optional[Sequence[float] | np.ndarray],
-    g_weight: Optional[Weight],
-    g_cells: Optional[CellSet],
-):
-    """Per-cube q0*-average of |g|, where g is a cell vector or ``1_E · w``."""
-    q = profile.q0_star
-    if g_weight is not None:
-        cells = (
-            masked_moment_cells(grid, g_cells, g_weight, q)
-            if g_cells is not None
-            else g_weight.cell_integrals(grid, q)
-        )
-    else:
-        if g is None:
-            raise ValueError("either per-cell g values or a weight must be given")
-        garr = np.abs(grid.check_values(g)) ** q
-        cells = garr * grid.cell_measure
-    totals = tree_totals(grid, cells)
-
-    def q_avg(cube: DyadicCube) -> float:
-        return (totals[cube.level][cube.index] * float(1 << cube.level)) ** (1.0 / q)
-
-    return q_avg
+    return _painted_family(np.concatenate(ids), grid)
 
 
 def sparse_form(
     f: Sequence[float] | np.ndarray,
     g: Optional[Sequence[float] | np.ndarray],
     profile: ExponentProfile,
-    cubes: Sequence[DyadicCube] | SparseFamily,
+    cubes: Sequence[DyadicCube] | np.ndarray | SparseFamily,
     grid: DyadicGrid,
     g_weight: Optional[Weight] = None,
     g_cells: Optional[CellSet] = None,
@@ -280,33 +272,39 @@ def sparse_form(
 
     ``g`` is either a per-cell vector, or — when ``g_weight`` is given — the
     composition ``1_E · w`` with ``E = g_cells`` (default: all of [0,1)).
-    The cube collection may be any sequence; a :class:`SparseFamily` passes
-    its cubes.
+    The cube collection may be any sequence of cubes or heap ids; a
+    :class:`SparseFamily` passes its own.
     """
     p0 = profile.p0
-    farr = np.abs(grid.check_values(f)) ** p0
-    f_totals = tree_totals(grid, farr * grid.cell_measure)
-    q_avg = _q_average_factory(grid, profile, g, g_weight, g_cells)
-    cube_seq = cubes.cubes if isinstance(cubes, SparseFamily) else tuple(cubes)
-    total = 0.0
-    for cube in cube_seq:
-        scale = float(1 << cube.level)
-        f_avg = (f_totals[cube.level][cube.index] * scale) ** (1.0 / p0)
-        total += f_avg * f_avg * q_avg(cube) * cube.measure
-    return total
+    q = profile.q0_star
+    ids = cube_ids(cubes.ids if isinstance(cubes, SparseFamily) else cubes, grid)
+    levels = split_ids(ids)[0]
+    scale = np.ldexp(1.0, levels)
+    f_moments = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
+    f_avg = (cube_totals(tree_totals(grid, f_moments), ids) * scale) ** (1.0 / p0)
+    if g_weight is not None:
+        g_moments = (
+            masked_moment_cells(grid, g_cells, g_weight, q)
+            if g_cells is not None
+            else g_weight.cell_integrals(grid, q)
+        )
+    elif g is None:
+        raise ValueError("either per-cell g values or a weight must be given")
+    else:
+        g_moments = np.abs(grid.check_values(g)) ** q * grid.cell_measure
+    g_avg = (cube_totals(tree_totals(grid, g_moments), ids) * scale) ** (1.0 / q)
+    return math.fsum((f_avg * f_avg * g_avg * np.ldexp(1.0, -levels)).tolist())
 
 
 def carleson_packing_ok(family: SparseFamily, grid: DyadicGrid) -> bool:
     """Disjoint-witness packing: Σ_{Q ⊆ Q0} |E_Q| ≤ |Q0| for every family cube
     (Lerner–Nazarov, *Intuitive dyadic calculus*, 2019); each |E_Q| is added
-    to the family cubes among Q's L+1 ancestors."""
-    packed = {(c.level, c.index): 0 for c in family.cubes}
-    for cube, size in zip(family.cubes, family.witness_sizes().tolist()):
-        for up in range(cube.level + 1):
-            key = (cube.level - up, cube.index >> up)
-            if key in packed:
-                packed[key] += size
-    return all(
-        packed[(c.level, c.index)] <= 1 << (grid.depth - c.level)
-        for c in family.cubes
-    )
+    to the family cubes among Q's ancestors, one generation at a time."""
+    unique, inverse = np.unique(cube_ids(family.ids, grid), return_inverse=True)
+    own = np.zeros(unique.size, dtype=np.int64)
+    np.add.at(own, inverse, family.witness_sizes())
+    packed = own.copy()
+    for hit, pos in ancestor_hits(unique):
+        np.add.at(packed, pos[hit], own[hit])
+    start, stop = id_cell_ranges(unique, grid.depth)
+    return bool(np.all(packed <= stop - start))

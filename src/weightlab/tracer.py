@@ -19,8 +19,8 @@ the empirical constant of every step next to its proven envelope:
 3.  **Average comparison.**  For each binned cube,
     ⟨1_{G'}w⟩_{q0*,Q} ≤ 2^{1/(θq0*)}·[w]^{2−γ}_{RH_{q0*}}·2^{−sγ}·⟨w⟩_Q
     (a consequence of the self-improved reverse Hölder step applied to
-    E = G'∩Q); the recorded right-hand side carries an extra defensive
-    factor 2^{γ}, and both the strict and the slackened ratios are kept.
+    E = G'∩Q); the proof carries an extra defensive factor 2^{γ} on top,
+    so the strict ratio recorded per cube is the sharper of the two tests.
 4.  **Mass of a bin.**  Σ_{Q∈bin} w(Q) ≤ 2·[w]_{A∞}·2^{s+1}·w(G') — the
     bin's lower edge converts w(Q) into w(G'∩Q), the family's disjoint
     sparse witnesses and the Fujii–Wilson characteristic absorb the overlap.
@@ -45,10 +45,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import a_infty_fw, ap_constant, rh_constant
+from .characteristics import _sup_with_argmax, a_infty_fw, ap_constant, rh_constant
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
-from .grid import CellSet, DyadicCube, DyadicGrid, tree_totals
+from .grid import (
+    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, cube_totals, split_ids, tree_totals,
+)
 from .operators import maximal_p0
 from .profiles import ExponentProfile, GehringProfile
 from .sparse import build_sparse_cz, paint_owner
@@ -83,35 +85,22 @@ def geometric_weighted_tail_sum(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class TracedCube:
-    """Per-cube quantities entering the pigeonhole."""
+class TraceColumns:
+    """Per-cube quantities of the pigeonhole, one aligned column each, for
+    the binned cubes in heap-id order."""
 
-    cube: DyadicCube
-    avg_fsigma: float  # ⟨fσ⟩_{p0,Q}
-    indicator_avg: float  # ⟨1_{G'} w⟩_{q0*,Q}
-    weight_mass: float  # w(Q)
-    good_mass: float  # w(G'∩Q)
-    good_ratio: float  # w(G'∩Q)/w(Q)
-    r: int
-    s: int
-    r_clamped: bool
+    ids: np.ndarray
+    avg_fsigma: np.ndarray  # ⟨fσ⟩_{p0,Q}
+    indicator_avg: np.ndarray  # ⟨1_{G'} w⟩_{q0*,Q}
+    weight_mass: np.ndarray  # w(Q)
+    good_mass: np.ndarray  # w(G'∩Q)
+    r: np.ndarray
+    s: np.ndarray
+    rhs_strict: np.ndarray  # 2^{1/(θq0*)}·rh^{2−γ}·2^{−sγ}·⟨w⟩_Q
+    ratio_strict: np.ndarray  # indicator_avg / rhs_strict
 
-
-@dataclass(frozen=True)
-class AverageComparisonCheck:
-    """⟨1_{G'}w⟩_{q0*,Q} against its reverse-Hölder envelope."""
-
-    cube: DyadicCube
-    s: int
-    lhs: float
-    rhs_strict: float  # 2^{1/(θq0*)}·rh^{2−γ}·2^{−sγ}·⟨w⟩_Q
-    slack_factor: float  # extra 2^{γ} carried by the recorded rhs
-    ratio_strict: float
-    ratio: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio_strict <= 1.0 + 1e-12
+    def __len__(self) -> int:
+        return int(self.ids.size)
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,7 @@ class BinReport:
 
     r: int
     s: int
-    cubes: Tuple[DyadicCube, ...]
+    cubes: np.ndarray  # heap ids
     layer_sizes: Tuple[int, ...]
     quad_sum: float  # Σ ⟨fσ⟩²_{p0,Q}·⟨1_{G'}w⟩_{q0*,Q}·|Q|
     cap_via_mass: float
@@ -161,12 +150,11 @@ class ProofTrace:
     f_norm_sq: float  # ‖f‖²_{L²(σ)}
     good_mass: float
     good_prime_mass: float
-    traced: Tuple[TracedCube, ...]
+    traced: TraceColumns
     bins: Dict[Tuple[int, int], BinReport]
-    zero_bucket: Tuple[DyadicCube, ...]
-    overflow_bucket: Tuple[DyadicCube, ...]
-    clamped: Tuple[DyadicCube, ...]
-    average_checks: Tuple[AverageComparisonCheck, ...]
+    zero_bucket: np.ndarray  # heap ids
+    overflow_bucket: np.ndarray  # heap ids
+    clamped: np.ndarray  # heap ids
     quad_total: float
     envelope: float  # ap·rh^{2−γ}·(1/ε)(1/ε+max(0,ln a∞))·‖f‖²
     c0: float
@@ -180,7 +168,7 @@ class ProofTrace:
 
     @property
     def worst_average_ratio(self) -> float:
-        return max((c.ratio_strict for c in self.average_checks), default=0.0)
+        return float(self.traced.ratio_strict.max(initial=0.0))
 
     @property
     def worst_bin_min_ratio(self) -> float:
@@ -246,27 +234,28 @@ class ProofTrace:
 # --- layer peeling -------------------------------------------------------------------
 
 
-def peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
-    """Split a cube family into layers: layer 0 holds the maximal cubes,
-    layer k+1 the maximal cubes of what is left.  Every layer is an
+def _group_rows(keys: np.ndarray) -> List[np.ndarray]:
+    """Positions of each distinct key, by ascending key; positions ascend."""
+    if keys.size == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+def peel_layers(cubes: Sequence[DyadicCube] | np.ndarray) -> List[np.ndarray]:
+    """Split a cube family into layers of heap ids: layer 0 holds the maximal
+    cubes, layer k+1 the maximal cubes of what is left.  Every layer is an
     antichain and every layer-(k+1) cube sits inside some layer-k cube.
 
     The strict ancestors of a dyadic cube form a chain, so a cube's layer is
-    the number of its strict ancestors in the family, counted through a
-    ``(level, index)`` set in ``O(L)`` steps per cube.
+    the number of its strict ancestors in the family, counted by a binary
+    search per generation over the sorted ids.
     """
-    unique = sorted(set(cubes))
-    keys = {(c.level, c.index) for c in unique}
-    layers: List[List[DyadicCube]] = []
-    for cube in unique:
-        layer = sum(
-            (cube.level - up, cube.index >> up) in keys
-            for up in range(1, cube.level + 1)
-        )
-        while len(layers) <= layer:
-            layers.append([])
-        layers[layer].append(cube)
-    return layers
+    unique = np.unique(cube_ids(cubes))
+    layer = np.zeros(unique.size, dtype=np.int64)
+    for hit, _ in ancestor_hits(unique):
+        layer += hit
+    return [unique[rows] for rows in _group_rows(layer)]
 
 
 # --- the trace -----------------------------------------------------------------------
@@ -302,7 +291,7 @@ def build_good_set(
     w: Weight,
     grid: DyadicGrid,
     p0: float,
-    family: Sequence[DyadicCube],
+    family: Sequence[DyadicCube] | np.ndarray,
     good_cells: Optional[CellSet] = None,
 ) -> GoodSetResult:
     """Remove the cells where the family-restricted maximal function of fσ
@@ -350,29 +339,24 @@ def trace_proof(
     w: Weight,
     grid: DyadicGrid,
     profile: ExponentProfile,
-    family: Sequence[DyadicCube],
+    family: Sequence[DyadicCube] | np.ndarray,
     good_cells: Optional[CellSet] = None,
     epsilon: Optional[float] = None,
 ) -> ProofTrace:
-    """Run the full pigeonhole trace; see the module docstring for the steps."""
+    """Run the full pigeonhole trace; see the module docstring for the steps.
+    The family is a cube sequence or an array of heap ids."""
     if not math.isfinite(profile.q0):
         raise ConfigError("the trace needs a finite upper window exponent")
     p0 = profile.p0
     q0s = profile.q0_star
-    family = list(family)
-    if not family:
+    family_ids = np.unique(cube_ids(family, grid))
+    if family_ids.size == 0:
         raise ConfigError("the traced cube family is empty")
 
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
-    good_set = build_good_set(f, w, grid, p0, family, good_cells)
-    f_norm_sq = good_set.f_norm_sq
-    good_mass = good_set.good_mass
-    good_prime = good_set.good_prime
-    good_prime_mass = good_set.good_prime_mass
-    k = good_set.k_factor
-    threshold = good_set.threshold
-    ap = good_set.ap_char
+    gs = build_good_set(f, w, grid, p0, family_ids, good_cells)
+    ap, f_norm_sq, good_prime_mass = gs.ap_char, gs.f_norm_sq, gs.good_prime_mass
 
     cellw = w.pyramid(grid, 1.0)[grid.depth]
     rh = rh_constant(w, q0s, grid)
@@ -380,131 +364,69 @@ def trace_proof(
     eps_max = epsilon_range(w, q0s, grid)
     eps = eps_max if epsilon is None else float(epsilon)
     geh = GehringProfile(q0s, eps, eps_max)
-
-    # exact cell moments of the composition fσ
-    p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
-    p0_totals = tree_totals(grid, p0_moments)
-
-    # exact cell moments of 1_{G'}·w at exponents q0* and 1
-    gp_mask = good_prime.mask
-    ind_q_moments = w.cell_integrals(grid, q0s) * gp_mask
-    ind_q_totals = tree_totals(grid, ind_q_moments)
-    gp_w_totals = tree_totals(grid, cellw * gp_mask)
-    w_totals = tree_totals(grid, cellw)
-
     two_pow = 2.0 ** (1.0 / (geh.theta * q0s))
-    slack_factor = 2.0**geh.gamma
     rh_pow = rh ** (2.0 - geh.gamma)
 
-    traced: List[TracedCube] = []
-    zero_bucket: List[DyadicCube] = []
-    overflow_bucket: List[DyadicCube] = []
-    clamped: List[DyadicCube] = []
-    avg_checks: List[AverageComparisonCheck] = []
-    bins_members: Dict[Tuple[int, int], List[TracedCube]] = {}
+    # per-cube gathers from exact moment pyramids: fσ at p0, 1_{G'}·w at q0* and 1
+    p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
+    gp_mask = gs.good_prime.mask
+    scale = np.ldexp(1.0, split_ids(family_ids)[0])
+    a1 = (cube_totals(tree_totals(grid, p0_moments), family_ids) * scale) ** (1.0 / p0)
+    gp_q = cube_totals(tree_totals(grid, cellw * gp_mask), family_ids)
+    zero = gp_q <= 0.0
+    overflow = ~zero & (a1 <= 0.0)
+    binned = ~(zero | overflow)
+    ids, scale, a1, gp_q = family_ids[binned], scale[binned], a1[binned], gp_q[binned]
+    w_q = cube_totals(tree_totals(grid, cellw), ids)
+    ind_q_moments = w.cell_integrals(grid, q0s) * gp_mask
+    b_q = (cube_totals(tree_totals(grid, ind_q_moments), ids) * scale) ** (1.0 / q0s)
 
-    for cube in sorted(set(family)):
-        scale = float(1 << cube.level)
-        a1 = float(p0_totals[cube.level][cube.index] * scale) ** (1.0 / p0)
-        w_q = float(w_totals[cube.level][cube.index])
-        gp_q = float(gp_w_totals[cube.level][cube.index])
-        b_q = float(ind_q_totals[cube.level][cube.index] * scale) ** (1.0 / q0s)
-        if gp_q <= 0.0:
-            zero_bucket.append(cube)
-            continue
-        if a1 <= 0.0:
-            overflow_bucket.append(cube)
-            continue
-        a2 = gp_q / w_q
-        r_raw = math.floor(-math.log2(a1 / threshold))
-        r_clamped = r_raw < 0
-        if r_clamped:
-            clamped.append(cube)
-        r = max(0, r_raw)
-        s = max(0, math.floor(-math.log2(a2)))
-        row = TracedCube(cube, a1, b_q, w_q, gp_q, a2, r, s, r_clamped)
-        traced.append(row)
-        bins_members.setdefault((r, s), []).append(row)
-
-        w_avg = w_q / cube.measure
-        rhs_strict = two_pow * rh_pow * 2.0 ** (-s * geh.gamma) * w_avg
-        rhs = rhs_strict * slack_factor
-        avg_checks.append(
-            AverageComparisonCheck(
-                cube=cube,
-                s=s,
-                lhs=b_q,
-                rhs_strict=rhs_strict,
-                slack_factor=slack_factor,
-                ratio_strict=b_q / rhs_strict if rhs_strict > 0.0 else 0.0,
-                ratio=b_q / rhs if rhs > 0.0 else 0.0,
-            )
-        )
+    r_raw = np.floor(-np.log2(a1 / gs.threshold)).astype(np.int64)
+    r = np.maximum(r_raw, 0)
+    s = np.maximum(np.floor(-np.log2(gp_q / w_q)).astype(np.int64), 0)
+    rhs_strict = two_pow * rh_pow * 2.0 ** (-s * geh.gamma) * (w_q * scale)
+    ratio_strict = np.divide(b_q, rhs_strict, out=np.zeros_like(b_q), where=rhs_strict > 0.0)
+    traced = TraceColumns(ids, a1, b_q, w_q, gp_q, r, s, rhs_strict, ratio_strict)
 
     f_sq_sigma = fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth]
-
+    quad_terms = a1**2 * b_q / scale
     bins: Dict[Tuple[int, int], BinReport] = {}
-    for (r, s), rows in sorted(bins_members.items()):
-        quad = math.fsum(
-            row.avg_fsigma**2 * row.indicator_avg * row.cube.measure for row in rows
-        )
-        bin_cubes = [row.cube for row in rows]
-        layers = peel_layers(bin_cubes)
+    for rows in _group_rows(r * (int(s.max(initial=0)) + 1) + s):
+        r_bin, s_bin = int(r[rows[0]]), int(s[rows[0]])
+        quad = math.fsum(quad_terms[rows].tolist())
         # layer witness E_Q: the cells whose deepest cube of the bin is Q
-        owner = paint_owner(bin_cubes, grid)
+        owner = paint_owner(ids[rows], grid)
         owned = owner >= 0
         witness_mass = float(np.sum(f_sq_sigma[owned]))
-        restricted_totals = np.bincount(
-            owner[owned], weights=p0_moments[owned], minlength=len(rows)
+        restricted = np.bincount(owner[owned], weights=p0_moments[owned], minlength=rows.size)
+        restricted_avg = (restricted * scale[rows]) ** (1.0 / p0)
+        comparability = (
+            float(np.max(a1[rows] / restricted_avg)) if np.all(restricted_avg > 0.0) else math.inf
         )
-        comparability = 0.0
-        for row, restricted_total in zip(rows, restricted_totals.tolist()):
-            restricted_avg = (
-                restricted_total * float(1 << row.cube.level)
-            ) ** (1.0 / p0)
-            if restricted_avg > 0.0:
-                comparability = max(comparability, row.avg_fsigma / restricted_avg)
-            else:
-                comparability = math.inf
         cap_mass = (
-            4.0
-            * k**2
-            * two_pow
-            * 2.0 ** (-2 * r)
-            * ap
-            * rh_pow
-            * 2.0 ** (s * (1.0 - geh.gamma))
-            * a_inf
-            * f_norm_sq
-            * (good_prime_mass / good_mass)
+            4.0 * gs.k_factor**2 * two_pow * 2.0 ** (-2 * r_bin) * ap * rh_pow
+            * 2.0 ** (s_bin * (1.0 - geh.gamma)) * a_inf * f_norm_sq * gs.good_fraction
         )
-        cap_disjoint = two_pow * rh_pow * 2.0 ** (-s * geh.gamma) * ap * f_norm_sq
-        mass_lhs = math.fsum(row.weight_mass for row in rows)
-        mass_rhs = 2.0 * a_inf * 2.0 ** (s + 1) * good_prime_mass
-        bins[(r, s)] = BinReport(
-            r=r,
-            s=s,
-            cubes=tuple(row.cube for row in rows),
-            layer_sizes=tuple(len(layer) for layer in layers),
+        cap_disjoint = two_pow * rh_pow * 2.0 ** (-s_bin * geh.gamma) * ap * f_norm_sq
+        mass_rhs = 2.0 * a_inf * 2.0 ** (s_bin + 1) * good_prime_mass
+        bins[(r_bin, s_bin)] = BinReport(
+            r=r_bin,
+            s=s_bin,
+            cubes=ids[rows],
+            layer_sizes=tuple(layer.size for layer in peel_layers(ids[rows])),
             quad_sum=quad,
             cap_via_mass=cap_mass,
             cap_via_disjoint=cap_disjoint,
             ratio_via_mass=quad / cap_mass if cap_mass > 0.0 else 0.0,
             ratio_via_disjoint=quad / cap_disjoint if cap_disjoint > 0.0 else 0.0,
-            mass_lhs=mass_lhs,
+            mass_lhs=math.fsum(w_q[rows].tolist()),
             mass_rhs=mass_rhs,
             witness_mass=witness_mass,
             comparability_max=comparability,
         )
 
     quad_total = math.fsum(b.quad_sum for b in bins.values())
-    envelope = (
-        ap
-        * rh_pow
-        * (1.0 / eps)
-        * (1.0 / eps + max(0.0, math.log(a_inf)))
-        * f_norm_sq
-    )
+    envelope = ap * rh_pow * (1.0 / eps) * (1.0 / eps + max(0.0, math.log(a_inf))) * f_norm_sq
     c0 = quad_total / envelope if envelope > 0.0 else math.inf
 
     series_scale = geh.theta_conj * q0s
@@ -520,17 +442,16 @@ def trace_proof(
         ap_char=ap,
         rh_char=rh,
         a_infty_char=a_inf,
-        k_factor=k,
-        threshold=threshold,
+        k_factor=gs.k_factor,
+        threshold=gs.threshold,
         f_norm_sq=f_norm_sq,
-        good_mass=good_mass,
+        good_mass=gs.good_mass,
         good_prime_mass=good_prime_mass,
-        traced=tuple(traced),
+        traced=traced,
         bins=bins,
-        zero_bucket=tuple(zero_bucket),
-        overflow_bucket=tuple(overflow_bucket),
-        clamped=tuple(clamped),
-        average_checks=tuple(avg_checks),
+        zero_bucket=family_ids[zero],
+        overflow_bucket=family_ids[overflow],
+        clamped=ids[r_raw < 0],
         quad_total=quad_total,
         envelope=envelope,
         c0=c0,
@@ -546,13 +467,13 @@ def default_trace_family(
     grid: DyadicGrid,
     p0: float,
     ratio: float = 2.0,
-) -> List[DyadicCube]:
-    """Stopping-time family adapted to the composition fσ: run the dyadic
-    stopping construction on the exact cell averages of |fσ|^{p0}."""
+) -> np.ndarray:
+    """Stopping-time family adapted to the composition fσ, as heap ids: run
+    the dyadic stopping construction on the exact cell averages of |fσ|^{p0}."""
     sigma = dual_weight(w, 2.0)
     moments = composed_moment_cells(grid, grid.check_values(f), sigma, p0)
     effective = moments / grid.cell_measure
-    return list(build_sparse_cz(effective, grid, ratio=ratio).cubes)
+    return build_sparse_cz(effective, grid, ratio=ratio).ids
 
 
 # --- exact per-cube steps -------------------------------------------------------------
@@ -616,27 +537,18 @@ def percube_ap_holder_scan(
         grid, fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth] * mask
     )
 
-    worst_ap = -math.inf
-    worst_ap_cube = grid.root()
-    worst_h = -math.inf
-    worst_h_cube = grid.root()
+    ap_ratios: List[np.ndarray] = []
+    h_ratios: List[np.ndarray] = []
     for level in range(grid.depth + 1):
         scale = float(1 << level)
         sigma_norm = sigma_phi_avgs[level] ** (1.0 / phi)
-        ap_ratio = (w_avgs[level] * sigma_norm) / ap
-        idx = int(np.argmax(ap_ratio))
-        if ap_ratio[idx] > worst_ap:
-            worst_ap = float(ap_ratio[idx])
-            worst_ap_cube = DyadicCube(level, idx)
-
+        ap_ratios.append((w_avgs[level] * sigma_norm) / ap)
         lhs = (p0_totals[level] * scale) ** (2.0 / p0)
         rhs = sigma_norm * (f2s_totals[level] * scale)
         with np.errstate(divide="ignore", invalid="ignore"):
-            h_ratio = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
-        idx = int(np.argmax(h_ratio))
-        if h_ratio[idx] > worst_h:
-            worst_h = float(h_ratio[idx])
-            worst_h_cube = DyadicCube(level, idx)
+            h_ratios.append(np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0)))
+    worst_ap, worst_ap_cube = _sup_with_argmax(ap_ratios)
+    worst_h, worst_h_cube = _sup_with_argmax(h_ratios)
 
     return PerCubeScan(
         ap_char=ap,

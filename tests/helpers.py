@@ -8,26 +8,30 @@ implementations are checked against independent arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from weightlab import (
-    AverageComparisonCheck,
     CellSet,
     DyadicCube,
     DyadicGrid,
+    ExponentProfile,
     GehringProfile,
     OperatorNormRow,
     PowerWeight,
+    SparseFamily,
     SparsityReport,
     TabulatedWeight,
     Weight,
+    a_infty_fw,
+    build_good_set,
     composed_moment_cells,
     dyadic_square_function,
     epsilon_range,
     gamma_at_quarter_epsilon,
     maximal_p0,
+    dual_weight,
     rh_constant,
     strong_lp_norm,
     tree_totals,
@@ -138,6 +142,14 @@ def geometric_tail_partial(x: float, terms: int, weighted: bool = False) -> floa
     return total
 
 
+class AverageComparison(NamedTuple):
+    """⟨1_{G'}w⟩_{q0*,Q} against its reverse-Hölder envelope."""
+
+    lhs: float
+    rhs_strict: float
+    ratio_strict: float
+
+
 def verify_average_comparison(
     w: Weight,
     q0_star: float,
@@ -148,7 +160,7 @@ def verify_average_comparison(
     grid: DyadicGrid,
     rh: Optional[float] = None,
     epsilon_max: Optional[float] = None,
-) -> AverageComparisonCheck:
+) -> AverageComparison:
     """Standalone recomputation of the tracer's indicator-average comparison
     for one cube, from masked cell moments."""
     if epsilon_max is None:
@@ -167,17 +179,7 @@ def verify_average_comparison(
         * 2.0 ** (-s * geh.gamma)
         * w_avg
     )
-    slack = 2.0**geh.gamma
-    rhs = rhs_strict * slack
-    return AverageComparisonCheck(
-        cube=cube,
-        s=s,
-        lhs=lhs,
-        rhs_strict=rhs_strict,
-        slack_factor=slack,
-        ratio_strict=lhs / rhs_strict if rhs_strict > 0.0 else 0.0,
-        ratio=lhs / rhs if rhs > 0.0 else 0.0,
-    )
+    return AverageComparison(lhs, rhs_strict, lhs / rhs_strict if rhs_strict > 0.0 else 0.0)
 
 
 def gamma_quarter_region_max(
@@ -298,6 +300,130 @@ def oracle_bin_witness_stats(
         restricted = (total * float(1 << cube.level)) ** (1.0 / p0)
         comparability = max(comparability, avg / restricted) if restricted > 0.0 else math.inf
     return witness_mass, comparability
+
+
+# --- DyadicCube family oracles: one dataclass per cube, Python loops --------------------
+
+
+def oracle_paint_owner(cubes: Sequence[DyadicCube], grid: DyadicGrid) -> np.ndarray:
+    """Owner array painted one cube at a time, coarse to fine over whole cell
+    ranges; a cube listed twice keeps only its later position."""
+    owner = np.full(grid.n_cells, -1, dtype=np.int32)
+    for pos in sorted(range(len(cubes)), key=lambda i: cubes[i].level):
+        start, stop = cubes[pos].cell_range(grid.depth)
+        owner[start:stop] = pos
+    return owner
+
+
+def keyed_peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
+    """Layers by counting each cube's strict ancestors in a (level, index) set."""
+    unique = sorted(set(cubes))
+    keys = {(c.level, c.index) for c in unique}
+    layers: List[List[DyadicCube]] = []
+    for cube in unique:
+        layer = sum(
+            (cube.level - up, cube.index >> up) in keys
+            for up in range(1, cube.level + 1)
+        )
+        while len(layers) <= layer:
+            layers.append([])
+        layers[layer].append(cube)
+    return layers
+
+
+def oracle_build_sparse_random(
+    grid: DyadicGrid, max_level: int, density: float, seed: int
+) -> SparseFamily:
+    """The seeded random family with one draw and one ancestor scan per cube."""
+    rng = np.random.default_rng(seed)
+    kept = set()
+    cubes: List[DyadicCube] = []
+    for level in range(max_level + 1):
+        for index in range(1 << level):
+            if rng.random() >= density:
+                continue
+            if any((level - up, index >> up) in kept for up in range(1, level + 1)):
+                continue
+            kept.add((level, index))
+            cubes.append(DyadicCube(level, index))
+    return SparseFamily(tuple(cubes), oracle_paint_owner(cubes, grid))
+
+
+def oracle_trace_proof(
+    f: np.ndarray,
+    w: Weight,
+    grid: DyadicGrid,
+    profile: ExponentProfile,
+    family: Sequence[DyadicCube],
+    good_cells: Optional[CellSet] = None,
+) -> dict:
+    """The trace's per-cube rows, buckets and bins, one cube at a time.
+
+    ``rows`` holds ``(cube, avg_fsigma, indicator_avg, weight_mass,
+    good_mass, r, s, rhs_strict, ratio_strict)`` in (level, index) order.
+    """
+    p0, q0s = profile.p0, profile.q0_star
+    sigma = dual_weight(w, 2.0)
+    fvals = grid.check_values(f)
+    gs = build_good_set(f, w, grid, p0, list(family), good_cells)
+    cellw = w.pyramid(grid, 1.0)[grid.depth]
+    rh = rh_constant(w, q0s, grid)
+    a_inf = a_infty_fw(w, grid)
+    eps_max = epsilon_range(w, q0s, grid)
+    geh = GehringProfile(q0s, eps_max, eps_max)
+    two_pow = 2.0 ** (1.0 / (geh.theta * q0s))
+    rh_pow = rh ** (2.0 - geh.gamma)
+
+    p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
+    p0_totals = tree_totals(grid, p0_moments)
+    gp_mask = gs.good_prime.mask
+    ind_q_totals = tree_totals(grid, w.cell_integrals(grid, q0s) * gp_mask)
+    gp_w_totals = tree_totals(grid, cellw * gp_mask)
+    w_totals = tree_totals(grid, cellw)
+
+    out: dict = {"rows": [], "zero": [], "overflow": [], "clamped": [], "bins": {}}
+    members: Dict[Tuple[int, int], list] = {}
+    for cube in sorted(set(family)):
+        scale = float(1 << cube.level)
+        a1 = float(p0_totals[cube.level][cube.index] * scale) ** (1.0 / p0)
+        w_q = float(w_totals[cube.level][cube.index])
+        gp_q = float(gp_w_totals[cube.level][cube.index])
+        b_q = float(ind_q_totals[cube.level][cube.index] * scale) ** (1.0 / q0s)
+        if gp_q <= 0.0:
+            out["zero"].append(cube)
+            continue
+        if a1 <= 0.0:
+            out["overflow"].append(cube)
+            continue
+        r_raw = math.floor(-math.log2(a1 / gs.threshold))
+        if r_raw < 0:
+            out["clamped"].append(cube)
+        r = max(0, r_raw)
+        s = max(0, math.floor(-math.log2(gp_q / w_q)))
+        rhs = two_pow * rh_pow * 2.0 ** (-s * geh.gamma) * (w_q / cube.measure)
+        row = (cube, a1, b_q, w_q, gp_q, r, s, rhs, b_q / rhs if rhs > 0.0 else 0.0)
+        out["rows"].append(row)
+        members.setdefault((r, s), []).append(row)
+
+    f_sq_sigma = fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth]
+    for key, rows in sorted(members.items()):
+        cubes = [row[0] for row in rows]
+        owner = oracle_paint_owner(cubes, grid)
+        owned = owner >= 0
+        restricted = np.bincount(owner[owned], weights=p0_moments[owned], minlength=len(rows))
+        comparability = 0.0
+        for row, total in zip(rows, restricted.tolist()):
+            avg = (total * float(1 << row[0].level)) ** (1.0 / p0)
+            comparability = max(comparability, row[1] / avg) if avg > 0.0 else math.inf
+        out["bins"][key] = {
+            "cubes": cubes,
+            "layer_sizes": tuple(len(layer) for layer in keyed_peel_layers(cubes)),
+            "quad_sum": math.fsum(row[1] ** 2 * row[2] * row[0].measure for row in rows),
+            "mass_lhs": math.fsum(row[3] for row in rows),
+            "witness_mass": float(np.sum(f_sq_sigma[owned])),
+            "comparability_max": comparability,
+        }
+    return out
 
 
 # --- ancestor-matrix oracles: every ancestor's value copied onto every cell ----------

@@ -13,8 +13,16 @@ from weightlab import (
     DyadicCube,
     DyadicGrid,
     LevelOverflowError,
+    cube_ids,
     cube_total,
+    id_cubes,
     tree_totals,
+)
+from weightlab.grid import cube_totals, split_ids
+
+# a cube at any level 0..40, so ids run up to 2**41 - 2
+CUBES = st.integers(0, 40).flatmap(
+    lambda k: st.builds(DyadicCube, st.just(k), st.integers(0, (1 << k) - 1))
 )
 
 
@@ -166,3 +174,49 @@ class TestAncestorValueMatrix:
             for cell in range(grid6.n_cells):
                 anc = cell >> (grid6.depth - level)
                 assert mat[level, cell] == per_level[level][anc]
+
+
+class TestHeapIds:
+    @given(st.lists(CUBES, max_size=20))
+    def test_round_trip(self, cubes):
+        assert id_cubes(cube_ids(cubes)) == cubes
+
+    @given(CUBES.filter(lambda c: c.level > 0))
+    def test_parent_is_a_shift(self, cube):
+        (cid,) = cube_ids([cube]).tolist()
+        assert id_cubes(np.array([(cid - 1) >> 1])) == [cube.parent()]
+
+    @given(CUBES)
+    def test_level_from_frexp_is_exact(self, cube):
+        assert split_ids(cube_ids([cube]))[0].tolist() == [cube.level]
+
+    def test_level_is_exact_at_both_ends_of_every_level(self):
+        ends = [DyadicCube(k, i) for k in range(41) for i in {0, (1 << k) - 1}]
+        assert split_ids(cube_ids(ends))[0].tolist() == [c.level for c in ends]
+
+    @given(st.lists(CUBES, max_size=30))
+    def test_sorting_ids_sorts_cubes(self, cubes):
+        assert id_cubes(np.sort(cube_ids(cubes))) == sorted(cubes)
+
+    def test_int_arrays_pass_through(self):
+        ids = np.array([0, 5, 2])
+        assert cube_ids(ids).dtype == np.int64
+        assert cube_ids(ids).tolist() == [0, 5, 2]
+        assert cube_ids([]).shape == (0,)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            cube_ids(np.array([3, -1]))
+
+    def test_cube_below_the_grid_raises(self):
+        g = DyadicGrid(3)
+        assert cube_ids([DyadicCube(3, 7)], g).tolist() == [14]
+        with pytest.raises(LevelOverflowError, match="level 4 exceeds grid depth 3"):
+            cube_ids([DyadicCube(0, 0), DyadicCube(4, 0)], g)
+
+    def test_gather_reads_the_pyramid_in_heap_order(self):
+        g = DyadicGrid(4)
+        totals = tree_totals(g, np.arange(16.0))
+        cubes = [DyadicCube(3, 5), DyadicCube(0, 0), DyadicCube(4, 15), DyadicCube(2, 1)]
+        got = cube_totals(totals, cube_ids(cubes))
+        assert got.tolist() == [cube_total(totals, c) for c in cubes]

@@ -27,9 +27,11 @@ from weightlab import (
     DyadicGrid,
     LevelOverflowError,
     PowerWeight,
+    cube_ids,
     default_trace_family,
     dual_weight,
     function_corpus,
+    id_cubes,
     maximal_p0,
     maximal_weighted,
     square_function_from_cell_integrals,
@@ -128,7 +130,9 @@ def test_restricted_maximal_p0_matches_cube_loop(w, p0, depth):
         for family in _restrictions(values, w or unit_weight(), grid, p0, rng):
             assert np.array_equal(
                 maximal_p0(values, grid, p0, restriction=family, weight=w),
-                oracle_restricted_maximal_p0(values, grid, p0, family, weight=w),
+                oracle_restricted_maximal_p0(
+                    values, grid, p0, id_cubes(cube_ids(family)), weight=w
+                ),
             )
 
 
