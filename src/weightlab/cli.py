@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -64,7 +65,7 @@ def _add_weight_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--weight-file",
         metavar="PATH",
-        help="tabulated weight: one positive decimal per line, exactly 2^L lines",
+        help="tabulated weight: one positive number per line, exactly 2^L lines",
     )
     group.add_argument(
         "--unit-weight", action="store_true", help="the constant weight 1"
@@ -72,21 +73,23 @@ def _add_weight_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_value_file(path: str, grid: DyadicGrid, positive: bool) -> np.ndarray:
+    """One float per line, in numpy's float syntax; blank lines are skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
+        with warnings.catch_warnings():  # an empty file fails the count below instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read value file {path!r}: {exc}") from exc
-    lines = [ln for ln in lines if ln]
-    if len(lines) != grid.n_cells:
+    except ValueError as exc:  # loadtxt's advice on `usecols` does not apply here
+        raise ConfigError(f"value file {path!r}: {str(exc).split('; use')[0]}") from exc
+    if table.shape[1] != 1:
+        raise ConfigError(f"value file {path!r} must hold one value per line")
+    values = table[:, 0]
+    if values.size != grid.n_cells:
         raise ConfigError(
-            f"value file {path!r} has {len(lines)} entries; depth {grid.depth} "
+            f"value file {path!r} has {values.size} entries; depth {grid.depth} "
             f"needs exactly {grid.n_cells}"
         )
-    try:
-        values = np.array([float(ln) for ln in lines], dtype=np.float64)
-    except ValueError as exc:
-        raise ConfigError(f"value file {path!r}: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"value file {path!r} contains non-finite entries")
     if positive and not np.all(values > 0.0):
@@ -386,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON list of cubes with witness cell ranges",
     )
     p_sf.add_argument(
-        "--f", required=True, metavar="PATH", help="values file: one decimal per line"
+        "--f", required=True, metavar="PATH", help="values file: one number per line"
     )
     p_sf.add_argument(
-        "--g", required=True, metavar="PATH", help="values file: one decimal per line"
+        "--g", required=True, metavar="PATH", help="values file: one number per line"
     )
     p_sf.add_argument("--p0", type=float, default=1.0, help="lower window exponent")
     p_sf.add_argument("--q0", type=float, default=4.0, help="upper window exponent")

@@ -93,6 +93,25 @@ def strong_lp_norm(
     return float(np.sum(values**p * cellw)) ** (1.0 / p)
 
 
+def _descending_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[::-1]``: descending, and a run of
+    equal values in descending index order.  An unstable sort ranks the
+    values, then one int64 sort of ``run · n + index`` orders each tie run by
+    index; on unsorted input that takes a quarter to a half of the time."""
+    order = np.argsort(values)
+    ranked = values[order]
+    step = ranked[1:] != ranked[:-1]
+    if ranked.size and np.isnan(ranked[-1]):
+        step &= ~np.isnan(ranked[:-1])  # the NaNs, sorted last, are one run
+    run = np.zeros(values.size, dtype=np.int64)
+    np.cumsum(step, out=run[1:])
+    run *= values.size
+    order += run  # the keys, sorted in place
+    order.sort()
+    order -= run
+    return order[::-1]
+
+
 def weak_lp_norm(
     h: Sequence[float] | np.ndarray,
     w: Weight,
@@ -104,7 +123,7 @@ def weak_lp_norm(
     """Exact ``sup_λ λ · w({|h| ≥ λ})^{1/p}`` by level-set enumeration, for
     ``h`` given as in :func:`strong_lp_norm`."""
     p, values, cellw = _level_norm_inputs(h, w, grid, p, level)
-    order = np.argsort(values, kind="stable")[::-1]  # descending |h|
+    order = _descending_order(values)
     sorted_vals = values[order]
     tail_measure = np.cumsum(cellw[order])
     # candidate λ = each distinct value of |h|; the tail mass w({|h| ≥ λ}) is

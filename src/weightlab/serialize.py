@@ -7,9 +7,16 @@ pin the schema.  A CSV field is ``str`` of its Python value, so a float64
 is its shortest round-trip repr (``nan``, ``inf`` and ``-inf`` included),
 and no field is quoted.
 
-Output goes to stdout when no path is given.  A path only ever holds a
-complete file: the text goes to a temporary file beside it, which replaces
-the path once everything is written and is removed if the run fails first.
+Output goes to stdout when no path is given.  A path never holds a partial
+file: the text goes to a temporary file beside it, which is removed if the
+run fails before everything is written.  The temporary file then lands
+without being renamed over an existing file, since ext4 (``auto_da_alloc``)
+starts flushing a file renamed over another at once, and the next rename
+over it waits for that flush: an existing target is first renamed aside to
+a private ``.*.tmp`` name, the temporary file takes the freed path, and the
+old file is unlinked, or renamed back if that fails.  So the path is
+briefly absent between the two renames, and, as nothing is fsynced, a file
+written just before a power loss may be lost.
 """
 
 from __future__ import annotations
@@ -51,10 +58,27 @@ def _output(path: Optional[str]) -> Iterator[IO[str]]:
     try:
         with fh:
             yield fh
-        os.replace(tmp, real)
+        _land(tmp, real)
     except BaseException:
-        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):  # gone once it has landed
+            os.unlink(tmp)
         raise
+
+
+def _land(tmp: str, real: str) -> None:
+    """Rename ``tmp`` to ``real``, moving an existing ``real`` aside first."""
+    aside = f"{tmp[:-len('.tmp')]}.old.tmp"
+    try:
+        os.rename(real, aside)
+    except FileNotFoundError:
+        os.rename(tmp, real)
+        return
+    try:
+        os.rename(tmp, real)
+    except BaseException:
+        os.rename(aside, real)
+        raise
+    os.unlink(aside)
 
 
 def write_text(text: str, path: Optional[str]) -> None:

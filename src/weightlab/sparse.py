@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -109,36 +110,92 @@ class SparseFamily:
     @classmethod
     def from_jsonable(cls, data: Sequence[dict], grid: DyadicGrid) -> "SparseFamily":
         """Load cubes and witness cell ranges; overlapping witnesses raise
-        :class:`SparsityViolationError` at the first shared cell found."""
-        cubes = []
-        owner = np.full(grid.n_cells, -1, dtype=np.int32)
+        :class:`SparsityViolationError` at the first shared cell found.
+
+        Entries are read in file order, and the first bad one stops the read;
+        the ranges read before it are then checked for overlap, so errors
+        come in file order.
+        """
+        ids: List[int] = []
+        ranges: List[int] = []  # start, stop and position of each witness range
+        failure: Optional[Exception] = None
         try:
-            entries = list(data)
-            for pos, entry in enumerate(entries):
-                cubes.append(DyadicCube(int(entry["level"]), int(entry["index"])))
+            for pos, entry in enumerate(list(data)):
+                level, index = int(entry["level"]), int(entry["index"])
+                if level < 0 or index < 0 or index >> level:
+                    DyadicCube(level, index)  # raises, naming the bad field
+                # past level 63 the id overflows int64 either way; 2**level is never formed
+                ids.append((1 << min(level, 64)) - 1 + index)
                 for start, stop in entry["witness"]:
                     if not 0 <= start <= stop <= grid.n_cells:
                         raise SubsetError(
                             f"cell range [{start}, {stop}) outside grid of "
                             f"{grid.n_cells} cells"
                         )
-                    cells = owner[start:stop]
-                    taken = (cells >= 0) & (cells != pos)
-                    if taken.any():
-                        raise SparsityViolationError(
-                            f"witnesses overlap at cell {start + int(taken.argmax())}"
-                        )
-                    cells[:] = pos
-        except (TypeError, KeyError) as exc:
+                    ranges += operator.index(start), operator.index(stop), pos
+        except (TypeError, KeyError, ValueError, SubsetError) as exc:
+            failure = exc
+        start, stop, pos = np.array(ranges, dtype=np.int64).reshape(-1, 3).T
+        del ranges
+        owner = _paint_ranges(start, stop, pos, grid.n_cells)
+        if owner is None:
+            raise _first_overlap(start, stop, pos, grid.n_cells)
+        if isinstance(failure, (TypeError, KeyError)):
             raise ValueError(
                 "family JSON must be a list of objects with "
                 "'level', 'index', and 'witness' keys"
-            ) from exc
-        return cls(cubes, owner)
+            ) from failure
+        if failure is not None:
+            raise failure
+        return cls(ids, owner)
 
     @classmethod
     def from_json(cls, text: str, grid: DyadicGrid) -> "SparseFamily":
         return cls.from_jsonable(json.loads(text), grid)
+
+
+def _paint_ranges(
+    start: np.ndarray, stop: np.ndarray, pos: np.ndarray, n_cells: int
+) -> Optional[np.ndarray]:
+    """Owner array of cell ranges ``[start, stop)`` held by positions ``pos``,
+    or None when two positions share a cell.
+
+    Sorted by start, the non-empty ranges merge into runs of overlapping
+    ranges; two positions share a cell exactly when they meet in one run.
+    """
+    kept = np.flatnonzero(start < stop)
+    order = kept[np.argsort(start[kept])]
+    start, stop, pos = start[order], stop[order], pos[order]
+    owner = np.zeros(n_cells + 1, dtype=np.int32)  # position + 1, differenced
+    if start.size:
+        reach = np.maximum.accumulate(stop)
+        heads = np.flatnonzero(np.concatenate(([True], start[1:] >= reach[:-1])))
+        run_pos = np.minimum.reduceat(pos, heads)
+        if np.any(np.maximum.reduceat(pos, heads) != run_pos):
+            return None
+        owner[start[heads]] += run_pos + 1
+        owner[reach[np.append(heads[1:], start.size) - 1]] -= run_pos + 1
+    np.cumsum(owner, out=owner)
+    owner -= 1
+    return owner[:-1]
+
+
+def _first_overlap(
+    start: np.ndarray, stop: np.ndarray, pos: np.ndarray, n_cells: int
+) -> SparsityViolationError:
+    """The overlap error of the first range that shares a cell with an
+    earlier range of another position, found by bisecting on the prefix."""
+    lo, hi = 0, start.size  # the ranges before lo paint; those up to hi do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _paint_ranges(start[:mid], stop[:mid], pos[:mid], n_cells) is None:
+            hi = mid
+        else:
+            lo = mid
+    owner = _paint_ranges(start[:lo], stop[:lo], pos[:lo], n_cells)
+    cells = owner[start[lo] : stop[lo]]
+    taken = (cells >= 0) & (cells != pos[lo])
+    return SparsityViolationError(f"witnesses overlap at cell {start[lo] + int(taken.argmax())}")
 
 
 def paint_owner(cubes: Sequence[DyadicCube] | np.ndarray, grid: DyadicGrid) -> np.ndarray:

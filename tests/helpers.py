@@ -14,6 +14,7 @@ import numpy as np
 
 from weightlab import (
     CellSet,
+    ConfigError,
     DyadicCube,
     DyadicGrid,
     ExponentProfile,
@@ -22,6 +23,8 @@ from weightlab import (
     PowerWeight,
     SparseFamily,
     SparsityReport,
+    SparsityViolationError,
+    SubsetError,
     TabulatedWeight,
     Weight,
     a_infty_fw,
@@ -349,6 +352,37 @@ def oracle_build_sparse_random(
     return SparseFamily(tuple(cubes), oracle_paint_owner(cubes, grid))
 
 
+def oracle_family_from_jsonable(data: Sequence[dict], grid: DyadicGrid) -> SparseFamily:
+    """Family JSON loaded one entry at a time: a ``DyadicCube`` per entry, and
+    each witness range checked for overlap and painted by a slice of the owner
+    array, so errors come in file order."""
+    cubes = []
+    owner = np.full(grid.n_cells, -1, dtype=np.int32)
+    try:
+        entries = list(data)
+        for pos, entry in enumerate(entries):
+            cubes.append(DyadicCube(int(entry["level"]), int(entry["index"])))
+            for start, stop in entry["witness"]:
+                if not 0 <= start <= stop <= grid.n_cells:
+                    raise SubsetError(
+                        f"cell range [{start}, {stop}) outside grid of "
+                        f"{grid.n_cells} cells"
+                    )
+                cells = owner[start:stop]
+                taken = (cells >= 0) & (cells != pos)
+                if taken.any():
+                    raise SparsityViolationError(
+                        f"witnesses overlap at cell {start + int(taken.argmax())}"
+                    )
+                cells[:] = pos
+    except (TypeError, KeyError) as exc:
+        raise ValueError(
+            "family JSON must be a list of objects with "
+            "'level', 'index', and 'witness' keys"
+        ) from exc
+    return SparseFamily(cubes, owner)
+
+
 def oracle_trace_proof(
     f: np.ndarray,
     w: Weight,
@@ -626,6 +660,33 @@ def oracle_maximal_weak_constant(
             weak = weak_lp_norm(maximal_p0(fn.values, grid, p0), w, grid, 2.0)
             best = max(best, weak / (ap_sqrt * strong))
     return best
+
+
+# --- value files read a line at a time -----------------------------------------------------
+
+
+def oracle_read_value_file(path: str, grid: DyadicGrid, positive: bool) -> np.ndarray:
+    """Value file parsed by Python's ``float``, one stripped non-blank line at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except OSError as exc:
+        raise ConfigError(f"cannot read value file {path!r}: {exc}") from exc
+    lines = [ln for ln in lines if ln]
+    if len(lines) != grid.n_cells:
+        raise ConfigError(
+            f"value file {path!r} has {len(lines)} entries; depth {grid.depth} "
+            f"needs exactly {grid.n_cells}"
+        )
+    try:
+        values = np.array([float(ln) for ln in lines], dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"value file {path!r}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"value file {path!r} contains non-finite entries")
+    if positive and not np.all(values > 0.0):
+        raise ConfigError(f"value file {path!r} must be strictly positive")
+    return values
 
 
 # --- row-at-a-time CSV rendering ------------------------------------------------------------

@@ -24,6 +24,7 @@ from weightlab import (
     unit_weight,
     weak_lp_norm,
 )
+from weightlab.operators import _descending_order
 
 
 class TestSquareFunction:
@@ -132,6 +133,26 @@ class TestWeakNorm:
             assert weak_lp_norm(h, w, grid6, 2.0) <= strong_lp_norm(
                 h, w, grid6, 2.0
             ) * (1 + 1e-12)
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan]), min_size=0, max_size=300
+        )
+    )
+    def test_descending_order_is_the_reversed_stable_argsort(self, values):
+        # few distinct values, so nearly every entry sits in a tie run
+        values = np.array(values, dtype=np.float64)
+        np.testing.assert_array_equal(
+            _descending_order(values), np.argsort(values, kind="stable")[::-1]
+        )
+
+    @pytest.mark.parametrize("distinct", [1, 2, 7, 1000, 1 << 20])
+    def test_descending_order_on_large_tie_runs(self, distinct):
+        values = np.abs(np.random.default_rng(distinct).integers(0, distinct, 1 << 16) - 3.0)
+        values[::7] = np.nan  # an unstable sort leaves the NaNs out of index order
+        np.testing.assert_array_equal(
+            _descending_order(values), np.argsort(values, kind="stable")[::-1]
+        )
 
     def test_indicator_saturates_weak_equals_strong(self, grid6):
         h = np.zeros(grid6.n_cells)

@@ -21,6 +21,7 @@ from helpers import (
     oracle_bin_witness_stats,
     oracle_carleson_packing_ok,
     oracle_build_sparse_random,
+    oracle_family_from_jsonable,
     oracle_layer_witnesses,
     oracle_paint_owner,
     oracle_peel_layers,
@@ -34,6 +35,8 @@ from weightlab import (
     ExponentProfile,
     LevelOverflowError,
     SparseFamily,
+    SparsityViolationError,
+    SubsetError,
     build_good_set,
     build_sparse_cz,
     build_sparse_random,
@@ -196,6 +199,97 @@ def test_paint_owner_and_layers_match_cube_loops(seed):
     assert layers == oracle_peel_layers(cubes)
 
 
+def loaded(load, payload, grid):
+    """``(ids, owner)`` of a loaded family, or the error's type and message."""
+    try:
+        family = load(payload, grid)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc)
+    return family.ids.tolist(), family.owner.tolist()
+
+
+def valid_payload(family: SparseFamily, rng: np.random.Generator) -> list:
+    """The family's JSON with its entries shuffled and some ranges split,
+    repeated, or joined by empty ones."""
+    payload = family.to_jsonable()
+    for entry in payload:
+        ranges = []
+        for start, stop in entry["witness"]:
+            cut = int(rng.integers(start, stop + 1))
+            ranges += [[start, cut], [cut, stop]] if rng.random() < 0.5 else [[start, stop]]
+            if rng.random() < 0.2:
+                ranges.append([start, int(rng.integers(start, stop + 1))])
+        entry["witness"] = [ranges[j] for j in rng.permutation(len(ranges))]
+    return [payload[j] for j in rng.permutation(len(payload))]
+
+
+def random_payload(grid: DyadicGrid, rng: np.random.Generator) -> list:
+    """Random cubes with short random ranges, which often overlap."""
+    payload = []
+    for _ in range(int(rng.integers(1, 12))):
+        level = int(rng.integers(0, grid.depth + 1))
+        ranges = []
+        for _ in range(int(rng.integers(0, 4))):
+            start = int(rng.integers(0, grid.n_cells))
+            ranges.append([start, min(grid.n_cells, start + int(rng.integers(0, 1 + grid.n_cells // 8)))])
+        payload.append({"level": level, "index": int(rng.integers(0, 1 << level)), "witness": ranges})
+    return payload
+
+
+def corrupt(payload: list, grid: DyadicGrid, rng: np.random.Generator) -> list:
+    """One bad entry at a random position: a malformed field or range, or a
+    range outside the grid."""
+    n = grid.n_cells
+    bad = [
+        lambda e: e.pop("witness"),
+        lambda e: e.pop("level"),
+        lambda e: e.update(level="deep"),
+        lambda e: e.update(level=-1),
+        lambda e: e.update(index=1 << e["level"]),
+        lambda e: e.update(index=-2),
+        lambda e: e.update(witness=[[0, 1, 2]]),
+        lambda e: e.update(witness=[[1.0, 2]]),
+        lambda e: e.update(witness=[["0", 2]]),
+        lambda e: e.update(witness=e["witness"] + [[n - 1, n + 3]]),
+        lambda e: e.update(witness=[[-1, 2]] + e["witness"]),
+        lambda e: e.update(witness=[[3, 2]]),
+    ]
+    at = int(rng.integers(0, len(payload)))
+    entry = dict(payload[at])
+    bad[int(rng.integers(0, len(bad)))](entry)
+    return payload[:at] + [entry if rng.random() < 0.9 else [0, 0]] + payload[at + 1 :]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_family_json_load_matches_the_entry_loop(seed):
+    rng = np.random.default_rng([seed, 71])
+    family = make_family(("random", "cz", "cubes")[seed % 3], seed)
+    grid = grid_of(family)
+    payloads = [family.to_jsonable(), valid_payload(family, rng), random_payload(grid, rng)]
+    payloads += [corrupt(payload, grid, rng) for payload in payloads]
+    for payload in payloads:
+        got = loaded(SparseFamily.from_jsonable, payload, grid)
+        assert got == loaded(oracle_family_from_jsonable, payload, grid)
+    assert loaded(SparseFamily.from_jsonable, payloads[0], grid) == (
+        family.ids.tolist(), family.owner.tolist()
+    )
+
+
+def test_family_json_errors_come_in_file_order():
+    grid = DyadicGrid(3)
+    overlap = [
+        {"level": 1, "index": 0, "witness": [[0, 2], [1, 3]]},  # one owner may repeat cells
+        {"level": 2, "index": 1, "witness": [[2, 4]]},
+    ]
+    with pytest.raises(SparsityViolationError, match="overlap at cell 2$"):
+        SparseFamily.from_jsonable(overlap + [{"level": 0}], grid)
+    with pytest.raises(SubsetError, match=r"\[7, 9\)"):
+        SparseFamily.from_jsonable([overlap[1], {"level": 0, "index": 0, "witness": [[7, 9]]},
+                                    *overlap], grid)
+    with pytest.raises(ValueError, match="family JSON"):
+        SparseFamily.from_jsonable([{"level": 0}, *overlap], grid)
+
+
 GRID4 = DyadicGrid(4)
 ONES4 = np.ones(GRID4.n_cells)
 P14 = ExponentProfile(p0=1.0, q0=4.0)
@@ -233,3 +327,11 @@ def test_a_cube_too_deep_for_an_int64_id_raises_level_overflow(level, index):
     payload = [{"level": c.level, "index": c.index, "witness": []} for c in deep]
     with pytest.raises(LevelOverflowError):
         verify_sparsity(SparseFamily.from_jsonable(payload, GRID4), GRID4)
+
+
+def test_a_huge_level_in_family_json_raises_level_overflow():
+    # 1 << 10**30 cannot be formed (OverflowError); the loader never tries
+    payload = [{"level": 0, "index": 0, "witness": [[0, 16]]},
+               {"level": 10**30, "index": 5, "witness": []}]
+    with pytest.raises(LevelOverflowError, match="int64"):
+        SparseFamily.from_jsonable(payload, GRID4)
