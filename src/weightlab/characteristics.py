@@ -2,9 +2,9 @@
 
 All suprema run over the finite family of dyadic cubes of the grid (levels 0
 through ``depth``), so every value here is a *dyadic* characteristic at the
-stated resolution; it is nondecreasing in the depth. Argmax cubes are
-reported deterministically: ties break toward the smaller level, then the
-smaller index.
+stated resolution; it is nondecreasing in the depth. Argmax cubes are the
+first maximum in heap order: ties break toward the smaller level, then the
+smaller index, and a NaN cube (such as 0/0 after underflow) is skipped.
 
 Quantities (all per-cube averages exact):
 
@@ -19,41 +19,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid
+from .grid import DyadicCube, DyadicGrid, heap_levels, id_cubes
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
-def _sup(per_level: List[np.ndarray]) -> Tuple[float, int, int]:
-    """Supremum over all cubes with its (level, index); deterministic ties."""
-    best, at_level, at_index = -math.inf, 0, 0
-    for level, vals in enumerate(per_level):
-        idx = int(np.argmax(vals))  # first occurrence: smallest index
-        val = float(vals[idx])
-        if val > best:  # strict: earlier (coarser) level wins ties
-            best, at_level, at_index = val, level, idx
-    return best, at_level, at_index
+def _sup(heap: np.ndarray) -> Tuple[float, int]:
+    """Supremum over a fresh heap of per-cube values and the heap id of the
+    first cube that attains it.  NaN cubes are skipped (set to ``-inf`` in place)."""
+    at = int(np.argmax(heap))
+    if np.isnan(heap[at]):  # argmax stops at the first NaN
+        np.copyto(heap, -math.inf, where=np.isnan(heap))
+        at = int(np.argmax(heap))
+    return float(heap[at]), at
 
 
-def _sup_with_argmax(per_level: List[np.ndarray]) -> Tuple[float, DyadicCube]:
-    best, level, index = _sup(per_level)
-    return best, DyadicCube(level, index)
+def _sup_with_argmax(heap: np.ndarray) -> Tuple[float, DyadicCube]:
+    best, at = _sup(heap)
+    return best, id_cubes([at])[0]
 
 
-def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[np.ndarray]:
-    """Per-level arrays of the A_p quantity ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1}."""
+def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> np.ndarray:
+    """Heap of the A_p quantity ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1}."""
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"A_p characteristic needs p in (1, ∞), got {p}")
     dual_exp = 1.0 - conjugate_exponent(p)
     w.require_moment(1.0)
     w.require_moment(dual_exp)
-    wavg = w.level_averages(grid, 1.0)
-    savg = w.level_averages(grid, dual_exp)
-    return [wavg[k] * savg[k] ** (p - 1.0) for k in range(grid.depth + 1)]
+    out = w.level_averages(grid, dual_exp)
+    with np.errstate(all="ignore"):
+        out **= p - 1.0
+        out *= w.level_averages(grid, 1.0)
+    return out
 
 
 def ap_constant_argmax(w: Weight, p: float, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
@@ -64,16 +65,18 @@ def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
     return _sup(ap_per_level(w, p, grid))[0]
 
 
-def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> List[np.ndarray]:
-    """Per-level arrays of the RH_q quantity (⨍_Q w^q)^{1/q} / ⟨w⟩_Q."""
+def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> np.ndarray:
+    """Heap of the RH_q quantity (⨍_Q w^q)^{1/q} / ⟨w⟩_Q."""
     q = float(q)
     if not q > 1.0:
         raise ValueError(f"RH_q characteristic needs q > 1, got {q}")
     w.require_moment(1.0)
     w.require_moment(q)
-    wavg = w.level_averages(grid, 1.0)
-    qavg = w.level_averages(grid, q)
-    return [qavg[k] ** (1.0 / q) / wavg[k] for k in range(grid.depth + 1)]
+    out = w.level_averages(grid, q)
+    with np.errstate(all="ignore"):
+        out **= 1.0 / q
+        out /= w.level_averages(grid, 1.0)
+    return out
 
 
 def rh_constant_argmax(w: Weight, q: float, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
@@ -84,25 +87,24 @@ def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
     return _sup(rh_per_level(w, q, grid))[0]
 
 
-def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[np.ndarray]:
-    """Per-level arrays of (1/w(Q)) ∫_Q M(w·1_Q) for every cube Q.
+def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> np.ndarray:
+    """Heap of (1/w(Q)) ∫_Q M(w·1_Q) over every cube Q.
 
     For a point x in Q, the restricted maximal function M(w·1_Q)(x) is the
     largest average ⟨w⟩_R over dyadic Q ⊇ R ∋ x, i.e. over the ancestors of
     x's finest cell down from level(Q). One per-cell running maximum, raised
     level by level from the finest cells to the root, yields all integrals in
-    O(depth · n_cells) time and O(n_cells) memory.
+    O(depth · n_cells) time and O(n_cells) memory, in the averages' heap.
     """
     w.require_moment(1.0)
-    pyr = w.pyramid(grid, 1.0)
-    avgs = w.level_averages(grid, 1.0)  # fresh arrays, safe to overwrite
-    running = avgs[grid.depth]  # M(w·1_Q) per cell, for Q at the current level
-    out: List[np.ndarray] = []
-    for level in range(grid.depth, -1, -1):
-        rows = running.reshape(1 << level, -1)
-        np.maximum(rows, avgs[level][:, None], out=rows)
-        out.append(rows.sum(axis=1) * grid.cell_measure / pyr[level])
-    out.reverse()
+    out = w.level_averages(grid, 1.0)
+    levels = heap_levels(out)
+    running = levels[-1].copy()  # M(w·1_Q) per cell, for Q at the current level
+    with np.errstate(all="ignore"):
+        for avg, mass in zip(levels[::-1], heap_levels(w.pyramid(grid, 1.0))[::-1]):
+            rows = running.reshape(avg.size, -1)
+            np.maximum(rows, avg[:, None], out=rows)
+            np.divide(rows.sum(axis=1) * grid.cell_measure, mass, out=avg)
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
 from typing import Iterator, List, Optional, Sequence
@@ -80,8 +81,9 @@ def _read_value_file(path: str, grid: DyadicGrid, positive: bool) -> np.ndarray:
             table = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read value file {path!r}: {exc}") from exc
-    except ValueError as exc:  # loadtxt's advice on `usecols` does not apply here
-        raise ConfigError(f"value file {path!r}: {str(exc).split('; use')[0]}") from exc
+    except ValueError as exc:  # loadtxt's row numbers skip blank lines; name the line
+        reason = str(exc).split(" at row ")[0].split("; use")[0]
+        raise ConfigError(f"value file {path!r}: {_bad_line(path)}{reason}") from exc
     if table.shape[1] != 1:
         raise ConfigError(f"value file {path!r} must hold one value per line")
     values = table[:, 0]
@@ -95,6 +97,17 @@ def _read_value_file(path: str, grid: DyadicGrid, positive: bool) -> np.ndarray:
     if positive and not np.all(values > 0.0):
         raise ConfigError(f"value file {path!r} must be strictly positive")
     return values
+
+
+def _bad_line(path: str) -> str:
+    """``"line N: "`` for the first line that is neither blank nor one number."""
+    # loadtxt's float syntax: Python's, without digit separators or non-ASCII digits
+    number = r"\s*[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|inf(inity)?|nan)\s*"
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for at, line in enumerate(fh, 1):
+            if line.strip() and not re.fullmatch(number, line, re.IGNORECASE):
+                return f"line {at}: "
+    return ""
 
 
 def _load_weight(args: argparse.Namespace, grid: DyadicGrid) -> Weight:

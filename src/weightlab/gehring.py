@@ -28,7 +28,7 @@ import numpy as np
 
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
-from .grid import CellSet, DyadicCube, DyadicGrid
+from .grid import CellSet, DyadicCube, DyadicGrid, heap_levels, to_averages
 from .profiles import GehringProfile
 from .weights import PowerWeight, Weight, measure, pow_weight
 
@@ -79,20 +79,18 @@ def sharp_rh_levels(
 
     Yields ``(level, lhs, rhs, ratio)`` one level at a time, finest first, with
     ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t`` and ``ratio = lhs/rhs`` indexed
-    by cube. The moment at ``t`` comes from :meth:`Weight.cube_totals` and is not
-    cached on ``w`` (ε scans use each ``t`` once); only the current level's
-    arrays stay alive. A ratio that is not a number (both sides 0, as when a
-    cube's moment and mean^t underflow, or both inf) is unverified: it is ``inf``.
+    by cube. The moment heap at ``t`` comes from :meth:`Weight.cube_totals`, not
+    cached on ``w`` (ε scans use each ``t`` once); ``lhs`` is a view of it.
+    A ratio that is not a number (both sides 0, as when a cube's moment and
+    mean^t underflow, or both inf) is unverified: it is ``inf``.
     """
     t = float(t)
     w.require_moment(t)
-    moments = w.cube_totals(grid, t)
-    means = w.pyramid(grid, 1.0)
+    moments = heap_levels(to_averages(w.cube_totals(grid, t)))
+    means = heap_levels(w.pyramid(grid, 1.0))
     factor = 2.0 * rh**t
     for k in range(grid.depth, -1, -1):
-        scale = float(1 << k)
-        lhs = moments.pop() * scale
-        rhs = means[k] * scale
+        lhs, rhs = moments[k], means[k] * float(1 << k)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             np.power(rhs, t, out=rhs)
             rhs *= factor

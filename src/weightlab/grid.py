@@ -5,9 +5,10 @@ half-open cells ``[i/N, (i+1)/N)``. A :class:`DyadicCube` addresses the
 interval ``[index * 2**-level, (index + 1) * 2**-level)`` for any
 ``0 <= level <= L``; inside the family kernels it is one int64 *heap id*
 ``2**level - 1 + index`` (:func:`cube_ids`), an encoding only this module
-knows.  Cell sets are boolean membership vectors over the finest cells, so
-Lebesgue measure and set algebra are exact integer arithmetic divided by
-``N``.
+knows.  Per-cube data is one *heap* indexed by heap id, each level a view
+(:func:`heap_levels`).  Cell sets are boolean membership vectors over the
+finest cells, so Lebesgue measure and set algebra are exact integer
+arithmetic divided by ``N``.
 
 Aggregation follows a fixed left-to-right pairwise tree order (each parent
 total is ``left + right``), which makes every derived average bit-stable
@@ -38,6 +39,11 @@ class DyadicCube:
             raise ValueError(
                 f"cube index must lie in [0, 2**{self.level}), got {self.index}"
             )
+
+    @property
+    def heap_id(self) -> int:
+        """Position ``2**level - 1 + index`` in an array indexed by heap id."""
+        return (1 << self.level) - 1 + self.index
 
     @property
     def measure(self) -> float:
@@ -123,26 +129,29 @@ class DyadicGrid:
         return arr
 
 
-def tree_totals(grid: DyadicGrid, values: Sequence[float] | np.ndarray) -> List[np.ndarray]:
+def tree_totals(grid: DyadicGrid, values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Per-cube totals for every cube of the grid, by pairwise tree reduction.
 
-    Returns ``totals`` with ``totals[k][i]`` = sum of ``values`` over the
-    finest cells of cube ``(k, i)``; ``totals[depth]`` is the input itself and
-    each coarser level is the elementwise sum of child pairs (fixed
-    left-to-right order, hence deterministic and exactly additive).
+    Returns a ``float64[2N - 1]`` heap holding at heap id ``2**k - 1 + i`` the
+    sum of ``values`` over the finest cells of cube ``(k, i)``; the finest
+    level is a copy of the input and each coarser level is reduced in place
+    from child pairs (fixed left-to-right order, hence deterministic and
+    exactly additive).
     """
-    arr = grid.check_values(values)
-    totals: List[np.ndarray] = [arr]
-    for _ in range(grid.depth):
-        arr = arr[0::2] + arr[1::2]
-        totals.append(arr)
-    totals.reverse()
-    return totals
+    heap = np.empty(grid.cube_count, dtype=np.float64)
+    levels = heap_levels(heap)
+    levels[-1][...] = grid.check_values(values)
+    for parent, child in zip(levels[-2::-1], levels[:0:-1]):
+        np.add(child[0::2], child[1::2], out=parent)
+    return heap
 
 
-def cube_total(totals: List[np.ndarray], cube: DyadicCube) -> float:
-    """Look up one cube's total in a :func:`tree_totals` pyramid."""
-    return float(totals[cube.level][cube.index])
+def to_averages(heap: np.ndarray) -> np.ndarray:
+    """Turn a heap of cube totals into cube averages in place (level ``k``
+    times ``2**k``, exact) and return it."""
+    for level, view in enumerate(heap_levels(heap)):
+        view *= float(1 << level)
+    return heap
 
 
 # --- heap ids: sorting them sorts by (level, index), and a parent is (id - 1) >> 1 ----
@@ -157,7 +166,7 @@ def cube_ids(
     if not isinstance(cubes, np.ndarray):
         cubes = list(cubes)
         if cubes and isinstance(cubes[0], DyadicCube):
-            cubes = [(1 << c.level) - 1 + c.index for c in cubes]
+            cubes = [c.heap_id for c in cubes]
     try:
         ids = np.asarray(cubes, dtype=np.int64)
     except OverflowError:
@@ -175,11 +184,6 @@ def split_ids(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``2**level <= id + 1 < 2**(level + 1)``."""
     levels = np.frexp(ids + 1)[1].astype(np.int64) - 1
     return levels, ids + 1 - np.left_shift(1, levels)
-
-
-def level_ids(level: int, indices: np.ndarray) -> np.ndarray:
-    """Heap ids of the cubes ``(level, i)`` for ``i`` in ``indices``."""
-    return np.asarray(indices, dtype=np.int64) + ((1 << level) - 1)
 
 
 def id_cubes(ids: np.ndarray) -> List[DyadicCube]:
@@ -211,15 +215,10 @@ def ancestor_hits(ids: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         yield ids[pos] == up, pos
 
 
-def cube_totals(totals: List[np.ndarray], ids: np.ndarray) -> np.ndarray:
-    """Many cubes' totals in a :func:`tree_totals` pyramid, by heap id."""
-    return np.concatenate(totals)[ids]
-
-
 def heap_levels(heap: np.ndarray) -> List[np.ndarray]:
     """The per-level views of an array indexed by heap id, coarse to fine."""
     depth = (heap.size + 1).bit_length() - 2
-    return np.split(heap, (1 << np.arange(1, depth + 1)) - 1)
+    return [heap[(1 << k) - 1 : (2 << k) - 1] for k in range(depth + 1)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._parallel import ordered_map
-from .grid import CellSet, DyadicCube, DyadicGrid, cube_ids, heap_levels, tree_totals
+from .grid import CellSet, DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages, tree_totals
 from .weights import (
     Weight,
     composed_moment_cells,
@@ -41,12 +41,11 @@ def square_function_from_cell_integrals(
 ) -> np.ndarray:
     """Square function of the function whose exact finest-cell integrals are
     given (signed); useful for compositions like f·σ with non-constant σ."""
-    totals = tree_totals(grid, np.asarray(cell_integrals, dtype=np.float64))
-    averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
+    averages = heap_levels(to_averages(tree_totals(grid, cell_integrals)))
     # sq = Σ of squared jumps along each level-k cube's ancestor chain, top-down
     sq = np.zeros(1, dtype=np.float64)
-    for k in range(1, grid.depth + 1):
-        d = averages[k] - np.repeat(averages[k - 1], 2)
+    for parent, child in zip(averages, averages[1:]):
+        d = child - np.repeat(parent, 2)
         sq = np.repeat(sq, 2) + d * d
     return np.sqrt(sq)
 
@@ -76,7 +75,7 @@ def _level_norm_inputs(
     elif not 1 <= level <= grid.depth:
         raise ValueError(f"level must lie in 1..{grid.depth}, got {level}")
     values = np.abs(DyadicGrid(level).check_values(h))
-    return p, values, w.pyramid(grid, 1.0)[level]
+    return p, values, heap_levels(w.pyramid(grid, 1.0))[level]
 
 
 def strong_lp_norm(
@@ -133,11 +132,12 @@ def weak_lp_norm(
     return float(np.max(lam * tail ** (1.0 / p), where=lam > 0.0, initial=0.0))
 
 
-def _ancestor_max(per_level: List[np.ndarray]) -> np.ndarray:
-    """Per finest cell, the largest ``per_level[k][i]`` over the cell's
-    ancestors ``(k, i)``, taken top-down one level at a time."""
-    m = per_level[0]
-    for vals in per_level[1:]:
+def _ancestor_max(heap: np.ndarray) -> np.ndarray:
+    """Per finest cell, the largest value of a per-cube heap over the cell's
+    ancestors, taken top-down one level at a time."""
+    levels = heap_levels(heap)
+    m = levels[0]
+    for vals in levels[1:]:
         m = np.maximum(np.repeat(m, 2), vals)
     return m
 
@@ -163,12 +163,11 @@ def maximal_p0(
         moment_cells = composed_moment_cells(grid, f, weight, p0)
     else:
         moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    totals = tree_totals(grid, moment_cells)
-    averages = [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
+    averages = to_averages(tree_totals(grid, moment_cells))
     if restriction is not None:  # averages are >= 0, so zeroing a cube drops it
         member = np.zeros(grid.cube_count, dtype=bool)
         member[cube_ids(restriction, grid)] = True
-        averages = [np.where(m, a, 0.0) for m, a in zip(heap_levels(member), averages)]
+        averages = np.where(member, averages, 0.0)
     return _ancestor_max(averages) ** (1.0 / p0)
 
 
@@ -178,8 +177,8 @@ def maximal_weighted(
     """Weighted maximal function ``sup_{Q ∋ x} (1/w(Q)) ∫_Q |g| w`` per cell."""
     gvals = np.abs(grid.check_values(g))
     den = w.pyramid(grid, 1.0)
-    num = tree_totals(grid, gvals * den[grid.depth])
-    return _ancestor_max([num[k] / den[k] for k in range(grid.depth + 1)])
+    num = tree_totals(grid, gvals * heap_levels(den)[-1])
+    return _ancestor_max(np.divide(num, den, out=num))
 
 
 # --- test-function corpus ----------------------------------------------------------
@@ -347,10 +346,10 @@ def equivalence_scaffold(
         return EquivalenceScaffold(0.0, 0.0, 0)
     norm = math.sqrt(norm_sq)
     sf = square_function_from_cell_integrals(
-        fvals * sigma.pyramid(grid, 1.0)[grid.depth], grid
+        fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1], grid
     )
     n2 = weak_lp_norm(sf, w, grid, 2.0) / norm
-    cellw = w.pyramid(grid, 1.0)[grid.depth]
+    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
     sf_sq_w = sf * sf * cellw
 
     masks: List[np.ndarray] = []

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import SparsityViolationError, SubsetError
 from .grid import (
-    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, cube_totals, id_cell_ranges,
-    id_cubes, level_ids, split_ids, tree_totals,
+    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, id_cell_ranges,
+    id_cubes, split_ids, to_averages, tree_totals,
 )
 from .profiles import ExponentProfile
 from .weights import Weight, masked_moment_cells
@@ -275,13 +275,13 @@ def build_sparse_random(
     if max_level > grid.depth:
         raise ValueError(f"max_level {max_level} exceeds grid depth {grid.depth}")
     rng = np.random.default_rng(seed)
+    kept = np.zeros(grid.cube_count, dtype=bool)  # by heap id
     covered = np.zeros(1, dtype=bool)  # cubes of the level inside a kept cube
-    ids: List[np.ndarray] = []
-    for level in range(max_level + 1):
-        kept = (rng.random(1 << level) < density) & ~covered
-        ids.append(level_ids(level, np.flatnonzero(kept)))
-        covered = np.repeat(covered | kept, 2)
-    return _painted_family(np.concatenate(ids), grid)  # valid by construction
+    for keep in heap_levels(kept)[: max_level + 1]:
+        np.less(rng.random(keep.size), density, out=keep)
+        keep &= ~covered
+        covered = np.repeat(covered | keep, 2)
+    return _painted_family(np.flatnonzero(kept), grid)  # valid by construction
 
 
 def build_sparse_cz(
@@ -301,19 +301,16 @@ def build_sparse_cz(
         raise ValueError("stopping-time construction needs nonnegative cell values")
     if not np.any(values > 0.0):
         raise SparsityViolationError("density is identically zero")
-    totals = tree_totals(grid, values)
-
+    averages = heap_levels(to_averages(tree_totals(grid, values)))
     # level by level: the average of each cube's most recent stopping ancestor
-    ids: List[np.ndarray] = [level_ids(0, [0])]
-    anchor = totals[0]
-    for level in range(1, grid.depth + 1):
-        averages = totals[level] * float(1 << level)
+    stops = np.zeros(grid.cube_count, dtype=bool)  # by heap id; the root always stops
+    stops[0] = True
+    anchor = averages[0]
+    for avg, stop in zip(averages[1:], heap_levels(stops)[1:]):
         inherited = np.repeat(anchor, 2)
-        stops = averages > ratio * inherited
-        anchor = np.where(stops, averages, inherited)
-        ids.append(level_ids(level, np.flatnonzero(stops)))
-
-    return _painted_family(np.concatenate(ids), grid)
+        np.greater(avg, ratio * inherited, out=stop)
+        anchor = np.where(stop, avg, inherited)
+    return _painted_family(np.flatnonzero(stops), grid)
 
 
 def sparse_form(
@@ -338,7 +335,7 @@ def sparse_form(
     levels = split_ids(ids)[0]
     scale = np.ldexp(1.0, levels)
     f_moments = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    f_avg = (cube_totals(tree_totals(grid, f_moments), ids) * scale) ** (1.0 / p0)
+    f_avg = (tree_totals(grid, f_moments)[ids] * scale) ** (1.0 / p0)
     if g_weight is not None:
         g_moments = (
             masked_moment_cells(grid, g_cells, g_weight, q)
@@ -349,7 +346,7 @@ def sparse_form(
         raise ValueError("either per-cell g values or a weight must be given")
     else:
         g_moments = np.abs(grid.check_values(g)) ** q * grid.cell_measure
-    g_avg = (cube_totals(tree_totals(grid, g_moments), ids) * scale) ** (1.0 / q)
+    g_avg = (tree_totals(grid, g_moments)[ids] * scale) ** (1.0 / q)
     return math.fsum((f_avg * f_avg * g_avg * np.ldexp(1.0, -levels)).tolist())
 
 

@@ -49,7 +49,8 @@ from .characteristics import _sup_with_argmax, a_infty_fw, ap_constant, rh_const
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import (
-    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, cube_totals, split_ids, tree_totals,
+    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, split_ids, to_averages,
+    tree_totals,
 )
 from .operators import maximal_p0
 from .profiles import ExponentProfile, GehringProfile
@@ -305,7 +306,7 @@ def build_good_set(
     f_norm = math.sqrt(f_norm_sq)
 
     good = good_cells if good_cells is not None else CellSet.full(grid)
-    cellw = w.pyramid(grid, 1.0)[grid.depth]
+    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
     good_mass = float(np.sum(cellw, where=good.mask))
     if good_mass <= 0.0:
         raise EmptyGoodSetError("the initial good set carries no weight mass")
@@ -358,7 +359,7 @@ def trace_proof(
     gs = build_good_set(f, w, grid, p0, family_ids, good_cells)
     ap, f_norm_sq, good_prime_mass = gs.ap_char, gs.f_norm_sq, gs.good_prime_mass
 
-    cellw = w.pyramid(grid, 1.0)[grid.depth]
+    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
     rh = rh_constant(w, q0s, grid)
     a_inf = a_infty_fw(w, grid)
     eps_max = epsilon_range(w, q0s, grid)
@@ -371,15 +372,15 @@ def trace_proof(
     p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
     gp_mask = gs.good_prime.mask
     scale = np.ldexp(1.0, split_ids(family_ids)[0])
-    a1 = (cube_totals(tree_totals(grid, p0_moments), family_ids) * scale) ** (1.0 / p0)
-    gp_q = cube_totals(tree_totals(grid, cellw * gp_mask), family_ids)
+    a1 = (tree_totals(grid, p0_moments)[family_ids] * scale) ** (1.0 / p0)
+    gp_q = tree_totals(grid, cellw * gp_mask)[family_ids]
     zero = gp_q <= 0.0
     overflow = ~zero & (a1 <= 0.0)
     binned = ~(zero | overflow)
     ids, scale, a1, gp_q = family_ids[binned], scale[binned], a1[binned], gp_q[binned]
-    w_q = cube_totals(tree_totals(grid, cellw), ids)
+    w_q = tree_totals(grid, cellw)[ids]
     ind_q_moments = w.cell_integrals(grid, q0s) * gp_mask
-    b_q = (cube_totals(tree_totals(grid, ind_q_moments), ids) * scale) ** (1.0 / q0s)
+    b_q = (tree_totals(grid, ind_q_moments)[ids] * scale) ** (1.0 / q0s)
 
     r_raw = np.floor(-np.log2(a1 / gs.threshold)).astype(np.int64)
     r = np.maximum(r_raw, 0)
@@ -388,7 +389,7 @@ def trace_proof(
     ratio_strict = np.divide(b_q, rhs_strict, out=np.zeros_like(b_q), where=rhs_strict > 0.0)
     traced = TraceColumns(ids, a1, b_q, w_q, gp_q, r, s, rhs_strict, ratio_strict)
 
-    f_sq_sigma = fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth]
+    f_sq_sigma = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1]
     quad_terms = a1**2 * b_q / scale
     bins: Dict[Tuple[int, int], BinReport] = {}
     for rows in _group_rows(r * (int(s.max(initial=0)) + 1) + s):
@@ -528,26 +529,15 @@ def percube_ap_holder_scan(
     )
     mask = (cells.mask if cells is not None else np.ones(grid.n_cells, dtype=bool))
 
-    w_avgs = w.level_averages(grid, 1.0)
-    sigma_phi_avgs = sigma.level_averages(grid, phi)  # per-cube ⨍σ^φ
-    p0_totals = tree_totals(
-        grid, composed_moment_cells(grid, fvals, sigma, p0) * mask
-    )
-    f2s_totals = tree_totals(
-        grid, fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth] * mask
-    )
-
-    ap_ratios: List[np.ndarray] = []
-    h_ratios: List[np.ndarray] = []
-    for level in range(grid.depth + 1):
-        scale = float(1 << level)
-        sigma_norm = sigma_phi_avgs[level] ** (1.0 / phi)
-        ap_ratios.append((w_avgs[level] * sigma_norm) / ap)
-        lhs = (p0_totals[level] * scale) ** (2.0 / p0)
-        rhs = sigma_norm * (f2s_totals[level] * scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_ratios.append(np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0)))
-    worst_ap, worst_ap_cube = _sup_with_argmax(ap_ratios)
+    sigma_norm = sigma.level_averages(grid, phi)  # per-cube ⟨σ⟩_{L^φ}
+    sigma_norm **= 1.0 / phi
+    worst_ap, worst_ap_cube = _sup_with_argmax(w.level_averages(grid, 1.0) * sigma_norm / ap)
+    lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
+    lhs **= 2.0 / p0
+    f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
+    rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
     worst_h, worst_h_cube = _sup_with_argmax(h_ratios)
 
     return PerCubeScan(

@@ -14,27 +14,27 @@ Two representations:
 
 All instances are immutable. A power ``w**s`` is a view of the same class on
 its base weight's data and moment store: its moment ``t`` is the base's moment
-``s*t``. The store memoises read-only cube-total pyramids per ``(depth, s*t)``;
-an entry depends on nothing else, so every view fills it with the same bytes
-(pure, deterministic recomputation, so concurrent builds agree).
+``s*t``. The store memoises one read-only heap of cube totals (a pyramid) per
+``(depth, s*t)``; an entry depends on nothing else, so every view fills it
+with the same bytes (pure, deterministic recomputation, so builds agree).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DivergentMomentError, WrongLengthError
-from .grid import CellSet, DyadicCube, DyadicGrid, cube_total, tree_totals
+from .grid import CellSet, DyadicCube, DyadicGrid, heap_levels, to_averages, tree_totals
 
 _PyramidKey = Tuple[int, float]
 
 
 class Weight:
-    """Common machinery: cube-total pyramids of ``w**t`` in a moment store.
+    """Common machinery: cube-total heaps of ``w**t`` in a moment store.
 
     ``_s`` is the exponent relative to the base weight that owns the data and
     the store (1 for a base weight); moment ``t`` of this weight is the base's
@@ -42,7 +42,7 @@ class Weight:
     """
 
     def __init__(self) -> None:
-        self._pyramids: Dict[_PyramidKey, List[np.ndarray]] = {}
+        self._pyramids: Dict[_PyramidKey, np.ndarray] = {}
         self._s = 1.0
 
     # --- contract to implement -------------------------------------------------
@@ -73,33 +73,31 @@ class Weight:
                 f"moment exponent t={t} diverges for weight {self.describe()}"
             )
 
-    def pyramid(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
-        """Cube totals ``∫_Q w**t`` for all cubes, cached per (depth, _s·t).
+    def pyramid(self, grid: DyadicGrid, t: float) -> np.ndarray:
+        """Heap of cube totals ``∫_Q w**t`` for all cubes, cached per (depth, _s·t).
 
-        Every level is read-only: the store is shared by all powers of the
-        base weight, so a write through one would corrupt the others.
+        The heap is read-only: the store is shared by all powers of the base
+        weight, so a write through one would corrupt the others.
         """
         key = (grid.depth, self._s * float(t))
         pyr = self._pyramids.get(key)
         if pyr is None:
             pyr = self.cube_totals(grid, t)
-            for level in pyr:
-                level.setflags(write=False)
+            pyr.setflags(write=False)
             self._pyramids[key] = pyr
         return pyr
 
-    def cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    def cube_totals(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """Uncached :meth:`pyramid`: pairwise tree sums of the cell integrals."""
         return tree_totals(grid, self.cell_integrals(grid, t))
 
-    def level_averages(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
-        """Per-level arrays of ``⨍_Q w**t`` (cube averages of the t-th power)."""
-        pyr = self.pyramid(grid, t)
-        return [pyr[k] * float(1 << k) for k in range(grid.depth + 1)]
+    def level_averages(self, grid: DyadicGrid, t: float) -> np.ndarray:
+        """A fresh heap of ``⨍_Q w**t`` (cube averages of the t-th power)."""
+        return to_averages(self.pyramid(grid, t).copy())
 
     def cube_integral(self, grid: DyadicGrid, cube: DyadicCube, t: float = 1.0) -> float:
         self.require_moment(t)
-        return cube_total(self.pyramid(grid, t), cube)
+        return float(self.pyramid(grid, t)[cube.heap_id])
 
 
 class TabulatedWeight(Weight):
@@ -144,8 +142,8 @@ class TabulatedWeight(Weight):
         return True
 
     def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
-        vals = self._values_at(grid.depth)
-        return vals ** (self._s * float(t)) * grid.cell_measure
+        with np.errstate(over="ignore"):  # a power past the double range is inf
+            return self._values_at(grid.depth) ** (self._s * float(t)) * grid.cell_measure
 
     def power(self, s: float) -> "TabulatedWeight":
         view = self._view(s)
@@ -176,9 +174,10 @@ class PowerWeight(Weight):
     def moment_admissible(self, t: float) -> bool:
         return self._alpha * (self._s * float(t)) > -1.0
 
-    def _levels(self, grid: DyadicGrid, t: float, top: int) -> List[np.ndarray]:
-        """Integrals of ``x**(e-1)``, ``e = alpha*t + 1 > 0``, over the cubes of
-        levels ``top..depth``, each straight from the antiderivative ``x**e / e``.
+    def _levels(self, grid: DyadicGrid, t: float, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, the finest cells or a whole heap, with the integrals of
+        ``x**(e-1)``, ``e = alpha*t + 1 > 0``, over its cubes, each straight from
+        the antiderivative ``x**e / e``.
 
         Cube ``i`` of a level, ``[a, b)``, gets ``b**e / e * (1 - (a/b)**e)`` with
         ``1 - (a/b)**e = -expm1(-e * log1p(1/i))``: nothing cancels, and no factor
@@ -188,17 +187,20 @@ class PowerWeight(Weight):
         """
         self.require_moment(t)
         e = self._alpha * (self._s * float(t)) + 1.0
-        levels = range(top, grid.depth + 1)
+        levels = [out] if out.size == grid.n_cells else heap_levels(out)
         if e == 1.0:
-            return [np.full(1 << k, 0.5**k) for k in levels]
+            for view in levels:
+                view.fill(1.0 / view.size)
+            return out
         n = grid.n_cells
-        # b**e / e at the finest right ends (in place, sparing temporaries);
-        # level k's right ends are every 2**(depth-k)-th of them
-        right = np.arange(1, n + 1, dtype=np.float64)
+        gap = np.arange(n, dtype=np.float64)  # 1 - (a/b)**e by cube index
+        # b**e / e at the finest right ends, built in the finest view (in place,
+        # sparing temporaries); level k's right ends are every 2**(depth-k)-th
+        right = levels[-1]
+        np.add(gap, 1.0, out=right)
         right /= n
         np.power(right, e, out=right)
         right /= e
-        gap = np.arange(n, dtype=np.float64)  # 1 - (a/b)**e by cube index
         rest = gap[1:]
         np.reciprocal(rest, out=rest)
         np.log1p(rest, out=rest)
@@ -206,19 +208,18 @@ class PowerWeight(Weight):
         np.expm1(rest, out=rest)
         np.negative(rest, out=rest)
         gap[0] = 1.0
-        out = [
-            right[(1 << (grid.depth - k)) - 1 :: 1 << (grid.depth - k)] * gap[: 1 << k]
-            for k in levels[:-1]
-        ]
-        out.append(np.multiply(right, gap, out=gap))
+        for view in levels[:-1]:
+            stride = n // view.size
+            np.multiply(right[stride - 1 :: stride], gap[: view.size], out=view)
+        right *= gap
         return out
 
     def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
-        return self._levels(grid, t, grid.depth)[0]
+        return self._levels(grid, t, np.empty(grid.n_cells))
 
-    def cube_totals(self, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    def cube_totals(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """Every cube's integral from the antiderivative, not summed from cells."""
-        return self._levels(grid, t, 0)
+        return self._levels(grid, t, np.empty(grid.cube_count))
 
     def power(self, s: float) -> "PowerWeight":
         view = self._view(s)
@@ -291,7 +292,7 @@ def measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
         raise WrongLengthError(
             f"cell set over {cells.n_cells} cells does not match grid of {grid.n_cells}"
         )
-    return float(np.sum(w.pyramid(grid, 1.0)[grid.depth], where=cells.mask))
+    return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells.mask))
 
 
 def cube_weight_measure(w: Weight, grid: DyadicGrid, cube: DyadicCube) -> float:
@@ -328,4 +329,4 @@ def weighted_l2_norm_sq(
 ) -> float:
     """``∫ f(x)**2 w(x) dx`` for piecewise-constant ``f`` (exact)."""
     f = grid.check_values(f_values)
-    return float(np.sum(f * f * w.pyramid(grid, 1.0)[grid.depth]))
+    return float(np.sum(f * f * heap_levels(w.pyramid(grid, 1.0))[-1]))

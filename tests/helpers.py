@@ -36,8 +36,8 @@ from weightlab import (
     maximal_p0,
     dual_weight,
     rh_constant,
+    heap_levels,
     strong_lp_norm,
-    tree_totals,
     unit_weight,
     weak_lp_norm,
 )
@@ -400,7 +400,7 @@ def oracle_trace_proof(
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     gs = build_good_set(f, w, grid, p0, list(family), good_cells)
-    cellw = w.pyramid(grid, 1.0)[grid.depth]
+    cellw = oracle_pyramid(w, grid, 1.0)[grid.depth]
     rh = rh_constant(w, q0s, grid)
     a_inf = a_infty_fw(w, grid)
     eps_max = epsilon_range(w, q0s, grid)
@@ -409,11 +409,11 @@ def oracle_trace_proof(
     rh_pow = rh ** (2.0 - geh.gamma)
 
     p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
-    p0_totals = tree_totals(grid, p0_moments)
+    p0_totals = oracle_tree_totals(grid, p0_moments)
     gp_mask = gs.good_prime.mask
-    ind_q_totals = tree_totals(grid, w.cell_integrals(grid, q0s) * gp_mask)
-    gp_w_totals = tree_totals(grid, cellw * gp_mask)
-    w_totals = tree_totals(grid, cellw)
+    ind_q_totals = oracle_tree_totals(grid, w.cell_integrals(grid, q0s) * gp_mask)
+    gp_w_totals = oracle_tree_totals(grid, cellw * gp_mask)
+    w_totals = oracle_tree_totals(grid, cellw)
 
     out: dict = {"rows": [], "zero": [], "overflow": [], "clamped": [], "bins": {}}
     members: Dict[Tuple[int, int], list] = {}
@@ -439,7 +439,7 @@ def oracle_trace_proof(
         out["rows"].append(row)
         members.setdefault((r, s), []).append(row)
 
-    f_sq_sigma = fvals * fvals * sigma.pyramid(grid, 1.0)[grid.depth]
+    f_sq_sigma = fvals * fvals * oracle_pyramid(sigma, grid, 1.0)[grid.depth]
     for key, rows in sorted(members.items()):
         cubes = [row[0] for row in rows]
         owner = oracle_paint_owner(cubes, grid)
@@ -460,6 +460,70 @@ def oracle_trace_proof(
     return out
 
 
+# --- list-form pyramids: one array per level, the layout before the heap ------------
+
+
+def oracle_tree_totals(grid: DyadicGrid, values: np.ndarray) -> List[np.ndarray]:
+    """``totals[k][i]`` = sum of ``values`` over the finest cells of cube ``(k, i)``:
+    ``totals[depth]`` is the input and each coarser level the elementwise sum of
+    child pairs, in the same left-to-right order as the library's heap."""
+    arr = grid.check_values(values)
+    totals: List[np.ndarray] = [arr]
+    for _ in range(grid.depth):
+        arr = arr[0::2] + arr[1::2]
+        totals.append(arr)
+    totals.reverse()
+    return totals
+
+
+def oracle_pyramid(w: Weight, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    """The weight's cached pyramid at moment ``t``, one array per level."""
+    return heap_levels(w.pyramid(grid, t))
+
+
+def oracle_level_averages(w: Weight, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    """Per-level arrays of ``⨍_Q w**t``, each level's totals times ``2**k``."""
+    return oracle_averages(grid, oracle_pyramid(w, grid, t))
+
+
+def oracle_sup(per_level: List[np.ndarray]) -> Tuple[float, DyadicCube]:
+    """Supremum over all cubes, one level at a time: the first maximum of each
+    level, and a strict ``>`` across levels, so the coarser level wins ties.
+    A level whose first maximum is NaN drops out whole."""
+    best, at_level, at_index = -math.inf, 0, 0
+    for level, vals in enumerate(per_level):
+        idx = int(np.argmax(vals))
+        val = float(vals[idx])
+        if val > best:
+            best, at_level, at_index = val, level, idx
+    return best, DyadicCube(at_level, at_index)
+
+
+def oracle_power_levels(w: PowerWeight, grid: DyadicGrid, t: float) -> List[np.ndarray]:
+    """Per-level cube integrals of ``x**(alpha*t)`` from the antiderivative, each
+    level its own array, in the same floating-point operations as the library."""
+    e = w.alpha * float(t) + 1.0
+    if e == 1.0:
+        return [np.full(1 << k, 0.5**k) for k in range(grid.depth + 1)]
+    n = grid.n_cells
+    right = np.arange(1, n + 1, dtype=np.float64)
+    right /= n
+    np.power(right, e, out=right)
+    right /= e
+    gap = np.arange(n, dtype=np.float64)
+    rest = gap[1:]
+    np.reciprocal(rest, out=rest)
+    np.log1p(rest, out=rest)
+    rest *= -e
+    np.expm1(rest, out=rest)
+    np.negative(rest, out=rest)
+    gap[0] = 1.0
+    return [
+        right[(1 << (grid.depth - k)) - 1 :: 1 << (grid.depth - k)] * gap[: 1 << k]
+        for k in range(grid.depth + 1)
+    ]
+
+
 # --- ancestor-matrix oracles: every ancestor's value copied onto every cell ----------
 
 
@@ -475,14 +539,14 @@ def ancestor_value_matrix(grid: DyadicGrid, per_level: List[np.ndarray]) -> np.n
     return rows
 
 
-def _level_averages(grid: DyadicGrid, totals: List[np.ndarray]) -> List[np.ndarray]:
+def oracle_averages(grid: DyadicGrid, totals: List[np.ndarray]) -> List[np.ndarray]:
     return [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
 
 
 def oracle_a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[np.ndarray]:
     """Fujii–Wilson per-level arrays from suffix running maxima of the matrix."""
-    pyr = w.pyramid(grid, 1.0)
-    avg_rows = ancestor_value_matrix(grid, w.level_averages(grid, 1.0))
+    pyr = oracle_pyramid(w, grid, 1.0)
+    avg_rows = ancestor_value_matrix(grid, oracle_level_averages(w, grid, 1.0))
     suffix_max = np.maximum.accumulate(avg_rows[::-1], axis=0)[::-1]
     out: List[np.ndarray] = []
     for level in range(grid.depth + 1):
@@ -495,8 +559,8 @@ def oracle_square_function_from_cell_integrals(
     cell_integrals: np.ndarray, grid: DyadicGrid
 ) -> np.ndarray:
     """Square function as the column sums of squared matrix-row differences."""
-    totals = tree_totals(grid, np.asarray(cell_integrals, dtype=np.float64))
-    rows = ancestor_value_matrix(grid, _level_averages(grid, totals))
+    totals = oracle_tree_totals(grid, np.asarray(cell_integrals, dtype=np.float64))
+    rows = ancestor_value_matrix(grid, oracle_averages(grid, totals))
     diffs = rows[1:] - rows[:-1]
     return np.sqrt(np.sum(diffs * diffs, axis=0))
 
@@ -509,7 +573,9 @@ def oracle_maximal_p0(
         moment_cells = composed_moment_cells(grid, f, weight, p0)
     else:
         moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    rows = ancestor_value_matrix(grid, _level_averages(grid, tree_totals(grid, moment_cells)))
+    rows = ancestor_value_matrix(
+        grid, oracle_averages(grid, oracle_tree_totals(grid, moment_cells))
+    )
     return rows.max(axis=0) ** (1.0 / p0)
 
 
@@ -526,7 +592,7 @@ def oracle_restricted_maximal_p0(
         moment_cells = composed_moment_cells(grid, f, weight, p0)
     else:
         moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    totals = tree_totals(grid, moment_cells)
+    totals = oracle_tree_totals(grid, moment_cells)
     out = np.zeros(grid.n_cells, dtype=np.float64)
     for cube in restriction:
         avg = totals[cube.level][cube.index] * float(1 << cube.level)
@@ -537,8 +603,8 @@ def oracle_restricted_maximal_p0(
 
 def oracle_maximal_weighted(g: np.ndarray, w: Weight, grid: DyadicGrid) -> np.ndarray:
     """Weighted maximal function as the column maxima of the ratio matrix."""
-    num = tree_totals(grid, np.abs(grid.check_values(g)) * w.cell_integrals(grid, 1.0))
-    den = w.pyramid(grid, 1.0)
+    num = oracle_tree_totals(grid, np.abs(grid.check_values(g)) * w.cell_integrals(grid, 1.0))
+    den = oracle_pyramid(w, grid, 1.0)
     rows = ancestor_value_matrix(grid, [num[k] / den[k] for k in range(grid.depth + 1)])
     return rows.max(axis=0)
 

@@ -98,6 +98,8 @@ REJECTED = {
     "an underscore": ("1_000\n2.0\n3.0\n4.0\n", "'1_000'"),
     "nan": ("nan\n2.0\n3.0\n4.0\n", "non-finite"),
     "inf": ("1.0\n2.0\ninf\n4.0\n", "non-finite"),
+    "a word after a blank line": ("1\n\n2\nabc\n", "line 4: could not convert string 'abc'"),
+    "two values after a blank line": ("1\n\n2\n3 4\n", "line 4: the number of columns"),
     "an empty file": ("", "has 0 entries"),
     "only blank lines": ("\n \n\n", "has 0 entries"),
 }

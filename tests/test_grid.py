@@ -14,11 +14,11 @@ from weightlab import (
     DyadicGrid,
     LevelOverflowError,
     cube_ids,
-    cube_total,
+    heap_levels,
     id_cubes,
     tree_totals,
 )
-from weightlab.grid import cube_totals, split_ids
+from weightlab.grid import split_ids
 
 # a cube at any level 0..40, so ids run up to 2**41 - 2
 CUBES = st.integers(0, 40).flatmap(
@@ -106,11 +106,11 @@ class TestTreeTotals:
         for cube in grid8.cubes():
             start, stop = cube.cell_range(grid8.depth)
             direct = float(np.sum(vals[start:stop]))
-            assert cube_total(totals, cube) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+            assert totals[cube.heap_id] == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
     def test_pairwise_consistency_is_exact(self, grid8):
         rng = np.random.default_rng(8)
-        totals = tree_totals(grid8, rng.standard_normal(grid8.n_cells))
+        totals = heap_levels(tree_totals(grid8, rng.standard_normal(grid8.n_cells)))
         for k in range(grid8.depth):
             np.testing.assert_array_equal(
                 totals[k], totals[k + 1][0::2] + totals[k + 1][1::2]
@@ -118,8 +118,8 @@ class TestTreeTotals:
 
     def test_reruns_are_bit_identical(self, grid8):
         vals = np.random.default_rng(9).standard_normal(grid8.n_cells)
-        a = tree_totals(grid8, vals)
-        b = tree_totals(grid8, vals)
+        a = heap_levels(tree_totals(grid8, vals))
+        b = heap_levels(tree_totals(grid8, vals))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -218,5 +218,5 @@ class TestHeapIds:
         g = DyadicGrid(4)
         totals = tree_totals(g, np.arange(16.0))
         cubes = [DyadicCube(3, 5), DyadicCube(0, 0), DyadicCube(4, 15), DyadicCube(2, 1)]
-        got = cube_totals(totals, cube_ids(cubes))
-        assert got.tolist() == [cube_total(totals, c) for c in cubes]
+        got = totals[cube_ids(cubes)]
+        assert got.tolist() == [heap_levels(totals)[c.level][c.index] for c in cubes]

@@ -39,6 +39,7 @@ from weightlab import (
     weak_lp_norm,
 )
 from weightlab.characteristics import a_infty_fw_per_level
+from weightlab.grid import heap_levels
 
 DEPTHS = (6, 8, 10)
 
@@ -64,16 +65,18 @@ def _assert_levels_equal(got, want):
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_a_infty_per_level_matches_matrix(w, depth):
     grid = DyadicGrid(depth)
-    _assert_levels_equal(a_infty_fw_per_level(w, grid), oracle_a_infty_fw_per_level(w, grid))
+    _assert_levels_equal(
+        heap_levels(a_infty_fw_per_level(w, grid)), oracle_a_infty_fw_per_level(w, grid)
+    )
 
 
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_a_infty_leaves_cached_pyramid_intact(w):
     grid = DyadicGrid(7)
-    before = [level.copy() for level in w.pyramid(grid, 1.0)]
-    first = a_infty_fw_per_level(w, grid)
-    _assert_levels_equal(w.pyramid(grid, 1.0), before)
-    _assert_levels_equal(a_infty_fw_per_level(w, grid), first)
+    before = [level.copy() for level in heap_levels(w.pyramid(grid, 1.0))]
+    first = heap_levels(a_infty_fw_per_level(w, grid))
+    _assert_levels_equal(heap_levels(w.pyramid(grid, 1.0)), before)
+    _assert_levels_equal(heap_levels(a_infty_fw_per_level(w, grid)), first)
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

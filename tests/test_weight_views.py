@@ -17,6 +17,7 @@ from weightlab import (
     pow_weight,
     q0_star_of,
 )
+from weightlab.grid import heap_levels
 from weightlab.serialize import dump_json
 
 # w**-1, w**2, w**{q0*} (window q0 = 6) and σ = w**{1-p'} (p = 3)
@@ -70,13 +71,13 @@ class TestViewsShareTheStore:
     def test_stored_pyramids_are_read_only(self, grid6):
         w = seeded_tabulated_weights(1)[0]
         sigma = dual_weight(w, 2.0)
-        before = [level.copy() for level in w.pyramid(grid6, -1.0)]
-        for level in sigma.pyramid(grid6, 1.0):
+        before = [level.copy() for level in heap_levels(w.pyramid(grid6, -1.0))]
+        for level in heap_levels(sigma.pyramid(grid6, 1.0)):
             with pytest.raises(ValueError):
                 level[0] = 0.0
             with pytest.raises(ValueError):
                 level *= 2.0
-        assert _same_bytes(w.pyramid(grid6, -1.0), before)
+        assert _same_bytes(heap_levels(w.pyramid(grid6, -1.0)), before)
 
 
 @pytest.mark.parametrize("depth", [6, 10])
@@ -98,7 +99,9 @@ def test_views_agree_with_cold_copies(depth, s, i):
             assert view.moment_admissible(t) == oracle.moment_admissible(t), (name, t)
             if not oracle.moment_admissible(t):
                 continue
-            for got, want in zip(view.pyramid(grid, t), oracle.pyramid(grid, t)):
+            for got, want in zip(
+                heap_levels(view.pyramid(grid, t)), heap_levels(oracle.pyramid(grid, t))
+            ):
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=name)
 
 
@@ -109,7 +112,7 @@ class TestFillOrder:
             for t in MOMENTS:
                 view_pyr = pow_weight(view_first, s).pyramid(grid8, t)
                 base_pyr = base_first.pyramid(grid8, s * t)
-                assert _same_bytes(view_pyr, base_pyr)
+                assert _same_bytes(heap_levels(view_pyr), heap_levels(base_pyr))
                 assert view_first.pyramid(grid8, s * t) is view_pyr
 
     @pytest.mark.parametrize(
@@ -127,4 +130,4 @@ class TestFillOrder:
         assert w_views._pyramids.keys() == w_base._pyramids.keys()
         assert dump_json(evaluate_bounds(w_views, grid8, 1.0, 4.0).to_jsonable()) == expected
         for key, pyr in w_base._pyramids.items():
-            assert _same_bytes(w_views._pyramids[key], pyr)
+            assert _same_bytes(heap_levels(w_views._pyramids[key]), heap_levels(pyr))
