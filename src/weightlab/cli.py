@@ -146,8 +146,8 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
     q0s = float(args.q0_star)
-    if not q0s >= 1.0:
-        raise ConfigError(f"the integrability exponent must be >= 1, got {q0s}")
+    if not q0s > 1.0:
+        raise ConfigError(f"the integrability exponent must be > 1, got {q0s}")
     if args.eps_grid < 1:
         raise ConfigError("--eps-grid must be at least 1")
     if args.subsets < 0:
@@ -166,11 +166,13 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
                 worst = max(worst, float(ratio.max()))
                 yield ["self-improve", level, np.arange(lhs.size), eps, lhs, rhs, ratio]
         if args.subsets > 0:
-            for cube, eps, chk in random_subset_checks(
-                w, q0s, epsilons, grid, args.subsets, args.seed
-            ):
-                worst = max(worst, chk.ratio)
-                yield ["subset", cube.level, cube.index, eps, chk.lhs, chk.rhs, chk.ratio]
+            cubes, eps, checks = zip(
+                *random_subset_checks(w, q0s, epsilons, grid, args.subsets, args.seed)
+            )
+            ratios = [chk.ratio for chk in checks]
+            worst = max(worst, *ratios)
+            yield ["subset", [c.level for c in cubes], [c.index for c in cubes], eps,
+                   [chk.lhs for chk in checks], [chk.rhs for chk in checks], ratios]
 
     n_rows = write_csv(columns, blocks(), args.csv)
     print(f"verify-gehring: {n_rows} checks, epsilon_max={eps_max!r}, "

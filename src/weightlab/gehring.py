@@ -13,7 +13,13 @@ comparison
     w^q(E)/w^q(Q)  ≤  2^{1/θ} · [w]_{RH_q}^{(q+ε)/θ} · (w(E)/w(Q))^{1/θ'}
 
 with ``θ = (q+ε−1)/(q−1)`` — the explicit constant ``2^{1/θ}`` makes the
-check falsifiable rather than vacuous. :func:`max_epsilon_empirical` probes
+check falsifiable rather than vacuous. :func:`random_subset_checks` runs it on
+seeded random pairs ``E ⊂ Q``, each evaluated on its cube's cells alone: the
+measures of ``E`` are sums over ``Q``'s slice of the finest cells, those of
+``Q`` are read from the pyramids. An empty ``E`` has both sides 0 and ratio 0;
+a side that is not a number (a cube whose ``w^q`` measure underflowed to 0)
+or ``rhs = 0`` under ``lhs > 0`` leaves the check unverified, with ratio
+``inf``, as in :func:`sharp_rh_levels`. :func:`max_epsilon_empirical` probes
 how far ε can actually be pushed on a finite grid, for comparison with the
 proven range and with the conjectured scale ``c / [w]_{RH_q}^q``.
 """
@@ -28,7 +34,7 @@ import numpy as np
 
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
-from .grid import CellSet, DyadicCube, DyadicGrid, heap_levels, to_averages
+from .grid import CellSet, DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages
 from .profiles import GehringProfile
 from .weights import PowerWeight, Weight, measure, pow_weight
 
@@ -63,9 +69,15 @@ class InequalityCheck:
 
     @property
     def ratio(self) -> float:
-        if self.lhs == 0.0:
+        """``lhs/rhs``, 0 when ``lhs`` is 0 (an empty subset: both sides 0), and
+        ``inf`` for an unverified check: a side that is not a number, or
+        ``rhs = 0`` under ``lhs > 0``.  Never NaN, never an error."""
+        if self.lhs == 0.0 and not math.isnan(self.rhs):
             return 0.0
-        return self.lhs / self.rhs
+        if self.rhs == 0.0:
+            return math.inf
+        ratio = self.lhs / self.rhs
+        return math.inf if math.isnan(ratio) else ratio
 
     @property
     def passed(self) -> bool:
@@ -110,6 +122,21 @@ def sharp_rh_max_ratio(
     return max(float(ratio.max()) for *_, ratio in levels)
 
 
+def _subset_sides(
+    profile: GehringProfile, rh: float, wq_e, wq_q, w_e, w_q
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of the subset bound from the measures ``w^q(E)``,
+    ``w^q(Q)``, ``w(E)``, ``w(Q)``, scalars or arrays alike:
+    ``lhs = w^q(E)/w^q(Q)`` and ``rhs = 2^{1/θ}·rh^{(q+ε)/θ}·(w(E)/w(Q))^{1/θ'}``,
+    left to right.  A measure of Q that underflowed to 0 gives NaN or inf, not
+    an error."""
+    scale = 2.0 ** (1.0 / profile.theta) * rh ** (
+        (profile.q0_star + profile.epsilon) / profile.theta
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(wq_e, wq_q), scale * np.divide(w_e, w_q) ** (1.0 / profile.theta_conj)
+
+
 def verify_subset_bound(
     w: Weight,
     q0_star: float,
@@ -133,16 +160,15 @@ def verify_subset_bound(
     if rh is None:
         rh = rh_constant(w, q0_star, grid)
     wq = pow_weight(w, q0_star)
-    lhs_num = measure(wq, grid, cells)
-    lhs_den = wq.cube_integral(grid, cube, 1.0)
-    lhs = lhs_num / lhs_den
-    frac = measure(w, grid, cells) / w.cube_integral(grid, cube, 1.0)
-    rhs = (
-        2.0 ** (1.0 / profile.theta)
-        * rh ** ((q0_star + profile.epsilon) / profile.theta)
-        * frac ** (1.0 / profile.theta_conj)
+    lhs, rhs = _subset_sides(
+        profile,
+        rh,
+        measure(wq, grid, cells),
+        wq.cube_integral(grid, cube, 1.0),
+        measure(w, grid, cells),
+        w.cube_integral(grid, cube, 1.0),
     )
-    return InequalityCheck(lhs=lhs, rhs=rhs)
+    return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
 @dataclass(frozen=True)
@@ -244,25 +270,46 @@ def random_subset_checks(
 
     Samples cycle through the supplied ε values.  Cubes are drawn uniformly
     over levels 0..depth (then index), subsets as fair coin flips over the
-    cube's finest cells; empty draws have ratio 0.  One entry per sample.
+    cube's finest cells.  Each sample costs ``O(|Q|)``: ``w(E)`` and
+    ``w^q(E)`` are sums over the cube's slice of the finest cells, and
+    ``w(Q)``, ``w^q(Q)`` are read from the pyramids.  An empty draw has
+    ratio 0; a draw whose sides are not numbers (a cube whose ``w^q``
+    measure underflowed to 0) is unverified, with ratio ``inf``.  One entry
+    per sample.
     """
     if not epsilons:
         raise ValueError("need at least one epsilon value")
+    n_samples = max(n_samples, 0)
     rng = np.random.default_rng(seed)
     rh = rh_constant(w, q0_star, grid)
     eps_max = epsilon_range(w, q0_star, grid)
-    out: List[Tuple[DyadicCube, float, InequalityCheck]] = []
+    profiles = [  # the ε values in use, checked before any draw
+        GehringProfile(q0_star=float(q0_star), epsilon=float(eps), epsilon_max=eps_max)
+        for eps in epsilons[:n_samples]
+    ]
+    w_heap = w.pyramid(grid, 1.0)
+    wq_heap = pow_weight(w, q0_star).pyramid(grid, 1.0)
+    w_cells, wq_cells = heap_levels(w_heap)[-1], heap_levels(wq_heap)[-1]
+    cubes: List[DyadicCube] = []
+    w_e, wq_e = np.empty(n_samples), np.empty(n_samples)
     for i in range(n_samples):
         level = int(rng.integers(0, grid.depth + 1))
         index = int(rng.integers(0, 1 << level))
         cube = DyadicCube(level, index)
         start, stop = cube.cell_range(grid.depth)
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[start:stop] = rng.random(stop - start) < 0.5
-        eps = float(epsilons[i % len(epsilons)])
-        check = verify_subset_bound(
-            w, q0_star, eps, cube, CellSet(mask), grid, rh=rh, epsilon_max=eps_max
+        sub = rng.random(stop - start) < 0.5
+        w_e[i] = (w_cells[start:stop] * sub).sum()
+        wq_e[i] = (wq_cells[start:stop] * sub).sum()
+        cubes.append(cube)
+    ids = cube_ids(cubes)
+    lhs, rhs = np.empty(n_samples), np.empty(n_samples)
+    step = len(epsilons)
+    for j, profile in enumerate(profiles):  # sample i uses ε number i % step
+        at = slice(j, None, step)
+        lhs[at], rhs[at] = _subset_sides(
+            profile, rh, wq_e[at], wq_heap[ids[at]], w_e[at], w_heap[ids[at]]
         )
-        out.append((cube, eps, check))
-    return out
-
+    return [
+        (cube, profiles[i % step].epsilon, InequalityCheck(lhs=a, rhs=b))
+        for i, (cube, a, b) in enumerate(zip(cubes, lhs.tolist(), rhs.tolist()))
+    ]

@@ -19,6 +19,7 @@ from weightlab import (
     DyadicGrid,
     ExponentProfile,
     GehringProfile,
+    InequalityCheck,
     OperatorNormRow,
     PowerWeight,
     SparseFamily,
@@ -39,6 +40,7 @@ from weightlab import (
     heap_levels,
     strong_lp_norm,
     unit_weight,
+    verify_subset_bound,
     weak_lp_norm,
 )
 
@@ -665,6 +667,36 @@ def oracle_sharp_rh(
         rhs = 2.0 * rh**t * mean**t
         rows.append((cube.level, cube.index, lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs))
     return rows
+
+
+def oracle_random_subset_checks(
+    w: Weight,
+    q0_star: float,
+    epsilons: Sequence[float],
+    grid: DyadicGrid,
+    n_samples: int,
+    seed: int,
+) -> List[Tuple[DyadicCube, float, InequalityCheck]]:
+    """The subset scan one sample at a time: the same draws as
+    ``random_subset_checks``, each subset a full ``2**L`` cell mask checked by
+    ``verify_subset_bound``, so every measure is a masked sum over all cells."""
+    rng = np.random.default_rng(seed)
+    rh = rh_constant(w, q0_star, grid)
+    eps_max = epsilon_range(w, q0_star, grid)
+    out = []
+    for i in range(n_samples):
+        level = int(rng.integers(0, grid.depth + 1))
+        index = int(rng.integers(0, 1 << level))
+        cube = DyadicCube(level, index)
+        start, stop = cube.cell_range(grid.depth)
+        mask = np.zeros(grid.n_cells, dtype=bool)
+        mask[start:stop] = rng.random(stop - start) < 0.5
+        eps = float(epsilons[i % len(epsilons)])
+        check = verify_subset_bound(
+            w, q0_star, eps, cube, CellSet(mask), grid, rh=rh, epsilon_max=eps_max
+        )
+        out.append((cube, eps, check))
+    return out
 
 
 # --- dense corpus oracles: every corpus function as a full 2**L vector -------------------

@@ -450,6 +450,14 @@ class TestUsageErrors:
         assert out == ""
         assert "error:" in err and "--subsets" in err
 
+    @pytest.mark.parametrize("q0_star", ["1", "0.5", "nan"])
+    def test_integrability_exponent_must_exceed_one(self, q0_star, capsys):
+        code, out, err = run_cli(
+            ["verify-gehring", "--unit-weight", "--L", "3", "--q0-star", q0_star], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: the integrability exponent must be > 1, got {float(q0_star)}\n"
+
     def test_weight_file_with_wrong_length(self, tmp_path, capsys):
         wfile = write_lines(tmp_path / "w.txt", [1.0, 2.0, 3.0])
         code, _, err = run_cli(["char", "--weight-file", wfile, "--L", "4"], capsys)

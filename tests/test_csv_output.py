@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dump_csv, seeded_tabulated_weights
+from helpers import dump_csv, oracle_random_subset_checks, seeded_tabulated_weights
 from weightlab import (
     DyadicGrid,
     PowerWeight,
@@ -119,7 +119,8 @@ def test_a_block_must_match_the_columns(tmp_path):
 # --- every CSV subcommand against rows rebuilt from the library --------------------------
 
 
-def _verify_gehring_rows(w: Weight, grid: DyadicGrid, eps_grid: int, subsets: int, seed: int):
+def _verify_gehring_rows(w: Weight, grid: DyadicGrid, eps_grid: int, subsets: int, seed: int,
+                         subset_checks=random_subset_checks):
     eps_max = epsilon_range(w, 2.0, grid)
     rh = rh_constant(w, 2.0, grid)
     epsilons = [eps_max * i / eps_grid for i in range(1, eps_grid + 1)]
@@ -131,7 +132,7 @@ def _verify_gehring_rows(w: Weight, grid: DyadicGrid, eps_grid: int, subsets: in
                 ["self-improve", level, i, eps, float(a), float(b), float(r)]
                 for i, (a, b, r) in enumerate(zip(lhs, rhs, ratio))
             )
-    for cube, eps, chk in random_subset_checks(w, 2.0, epsilons, grid, subsets, seed):
+    for cube, eps, chk in subset_checks(w, 2.0, epsilons, grid, subsets, seed):
         rows.append(["subset", cube.level, cube.index, eps, chk.lhs, chk.rhs, chk.ratio])
     return rows
 
@@ -214,6 +215,35 @@ def test_verify_gehring_csv_is_the_oracle_rendering(source, tmp_path, capsys):
     rows = _verify_gehring_rows(w, grid, 3, 5, 11)
     assert target.read_bytes() == dump_csv(GEHRING_COLUMNS, rows).encode()
     assert f"verify-gehring: {len(rows)} checks," in err
+
+
+@pytest.mark.parametrize("source", ["power", "file"])
+def test_verify_gehring_csv_against_the_masked_subset_oracle(source, tmp_path, capsys):
+    # the subset rows come from the per-sample oracle here, which the library
+    # rows above cannot show: self-improve lines are the same bytes, subset
+    # lines the same cube and epsilon with sides within 1e-13 relative
+    grid = DyadicGrid(9)
+    if source == "power":
+        w, flags = PowerWeight(-0.25), ["--power", "-0.25"]
+    else:
+        w, path = _tabulated(tmp_path, grid)
+        flags = ["--weight-file", path]
+    target = tmp_path / "g.csv"
+    argv = ["verify-gehring", *flags, "--L", "9", "--eps-grid", "4", "--subsets", "400",
+            "--seed", "5", "--csv", str(target)]
+    code, _, _ = _run(argv, capsys)
+    assert code == 0
+    rows = _verify_gehring_rows(w, grid, 4, 400, 5, subset_checks=oracle_random_subset_checks)
+    got = target.read_text(encoding="utf-8").splitlines()
+    want = dump_csv(GEHRING_COLUMNS, rows).splitlines()
+    assert len(got) == len(want)
+    n_self = 2 + sum(row[0] == "self-improve" for row in rows)  # after the two header lines
+    assert got[:n_self] == want[:n_self]
+    for line, expected in zip(got[n_self:], want[n_self:]):
+        fields, oracle = line.split(","), expected.split(",")
+        assert fields[:4] == oracle[:4]
+        for a, b in zip(map(float, fields[4:]), map(float, oracle[4:])):
+            assert a == b or abs(a - b) <= 1e-13 * max(abs(a), abs(b))
 
 
 @pytest.mark.parametrize("source", ["power", "file"])

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,12 +18,15 @@ from weightlab import (
     DIMENSIONAL_FACTOR,
     DyadicCube,
     DyadicGrid,
+    InequalityCheck,
     PowerWeight,
     SubsetError,
     TabulatedWeight,
     epsilon_range,
+    gehring,
     gehring_profile,
     max_epsilon_empirical,
+    pow_weight,
     random_subset_checks,
     rh_constant,
     sharp_rh_levels,
@@ -196,6 +202,88 @@ class TestSubsetBound:
             assert len(built) == len(w._pyramids)
             stores.append(sorted(w._pyramids))
         assert stores[0] == stores[1]
+
+    def test_subset_samples_make_no_view_or_cell_set_per_sample(self, grid6, monkeypatch):
+        # a sample sums its cube's slice: the w^q view is made before the draws,
+        # and no cell set over all 2**L cells is built for a sample
+        calls = []
+        monkeypatch.setattr(
+            gehring, "pow_weight", lambda *args: calls.append(1) or pow_weight(*args)
+        )
+
+        def no_cell_set(*args, **kwargs):
+            raise AssertionError("a sample built a CellSet")
+
+        monkeypatch.setattr(gehring, "CellSet", no_cell_set)
+        counts = []
+        for n_samples in (1, 200):
+            calls.clear()
+            w = seeded_tabulated_weights(1)[0]
+            random_subset_checks(w, 2.0, [0.05, 0.1], grid6, n_samples, seed=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+# 1 and 2.3e-162 alternating: w^2 of a tiny cell times the cell length 1/16
+# underflows to 0, so a one-cell cube on a tiny cell has w^q(Q) = 0
+TINY_VALUES = [1.0, 2.3e-162] * 8
+
+
+class TestUnverifiedSubsetRows:
+    @pytest.mark.parametrize(
+        "lhs, rhs, ratio",
+        [
+            (0.0, 0.0, 0.0),  # an empty draw
+            (0.0, 2.0, 0.0),
+            (1.0, 2.0, 0.5),
+            (1.0, 0.0, math.inf),
+            (math.nan, 2.0, math.inf),
+            (math.nan, 0.0, math.inf),
+            (0.0, math.nan, math.inf),
+            (1.0, math.nan, math.inf),
+            (math.inf, math.inf, math.inf),
+            (math.inf, 2.0, math.inf),
+        ],
+    )
+    def test_ratio_rule(self, lhs, rhs, ratio):
+        chk = InequalityCheck(lhs=lhs, rhs=rhs)
+        assert chk.ratio == ratio
+        assert chk.passed == (ratio <= 1.0)
+
+    def test_underflowed_cube_is_unverified_not_an_error(self):
+        w, grid = TabulatedWeight(TINY_VALUES), DyadicGrid(4)
+        tiny = DyadicCube(4, 1)
+        chk = verify_subset_bound(w, 2.0, 0.2, tiny, CellSet.from_cube(grid, tiny), grid)
+        assert math.isnan(chk.lhs) and chk.ratio == math.inf and not chk.passed
+        empty = verify_subset_bound(w, 2.0, 0.2, DyadicCube(4, 0), CellSet.empty(grid), grid)
+        assert (empty.lhs, empty.rhs, empty.ratio) == (0.0, 0.0, 0.0)
+
+    def test_random_subsets_report_underflowed_cubes_as_failing(self):
+        w, grid = TabulatedWeight(TINY_VALUES), DyadicGrid(4)
+        eps = epsilon_range(w, 2.0, grid)
+        rows = random_subset_checks(w, 2.0, [eps], grid, 50, seed=2024)
+        on_tiny = [chk for cube, _, chk in rows if cube.level == 4 and cube.index % 2]
+        others = [chk for cube, _, chk in rows if not (cube.level == 4 and cube.index % 2)]
+        assert on_tiny and all(chk.ratio == math.inf for chk in on_tiny)
+        assert all(0.0 <= chk.ratio <= 1.0 for chk in others)
+        assert any(chk.lhs == chk.rhs == chk.ratio == 0.0 for chk in others)
+
+    def test_cli_exits_one_without_a_traceback(self, tmp_path):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("".join(f"{v}\n" for v in TINY_VALUES), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(weights.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightlab.cli", "verify-gehring", "--weight-file",
+             str(wfile), "--L", "4", "--eps-grid", "1", "--subsets", "50"],
+            capture_output=True, text=True, check=False, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith("worst ratio=inf\n")
+        ratios = [ln.split(",")[-1] for ln in proc.stdout.splitlines() if ln.startswith("subset,")]
+        assert len(ratios) == 50 and "inf" in ratios and "nan" not in ratios
 
 
 class TestGehringProfileHelper:
