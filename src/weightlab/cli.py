@@ -228,7 +228,7 @@ def _cmd_weak_norm(args: argparse.Namespace) -> int:
     def table() -> Iterator[List[object]]:
         nonlocal best
         corpus = function_corpus(grid, seed=args.seed)
-        best, rows = empirical_weak_operator_norm(w, grid, p=args.p, corpus=corpus)
+        [(best, rows)] = empirical_weak_operator_norm([w], grid, p=args.p, corpus=corpus)
         for r in rows:
             yield [r.name, r.strong_norm, r.weak_norm_sf, r.ratio]
 
@@ -316,16 +316,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                "weak_bound_pinned", "strong_bound", "empirical_weak", "c0"]
 
     def rows() -> Iterator[List[object]]:
-        corpus = function_corpus(grid, seed=args.seed)
         ones = np.ones(grid.n_cells, dtype=np.float64)
-        for alpha in alphas:
-            w: Weight = unit_weight() if alpha == 0.0 else PowerWeight(float(alpha))
+        weights = [unit_weight() if a == 0.0 else PowerWeight(float(a)) for a in alphas]
+        corpus = function_corpus(grid, seed=args.seed)
+        scans = empirical_weak_operator_norm(weights, grid, p=2.0, corpus=corpus)
+        del corpus  # needed by the one scan only
+        for alpha, (empirical, _) in zip(alphas, scans):
+            w = weights.pop(0)  # released once its row is written
             bounds = evaluate_bounds(w, grid, profile.p0, q0)
             pinned_eta = simplified_weak_type_factor(
                 bounds.rh_char, bounds.a_infty_char, bounds.q0_star, bounds.a_infty_pow_char
             )
             pinned = math.sqrt(bounds.ap_char * bounds.rh_char * pinned_eta)
-            empirical, _ = empirical_weak_operator_norm(w, grid, p=2.0, corpus=corpus)
             family = default_trace_family(ones, w, grid, profile.p0)
             trace = trace_proof(ones, w, grid, profile, family)
             yield [float(alpha), grid.depth, bounds.ap_char, bounds.rh_char,

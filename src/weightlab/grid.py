@@ -283,9 +283,6 @@ class CellSet:
         """Lebesgue measure = (member cell count) / (total cell count)."""
         return self.cell_count / self.n_cells
 
-    def is_empty(self) -> bool:
-        return not bool(self.mask.any())
-
     def union(self, other: "CellSet") -> "CellSet":
         return CellSet(self.mask | other.mask)
 

@@ -17,6 +17,7 @@ from weightlab import (
     ConfigError,
     DyadicCube,
     DyadicGrid,
+    EquivalenceScaffold,
     ExponentProfile,
     GehringProfile,
     InequalityCheck,
@@ -38,10 +39,12 @@ from weightlab import (
     dual_weight,
     rh_constant,
     heap_levels,
+    square_function_from_cell_integrals,
     strong_lp_norm,
     unit_weight,
     verify_subset_bound,
     weak_lp_norm,
+    weighted_l2_norm_sq,
 )
 
 POWER_ALPHAS = (-0.375, -0.25, -0.125, 0.125, 0.25, 0.375)
@@ -758,6 +761,73 @@ def oracle_maximal_weak_constant(
             weak = weak_lp_norm(maximal_p0(fn.values, grid, p0), w, grid, 2.0)
             best = max(best, weak / (ap_sqrt * strong))
     return best
+
+
+# --- per-weight corpus scans and the per-level-set scaffold ------------------------------
+
+
+def oracle_natural_depth_rows(
+    w: Weight, grid: DyadicGrid, p: float, corpus
+) -> Tuple[float, List[OperatorNormRow]]:
+    """Operator-norm rows of one weight, each function at its natural depth:
+    its square function and level sets rebuilt for this weight alone."""
+    rows: List[OperatorNormRow] = []
+    for fn in corpus:
+        d = fn.depth
+        strong = strong_lp_norm(fn.cells, w, grid, p, level=d)
+        sf = dyadic_square_function(fn.cells, DyadicGrid(d))
+        weak = weak_lp_norm(sf, w, grid, p, level=d)
+        rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
+    return max((row.ratio for row in rows), default=0.0), rows
+
+
+def oracle_natural_depth_maximal_constant(
+    w: Weight, grid: DyadicGrid, p0: float, ap_sqrt: float, corpus
+) -> float:
+    """Empirical maximal-function constant of one weight, each function at
+    its natural depth."""
+    ratios = []
+    for fn in corpus:
+        d = fn.depth
+        strong = strong_lp_norm(fn.cells, w, grid, 2.0, level=d)
+        if strong == 0.0:
+            ratios.append(0.0)
+            continue
+        weak = weak_lp_norm(maximal_p0(fn.cells, DyadicGrid(d), p0), w, grid, 2.0, level=d)
+        ratios.append(weak / (ap_sqrt * strong))
+    return max(ratios, default=0.0)
+
+
+def oracle_equivalence_scaffold(
+    f: np.ndarray, w: Weight, grid: DyadicGrid
+) -> EquivalenceScaffold:
+    """The good-subset scaffold with one ``N``-cell mask per level set of
+    ``S(fσ)`` and masked sums for ``w(G)`` and each pairing."""
+    sigma = dual_weight(w, 2.0)
+    fvals = grid.check_values(f)
+    norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
+    if norm_sq == 0.0:
+        return EquivalenceScaffold(0.0, 0.0, 0)
+    norm = math.sqrt(norm_sq)
+    sf = square_function_from_cell_integrals(
+        fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1], grid
+    )
+    n2 = weak_lp_norm(sf, w, grid, 2.0) / norm
+    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
+    sf_sq_w = sf * sf * cellw
+    masks = [sf >= v for v in np.unique(sf[sf > 0.0])[::-1]]
+    masks.append(np.ones(grid.n_cells, dtype=bool))
+    pairing_sup = 0.0
+    tested = 0
+    for mask in masks:
+        w_g = float(np.sum(cellw, where=mask))
+        if w_g <= 0.0:
+            continue
+        tested += 1
+        threshold = 2.0 * n2 * norm / math.sqrt(w_g)
+        good = mask & (sf <= threshold)
+        pairing_sup = max(pairing_sup, float(np.sum(sf_sq_w, where=good)) / norm_sq)
+    return EquivalenceScaffold(n2 * n2, pairing_sup, tested)
 
 
 # --- value files read a line at a time -----------------------------------------------------

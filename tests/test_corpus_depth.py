@@ -76,7 +76,7 @@ def test_rows_match_the_dense_oracle(depth):
     corpus = function_corpus(grid, n_random=8)
     for w in _weights(depth):
         for p in (2.0, 1.5):
-            best, rows = empirical_weak_operator_norm(w, grid, p=p, corpus=corpus)
+            [(best, rows)] = empirical_weak_operator_norm([w], grid, p=p, corpus=corpus)
             want = oracle_corpus_rows(w, grid, p, corpus)
             assert [r.name for r in rows] == [r.name for r in want]
             for got, ref in zip(rows, want):

@@ -19,7 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dump_csv, oracle_random_subset_checks, seeded_tabulated_weights
+from helpers import (
+    dump_csv,
+    oracle_natural_depth_rows,
+    oracle_random_subset_checks,
+    seeded_tabulated_weights,
+)
 from weightlab import (
     DyadicGrid,
     PowerWeight,
@@ -139,7 +144,7 @@ def _verify_gehring_rows(w: Weight, grid: DyadicGrid, eps_grid: int, subsets: in
 
 def _weak_norm_rows(w: Weight, grid: DyadicGrid, seed: int):
     corpus = function_corpus(grid, seed=seed)
-    _, rows = empirical_weak_operator_norm(w, grid, p=2.0, corpus=corpus)
+    [(_, rows)] = empirical_weak_operator_norm([w], grid, p=2.0, corpus=corpus)
     return [[r.name, r.strong_norm, r.weak_norm_sf, r.ratio] for r in rows]
 
 
@@ -164,7 +169,7 @@ def _sweep_rows(grid: DyadicGrid, alphas):
         eta = simplified_weak_type_factor(
             bounds.rh_char, bounds.a_infty_char, bounds.q0_star, bounds.a_infty_pow_char
         )
-        empirical, _ = empirical_weak_operator_norm(w, grid, p=2.0, corpus=corpus)
+        empirical, _ = oracle_natural_depth_rows(w, grid, 2.0, corpus)
         trace = trace_proof(ones, w, grid, ExponentProfile(p0=1.0, q0=4.0),
                             default_trace_family(ones, w, grid, 1.0))
         rows.append([float(alpha), grid.depth, bounds.ap_char, bounds.rh_char,
@@ -276,13 +281,16 @@ def test_trace_proof_csv_is_the_oracle_rendering(tmp_path, capsys):
     assert target.read_bytes() == dump_csv(TRACE_COLUMNS, rows).encode()
 
 
-def test_sweep_csv_is_the_oracle_rendering(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "depth, alpha_max, steps", [(6, 0.25, 3), (10, 0.375, 7)], ids=["L6-3a", "L10-7a"]
+)
+def test_sweep_csv_is_the_oracle_rendering(depth, alpha_max, steps, tmp_path, capsys):
     target = tmp_path / "s.csv"
-    argv = ["sweep", "--L", "6", "--alpha-min", "-0.25", "--alpha-max", "0.25",
-            "--alpha-steps", "3", "--csv", str(target)]
+    argv = ["sweep", "--L", str(depth), "--alpha-min", str(-alpha_max), "--alpha-max",
+            str(alpha_max), "--alpha-steps", str(steps), "--csv", str(target)]
     code, _, _ = _run(argv, capsys)
     assert code == 0
-    rows = _sweep_rows(DyadicGrid(6), np.linspace(-0.25, 0.25, 3))
+    rows = _sweep_rows(DyadicGrid(depth), np.linspace(-alpha_max, alpha_max, steps))
     assert target.read_bytes() == dump_csv(SWEEP_COLUMNS, rows).encode()
 
 
@@ -351,6 +359,7 @@ def test_unwritable_output_exits_two_with_one_error_line(name, tmp_path, capsys)
         (["verify-gehring", "--power", "-0.25", "--L", "3"], "sharp_rh_levels"),
         (["weak-norm", "--power", "-0.25", "--L", "3"], "empirical_weak_operator_norm"),
         (["sweep", "--L", "3"], "evaluate_bounds"),
+        (["sweep", "--L", "3"], "empirical_weak_operator_norm"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else v,
 )
