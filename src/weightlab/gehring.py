@@ -21,14 +21,18 @@ a side that is not a number (a cube whose ``w^q`` measure underflowed to 0)
 or ``rhs = 0`` under ``lhs > 0`` leaves the check unverified, with ratio
 ``inf``, as in :func:`sharp_rh_levels`. :func:`max_epsilon_empirical` probes
 how far ε can actually be pushed on a finite grid, for comparison with the
-proven range and with the conjectured scale ``c / [w]_{RH_q}^q``.
+proven range and with the conjectured scale ``c / [w]_{RH_q}^q``. It bisects
+on the moment ``t = q + ε``. The worst log ratio ``max_Q log r_Q(t)`` is
+convex in ``t`` (``log ⨍_Q w^t`` is convex by Hölder, the rest is affine),
+so the chords and secants of earlier kernel passes decide most probes, and
+:func:`sharp_rh_levels` runs only on the probes they leave open.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,6 +175,43 @@ def verify_subset_bound(
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
+_CERTIFICATE_SLACK = 1e-9  # far above the ~1e-13 rounding of a computed log worst
+
+
+def _convexity_verdict(
+    points: Dict[float, float], t: float, log_threshold: float
+) -> Optional[bool]:
+    """What convexity of ``F(t) = max_Q log r_Q(t)`` decides about ``F(t) ≤ log_threshold``.
+
+    ``points`` maps each evaluated ``t_i`` to ``F(t_i)``. Between its two nearest
+    points ``a < t < b``, ``F(t)`` lies below their chord: ``True`` when the
+    chord is below the threshold by the slack. Beyond two points ``a < b`` on
+    one side, ``F(t)`` lies above their secant: ``False`` when the secant is
+    above the threshold by the slack. Otherwise ``None``. The slack,
+    ``1e-9·(1 + |t−a|/(b−a) + |t−b|/(b−a))``, covers the rounding of the two
+    values, which the extrapolation magnifies.
+    """
+    below = sorted(pt for pt in points.items() if pt[0] < t)
+    above = sorted(pt for pt in points.items() if pt[0] > t)
+
+    def line(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float, float]:
+        (ta, fa), (tb, fb) = a, b
+        width = tb - ta
+        slack = _CERTIFICATE_SLACK * (1.0 + abs(t - ta) / width + abs(t - tb) / width)
+        return fa + (fb - fa) * (t - ta) / width, slack
+
+    if below and above:
+        chord, slack = line(below[-1], above[0])
+        if chord < log_threshold - slack:
+            return True
+    for pair in (below[-2:], above[:2]):
+        if len(pair) == 2:
+            secant, slack = line(*pair)
+            if secant > log_threshold + slack:
+                return False
+    return None
+
+
 @dataclass(frozen=True)
 class EpsilonSearchResult:
     """Outcome of the empirical maximal-increment search at one resolution."""
@@ -195,13 +236,20 @@ def max_epsilon_empirical(
 ) -> EpsilonSearchResult:
     """Largest ε with ⨍_Q w^{p+ε} ≤ factor·[w]_{RH_p}^{p+ε}(⨍_Q w)^{p+ε} on all cubes.
 
-    The pass predicate is monotone in ε (interpolating the moment between the
-    exponents p and p+ε shows failures persist as ε grows), so a bisection to
-    relative precision ``rel_precision`` is sound. The search domain is capped
-    by moment admissibility (for power weights ``x^α`` with α < 0 the moment
-    p+ε must keep α(p+ε) > −1); a hit of the cap is reported, not an error.
-    Reported alongside: the proven range and the conjectured scale
-    ``1/[w]_{RH_p}^p``.
+    A bisection on the moment ``t = p + ε``, to relative precision
+    ``rel_precision``: a probe passes when every ratio of
+    :func:`sharp_rh_levels` is at most ``factor/2`` (up to the ``1e-12``
+    slack of every verifier). The worst log ratio ``F(t) = max_Q log r_Q(t)``
+    is convex in ``t``, for tabulated and power weights alike: ``log ⨍_Q w^t``
+    is convex by Hölder and the rest of ``log r_Q(t)`` is affine. So the
+    kernel runs only on a probe that :func:`_convexity_verdict` cannot decide
+    from the values of ``F`` at earlier kernel passes; a pass whose worst
+    ratio is not finite and positive fails and adds no point. The probes and
+    their answers are the plain bisection's, so the result is too, bit for
+    bit. The search domain is capped by moment admissibility (for power
+    weights ``x^α`` with α < 0 the moment p+ε must keep α(p+ε) > −1); a hit
+    of the cap is reported, not an error. Reported alongside: the proven
+    range and the conjectured scale ``1/[w]_{RH_p}^p``.
     """
     p = float(p)
     if not p > 1.0:
@@ -214,42 +262,41 @@ def max_epsilon_empirical(
                 f"weight {w.describe()} admits no moment beyond exponent {p}"
             )
 
-    def passes(eps: float) -> bool:
-        # the kernel normalises by the constant 2; rescale to `factor`.
-        levels = sharp_rh_levels(w, p + eps, rh, grid)
-        worst = max(float(ratio.max()) for *_, ratio in levels)
-        return worst <= (factor / 2.0) * (1.0 + 1e-12)
+    # the kernel normalises by the constant 2; rescale to `factor`.
+    threshold = (factor / 2.0) * (1.0 + 1e-12)
+    log_threshold = math.log(threshold) if threshold > 0.0 else math.nan
+    points: Dict[float, float] = {}  # t -> log worst, from the kernel passes
 
-    # The RH-constant definition makes tiny ε pass: ⨍w^p ≤ [w]_{RH_p}^p ⟨w⟩^p.
+    def passes(eps: float) -> bool:
+        t = p + eps
+        verdict = _convexity_verdict(points, t, log_threshold)
+        if verdict is not None:
+            return verdict
+        worst = max(float(ratio.max()) for *_, ratio in sharp_rh_levels(w, t, rh, grid))
+        if 0.0 < worst < math.inf:
+            points[t] = math.log(worst)
+        return worst <= threshold
+
     rh = rh_constant(w, p, grid)
     proven = epsilon_range(w, p, grid)
     shrink = 1.0 - 1e-9  # keep strictly inside the admissibility cap
-    if passes(cap * shrink):
-        return EpsilonSearchResult(
-            epsilon_empirical=cap * shrink,
-            cap=cap,
-            cap_hit=True,
-            proven_epsilon=proven,
-            conjectured_scale=1.0 / rh**p,
-            rh=rh,
-            factor=factor,
-            depth=grid.depth,
-        )
-    lo, hi = 0.0, cap * shrink
-    if lo == 0.0:
+    lo = hi = cap * shrink
+    cap_hit = passes(hi)
+    if not cap_hit:
+        # The RH-constant definition makes tiny ε pass: ⨍w^p ≤ [w]_{RH_p}^p ⟨w⟩^p.
         lo = min(1e-12, hi / 2.0)
         if not passes(lo):  # cannot happen mathematically; guards fp corner
             hi = lo
-    while hi - lo > rel_precision * max(lo, 1e-12):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
+        while hi - lo > rel_precision * max(lo, 1e-12):
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
     return EpsilonSearchResult(
         epsilon_empirical=lo,
         cap=cap,
-        cap_hit=False,
+        cap_hit=cap_hit,
         proven_epsilon=proven,
         conjectured_scale=1.0 / rh**p,
         rh=rh,

@@ -303,9 +303,7 @@ class CellSet:
 
     def within_cube(self, grid: DyadicGrid, cube: DyadicCube) -> bool:
         start, stop = cube.cell_range(grid.depth)
-        outside = self.mask.copy()
-        outside[start:stop] = False
-        return not bool(outside.any())
+        return not (self.mask[:start].any() or self.mask[stop:].any())
 
     def intersects_cube(self, grid: DyadicGrid, cube: DyadicCube) -> bool:
         start, stop = cube.cell_range(grid.depth)

@@ -147,7 +147,14 @@ class TabulatedWeight(Weight):
 
     def power(self, s: float) -> "TabulatedWeight":
         view = self._view(s)
-        _require_finite_positive(self._extremes**view._s)
+        with np.errstate(over="ignore"):  # reported below, naming the power
+            extremes = self._extremes**view._s
+        for value, powered in zip(self._extremes.tolist(), extremes.tolist()):
+            if not 0.0 < powered < math.inf:
+                raise ValueError(
+                    f"the power w**{view._s:g} of {self.describe()} leaves the double "
+                    f"range: its value {value:g} gives {value:g}**{view._s:g} = {powered:g}"
+                )
         return view
 
     def describe(self) -> str:

@@ -17,6 +17,7 @@ from weightlab import (
     ConfigError,
     DyadicCube,
     DyadicGrid,
+    EpsilonSearchResult,
     EquivalenceScaffold,
     ExponentProfile,
     GehringProfile,
@@ -34,6 +35,7 @@ from weightlab import (
     composed_moment_cells,
     dyadic_square_function,
     epsilon_range,
+    gehring,
     gamma_at_quarter_epsilon,
     maximal_p0,
     dual_weight,
@@ -670,6 +672,55 @@ def oracle_sharp_rh(
         rhs = 2.0 * rh**t * mean**t
         rows.append((cube.level, cube.index, lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs))
     return rows
+
+
+def oracle_max_epsilon_empirical(
+    w: Weight,
+    p: float,
+    grid: DyadicGrid,
+    factor: float = 2.0,
+    rel_precision: float = 1e-4,
+    hard_cap: float = 64.0,
+) -> EpsilonSearchResult:
+    """The ε search with one kernel pass per bisection probe: the same probes,
+    in the same order, as ``max_epsilon_empirical``, each answered by running
+    ``gehring.sharp_rh_levels`` (looked up on the module, so a test can count or
+    replace it for both searches alike)."""
+    p = float(p)
+    cap = hard_cap
+    if isinstance(w, PowerWeight) and w.alpha < 0.0:
+        cap = min(cap, (-1.0 / w.alpha) - p)
+
+    def passes(eps: float) -> bool:
+        levels = gehring.sharp_rh_levels(w, p + eps, rh, grid)
+        worst = max(float(ratio.max()) for *_, ratio in levels)
+        return worst <= (factor / 2.0) * (1.0 + 1e-12)
+
+    rh = rh_constant(w, p, grid)
+    proven = epsilon_range(w, p, grid)
+    shrink = 1.0 - 1e-9
+    cap_hit = passes(cap * shrink)
+    lo = cap * shrink
+    if not cap_hit:
+        lo, hi = min(1e-12, cap * shrink / 2.0), cap * shrink
+        if not passes(lo):
+            hi = lo
+        while hi - lo > rel_precision * max(lo, 1e-12):
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+    return EpsilonSearchResult(
+        epsilon_empirical=lo,
+        cap=cap,
+        cap_hit=cap_hit,
+        proven_epsilon=proven,
+        conjectured_scale=1.0 / rh**p,
+        rh=rh,
+        factor=factor,
+        depth=grid.depth,
+    )
 
 
 def oracle_random_subset_checks(

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import oracle_sharp_rh, seeded_tabulated_weights, standard_weight_corpus
+from helpers import (
+    oracle_max_epsilon_empirical,
+    oracle_sharp_rh,
+    seeded_tabulated_weights,
+    standard_weight_corpus,
+)
 from weightlab import (
     CellSet,
     DIMENSIONAL_FACTOR,
@@ -286,6 +291,23 @@ class TestUnverifiedSubsetRows:
         assert len(ratios) == 50 and "inf" in ratios and "nan" not in ratios
 
 
+def test_overflowing_power_exits_two_with_one_error_line(tmp_path):
+    # 1e6**60 is beyond the double range, so w**60 cannot be formed
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("".join(f"{v}\n" for v in [1.0] * 15 + [1e6]), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(weights.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "weightlab.cli", "verify-gehring", "--weight-file",
+         str(wfile), "--L", "4", "--q0-star", "60"],
+        capture_output=True, text=True, check=False, env=env,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "w**60" in lines[0] and "1e+06**60 = inf" in lines[0]
+
+
 class TestGehringProfileHelper:
     @given(st.floats(1.05, 6.0), st.floats(0.05, 0.95))
     def test_gamma_identity(self, q0_star, eps_frac):
@@ -349,3 +371,137 @@ class TestEmpiricalEpsilonSearch:
         assert res.conjectured_scale == pytest.approx(1.0 / res.rh**2.0, rel=1e-12)
         # the empirical range should dominate the proven closed-form range
         assert res.epsilon_empirical >= res.proven_epsilon * (1 - 1e-9)
+
+
+def _lognormal(sigma: float, depth: int, seed: int = 31) -> TabulatedWeight:
+    rng = np.random.default_rng([seed, depth])
+    return TabulatedWeight(np.exp(sigma * rng.standard_normal(1 << depth)))
+
+
+SEARCH_CASES = [
+    *[(f"lognormal-{sigma}-L{depth}-f{factor}", _lognormal(sigma, depth), depth, factor)
+      for sigma, depth, factor in [
+          (0.1, 4, 2.0), (0.1, 12, 1.5), (0.5, 6, 1.0), (0.5, 12, 2.0), (1.0, 8, 4.0),
+          (1.0, 10, 1.5), (2.0, 4, 2.0), (2.0, 12, 1.0), (3.0, 8, 2.0), (4.0, 10, 4.0),
+          (4.0, 12, 2.0),
+      ]],
+    *[(f"x^{alpha}-L{depth}-f{factor}", PowerWeight(alpha), depth, factor)
+      for alpha, depth, factor in [
+          (-0.25, 8, 2.0), (-0.25, 12, 1.0), (0.0, 6, 2.0), (0.5, 10, 4.0), (1.4, 12, 2.0),
+          (2.0, 8, 1.5), (3.0, 10, 2.0), (5.0, 6, 4.0), (8.0, 12, 2.0), (8.0, 8, 1.0),
+      ]],
+]
+
+
+class TestConvexityVerdict:
+    """The certificate alone, on synthetic values of a convex ``F``."""
+
+    def test_chord_below_the_threshold_certifies_a_pass(self):
+        assert gehring._convexity_verdict({1.0: -1.0, 3.0: -0.5}, 2.0, 0.0) is True
+
+    def test_chord_at_the_threshold_decides_nothing(self):
+        assert gehring._convexity_verdict({1.0: 0.0, 3.0: 0.0}, 2.0, 0.0) is None
+        assert gehring._convexity_verdict({1.0: -1.0, 3.0: 1.0}, 2.0, 0.0) is None
+        assert gehring._convexity_verdict({1.0: -1e-10, 3.0: -1e-10}, 2.0, 0.0) is None
+
+    def test_secant_beyond_two_points_certifies_a_failure(self):
+        assert gehring._convexity_verdict({1.0: 0.0, 2.0: 1.0}, 3.0, 1.5) is False
+        assert gehring._convexity_verdict({2.0: 1.0, 3.0: 0.0}, 1.0, 1.5) is False
+
+    def test_secant_at_the_threshold_decides_nothing(self):
+        assert gehring._convexity_verdict({1.0: 0.0, 2.0: 1.0}, 3.0, 2.0) is None
+
+    def test_secant_is_not_used_inside_its_own_interval(self):
+        # the secant of (1, 0) and (3, 10) reads 5 at t = 2, above the
+        # threshold 4, but a convex F may dip anywhere below it there
+        assert gehring._convexity_verdict({1.0: 0.0, 3.0: 10.0}, 2.0, 4.0) is None
+        # at t = 3 the pair (1, 2) beyond t reads 10 and may decide; the pair
+        # (1, 4) around it reads 13.3 and may not
+        points = {1.0: 0.0, 2.0: 5.0, 4.0: 20.0}
+        assert gehring._convexity_verdict(points, 3.0, 9.0) is False
+        assert gehring._convexity_verdict(points, 3.0, 11.0) is None
+
+    def test_slack_grows_with_the_extrapolation(self):
+        # the secant reads 1e-8 at t = 2, above the threshold 0 by more than
+        # 1e-9 but not by the slack of a thousandfold extrapolation
+        assert gehring._convexity_verdict({1.0: 0.0, 1.001: 1e-11}, 2.0, 0.0) is None
+        assert gehring._convexity_verdict({1.0: 0.0, 1.001: 1e-5}, 2.0, 0.0) is False
+
+    def test_fewer_points_decide_nothing(self):
+        assert gehring._convexity_verdict({}, 2.0, 0.0) is None
+        assert gehring._convexity_verdict({1.0: 5.0}, 2.0, 0.0) is None
+        assert gehring._convexity_verdict({1.0: -5.0}, 0.5, 0.0) is None
+
+    def test_unusable_kernel_passes_add_no_point(self, monkeypatch, grid6):
+        # a fake kernel for F(t) = log(1/2) + ((t − 2)/8)², whose 3rd, 5th and
+        # 6th passes give inf, NaN and 0 instead
+        spoil = {2: math.inf, 4: math.nan, 5: 0.0}
+        calls, spoiled, seen = [], {}, []
+
+        def fake(w, t, rh, grid):
+            if len(calls) in spoil:
+                spoiled[t] = spoil[len(calls)]
+            calls.append(t)
+            yield 0, None, None, np.array([spoiled.get(t, 0.5 * math.exp(((t - 2) / 8) ** 2))])
+
+        verdict = gehring._convexity_verdict
+
+        def spy(points, t, log_threshold):
+            seen.append(points)
+            return verdict(points, t, log_threshold)
+
+        monkeypatch.setattr(gehring, "sharp_rh_levels", fake)
+        monkeypatch.setattr(gehring, "_convexity_verdict", spy)
+        w = PowerWeight(0.5)
+        res = max_epsilon_empirical(w, 2.0, grid6)
+        assert len(spoiled) == 3
+        points = seen[-1]  # the search's one dict, as the last pass left it
+        assert set(points) == set(calls) - set(spoiled)
+        assert all(math.isfinite(f) for f in points.values())
+        spoil.clear()
+        assert res == oracle_max_epsilon_empirical(w, 2.0, grid6)
+
+
+class TestCertifiedSearch:
+    """The search against the plain bisection of ``oracle_max_epsilon_empirical``."""
+
+    @pytest.mark.parametrize(
+        "w,depth,factor", [case[1:] for case in SEARCH_CASES], ids=[case[0] for case in SEARCH_CASES]
+    )
+    def test_result_is_bit_identical_to_the_plain_bisection(self, w, depth, factor):
+        grid = DyadicGrid(depth)
+        res = max_epsilon_empirical(w, 2.0, grid, factor)
+        want = oracle_max_epsilon_empirical(w, 2.0, grid, factor)
+        assert repr(res) == repr(want)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES[::3], ids=[case[0] for case in SEARCH_CASES[::3]])
+    def test_every_certified_answer_agrees_with_the_kernel(self, case, monkeypatch):
+        _, w, depth, factor = case
+        grid = DyadicGrid(depth)
+        rh = rh_constant(w, 2.0, grid)
+        verdict = gehring._convexity_verdict
+        certified = []
+
+        def checked(points, t, log_threshold):
+            answer = verdict(points, t, log_threshold)
+            if answer is not None:
+                worst = max(float(r.max()) for *_, r in sharp_rh_levels(w, t, rh, grid))
+                certified.append((t, answer, worst <= (factor / 2.0) * (1.0 + 1e-12)))
+            return answer
+
+        monkeypatch.setattr(gehring, "_convexity_verdict", checked)
+        max_epsilon_empirical(w, 2.0, grid, factor)
+        assert certified
+        assert [(t, a) for t, a, _ in certified] == [(t, k) for t, _, k in certified]
+
+    def test_certificates_spare_most_kernel_passes(self, monkeypatch):
+        w, grid = _lognormal(0.5, 16), DyadicGrid(16)
+        calls, kernel = [], gehring.sharp_rh_levels
+        monkeypatch.setattr(
+            gehring, "sharp_rh_levels", lambda *args: calls.append(1) or kernel(*args)
+        )
+        want = oracle_max_epsilon_empirical(w, 2.0, grid)
+        plain = len(calls)
+        calls.clear()
+        assert max_epsilon_empirical(w, 2.0, grid) == want
+        assert plain == 22 and len(calls) <= 8

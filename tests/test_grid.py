@@ -163,6 +163,18 @@ class TestCellSet:
         restricted = inside.union(outside).restrict_to_cube(grid6, cube)
         np.testing.assert_array_equal(restricted.mask, inside.mask)
 
+    @pytest.mark.parametrize("cube", [DyadicCube(6, 0), DyadicCube(6, 63), DyadicCube(2, 0),
+                                      DyadicCube(2, 3), DyadicCube(0, 0)])
+    def test_within_cube_at_the_grid_ends(self, grid6, cube):
+        start, stop = cube.cell_range(grid6.depth)
+        assert CellSet.from_cube(grid6, cube).within_cube(grid6, cube)
+        assert CellSet.empty(grid6).within_cube(grid6, cube)
+        for cell in (0, start - 1, stop, grid6.n_cells - 1):
+            if 0 <= cell < grid6.n_cells:
+                mask = CellSet.from_cube(grid6, cube).mask.copy()
+                mask[cell] = True
+                assert CellSet(mask).within_cube(grid6, cube) == (start <= cell < stop)
+
 
 class TestAncestorValueMatrix:
     def test_matches_per_cell_lookup(self, grid6):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ class TestViewsShareTheStore:
             TabulatedWeight([1e-200, 1.0]).power(2.0)
         with pytest.raises(DivergentMomentError):
             PowerWeight(-0.5).power(2.0)  # x**-1 is not locally integrable
+
+    def test_power_out_of_the_double_range_is_named_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"w\*\*2 .* 1e\+200\*\*2 = inf"):
+                TabulatedWeight([1e200, 1.0]).power(2.0)
+            with pytest.raises(ValueError, match=r"w\*\*-2 .* 1e-200\*\*-2 = inf"):
+                TabulatedWeight([1e-200, 1.0]).power(-2.0)
+            with pytest.raises(ValueError, match=r"w\*\*2 .* 1e-200\*\*2 = 0"):
+                TabulatedWeight([1e-200, 1.0]).power(2.0)
 
     def test_native_depth_values_are_not_copied(self):
         w = seeded_tabulated_weights(1)[0]
