@@ -31,7 +31,7 @@ from .characteristics import characteristic_report, rh_constant
 from .errors import ConfigError, SparsityViolationError, WeightlabError
 from .gehring import epsilon_range, random_subset_checks, sharp_rh_levels
 from .grid import DyadicGrid
-from .operators import empirical_weak_operator_norm, function_corpus
+from .operators import _corpus_stream, empirical_weak_operator_norm
 from .profiles import ExponentProfile
 from .serialize import dump_json, write_csv, write_text
 from .sparse import SparseFamily, sparse_form, verify_sparsity
@@ -227,7 +227,7 @@ def _cmd_weak_norm(args: argparse.Namespace) -> int:
 
     def table() -> Iterator[List[object]]:
         nonlocal best
-        corpus = function_corpus(grid, seed=args.seed)
+        corpus = _corpus_stream(grid, seed=args.seed)
         [(best, rows)] = empirical_weak_operator_norm([w], grid, p=args.p, corpus=corpus)
         for r in rows:
             yield [r.name, r.strong_norm, r.weak_norm_sf, r.ratio]
@@ -318,9 +318,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def rows() -> Iterator[List[object]]:
         ones = np.ones(grid.n_cells, dtype=np.float64)
         weights = [unit_weight() if a == 0.0 else PowerWeight(float(a)) for a in alphas]
-        corpus = function_corpus(grid, seed=args.seed)
+        corpus = _corpus_stream(grid, seed=args.seed)
         scans = empirical_weak_operator_norm(weights, grid, p=2.0, corpus=corpus)
-        del corpus  # needed by the one scan only
         for alpha, (empirical, _) in zip(alphas, scans):
             w = weights.pop(0)  # released once its row is written
             bounds = evaluate_bounds(w, grid, profile.p0, q0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,6 +213,39 @@ class CorpusFunction:
         return np.repeat(self.cells, 1 << (self.grid_depth - self.depth))
 
 
+def _corpus_stream(
+    grid: DyadicGrid,
+    seed: int = 2024,
+    n_random: int = 64,
+    structured_max_level: int = 6,
+) -> Iterator[CorpusFunction]:
+    """The functions of :func:`function_corpus`, in its order, each built only
+    when it is drawn.  The generator keeps no reference to a function it has
+    yielded, so a scan holds only the functions it is evaluating."""
+    atom_levels = min(structured_max_level, grid.depth - 1)
+    for level in range(atom_levels + 1):
+        for index in range(1 << level):
+            cells = np.zeros(2 << level, dtype=np.float64)
+            amp = DyadicCube(level, index).measure ** -0.5
+            cells[2 * index] = amp
+            cells[2 * index + 1] = -amp
+            yield CorpusFunction(f"haar[{level},{index}]", level + 1, cells, grid.depth)
+    ind_levels = min(structured_max_level, grid.depth)
+    for level in range(ind_levels + 1):
+        depth = max(level, 1)
+        for index in range(1 << level):
+            cells = np.zeros(1 << depth, dtype=np.float64)
+            start, stop = DyadicCube(level, index).cell_range(depth)
+            cells[start:stop] = 1.0
+            yield CorpusFunction(f"indicator[{level},{index}]", depth, cells, grid.depth)
+    rng = np.random.default_rng(seed)
+    for i in range(n_random):
+        # no local names the vector, so the previous one is freed before the next draw
+        yield CorpusFunction(
+            f"random[{i}]", grid.depth, rng.standard_normal(grid.n_cells), grid.depth
+        )
+
+
 def function_corpus(
     grid: DyadicGrid,
     seed: int = 2024,
@@ -224,32 +257,14 @@ def function_corpus(
     Haar atoms are L²-normalised (value ±|Q|^{-1/2} on the two halves of a
     cube) for cubes of level ≤ min(structured_max_level, depth−1); indicators
     cover cubes of level ≤ min(structured_max_level, depth); random entries
-    are standard normal vectors from a seeded generator.  Each function is
-    stored at its natural depth: ``level + 1`` for the atom of a level-``level``
-    cube, ``max(level, 1)`` for an indicator and the grid depth for noise.
+    are standard normal vectors, drawn in order from one seeded generator.
+    Each function is stored at its natural depth: ``level + 1`` for the atom
+    of a level-``level`` cube, ``max(level, 1)`` for an indicator and the grid
+    depth for noise.  This list holds all ``n_random`` noise vectors
+    (``8·n_random·2^L`` bytes); the scans draw the same functions lazily from
+    :func:`_corpus_stream` instead, one per worker at a time.
     """
-    out: List[CorpusFunction] = []
-    atom_levels = min(structured_max_level, grid.depth - 1)
-    for level in range(atom_levels + 1):
-        for index in range(1 << level):
-            cells = np.zeros(2 << level, dtype=np.float64)
-            amp = DyadicCube(level, index).measure ** -0.5
-            cells[2 * index] = amp
-            cells[2 * index + 1] = -amp
-            out.append(CorpusFunction(f"haar[{level},{index}]", level + 1, cells, grid.depth))
-    ind_levels = min(structured_max_level, grid.depth)
-    for level in range(ind_levels + 1):
-        depth = max(level, 1)
-        for index in range(1 << level):
-            cells = np.zeros(1 << depth, dtype=np.float64)
-            start, stop = DyadicCube(level, index).cell_range(depth)
-            cells[start:stop] = 1.0
-            out.append(CorpusFunction(f"indicator[{level},{index}]", depth, cells, grid.depth))
-    rng = np.random.default_rng(seed)
-    for i in range(n_random):
-        cells = rng.standard_normal(grid.n_cells)
-        out.append(CorpusFunction(f"random[{i}]", grid.depth, cells, grid.depth))
-    return out
+    return list(_corpus_stream(grid, seed, n_random, structured_max_level))
 
 
 @dataclass(frozen=True)
@@ -265,39 +280,46 @@ def _corpus_rows(
     weights: Sequence[Weight],
     grid: DyadicGrid,
     p: float,
-    corpus: List[CorpusFunction],
-) -> List[List[Tuple[float, float]]]:
-    """Per weight, ``(‖f‖_{L^p(w)}, ‖operator f‖_{L^{p,∞}(w)})`` for each corpus
-    function ``f``, at its natural depth ``d``: ``f`` and the non-negative
-    ``operator f`` are constant on level-``d`` cubes, so the level sets are built
-    once per function and both norms read each weight's level-``d`` masses."""
+    corpus: Iterable[CorpusFunction],
+) -> Tuple[List[str], List[List[Tuple[float, float]]]]:
+    """The corpus functions' names, in corpus order, and per weight
+    ``(‖f‖_{L^p(w)}, ‖operator f‖_{L^{p,∞}(w)})`` for each corpus function
+    ``f``, at its natural depth ``d``: ``f`` and the non-negative ``operator f``
+    are constant on level-``d`` cubes, so the level sets are built once per
+    function and both norms read each weight's level-``d`` masses.
 
-    def evaluate(fn: CorpusFunction) -> List[Tuple[float, float]]:
+    ``corpus`` may be any iterable, such as :func:`_corpus_stream`: each
+    function is drawn when a worker is free for it and dropped once its norms
+    are computed, so only its name outlives the scan."""
+
+    def evaluate(fn: CorpusFunction) -> Tuple[str, List[Tuple[float, float]]]:
         d = fn.depth
         sets = _level_sets(operator(fn.cells, DyadicGrid(d)))
         strong = [strong_lp_norm(fn.cells, w, grid, p, level=d) for w in weights]
         weak = [_weak_norm(sets, heap_levels(w.pyramid(grid, 1.0))[d], p) for w in weights]
-        return list(zip(strong, weak))
+        return fn.name, list(zip(strong, weak))
 
-    per_function = ordered_map(evaluate, corpus)
-    return [[norms[k] for norms in per_function] for k in range(len(weights))]
+    scanned = ordered_map(evaluate, corpus)
+    names = [name for name, _ in scanned]
+    return names, [[norms[k] for _, norms in scanned] for k in range(len(weights))]
 
 
 def empirical_weak_operator_norm(
     weights: Sequence[Weight],
     grid: DyadicGrid,
     p: float = 2.0,
-    corpus: Optional[List[CorpusFunction]] = None,
+    corpus: Optional[Iterable[CorpusFunction]] = None,
 ) -> List[Tuple[float, List[OperatorNormRow]]]:
-    """Per weight, from one scan of the corpus: the largest ratio
-    ‖Sf‖_{L^{p,∞}(w)} / ‖f‖_{L^p(w)} (a lower bound on the weak operator norm)
-    and one row per test function."""
+    """Per weight, from one scan of the corpus (by default the seed-2024 corpus,
+    drawn lazily): the largest ratio ‖Sf‖_{L^{p,∞}(w)} / ‖f‖_{L^p(w)} (a lower
+    bound on the weak operator norm) and one row per test function."""
     if corpus is None:
-        corpus = function_corpus(grid)
+        corpus = _corpus_stream(grid)
+    names, per_weight = _corpus_rows(dyadic_square_function, weights, grid, p, corpus)
     scans = []
-    for norms in _corpus_rows(dyadic_square_function, weights, grid, p, corpus):
+    for norms in per_weight:
         ratios = [weak / strong if strong > 0.0 else 0.0 for strong, weak in norms]
-        rows = [OperatorNormRow(fn.name, *pair, r) for fn, pair, r in zip(corpus, norms, ratios)]
+        rows = [OperatorNormRow(name, *pair, r) for name, pair, r in zip(names, norms, ratios)]
         scans.append((max(ratios, default=0.0), rows))
     return scans
 
@@ -307,14 +329,15 @@ def empirical_maximal_weak_constant(
     grid: DyadicGrid,
     p0: float,
     ap_sqrt: float,
-    corpus: Optional[List[CorpusFunction]] = None,
+    corpus: Optional[Iterable[CorpusFunction]] = None,
 ) -> float:
     """Empirical constant C in ‖M_{p0}f‖_{L^{2,∞}(w)} ≤ C·[w]^{1/2}_{A_{2/p0}}‖f‖_{L²(w)}.
 
-    ``ap_sqrt`` is the square root of the A_{2/p0} characteristic of ``w``."""
+    ``ap_sqrt`` is the square root of the A_{2/p0} characteristic of ``w``;
+    the corpus defaults to the seed-2024 corpus, drawn lazily."""
     if corpus is None:
-        corpus = function_corpus(grid)
-    (norms,) = _corpus_rows(lambda f, g: maximal_p0(f, g, p0), [w], grid, 2.0, corpus)
+        corpus = _corpus_stream(grid)
+    _, (norms,) = _corpus_rows(lambda f, g: maximal_p0(f, g, p0), [w], grid, 2.0, corpus)
     ratios = (weak / (ap_sqrt * strong) if strong != 0.0 else 0.0 for strong, weak in norms)
     return max(ratios, default=0.0)
 

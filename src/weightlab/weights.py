@@ -299,7 +299,7 @@ def measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
         raise WrongLengthError(
             f"cell set over {cells.n_cells} cells does not match grid of {grid.n_cells}"
         )
-    return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells.mask))
+    return float((heap_levels(w.pyramid(grid, 1.0))[-1] * cells.mask).sum())
 
 
 def cube_weight_measure(w: Weight, grid: DyadicGrid, cube: DyadicCube) -> float:

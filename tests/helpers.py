@@ -753,6 +753,12 @@ def oracle_random_subset_checks(
     return out
 
 
+def oracle_measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
+    """``w(E)`` as ``np.sum(..., where=mask)`` over all cells, the form
+    ``weights.measure`` used before its pairwise ``(cells * mask).sum()``."""
+    return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells.mask))
+
+
 # --- dense corpus oracles: every corpus function as a full 2**L vector -------------------
 
 

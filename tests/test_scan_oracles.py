@@ -9,11 +9,20 @@ arithmetic on the same values, so the rows must be bit-identical.
 of ``S(fσ)`` by prefix sums.  Its oracle builds one ``N``-cell mask per level
 set and sums under it: ``n2_sq`` and the set count are equal, the pairing
 supremum agrees up to the rounding of the two summation orders.
+
+The scans draw the corpus lazily from ``operators._corpus_stream`` through
+``ordered_map``, which takes one item per free worker: the stream must yield
+exactly ``function_corpus``, and the map must keep input order, enter the
+iterator from one thread at a time and hold at most one item per worker.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,8 +42,10 @@ from weightlab import (
     empirical_weak_operator_norm,
     equivalence_scaffold,
     function_corpus,
+    ordered_map,
     unit_weight,
 )
+from weightlab.operators import _corpus_stream
 
 SWEEP_ALPHAS = np.linspace(-0.375, 0.375, 7)  # the default sweep, with alpha 0 the unit weight
 
@@ -119,3 +130,113 @@ def test_scaffold_memory_is_linear():
         tracemalloc.stop()
     assert scaffold.tested_sets > 1000 and scaffold.consistent_within_16
     assert peak <= 10 * (1 << 20), peak / (1 << 20)
+
+
+@pytest.mark.parametrize(
+    "depth, seed, n_random, max_level",
+    [(1, 2024, 64, 6), (3, 7, 5, 6), (8, 2024, 64, 6), (8, 11, 3, 2), (12, 2024, 4, 0)],
+)
+def test_stream_yields_the_corpus(depth, seed, n_random, max_level):
+    grid = DyadicGrid(depth)
+    want = function_corpus(grid, seed, n_random, max_level)
+    got = list(_corpus_stream(grid, seed, n_random, max_level))
+    assert [(f.name, f.depth, f.grid_depth) for f in got] == [
+        (f.name, f.depth, f.grid_depth) for f in want
+    ]
+    assert [f.cells.tobytes() for f in got] == [f.cells.tobytes() for f in want]
+
+
+class _Item:
+    """A work item whose lifetime the tests follow through ``weakref.finalize``."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+class _Source:
+    """A generator of ``_Item``s that records how many items are alive and how
+    many threads are inside it at once."""
+
+    def __init__(self, n):
+        self.n = n
+        self.alive = self.inside = self.most_inside = 0
+        self.lock = threading.Lock()
+
+    def _change(self, name, step):
+        with self.lock:
+            setattr(self, name, getattr(self, name) + step)
+            if name == "inside":
+                self.most_inside = max(self.most_inside, self.inside)
+
+    def items(self):
+        for value in range(self.n):
+            self._change("inside", 1)
+            time.sleep(0.0005)  # lets another thread try to enter
+            item = _Item(value)
+            self._change("alive", 1)
+            weakref.finalize(item, self._change, "alive", -1)
+            self._change("inside", -1)
+            yield item
+            del item
+
+
+def _scrambled(source, seen):
+    def fn(item):
+        seen.append(source.alive)
+        time.sleep(0.0002 * (item.value * 7 % 5))  # finish out of input order
+        return item.value * item.value
+
+    return fn
+
+
+@pytest.fixture
+def fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_ordered_map_streams_a_generator_in_order(workers, monkeypatch, fast_switching):
+    monkeypatch.setenv("WEIGHTLAB_THREADS", str(workers))
+    source, seen = _Source(120), []
+    result = ordered_map(_scrambled(source, seen), source.items())
+    assert result == [v * v for v in range(120)]
+    assert len(seen) == 120
+    assert source.most_inside == 1
+    assert max(seen) <= workers
+    assert source.alive == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_ordered_map_raises_what_fn_raises(workers, monkeypatch):
+    monkeypatch.setenv("WEIGHTLAB_THREADS", str(workers))
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        if x == 7:
+            raise ArithmeticError("item 7")
+        return x
+
+    with pytest.raises(ArithmeticError, match="item 7"):
+        ordered_map(fn, iter(range(10_000)))
+    assert len(calls) < 10_000  # no further draws after the failure
+
+
+def test_default_scan_memory_is_one_noise_vector(monkeypatch):
+    # the 64 noise vectors alone are 32 MiB at L = 16; the scan holds one at a time
+    monkeypatch.setenv("WEIGHTLAB_THREADS", "1")
+    grid = DyadicGrid(16)
+    w = PowerWeight(-0.25)
+    tracemalloc.start()
+    try:
+        [(best, rows)] = empirical_weak_operator_norm([w], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 318 and best > 0.0
+    assert peak <= 8 * (1 << 20), peak / (1 << 20)

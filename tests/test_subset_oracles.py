@@ -6,6 +6,10 @@ cells and reads the cube's measures from the pyramids; the oracle
 and calls ``verify_subset_bound``.  Both make the same draws, so cubes, ``ε``
 values and empty draws agree exactly; the sums round differently, so the
 sides agree to a pinned relative tolerance.
+
+``verify_subset_bound`` measures a cell set by the pairwise sum
+``(cells * mask).sum()``; its oracle (``helpers.oracle_measure``) is the
+``np.sum(cells, where=mask)`` it replaced, pinned to the same tolerance.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import pytest
 
 from helpers import (
     TABULATED_NATIVE_DEPTH,
+    oracle_measure,
     oracle_random_subset_checks,
     seeded_tabulated_weights,
     standard_weight_corpus,
 )
-from weightlab import DyadicGrid, epsilon_range, random_subset_checks
+from weightlab import DyadicGrid, epsilon_range, gehring, random_subset_checks
 
 REL = 1e-13
 SEEDS = (3, 11, 2024)
@@ -61,3 +66,21 @@ def test_subset_rows_match_the_masked_oracle(depth):
                              (got.ratio, expected.ratio)):
                     assert relative_move(a, b) <= REL, (w.describe(), seed, got, expected)
     assert empty > 0
+
+
+@pytest.mark.parametrize("depth", [4, 8, 12])
+def test_subset_bound_matches_the_where_sum_oracle(depth, monkeypatch):
+    grid = DyadicGrid(depth)
+    checked = 0
+    for w in corpus_at(depth):
+        epsilons = [epsilon_range(w, 2.0, grid) * frac for frac in (0.25, 1.0)]
+        got = oracle_random_subset_checks(w, 2.0, epsilons, grid, SAMPLES, 5)
+        with monkeypatch.context() as patched:
+            patched.setattr(gehring, "measure", oracle_measure)
+            want = oracle_random_subset_checks(w, 2.0, epsilons, grid, SAMPLES, 5)
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        for (*_, a), (*_, b) in zip(got, want):
+            assert relative_move(a.lhs, b.lhs) <= REL, (w.describe(), a, b)
+            assert relative_move(a.rhs, b.rhs) <= REL, (w.describe(), a, b)
+            checked += a.lhs > 0.0
+    assert checked > 0
