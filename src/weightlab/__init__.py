@@ -5,116 +5,56 @@ integrability, 1/2-sparse families with the quadratic sparse form, dyadic
 model operators with exact weighted norms, an instrumented pigeonhole
 argument with per-bin empirical constants, and the closed-form bound
 calculus that ties them together.
+
+The package exports the names used by the README quickstart, the command
+line and the acceptance suite; everything else is imported from its module,
+e.g. ``from weightlab.grid import cube_ids``.
 """
 
-from ._parallel import ordered_map, thread_count
+from ._parallel import ordered_map
 from .bounds import (
-    BoundsReport,
-    ExponentComparison,
-    LossChainReport,
     bridge_ap_index,
-    default_epsilon,
     evaluate_bounds,
-    exponent_comparison,
-    extrapolated_strong_bound,
     extrapolation_inflation,
-    gamma_at_quarter_epsilon,
-    gamma_exponent,
-    loss_chain_exponents,
-    loss_chain_values,
-    power_bridge_check,
-    q0_star_of,
     simplified_weak_type_factor,
     strong_exponent,
-    strong_norm_bound,
-    weak_norm_bound,
     weak_type_factor,
 )
 from .characteristics import (
-    CharacteristicReport,
-    DualityCheck,
-    FactorizationCheck,
-    PowerRhRelationCheck,
     a_infty_fw,
-    a_infty_fw_argmax,
     ap_constant,
-    ap_constant_argmax,
     characteristic_report,
     check_duality,
     check_factorization,
-    check_power_rh_relation,
     rh_constant,
-    rh_constant_argmax,
 )
 from .errors import (
     ConfigError,
-    DivergentMomentError,
-    EmptyGoodSetError,
-    EpsilonOutOfRangeError,
     LevelOverflowError,
     SparsityViolationError,
-    SubsetError,
     WeightlabError,
-    WrongLengthError,
-    ZeroFunctionError,
 )
 from .gehring import (
-    DIMENSIONAL_FACTOR,
-    EpsilonSearchResult,
-    InequalityCheck,
     epsilon_range,
-    gehring_profile,
-    max_epsilon_empirical,
     random_subset_checks,
     sharp_rh_levels,
     sharp_rh_max_ratio,
-    verify_subset_bound,
 )
-from .grid import (
-    CellSet,
-    DyadicCube,
-    DyadicGrid,
-    cube_ids,
-    heap_levels,
-    id_cubes,
-    tree_totals,
-)
+from .grid import DyadicCube, DyadicGrid, heap_levels, id_cubes
 from .operators import (
-    CorpusFunction,
-    EquivalenceScaffold,
-    OperatorNormRow,
     dyadic_square_function,
-    empirical_maximal_weak_constant,
     empirical_weak_operator_norm,
     equivalence_scaffold,
     function_corpus,
-    maximal_p0,
     maximal_weighted,
-    square_function_from_cell_integrals,
     strong_lp_norm,
     weak_lp_norm,
 )
-from .profiles import ExponentProfile, GehringProfile
-from .sparse import (
-    SparseFamily,
-    SparsityReport,
-    build_sparse_cz,
-    build_sparse_random,
-    carleson_packing_ok,
-    sparse_form,
-    verify_sparsity,
-)
+from .profiles import ExponentProfile
+from .sparse import SparseFamily, build_sparse_cz, sparse_form, verify_sparsity
 from .tracer import (
-    BinReport,
-    GoodSetResult,
-    PerCubeScan,
     ProofTrace,
-    TraceColumns,
-    build_good_set,
     default_trace_family,
-    geometric_tail_sum,
-    geometric_weighted_tail_sum,
-    peel_layers,
     percube_ap_holder_scan,
     trace_proof,
 )
@@ -122,131 +62,59 @@ from .weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
-    average,
-    composed_moment_cells,
-    conjugate_exponent,
-    cube_weight_measure,
     dual_weight,
-    lp_average,
-    masked_moment_cells,
-    measure,
     pow_weight,
     unit_weight,
-    weighted_l2_norm_sq,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinReport",
-    "BoundsReport",
-    "CellSet",
-    "CharacteristicReport",
     "ConfigError",
-    "CorpusFunction",
-    "DIMENSIONAL_FACTOR",
-    "DivergentMomentError",
-    "DualityCheck",
     "DyadicCube",
     "DyadicGrid",
-    "EmptyGoodSetError",
-    "EpsilonOutOfRangeError",
-    "EpsilonSearchResult",
-    "EquivalenceScaffold",
-    "ExponentComparison",
     "ExponentProfile",
-    "FactorizationCheck",
-    "GehringProfile",
-    "GoodSetResult",
-    "InequalityCheck",
     "LevelOverflowError",
-    "LossChainReport",
-    "OperatorNormRow",
-    "PerCubeScan",
-    "PowerRhRelationCheck",
     "PowerWeight",
     "ProofTrace",
     "SparseFamily",
-    "SparsityReport",
     "SparsityViolationError",
-    "SubsetError",
     "TabulatedWeight",
-    "TraceColumns",
     "Weight",
     "WeightlabError",
-    "WrongLengthError",
-    "ZeroFunctionError",
     "a_infty_fw",
-    "a_infty_fw_argmax",
     "ap_constant",
-    "ap_constant_argmax",
-    "average",
     "bridge_ap_index",
-    "build_good_set",
     "build_sparse_cz",
-    "build_sparse_random",
-    "carleson_packing_ok",
     "characteristic_report",
     "check_duality",
     "check_factorization",
-    "check_power_rh_relation",
-    "composed_moment_cells",
-    "conjugate_exponent",
-    "cube_ids",
-    "cube_weight_measure",
-    "default_epsilon",
     "default_trace_family",
     "dual_weight",
     "dyadic_square_function",
-    "empirical_maximal_weak_constant",
     "empirical_weak_operator_norm",
     "epsilon_range",
     "equivalence_scaffold",
     "evaluate_bounds",
-    "exponent_comparison",
-    "extrapolated_strong_bound",
     "extrapolation_inflation",
     "function_corpus",
-    "gamma_at_quarter_epsilon",
-    "gamma_exponent",
-    "gehring_profile",
-    "geometric_tail_sum",
-    "geometric_weighted_tail_sum",
     "heap_levels",
     "id_cubes",
-    "loss_chain_exponents",
-    "loss_chain_values",
-    "lp_average",
-    "masked_moment_cells",
-    "max_epsilon_empirical",
-    "maximal_p0",
     "maximal_weighted",
-    "measure",
     "ordered_map",
-    "peel_layers",
     "percube_ap_holder_scan",
     "pow_weight",
-    "power_bridge_check",
-    "q0_star_of",
     "random_subset_checks",
     "rh_constant",
-    "rh_constant_argmax",
     "sharp_rh_levels",
     "sharp_rh_max_ratio",
     "simplified_weak_type_factor",
     "sparse_form",
-    "square_function_from_cell_integrals",
     "strong_exponent",
     "strong_lp_norm",
-    "strong_norm_bound",
-    "thread_count",
     "trace_proof",
-    "tree_totals",
     "unit_weight",
     "verify_sparsity",
-    "verify_subset_bound",
     "weak_lp_norm",
-    "weak_norm_bound",
     "weak_type_factor",
-    "weighted_l2_norm_sq",
 ]

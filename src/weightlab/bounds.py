@@ -18,26 +18,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from .characteristics import FactorizationCheck, check_factorization
+from .characteristics import a_infty_fw, ap_constant, rh_constant
 from .errors import ConfigError
 from .grid import DyadicGrid
-from .weights import Weight, conjugate_exponent
+from .profiles import ExponentProfile
+from .weights import Weight, conjugate_exponent, pow_weight
 
 
 def gamma_exponent(q0_star: float, epsilon: float) -> float:
     """Self-improvement rate γ = ε/(q0*·(q0* + ε − 1))."""
-    if q0_star < 1.0:
+    if not q0_star >= 1.0:
         raise ConfigError(f"q0* must be >= 1, got {q0_star}")
-    if epsilon <= 0.0:
-        raise ConfigError(f"gap parameter must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"gap parameter must be positive and finite, got {epsilon}")
     return epsilon / (q0_star * (q0_star + epsilon - 1.0))
 
 
 def default_epsilon(q0_star: float, a_infty_pow: float) -> float:
     """Guaranteed gap ε = q0*/(4·[w^{q0*}]_{A∞} − 1)."""
-    if a_infty_pow < 1.0:
+    if not a_infty_pow >= 1.0:
         raise ConfigError(f"A∞ characteristic must be >= 1, got {a_infty_pow}")
     return q0_star / (4.0 * a_infty_pow - 1.0)
 
@@ -231,38 +232,6 @@ def loss_chain_values(
     )
 
 
-# --- the γ < 1/4 region --------------------------------------------------------------
-
-
-def gamma_at_quarter_epsilon(q0_star: float, a_infty_pow: float) -> float:
-    """γ at the pinned gap ε = 1/(4A): equals 1/(q0*·(4A(q0*−1)+1))."""
-    return gamma_exponent(q0_star, 1.0 / (4.0 * a_infty_pow))
-
-
-# --- power bridge --------------------------------------------------------------------
-
-
-def power_bridge_check(
-    w: Weight, p: float, p0: float, q0: float, grid: DyadicGrid
-) -> FactorizationCheck:
-    """Verify [w^{(q0/p)'}]_{A_{φ(p)}} ≤ ([w]_{A_{p/p0}}·[w]_{RH_{(q0/p)'}})^{(q0/p)'}.
-
-    This is the joint-index form of the power/factorization rule: with
-    s = (q0/p)' and q = p/p0 the lifted index s(q−1)+1 equals φ(p).
-    """
-    if not math.isfinite(q0):
-        raise ConfigError("the power bridge needs a finite upper window exponent")
-    s = conjugate_exponent(q0 / p)
-    q = p / p0
-    check = check_factorization(w, q, s, grid)
-    expected = bridge_ap_index(p, p0, q0)
-    if not math.isclose(check.combined_index, expected, rel_tol=1e-12):
-        raise ConfigError(
-            f"lifted index mismatch: {check.combined_index} vs φ(p) = {expected}"
-        )
-    return check
-
-
 # --- full report ---------------------------------------------------------------------
 
 
@@ -326,11 +295,9 @@ def evaluate_bounds(
     q0: float,
     epsilon: Optional[float] = None,
 ) -> BoundsReport:
-    """Compute every closed-form bound for ``w`` over the (p0, q0) window."""
-    from .characteristics import a_infty_fw, ap_constant, rh_constant
-    from .weights import pow_weight
-
-    q0s = q0_star_of(q0)
+    """Compute every closed-form bound for ``w`` over the (p0, q0) window,
+    which must satisfy ``1 <= p0 < 2 < q0 <= ∞`` (else ``ValueError``)."""
+    q0s = ExponentProfile(p0, q0).q0_star
     ap = ap_constant(w, 2.0 / p0, grid)
     # RH_1 compares every cube average with itself, so the characteristic is 1.
     rh = 1.0 if q0s == 1.0 else rh_constant(w, q0s, grid)

@@ -187,47 +187,6 @@ def check_factorization(
     )
 
 
-@dataclass(frozen=True)
-class PowerRhRelationCheck:
-    """Dyadic evaluation of the chain
-    [w^q]_{A_∞}^{1/q} / [w]_{A_∞}  <=  [w]_{RH_q}  <=  [w]_{A_∞}^{1/q}.
-
-    The chain is classical for full (non-dyadic) characteristics with constant
-    1; whether it transfers verbatim to dyadic-restricted characteristics is
-    not settled, so violations are flagged only beyond a slack factor.
-    """
-
-    q: float
-    lower: float
-    middle: float
-    upper: float
-    slack_factor: float
-    lower_ok: bool
-    upper_ok: bool
-
-
-def check_power_rh_relation(
-    w: Weight, q: float, grid: DyadicGrid, slack_factor: float = 4.0
-) -> PowerRhRelationCheck:
-    q = float(q)
-    if not q > 1.0:
-        raise ValueError(f"power relation check needs q > 1, got {q}")
-    a_inf_w = a_infty_fw(w, grid)
-    a_inf_wq = a_infty_fw(pow_weight(w, q), grid)
-    lower = a_inf_wq ** (1.0 / q) / a_inf_w
-    middle = rh_constant(w, q, grid)
-    upper = a_inf_w ** (1.0 / q)
-    return PowerRhRelationCheck(
-        q=q,
-        lower=lower,
-        middle=middle,
-        upper=upper,
-        slack_factor=slack_factor,
-        lower_ok=lower <= middle * slack_factor,
-        upper_ok=middle <= upper * slack_factor,
-    )
-
-
 # --- aggregate report --------------------------------------------------------------
 
 

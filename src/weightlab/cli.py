@@ -119,13 +119,6 @@ def _load_weight(args: argparse.Namespace, grid: DyadicGrid) -> Weight:
     return TabulatedWeight(values)
 
 
-def _finite_q0(value: float) -> float:
-    q0 = float(value)
-    if not q0 > 2.0:
-        raise ConfigError(f"the upper window exponent must exceed 2, got {q0}")
-    return q0
-
-
 # --- char -------------------------------------------------------------------------------
 
 
@@ -203,7 +196,7 @@ def _cmd_sparse_form(args: argparse.Namespace) -> int:
         return 1
     fvals = _read_value_file(args.f, grid, positive=False)
     gvals = _read_value_file(args.g, grid, positive=False)
-    profile = ExponentProfile(p0=args.p0, q0=_finite_q0(args.q0))
+    profile = ExponentProfile(p0=args.p0, q0=args.q0)
     value = sparse_form(fvals, gvals, profile, family, grid)
     payload = {
         "depth": grid.depth,
@@ -263,7 +256,7 @@ def _trace_gates(trace: ProofTrace) -> List[str]:
 def _cmd_trace_proof(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
-    profile = ExponentProfile(p0=args.p0, q0=_finite_q0(args.q0))
+    profile = ExponentProfile(p0=args.p0, q0=args.q0)
     if args.f is not None:
         fvals = _read_value_file(args.f, grid, positive=False)
     else:
@@ -297,7 +290,7 @@ def _cmd_trace_proof(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
-    report = evaluate_bounds(w, grid, args.p0, _finite_q0(args.q0), epsilon=args.epsilon)
+    report = evaluate_bounds(w, grid, args.p0, args.q0, epsilon=args.epsilon)
     write_text(dump_json(report.to_jsonable()), args.out)
     return 0
 
@@ -309,8 +302,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     if args.alpha_steps < 1:
         raise ConfigError("--alpha-steps must be at least 1")
-    q0 = _finite_q0(args.q0)
-    profile = ExponentProfile(p0=args.p0, q0=q0)
+    profile = ExponentProfile(p0=args.p0, q0=args.q0)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     columns = ["alpha", "L", "ap", "rh", "a_infty", "epsilon", "weak_bound",
                "weak_bound_pinned", "strong_bound", "empirical_weak", "c0"]
@@ -322,7 +314,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scans = empirical_weak_operator_norm(weights, grid, p=2.0, corpus=corpus)
         for alpha, (empirical, _) in zip(alphas, scans):
             w = weights.pop(0)  # released once its row is written
-            bounds = evaluate_bounds(w, grid, profile.p0, q0)
+            bounds = evaluate_bounds(w, grid, profile.p0, profile.q0)
             pinned_eta = simplified_weak_type_factor(
                 bounds.rh_char, bounds.a_infty_char, bounds.q0_star, bounds.a_infty_pow_char
             )

@@ -55,15 +55,6 @@ def epsilon_range(w: Weight, q0_star: float, grid: DyadicGrid) -> float:
     return q0_star / (DIMENSIONAL_FACTOR * a_inf_pow - 1.0)
 
 
-def gehring_profile(
-    w: Weight, q0_star: float, grid: DyadicGrid, epsilon: Optional[float] = None
-) -> GehringProfile:
-    """Profile at the given ε (default: the full proven range)."""
-    eps_max = epsilon_range(w, q0_star, grid)
-    eps = eps_max if epsilon is None else float(epsilon)
-    return GehringProfile(q0_star=float(q0_star), epsilon=eps, epsilon_max=eps_max)
-
-
 @dataclass(frozen=True)
 class InequalityCheck:
     """One evaluated inequality: lhs ≤ rhs expected, ratio = lhs/rhs."""

@@ -1,4 +1,4 @@
-"""Dyadic addressing, tree aggregation, and cell-set arithmetic on [0, 1).
+"""Dyadic addressing, tree aggregation, and read-only cell masks on [0, 1).
 
 The carrier is a dyadic grid of depth ``L``: the finest level has ``N = 2**L``
 half-open cells ``[i/N, (i+1)/N)``. A :class:`DyadicCube` addresses the
@@ -6,9 +6,8 @@ interval ``[index * 2**-level, (index + 1) * 2**-level)`` for any
 ``0 <= level <= L``; inside the family kernels it is one int64 *heap id*
 ``2**level - 1 + index`` (:func:`cube_ids`), an encoding only this module
 knows.  Per-cube data is one *heap* indexed by heap id, each level a view
-(:func:`heap_levels`).  Cell sets are boolean membership vectors over the
-finest cells, so Lebesgue measure and set algebra are exact integer
-arithmetic divided by ``N``.
+(:func:`heap_levels`).  A :class:`CellSet` is a read-only boolean
+membership mask over the finest cells.
 
 Aggregation follows a fixed left-to-right pairwise tree order (each parent
 total is ``left + right``), which makes every derived average bit-stable
@@ -22,7 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LevelOverflowError, SubsetError, WrongLengthError
+from .errors import LevelOverflowError, WrongLengthError
 
 
 @dataclass(frozen=True, order=True)
@@ -233,79 +232,9 @@ class CellSet:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def empty(cls, grid: DyadicGrid) -> "CellSet":
-        return cls(np.zeros(grid.n_cells, dtype=bool))
-
-    @classmethod
     def full(cls, grid: DyadicGrid) -> "CellSet":
         return cls(np.ones(grid.n_cells, dtype=bool))
-
-    @classmethod
-    def from_indices(cls, grid: DyadicGrid, indices: Sequence[int]) -> "CellSet":
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[np.asarray(indices, dtype=np.int64)] = True
-        return cls(mask)
-
-    @classmethod
-    def from_cube(cls, grid: DyadicGrid, cube: DyadicCube) -> "CellSet":
-        start, stop = cube.cell_range(grid.depth)
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[start:stop] = True
-        return cls(mask)
-
-    @classmethod
-    def from_ranges(cls, grid: DyadicGrid, ranges: Sequence[Sequence[int]]) -> "CellSet":
-        """Build from half-open cell-index ranges [[start, stop), ...]."""
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        for start, stop in ranges:
-            if not 0 <= start <= stop <= grid.n_cells:
-                raise SubsetError(
-                    f"cell range [{start}, {stop}) outside grid of {grid.n_cells} cells"
-                )
-            mask[start:stop] = True
-        return cls(mask)
-
-    def to_ranges(self) -> List[List[int]]:
-        """Maximal half-open runs of member cells, as [start, stop) pairs."""
-        padded = np.concatenate(([False], self.mask, [False]))
-        flips = np.flatnonzero(padded[1:] != padded[:-1])
-        return [[int(flips[i]), int(flips[i + 1])] for i in range(0, len(flips), 2)]
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    @property
-    def n_cells(self) -> int:
-        return int(self.mask.shape[0])
-
-    def measure(self) -> float:
-        """Lebesgue measure = (member cell count) / (total cell count)."""
-        return self.cell_count / self.n_cells
-
-    def union(self, other: "CellSet") -> "CellSet":
-        return CellSet(self.mask | other.mask)
-
-    def intersect(self, other: "CellSet") -> "CellSet":
-        return CellSet(self.mask & other.mask)
-
-    def difference(self, other: "CellSet") -> "CellSet":
-        return CellSet(self.mask & ~other.mask)
-
-    def complement(self) -> "CellSet":
-        return CellSet(~self.mask)
-
-    def restrict_to_cube(self, grid: DyadicGrid, cube: DyadicCube) -> "CellSet":
-        start, stop = cube.cell_range(grid.depth)
-        mask = np.zeros_like(self.mask)
-        mask[start:stop] = self.mask[start:stop]
-        return CellSet(mask)
 
     def within_cube(self, grid: DyadicGrid, cube: DyadicCube) -> bool:
         start, stop = cube.cell_range(grid.depth)
         return not (self.mask[:start].any() or self.mask[stop:].any())
-
-    def intersects_cube(self, grid: DyadicGrid, cube: DyadicCube) -> bool:
-        start, stop = cube.cell_range(grid.depth)
-        return bool(self.mask[start:stop].any())
-

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def _level_norm_inputs(
     """Validated exponent, ``|h|`` per level-``level`` cube and those cubes'
     w-masses (``level`` defaults to the finest level)."""
     p = float(p)
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError(f"norm exponent must be positive, got {p}")
     if level is None:
         level = grid.depth
@@ -170,7 +170,7 @@ def maximal_p0(
     where no cube covers the cell.
     """
     p0 = float(p0)
-    if p0 < 1.0:
+    if not p0 >= 1.0:
         raise ValueError(f"maximal-function exponent must be >= 1, got {p0}")
     if weight is not None:
         moment_cells = composed_moment_cells(grid, f, weight, p0)
@@ -276,16 +276,15 @@ class OperatorNormRow:
 
 
 def _corpus_rows(
-    operator: Callable[[np.ndarray, DyadicGrid], np.ndarray],
     weights: Sequence[Weight],
     grid: DyadicGrid,
     p: float,
     corpus: Iterable[CorpusFunction],
 ) -> Tuple[List[str], List[List[Tuple[float, float]]]]:
     """The corpus functions' names, in corpus order, and per weight
-    ``(‖f‖_{L^p(w)}, ‖operator f‖_{L^{p,∞}(w)})`` for each corpus function
-    ``f``, at its natural depth ``d``: ``f`` and the non-negative ``operator f``
-    are constant on level-``d`` cubes, so the level sets are built once per
+    ``(‖f‖_{L^p(w)}, ‖Sf‖_{L^{p,∞}(w)})`` for each corpus function ``f``, at
+    its natural depth ``d``: ``f`` and its square function ``Sf`` are
+    constant on level-``d`` cubes, so the level sets are built once per
     function and both norms read each weight's level-``d`` masses.
 
     ``corpus`` may be any iterable, such as :func:`_corpus_stream`: each
@@ -294,7 +293,7 @@ def _corpus_rows(
 
     def evaluate(fn: CorpusFunction) -> Tuple[str, List[Tuple[float, float]]]:
         d = fn.depth
-        sets = _level_sets(operator(fn.cells, DyadicGrid(d)))
+        sets = _level_sets(dyadic_square_function(fn.cells, DyadicGrid(d)))
         strong = [strong_lp_norm(fn.cells, w, grid, p, level=d) for w in weights]
         weak = [_weak_norm(sets, heap_levels(w.pyramid(grid, 1.0))[d], p) for w in weights]
         return fn.name, list(zip(strong, weak))
@@ -315,31 +314,13 @@ def empirical_weak_operator_norm(
     bound on the weak operator norm) and one row per test function."""
     if corpus is None:
         corpus = _corpus_stream(grid)
-    names, per_weight = _corpus_rows(dyadic_square_function, weights, grid, p, corpus)
+    names, per_weight = _corpus_rows(weights, grid, p, corpus)
     scans = []
     for norms in per_weight:
         ratios = [weak / strong if strong > 0.0 else 0.0 for strong, weak in norms]
         rows = [OperatorNormRow(name, *pair, r) for name, pair, r in zip(names, norms, ratios)]
         scans.append((max(ratios, default=0.0), rows))
     return scans
-
-
-def empirical_maximal_weak_constant(
-    w: Weight,
-    grid: DyadicGrid,
-    p0: float,
-    ap_sqrt: float,
-    corpus: Optional[Iterable[CorpusFunction]] = None,
-) -> float:
-    """Empirical constant C in ‖M_{p0}f‖_{L^{2,∞}(w)} ≤ C·[w]^{1/2}_{A_{2/p0}}‖f‖_{L²(w)}.
-
-    ``ap_sqrt`` is the square root of the A_{2/p0} characteristic of ``w``;
-    the corpus defaults to the seed-2024 corpus, drawn lazily."""
-    if corpus is None:
-        corpus = _corpus_stream(grid)
-    _, (norms,) = _corpus_rows(lambda f, g: maximal_p0(f, g, p0), [w], grid, 2.0, corpus)
-    ratios = (weak / (ap_sqrt * strong) if strong != 0.0 else 0.0 for strong, weak in norms)
-    return max(ratios, default=0.0)
 
 
 # --- consistency scaffold between the weak norm and the good-subset pairing --------

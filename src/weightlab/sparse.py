@@ -75,12 +75,6 @@ class SparseFamily:
     def cubes(self) -> Tuple[DyadicCube, ...]:
         return tuple(id_cubes(self.ids))
 
-    def witness(self, cube: DyadicCube) -> CellSet:
-        pos = np.flatnonzero(self.ids == cube_ids([cube])[0])
-        if pos.size == 0:
-            raise KeyError(f"cube {cube} not in family")
-        return CellSet(self.owner == pos[0])
-
     def witness_sizes(self) -> np.ndarray:
         """Cell count of every witness, in family order."""
         return np.bincount(self.owner[self.owner >= 0], minlength=len(self))

@@ -253,22 +253,6 @@ def unit_weight() -> PowerWeight:
 # --- basic operations -----------------------------------------------------------
 
 
-def average(w: Weight, grid: DyadicGrid, cube: DyadicCube) -> float:
-    """Plain average ``⨍_Q w`` (exact for both representations)."""
-    return w.cube_integral(grid, cube, 1.0) * float(1 << cube.level)
-
-
-def lp_average(w: Weight, grid: DyadicGrid, cube: DyadicCube, t: float) -> float:
-    """L^t average ``(⨍_Q w**t)**(1/t)`` for ``t > 0``."""
-    t = float(t)
-    if t <= 0.0:
-        raise DivergentMomentError(f"L^t average requires t > 0, got t={t}")
-    if t == 1.0:
-        return average(w, grid, cube)
-    mean_t = w.cube_integral(grid, cube, t) * float(1 << cube.level)
-    return mean_t ** (1.0 / t)
-
-
 def pow_weight(w: Weight, s: float) -> Weight:
     """Pointwise power ``w**s``: a view on ``w``'s moment store (admissibility
     of the result is enforced)."""
@@ -280,7 +264,7 @@ def conjugate_exponent(p: float) -> float:
     p = float(p)
     if math.isinf(p):
         return 1.0
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"conjugate exponent needs p > 1, got {p}")
     return p / (p - 1.0)
 
@@ -295,16 +279,11 @@ def dual_weight(w: Weight, p: float) -> Weight:
 
 def measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
     """Weight measure ``w(E) = ∫_E w`` over a cell set, by exact cell sums."""
-    if cells.n_cells != grid.n_cells:
+    if cells.mask.size != grid.n_cells:
         raise WrongLengthError(
-            f"cell set over {cells.n_cells} cells does not match grid of {grid.n_cells}"
+            f"cell set over {cells.mask.size} cells does not match grid of {grid.n_cells}"
         )
     return float((heap_levels(w.pyramid(grid, 1.0))[-1] * cells.mask).sum())
-
-
-def cube_weight_measure(w: Weight, grid: DyadicGrid, cube: DyadicCube) -> float:
-    """``w(Q) = ∫_Q w`` for one cube."""
-    return w.cube_integral(grid, cube, 1.0)
 
 
 # --- composed moments (function times weight) -----------------------------------

@@ -13,41 +13,40 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from weightlab import (
-    CellSet,
     ConfigError,
     DyadicCube,
     DyadicGrid,
-    EpsilonSearchResult,
-    EquivalenceScaffold,
     ExponentProfile,
-    GehringProfile,
-    InequalityCheck,
-    OperatorNormRow,
     PowerWeight,
     SparseFamily,
-    SparsityReport,
     SparsityViolationError,
-    SubsetError,
     TabulatedWeight,
     Weight,
     a_infty_fw,
-    build_good_set,
-    composed_moment_cells,
+    dual_weight,
     dyadic_square_function,
     epsilon_range,
     gehring,
-    gamma_at_quarter_epsilon,
-    maximal_p0,
-    dual_weight,
-    rh_constant,
     heap_levels,
-    square_function_from_cell_integrals,
+    rh_constant,
     strong_lp_norm,
     unit_weight,
-    verify_subset_bound,
     weak_lp_norm,
-    weighted_l2_norm_sq,
 )
+from weightlab.bounds import gamma_exponent
+from weightlab.errors import SubsetError
+from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
+from weightlab.grid import CellSet
+from weightlab.operators import (
+    EquivalenceScaffold,
+    OperatorNormRow,
+    maximal_p0,
+    square_function_from_cell_integrals,
+)
+from weightlab.profiles import GehringProfile
+from weightlab.sparse import SparsityReport
+from weightlab.tracer import build_good_set
+from weightlab.weights import composed_moment_cells, weighted_l2_norm_sq
 
 POWER_ALPHAS = (-0.375, -0.25, -0.125, 0.125, 0.25, 0.375)
 TABULATED_SEED = 20240915
@@ -139,6 +138,29 @@ def random_cellset(
     return CellSet(rng.random(grid.n_cells) < density)
 
 
+def cube_mask(grid: DyadicGrid, cube: DyadicCube) -> np.ndarray:
+    """Boolean mask of the finest cells of ``cube``."""
+    start, stop = cube.cell_range(grid.depth)
+    mask = np.zeros(grid.n_cells, dtype=bool)
+    mask[start:stop] = True
+    return mask
+
+
+def mask_ranges(mask: np.ndarray) -> List[List[int]]:
+    """Maximal half-open runs of member cells, as ``[start, stop)`` pairs."""
+    padded = np.concatenate(([False], mask, [False]))
+    flips = np.flatnonzero(padded[1:] != padded[:-1])
+    return [[int(flips[i]), int(flips[i + 1])] for i in range(0, len(flips), 2)]
+
+
+def ranges_mask(grid: DyadicGrid, ranges: Sequence[Sequence[int]]) -> np.ndarray:
+    """Boolean mask of the cells in half-open ``[start, stop)`` ranges."""
+    mask = np.zeros(grid.n_cells, dtype=bool)
+    for start, stop in ranges:
+        mask[start:stop] = True
+    return mask
+
+
 def left_edge_cube(level: int) -> DyadicCube:
     return DyadicCube(level, 0)
 
@@ -208,7 +230,7 @@ def gamma_quarter_region_max(
     worst = 0.0
     for q0s in q_grid:
         for a in a_grid:
-            worst = max(worst, gamma_at_quarter_epsilon(float(q0s), float(a)))
+            worst = max(worst, gamma_exponent(float(q0s), 1.0 / (4.0 * float(a))))
     return worst
 
 
@@ -239,11 +261,11 @@ def oracle_layer_witnesses(
     for j, layer in enumerate(layers):
         next_layer = layers[j + 1] if j + 1 < len(layers) else []
         for cube in layer:
-            cells = CellSet.from_cube(grid, cube)
+            mask = cube_mask(grid, cube)
             for sub in next_layer:
                 if cube.contains(sub):
-                    cells = cells.difference(CellSet.from_cube(grid, sub))
-            out[cube] = cells
+                    mask &= ~cube_mask(grid, sub)
+            out[cube] = CellSet(mask)
     return out
 
 
@@ -261,10 +283,11 @@ def oracle_verify_sparsity(
         if not cells.within_cube(grid, cube):
             return SparsityReport(False, f"witness of {cube} leaves the cube")
         start, stop = cube.cell_range(grid.depth)
-        if 2 * cells.cell_count <= stop - start:
+        size = int(np.count_nonzero(cells.mask))
+        if 2 * size <= stop - start:
             return SparsityReport(
                 False,
-                f"witness of {cube} has measure {cells.cell_count}/{stop - start}"
+                f"witness of {cube} has measure {size}/{stop - start}"
                 " of the cube (strictly more than half is required)",
             )
         coverage += cells.mask
@@ -281,7 +304,7 @@ def oracle_carleson_packing_ok(
     for outer in cubes:
         start, stop = outer.cell_range(grid.depth)
         packed = sum(
-            cells.cell_count
+            int(np.count_nonzero(cells.mask))
             for cube, cells in zip(cubes, witnesses)
             if outer.contains(cube)
         )

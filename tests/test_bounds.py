@@ -15,30 +15,32 @@ from helpers import gamma_quarter_region_max
 from weightlab import (
     ConfigError,
     DyadicGrid,
-    EpsilonOutOfRangeError,
     ExponentProfile,
-    GehringProfile,
     PowerWeight,
     TabulatedWeight,
     bridge_ap_index,
-    default_epsilon,
+    check_factorization,
     evaluate_bounds,
+    extrapolation_inflation,
+    simplified_weak_type_factor,
+    strong_exponent,
+    unit_weight,
+    weak_type_factor,
+)
+from weightlab.bounds import (
+    default_epsilon,
     exponent_comparison,
     extrapolated_strong_bound,
-    extrapolation_inflation,
-    gamma_at_quarter_epsilon,
     gamma_exponent,
     loss_chain_exponents,
     loss_chain_values,
-    power_bridge_check,
     q0_star_of,
-    simplified_weak_type_factor,
-    strong_exponent,
     strong_norm_bound,
-    unit_weight,
     weak_norm_bound,
-    weak_type_factor,
 )
+from weightlab.errors import EpsilonOutOfRangeError
+from weightlab.profiles import GehringProfile
+from weightlab.weights import conjugate_exponent
 
 
 class TestExponentProfile:
@@ -119,10 +121,10 @@ class TestGammaAndDefaultEpsilon:
         assert gamma_exponent(1.0, eps) == pytest.approx(1.0, rel=1e-12)
 
     def test_gamma_validation(self):
-        with pytest.raises(ConfigError):
-            gamma_exponent(0.5, 0.5)
-        with pytest.raises(ConfigError):
-            gamma_exponent(2.0, 0.0)
+        for q0s, eps in [(0.5, 0.5), (math.nan, 0.5), (2.0, 0.0), (2.0, math.nan),
+                         (2.0, math.inf)]:
+            with pytest.raises(ConfigError):
+                gamma_exponent(q0s, eps)
 
     def test_default_epsilon_spot_values(self):
         assert default_epsilon(2.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
@@ -132,8 +134,9 @@ class TestGammaAndDefaultEpsilon:
         assert default_epsilon(2.0, 4.0) < default_epsilon(2.0, 2.0)
 
     def test_default_epsilon_validation(self):
-        with pytest.raises(ConfigError):
-            default_epsilon(2.0, 0.5)
+        for a_infty_pow in (0.5, math.nan):
+            with pytest.raises(ConfigError):
+                default_epsilon(2.0, a_infty_pow)
 
 
 class TestWeakTypeFactor:
@@ -325,35 +328,34 @@ class TestLossChain:
 
 class TestGammaQuarterRegion:
     def test_pinned_gap_gamma_spot(self):
-        assert gamma_at_quarter_epsilon(2.0, 1.0) == pytest.approx(0.1, rel=1e-15)
-
-    @given(
-        q0s=st.floats(min_value=1.1, max_value=10.0),
-        a_pow=st.floats(min_value=1.0, max_value=100.0),
-    )
-    def test_pinned_gap_gamma_identity(self, q0s, a_pow):
-        assert gamma_at_quarter_epsilon(q0s, a_pow) == pytest.approx(
-            gamma_exponent(q0s, 1.0 / (4.0 * a_pow)), rel=1e-12
-        )
+        assert gamma_exponent(2.0, 1.0 / (4.0 * 1.0)) == pytest.approx(0.1, rel=1e-15)
 
     def test_region_maximum_is_two_ninths(self):
         worst = gamma_quarter_region_max()
         assert worst == pytest.approx(2.0 / 9.0, rel=1e-12)
         assert worst < 0.25
         # the maximum sits at the lower-left corner of the sampled region
-        assert gamma_at_quarter_epsilon(1.5, 1.0) == pytest.approx(
+        assert gamma_exponent(1.5, 1.0 / (4.0 * 1.0)) == pytest.approx(
             2.0 / 9.0, rel=1e-15
         )
 
     def test_bound_fails_for_small_q0_star(self):
         # just outside the guaranteed region the pinned-gap rate exceeds 1/4
-        assert gamma_at_quarter_epsilon(1.1, 1.0) > 0.25
+        assert gamma_exponent(1.1, 1.0 / (4.0 * 1.0)) > 0.25
+
+
+def power_bridge(w, p, p0, q0, grid):
+    """The factorization check at the bridge's indices q = p/p0 and s = (q0/p)',
+    whose lifted index s(q−1)+1 must be φ(p) = ``bridge_ap_index(p, p0, q0)``."""
+    chk = check_factorization(w, p / p0, conjugate_exponent(q0 / p), grid)
+    assert math.isclose(chk.combined_index, bridge_ap_index(p, p0, q0), rel_tol=1e-12)
+    return chk
 
 
 class TestPowerBridge:
     def test_power_weight_bridge_passes_with_matching_index(self):
         g = DyadicGrid(8)
-        chk = power_bridge_check(PowerWeight(0.25), 1.5, 1.0, 4.0, g)
+        chk = power_bridge(PowerWeight(0.25), 1.5, 1.0, 4.0, g)
         assert chk.lower_ok and chk.upper_ok
         assert chk.combined_index == pytest.approx(
             bridge_ap_index(1.5, 1.0, 4.0), rel=1e-15
@@ -367,21 +369,23 @@ class TestPowerBridge:
     )
     def test_bridge_holds_across_window_positions(self, alpha, p):
         g = DyadicGrid(8)
-        chk = power_bridge_check(PowerWeight(alpha), p, 1.0, 4.0, g)
+        chk = power_bridge(PowerWeight(alpha), p, 1.0, 4.0, g)
         assert chk.lower_ok and chk.upper_ok
 
     def test_bridge_holds_for_tabulated_weight(self):
         g = DyadicGrid(6)
         w = TabulatedWeight([1.0, 2.0, 0.5, 1.0] * 16)
-        chk = power_bridge_check(w, 2.0, 1.0, 4.0, g)
+        chk = power_bridge(w, 2.0, 1.0, 4.0, g)
         assert chk.lower_ok and chk.upper_ok
-
-    def test_bridge_requires_finite_upper_exponent(self):
-        with pytest.raises(ConfigError):
-            power_bridge_check(unit_weight(), 2.0, 1.0, math.inf, DyadicGrid(4))
 
 
 class TestEvaluateBounds:
+    @pytest.mark.parametrize("p0, q0", [(0.0, 4.0), (0.5, 4.0), (2.0, 4.0), (math.nan, 4.0),
+                                        (1.0, 2.0), (1.0, math.nan)])
+    def test_window_outside_the_profile_rejected(self, p0, q0):
+        with pytest.raises(ValueError):
+            evaluate_bounds(unit_weight(), DyadicGrid(4), p0, q0)
+
     def test_unit_weight_reference_window_full_report(self, grid8):
         rep = evaluate_bounds(unit_weight(), grid8, 1.0, 4.0)
         assert rep.to_jsonable() == {

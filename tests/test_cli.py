@@ -7,6 +7,9 @@ byte-determinism promise of the emitted artifacts.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -335,6 +338,34 @@ class TestBounds:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--p0", "0"],  # 2/p0 divided by zero
+            ["bounds", "--p0", "0.5"],  # outside the window 1 <= p0 < 2
+            ["bounds", "--p0", "nan"],
+            ["bounds", "--epsilon", "nan"],
+            ["bounds", "--epsilon", "inf"],
+            ["weak-norm", "-p", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_exponent_exits_two_with_one_error_line(self, argv, tmp_path):
+        out = tmp_path / "out"
+        flag = "--csv" if argv[0] == "weak-norm" else "--out"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightlab.cli", *argv, "--unit-weight", "--L", "4",
+             flag, str(out)],
+            capture_output=True, text=True, check=False, env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert not out.exists() and os.listdir(tmp_path) == []
 
 
 class TestSweep:

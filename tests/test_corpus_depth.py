@@ -18,21 +18,18 @@ from helpers import (
     TABULATED_NATIVE_DEPTH,
     dense_corpus_values,
     oracle_corpus_rows,
-    oracle_maximal_weak_constant,
     seeded_tabulated_weights,
 )
 from weightlab import (
     DyadicGrid,
     PowerWeight,
-    WrongLengthError,
-    ap_constant,
-    empirical_maximal_weak_constant,
     empirical_weak_operator_norm,
     function_corpus,
     strong_lp_norm,
     unit_weight,
     weak_lp_norm,
 )
+from weightlab.errors import WrongLengthError
 
 DEPTHS = (1, 2, 6, 10)
 REL = 1e-13
@@ -84,17 +81,6 @@ def test_rows_match_the_dense_oracle(depth):
                 assert _close(got.weak_norm_sf, ref.weak_norm_sf), (w.describe(), got, ref)
                 assert _close(got.ratio, ref.ratio), (w.describe(), got, ref)
             assert _close(best, max(r.ratio for r in want))
-
-
-@pytest.mark.parametrize("depth", DEPTHS)
-def test_maximal_constant_matches_the_dense_oracle(depth):
-    grid = DyadicGrid(depth)
-    corpus = function_corpus(grid, n_random=8)
-    for w in _weights(depth):
-        for p0 in (1.0, 1.5):
-            ap_sqrt = ap_constant(w, 2.0 / p0, grid) ** 0.5
-            got = empirical_maximal_weak_constant(w, grid, p0, ap_sqrt, corpus=corpus)
-            assert _close(got, oracle_maximal_weak_constant(w, grid, p0, ap_sqrt, corpus))
 
 
 @pytest.mark.parametrize("norm", (strong_lp_norm, weak_lp_norm))

@@ -13,34 +13,36 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    cube_mask,
     oracle_max_epsilon_empirical,
     oracle_sharp_rh,
     seeded_tabulated_weights,
     standard_weight_corpus,
 )
 from weightlab import (
-    CellSet,
-    DIMENSIONAL_FACTOR,
     DyadicCube,
     DyadicGrid,
-    InequalityCheck,
     PowerWeight,
-    SubsetError,
     TabulatedWeight,
     epsilon_range,
     gehring,
-    gehring_profile,
-    max_epsilon_empirical,
     pow_weight,
     random_subset_checks,
     rh_constant,
     sharp_rh_levels,
     sharp_rh_max_ratio,
-    tree_totals,
     unit_weight,
-    verify_subset_bound,
     weights,
 )
+from weightlab.errors import SubsetError
+from weightlab.gehring import (
+    DIMENSIONAL_FACTOR,
+    InequalityCheck,
+    max_epsilon_empirical,
+    verify_subset_bound,
+)
+from weightlab.grid import CellSet, tree_totals
+from weightlab.profiles import GehringProfile
 
 
 class TestEpsilonRange:
@@ -161,13 +163,14 @@ class TestSubsetBound:
                 2.0,
                 0.5,
                 DyadicCube(1, 1),
-                CellSet.from_cube(grid6, DyadicCube(1, 0)),
+                CellSet(cube_mask(grid6, DyadicCube(1, 0))),
                 grid6,
             )
 
     def test_empty_subset_has_zero_ratio(self, grid6):
         chk = verify_subset_bound(
-            unit_weight(), 2.0, 0.5, DyadicCube(1, 1), CellSet.empty(grid6), grid6
+            unit_weight(), 2.0, 0.5, DyadicCube(1, 1),
+            CellSet(np.zeros(grid6.n_cells, dtype=bool)), grid6,
         )
         assert chk.lhs == 0.0 and chk.ratio == 0.0
 
@@ -175,7 +178,8 @@ class TestSubsetBound:
         # E = Q makes both mass fractions 1; the bound is 2^(1/theta) * rh^(...)
         eps = 2 / 3  # theta = 5/3 at q0* = 2
         chk = verify_subset_bound(
-            unit_weight(), 2.0, eps, DyadicCube(1, 0), CellSet.from_cube(grid6, DyadicCube(1, 0)), grid6
+            unit_weight(), 2.0, eps, DyadicCube(1, 0),
+            CellSet(cube_mask(grid6, DyadicCube(1, 0))), grid6,
         )
         assert chk.lhs == pytest.approx(1.0, rel=1e-14)
         assert chk.rhs == pytest.approx(2.0 ** (3 / 5), rel=1e-14)
@@ -258,9 +262,10 @@ class TestUnverifiedSubsetRows:
     def test_underflowed_cube_is_unverified_not_an_error(self):
         w, grid = TabulatedWeight(TINY_VALUES), DyadicGrid(4)
         tiny = DyadicCube(4, 1)
-        chk = verify_subset_bound(w, 2.0, 0.2, tiny, CellSet.from_cube(grid, tiny), grid)
+        chk = verify_subset_bound(w, 2.0, 0.2, tiny, CellSet(cube_mask(grid, tiny)), grid)
         assert math.isnan(chk.lhs) and chk.ratio == math.inf and not chk.passed
-        empty = verify_subset_bound(w, 2.0, 0.2, DyadicCube(4, 0), CellSet.empty(grid), grid)
+        nothing = CellSet(np.zeros(grid.n_cells, dtype=bool))
+        empty = verify_subset_bound(w, 2.0, 0.2, DyadicCube(4, 0), nothing, grid)
         assert (empty.lhs, empty.rhs, empty.ratio) == (0.0, 0.0, 0.0)
 
     def test_random_subsets_report_underflowed_cubes_as_failing(self):
@@ -313,7 +318,7 @@ class TestGehringProfileHelper:
     def test_gamma_identity(self, q0_star, eps_frac):
         g = DyadicGrid(4)
         eps = eps_frac * epsilon_range(unit_weight(), q0_star, g)
-        prof = gehring_profile(unit_weight(), q0_star, g, epsilon=eps)
+        prof = GehringProfile(q0_star, eps, epsilon_range(unit_weight(), q0_star, g))
         theta_conj = prof.theta / (prof.theta - 1.0)
         assert prof.gamma == pytest.approx(1.0 / (theta_conj * q0_star), rel=1e-12)
         assert prof.theta > 1.0

@@ -37,7 +37,6 @@ from weightlab import (
     dual_weight,
     heap_levels,
     pow_weight,
-    tree_totals,
 )
 from weightlab.characteristics import (
     _sup_with_argmax,
@@ -47,6 +46,7 @@ from weightlab.characteristics import (
     rh_constant,
     rh_per_level,
 )
+from weightlab.grid import tree_totals
 
 DEPTHS = (1, 4, 8, 12)
 MOMENTS = (-1.0, 0.5, 1.0, 2.0)

@@ -7,23 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_weak_lp_norm, seeded_tabulated_weights
+from helpers import (
+    brute_weak_lp_norm,
+    oracle_maximal_weak_constant,
+    oracle_natural_depth_maximal_constant,
+    seeded_tabulated_weights,
+)
 from weightlab import (
     DyadicCube,
     DyadicGrid,
-    TabulatedWeight,
     dyadic_square_function,
-    empirical_maximal_weak_constant,
     empirical_weak_operator_norm,
     equivalence_scaffold,
     function_corpus,
-    maximal_p0,
     maximal_weighted,
     strong_lp_norm,
     unit_weight,
     weak_lp_norm,
 )
-from weightlab.operators import _descending_order
+from weightlab.operators import _descending_order, maximal_p0
 
 
 class TestSquareFunction:
@@ -104,7 +106,19 @@ class TestMaximalFunctions:
         )
 
 
+    @pytest.mark.parametrize("p0", [0.5, float("nan")])
+    def test_exponent_below_one_or_nan_rejected(self, grid6, p0):
+        with pytest.raises(ValueError):
+            maximal_p0(np.ones(grid6.n_cells), grid6, p0)
+
+
 class TestWeakNorm:
+    @pytest.mark.parametrize("norm", [weak_lp_norm, strong_lp_norm])
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_exponent_rejected(self, grid6, norm, p):
+        with pytest.raises(ValueError):
+            norm(np.ones(grid6.n_cells), unit_weight(), grid6, p)
+
     def test_two_value_hand_example(self):
         # values {1, 2} on halves, unit weight, p = 2:
         # lambda = 2 gives 2 * sqrt(1/2) = sqrt(2) > 1 from lambda = 1
@@ -189,10 +203,10 @@ class TestOperatorNormScans:
             from weightlab import ap_constant
 
             ap_sqrt = ap_constant(w, 2.0, grid6) ** 0.5
-            c = empirical_maximal_weak_constant(
-                w, grid6, p0=1.0, ap_sqrt=ap_sqrt, corpus=function_corpus(grid6, n_random=8)
-            )
-            assert 0.0 < c <= 8.0
+            corpus = function_corpus(grid6, n_random=8)
+            for constant in (oracle_maximal_weak_constant, oracle_natural_depth_maximal_constant):
+                c = constant(w, grid6, 1.0, ap_sqrt, corpus)
+                assert 0.0 < c <= 8.0
 
 
 class TestEquivalenceScaffold:

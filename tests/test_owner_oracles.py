@@ -18,42 +18,40 @@ import pytest
 from helpers import (
     dense_witnesses,
     keyed_peel_layers,
+    mask_ranges,
     oracle_bin_witness_stats,
-    oracle_carleson_packing_ok,
     oracle_build_sparse_random,
+    oracle_carleson_packing_ok,
     oracle_family_from_jsonable,
     oracle_layer_witnesses,
     oracle_paint_owner,
     oracle_peel_layers,
     oracle_verify_sparsity,
+    ranges_mask,
     seeded_tabulated_weights,
 )
 from weightlab import (
-    CellSet,
     DyadicCube,
     DyadicGrid,
     ExponentProfile,
     LevelOverflowError,
     SparseFamily,
     SparsityViolationError,
-    SubsetError,
-    build_good_set,
     build_sparse_cz,
-    build_sparse_random,
-    carleson_packing_ok,
-    composed_moment_cells,
-    cube_ids,
     default_trace_family,
     dual_weight,
     id_cubes,
-    maximal_p0,
-    peel_layers,
     sparse_form,
     trace_proof,
     unit_weight,
     verify_sparsity,
 )
-from weightlab.sparse import paint_owner
+from weightlab.errors import SubsetError
+from weightlab.grid import cube_ids
+from weightlab.operators import maximal_p0
+from weightlab.sparse import build_sparse_random, carleson_packing_ok, paint_owner
+from weightlab.tracer import build_good_set, peel_layers
+from weightlab.weights import composed_moment_cells
 
 
 def random_cubes(grid: DyadicGrid, rng: np.random.Generator, count: int):
@@ -122,9 +120,8 @@ def test_json_load_matches_dense_masks(kind, seed):
     grid = grid_of(family)
     again = SparseFamily.from_json(family.to_json(), grid)
     for cells, entry in zip(dense_witnesses(again), family.to_jsonable()):
-        assert entry["witness"] == cells.to_ranges()
-        loaded = CellSet.from_ranges(grid, entry["witness"])
-        np.testing.assert_array_equal(cells.mask, loaded.mask)
+        assert entry["witness"] == mask_ranges(cells.mask)
+        np.testing.assert_array_equal(cells.mask, ranges_mask(grid, entry["witness"]))
 
 
 @pytest.mark.parametrize("seed", range(6))

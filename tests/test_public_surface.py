@@ -1,0 +1,110 @@
+"""The package's public surface: ``weightlab.__all__`` is what the README,
+the command line and the acceptance suite use, and every name the benchmark
+harness reaches by reflection still resolves.
+
+The benchmark's files are only read here (parsed, never imported).
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+import weightlab
+import weightlab.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+CLI = Path(weightlab.cli.__file__).read_text(encoding="utf-8")
+PERFBENCH = ROOT / "perfbench"
+
+
+def _imported_from_weightlab(source: str) -> set:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "weightlab"
+        for alias in node.names
+    }
+
+
+def _assigned_literal(source: str, name: str):
+    for node in ast.parse(source).body:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not assigned in the file")
+
+
+def _resolve(dotted: str) -> object:
+    """``module.attr[.attr...]`` below ``weightlab``, attribute by attribute."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"weightlab.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_all_is_exactly_the_public_attributes():
+    public = {
+        name
+        for name, value in vars(weightlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(weightlab.__all__) == len(set(weightlab.__all__))
+    assert set(weightlab.__all__) == public
+
+
+def test_every_export_is_used_by_the_readme_the_cli_or_the_acceptance_suite():
+    for name in weightlab.__all__:
+        pattern = rf"\b{re.escape(name)}\b"
+        assert any(re.search(pattern, text) for text in (README, CLI, ACCEPTANCE)), name
+
+
+def test_quickstart_and_acceptance_imports_are_exported():
+    [quickstart] = re.findall(r"```python\n(.*?)```", README, re.S)
+    wanted = _imported_from_weightlab(quickstart) | _imported_from_weightlab(ACCEPTANCE)
+    assert wanted and wanted <= set(weightlab.__all__)
+
+
+def test_cli_imports_from_the_computing_modules_are_exported():
+    wanted = {
+        alias.name
+        for node in ast.parse(CLI).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "serialize"
+        for alias in node.names
+        if not alias.name.startswith("_")
+    }
+    assert wanted and wanted <= set(weightlab.__all__)
+
+
+def test_benchmark_hooks_still_resolve():
+    spans = (PERFBENCH / "spans.py").read_text(encoding="utf-8")
+    methods = _assigned_literal(spans, "METHODS")
+    for module, pairs in methods.items():
+        for cls_name, method in pairs:
+            assert method in vars(_resolve(f"{module}.{cls_name}")), (cls_name, method)
+    for dotted in _assigned_literal(spans, "PEAK_FUNCTIONS"):
+        # a module function, or a wrapped method named after its module
+        module, name = dotted.split(".")
+        is_method = any(method == name for _, method in methods.get(module, ()))
+        assert is_method or callable(_resolve(dotted)), dotted
+    # the library names the workers and the input builder reach
+    reached = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        reached |= set(re.findall(r"\bweightlab\.([a-z_]+\.[A-Za-z_]+)\b", source))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weightlab."):
+                module = node.module.split(".", 1)[1]
+                reached |= {f"{module}.{alias.name}" for alias in node.names}
+    for dotted in ("gehring.max_epsilon_empirical", "weights.TabulatedWeight",
+                   "grid.DyadicGrid", "sparse.build_sparse_cz"):
+        assert dotted in reached, dotted
+    for dotted in reached:
+        if dotted.split(".")[-1] != "__file__":
+            _resolve(dotted)

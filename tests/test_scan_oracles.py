@@ -30,15 +30,12 @@ import pytest
 from helpers import (
     TABULATED_NATIVE_DEPTH,
     oracle_equivalence_scaffold,
-    oracle_natural_depth_maximal_constant,
     oracle_natural_depth_rows,
     seeded_tabulated_weights,
 )
 from weightlab import (
     DyadicGrid,
     PowerWeight,
-    ap_constant,
-    empirical_maximal_weak_constant,
     empirical_weak_operator_norm,
     equivalence_scaffold,
     function_corpus,
@@ -68,17 +65,6 @@ def test_rows_are_bit_identical_to_the_per_weight_oracle(depth, p, threads, monk
         want_best, want_rows = oracle_natural_depth_rows(w, grid, p, corpus)
         assert rows == want_rows, w.describe()
         assert best == want_best, w.describe()
-
-
-@pytest.mark.parametrize("depth", (2, 6, 10, 12))
-def test_maximal_constant_is_bit_identical_to_the_per_weight_oracle(depth):
-    grid = DyadicGrid(depth)
-    corpus = function_corpus(grid, n_random=16)
-    for w in _weights(depth):
-        ap_sqrt = ap_constant(w, 2.0, grid) ** 0.5  # A_{4/3} diverges for x^0.375
-        for p0 in (1.0, 1.5):
-            got = empirical_maximal_weak_constant(w, grid, p0, ap_sqrt, corpus=corpus)
-            assert got == oracle_natural_depth_maximal_constant(w, grid, p0, ap_sqrt, corpus)
 
 
 def test_empty_weight_list_and_empty_corpus():

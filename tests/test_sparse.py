@@ -9,22 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import seeded_tabulated_weights
+from helpers import cube_mask, seeded_tabulated_weights
 from weightlab import (
-    CellSet,
     DyadicCube,
     DyadicGrid,
     ExponentProfile,
     SparseFamily,
     SparsityViolationError,
-    TabulatedWeight,
     build_sparse_cz,
-    build_sparse_random,
-    carleson_packing_ok,
     sparse_form,
     verify_sparsity,
 )
-from weightlab.sparse import paint_owner
+from weightlab.grid import CellSet
+from weightlab.sparse import build_sparse_random, carleson_packing_ok, paint_owner
 
 
 def full_cube_family(grid: DyadicGrid, cubes) -> SparseFamily:
@@ -47,8 +44,8 @@ class TestVerifySparsity:
     def test_nested_disjoint_witnesses(self, grid6):
         root = DyadicCube(0, 0)
         child = DyadicCube(1, 0)
-        witness_root = CellSet.from_cube(grid6, DyadicCube(1, 1))  # right half
-        witness_child = CellSet.from_cube(grid6, child)  # left half
+        witness_root = CellSet(cube_mask(grid6, DyadicCube(1, 1)))  # right half
+        witness_child = CellSet(cube_mask(grid6, child))  # left half
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         # root witness is exactly half: strict sparsity must fail
         report = verify_sparsity(fam, grid6)
@@ -57,8 +54,8 @@ class TestVerifySparsity:
     def test_strict_majority_passes(self, grid6):
         root = DyadicCube(0, 0)
         child = DyadicCube(2, 0)
-        witness_root = CellSet.from_cube(grid6, child).complement()  # 3/4 of root
-        witness_child = CellSet.from_cube(grid6, child)
+        witness_root = CellSet(~cube_mask(grid6, child))  # 3/4 of root
+        witness_child = CellSet(cube_mask(grid6, child))
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         assert verify_sparsity(fam, grid6).ok
         assert carleson_packing_ok(fam, grid6)
@@ -66,7 +63,7 @@ class TestVerifySparsity:
     def test_witness_outside_cube_fails(self, grid6):
         fam = SparseFamily(
             (DyadicCube(1, 0),),
-            owner_of(grid6, [CellSet.from_cube(grid6, DyadicCube(1, 1))]),
+            owner_of(grid6, [CellSet(cube_mask(grid6, DyadicCube(1, 1)))]),
         )
         report = verify_sparsity(fam, grid6)
         assert not report.ok and "leaves" in report.first_violation
@@ -109,7 +106,7 @@ class TestBuilders:
         assert [(c.level, c.index) for c in fam.cubes] == [(0, 0), (2, 0)]
         assert verify_sparsity(fam, g).ok
         # the root witness is the root minus the selected subcube
-        root_witness = fam.witness(DyadicCube(0, 0))
+        root_witness = CellSet(fam.owner == fam.cubes.index(DyadicCube(0, 0)))
         np.testing.assert_array_equal(
             root_witness.mask, np.array([0, 0, 1, 1, 1, 1, 1, 1], dtype=bool)
         )

@@ -27,19 +27,17 @@ from weightlab import (
     DyadicGrid,
     LevelOverflowError,
     PowerWeight,
-    cube_ids,
     default_trace_family,
     dual_weight,
     function_corpus,
     id_cubes,
-    maximal_p0,
     maximal_weighted,
-    square_function_from_cell_integrals,
     unit_weight,
     weak_lp_norm,
 )
 from weightlab.characteristics import a_infty_fw_per_level
-from weightlab.grid import heap_levels
+from weightlab.grid import cube_ids, heap_levels
+from weightlab.operators import maximal_p0, square_function_from_cell_integrals
 
 DEPTHS = (6, 8, 10)
 

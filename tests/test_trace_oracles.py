@@ -16,18 +16,17 @@ import pytest
 
 from helpers import oracle_trace_proof, seeded_tabulated_weights
 from weightlab import (
-    CellSet,
     DyadicCube,
     DyadicGrid,
     ExponentProfile,
     PowerWeight,
     build_sparse_cz,
-    cube_ids,
     default_trace_family,
     id_cubes,
     trace_proof,
     unit_weight,
 )
+from weightlab.grid import CellSet, cube_ids
 
 WEIGHTS = {
     "tabulated": seeded_tabulated_weights(4)[3],

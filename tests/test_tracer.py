@@ -11,34 +11,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    cube_mask,
     geometric_tail_partial,
     seeded_tabulated_weights,
     verify_average_comparison,
 )
 from weightlab import (
-    CellSet,
     ConfigError,
     DyadicCube,
     DyadicGrid,
-    EmptyGoodSetError,
-    EpsilonOutOfRangeError,
     ExponentProfile,
     PowerWeight,
-    ZeroFunctionError,
-    build_good_set,
     build_sparse_cz,
     default_trace_family,
     dual_weight,
-    geometric_tail_sum,
-    geometric_weighted_tail_sum,
     id_cubes,
-    peel_layers,
     percube_ap_holder_scan,
     trace_proof,
     unit_weight,
     verify_sparsity,
 )
+from weightlab.errors import EmptyGoodSetError, EpsilonOutOfRangeError, ZeroFunctionError
+from weightlab.grid import CellSet
 from weightlab.sparse import paint_owner
+from weightlab.tracer import (
+    build_good_set,
+    geometric_tail_sum,
+    geometric_weighted_tail_sum,
+    peel_layers,
+)
 
 P14 = ExponentProfile(p0=1.0, q0=4.0)
 
@@ -245,10 +246,8 @@ class TestLayerPeeling:
             total += cells.mask
         assert total.max() <= 1
         # the root loses every next-layer cube inside it: both (1,0) and (2,2)
-        removed = CellSet.from_cube(g, DyadicCube(1, 0)).union(
-            CellSet.from_cube(g, DyadicCube(2, 2))
-        )
-        np.testing.assert_array_equal(wit[DyadicCube(0, 0)].mask, ~removed.mask)
+        removed = cube_mask(g, DyadicCube(1, 0)) | cube_mask(g, DyadicCube(2, 2))
+        np.testing.assert_array_equal(wit[DyadicCube(0, 0)].mask, ~removed)
 
 
 class TestGoodSet:
@@ -274,7 +273,7 @@ class TestGoodSet:
                 grid6,
                 1.0,
                 [DyadicCube(0, 0)],
-                good_cells=CellSet.empty(grid6),
+                good_cells=CellSet(np.zeros(grid6.n_cells, dtype=bool)),
             )
 
     def test_threshold_formula(self, grid6):
@@ -313,7 +312,7 @@ class TestTraceValidation:
 
     def test_zero_bucket_collects_cubes_outside_good_region(self, grid6):
         f = np.ones(grid6.n_cells)
-        left = CellSet.from_cube(grid6, DyadicCube(1, 0))
+        left = CellSet(cube_mask(grid6, DyadicCube(1, 0)))
         trace = trace_proof(
             f,
             unit_weight(),
@@ -373,7 +372,7 @@ class TestDefaultTraceFamily:
         assert DyadicCube(0, 0) in id_cubes(family)
         # the same stopping construction, audited directly
         sigma = dual_weight(w, 2.0)
-        from weightlab import composed_moment_cells
+        from weightlab.weights import composed_moment_cells
 
         moments = composed_moment_cells(grid8, f, sigma, 1.0) / grid8.cell_measure
         rebuilt = build_sparse_cz(moments, grid8, ratio=2.0)

@@ -9,18 +9,18 @@ import pytest
 
 from helpers import cold_power, seeded_tabulated_weights, standard_weight_corpus
 from weightlab import (
-    DivergentMomentError,
     DyadicGrid,
     PowerWeight,
     TabulatedWeight,
-    conjugate_exponent,
     dual_weight,
     evaluate_bounds,
     pow_weight,
-    q0_star_of,
 )
+from weightlab.bounds import q0_star_of
+from weightlab.errors import DivergentMomentError
 from weightlab.grid import heap_levels
 from weightlab.serialize import dump_json
+from weightlab.weights import conjugate_exponent
 
 # w**-1, w**2, w**{q0*} (window q0 = 6) and σ = w**{1-p'} (p = 3)
 POWERS = (-1.0, 2.0, q0_star_of(6.0), 1.0 - conjugate_exponent(3.0))
