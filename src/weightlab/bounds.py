@@ -23,7 +23,7 @@ from typing import Optional
 from .characteristics import a_infty_fw, ap_constant, rh_constant
 from .errors import ConfigError
 from .grid import DyadicGrid
-from .profiles import ExponentProfile
+from .profiles import ExponentProfile, GehringProfile
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
@@ -296,15 +296,18 @@ def evaluate_bounds(
     epsilon: Optional[float] = None,
 ) -> BoundsReport:
     """Compute every closed-form bound for ``w`` over the (p0, q0) window,
-    which must satisfy ``1 <= p0 < 2 < q0 <= ∞`` (else ``ValueError``)."""
+    which must satisfy ``1 <= p0 < 2 < q0 <= ∞`` (else ``ValueError``);
+    ``epsilon`` may not exceed the proven :func:`default_epsilon`."""
     q0s = ExponentProfile(p0, q0).q0_star
     ap = ap_constant(w, 2.0 / p0, grid)
     # RH_1 compares every cube average with itself, so the characteristic is 1.
     rh = 1.0 if q0s == 1.0 else rh_constant(w, q0s, grid)
     a_inf = a_infty_fw(w, grid)
     a_inf_pow = a_infty_fw(pow_weight(w, q0s), grid)
-    eps = default_epsilon(q0s, a_inf_pow) if epsilon is None else float(epsilon)
+    eps_max = default_epsilon(q0s, a_inf_pow)
+    eps = eps_max if epsilon is None else float(epsilon)
     gamma = gamma_exponent(q0s, eps)
+    GehringProfile.check_epsilon(eps, eps_max)
     eta = weak_type_factor(rh, a_inf, q0s, eps)
     weak = weak_norm_bound(ap, rh, a_inf, q0s, eps)
     strong = strong_norm_bound(ap, rh, 2.0, p0, q0)

@@ -3,7 +3,8 @@
 * :func:`dyadic_square_function` — the martingale square function
   ``Sf(x) = (Σ_{Q ∋ x, 1 ≤ level ≤ L} |⟨f⟩_Q − ⟨f⟩_parent(Q)|²)^{1/2}``;
   it satisfies the exact Plancherel identity
-  ``‖Sf‖²_{L²(dx)} = ‖f‖²_{L²(dx)} − ⟨f⟩²`` on the finite grid.
+  ``‖Sf‖²_{L²(dx)} = ‖f‖²_{L²(dx)} − ⟨f⟩²`` on the finite grid.  Siblings
+  share every jump (the last is ``±(a − b)/2``), so ``Sf`` lives one level up.
 * :func:`maximal_p0` — the dyadic L^{p0}-average maximal function, optionally
   restricted to a given cube collection (0 where no cube covers the point).
 * :func:`maximal_weighted` — the maximal function of w-averages
@@ -29,6 +30,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._parallel import ordered_map
+from .errors import WrongLengthError
 from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages, tree_totals
 from .weights import (
     Weight,
@@ -42,22 +44,28 @@ def square_function_from_cell_integrals(
     cell_integrals: np.ndarray, grid: DyadicGrid
 ) -> np.ndarray:
     """Square function of the function whose exact finest-cell integrals are
-    given (signed); useful for compositions like f·σ with non-constant σ."""
+    given (signed), one value per sibling pair of cells (level ``L − 1``);
+    useful for compositions like f·σ with non-constant σ."""
     averages = heap_levels(to_averages(tree_totals(grid, cell_integrals)))
-    # sq = Σ of squared jumps along each level-k cube's ancestor chain, top-down
+    # sq = Σ of squared jumps along each level-k cube's ancestor chain, top-down;
+    # one side of the sibling pairs at a time keeps numpy's inner loops long
     sq = np.zeros(1, dtype=np.float64)
-    for parent, child in zip(averages, averages[1:]):
-        d = child - np.repeat(parent, 2)
-        sq = np.repeat(sq, 2) + d * d
-    return np.sqrt(sq)
+    for parent, child in zip(averages[:-2], averages[1:-1]):
+        sq, above = np.empty(child.size), sq
+        for side in (0, 1):
+            jump = child[side::2] - parent
+            np.add(above, jump * jump, out=sq[side::2])
+    pairs = averages[-1].reshape(-1, 2)  # both siblings jump by ±(a − b)/2
+    half = (pairs[:, 0] - pairs[:, 1]) / 2.0
+    return np.sqrt(sq + half * half)
 
 
 def dyadic_square_function(
     f: Sequence[float] | np.ndarray, grid: DyadicGrid
 ) -> np.ndarray:
-    """Per-cell values of the martingale square function of ``f``."""
+    """Per-cell values of the martingale square function of ``f``, equal on siblings."""
     values = grid.check_values(f)
-    return square_function_from_cell_integrals(values * grid.cell_measure, grid)
+    return np.repeat(square_function_from_cell_integrals(values * grid.cell_measure, grid), 2)
 
 
 def _level_norm_inputs(
@@ -70,13 +78,15 @@ def _level_norm_inputs(
     """Validated exponent, ``|h|`` per level-``level`` cube and those cubes'
     w-masses (``level`` defaults to the finest level)."""
     p = float(p)
-    if not p > 0.0:
-        raise ValueError(f"norm exponent must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"norm exponent must be positive and finite, got {p}")
     if level is None:
         level = grid.depth
-    elif not 1 <= level <= grid.depth:
-        raise ValueError(f"level must lie in 1..{grid.depth}, got {level}")
-    values = np.abs(DyadicGrid(level).check_values(h))
+    elif not 0 <= level <= grid.depth:
+        raise ValueError(f"level must lie in 0..{grid.depth}, got {level}")
+    values = np.abs(np.asarray(h, dtype=np.float64))
+    if values.shape != (1 << level,):
+        raise WrongLengthError(f"expected {1 << level} per-cube values, got shape {values.shape}")
     return p, values, heap_levels(w.pyramid(grid, 1.0))[level]
 
 
@@ -94,11 +104,13 @@ def strong_lp_norm(
     return float(np.sum(values**p * cellw)) ** (1.0 / p)
 
 
-def _descending_order(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")[::-1]``: descending, and a run of
-    equal values in descending index order.  An unstable sort ranks the
-    values, then one int64 sort of ``run · n + index`` orders each tie run by
-    index; on unsorted input that takes a quarter to a half of the time."""
+def _level_sets(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The descending order ``np.argsort(values, kind="stable")[::-1]`` of
+    non-negative ``values``, held contiguous, the end of each run of equal
+    values in it and each run's value ``λ``: the level sets ``{values ≥ λ}``
+    are prefixes of that order.  An unstable sort ranks the values, then one
+    int64 sort of ``−(run · n + index)`` orders each tie run by index; on
+    unsorted input that takes a quarter to a half of the time."""
     order = np.argsort(values)
     ranked = values[order]
     step = ranked[1:] != ranked[:-1]
@@ -106,28 +118,17 @@ def _descending_order(values: np.ndarray) -> np.ndarray:
         step &= ~np.isnan(ranked[:-1])  # the NaNs, sorted last, are one run
     run = np.zeros(values.size, dtype=np.int64)
     np.cumsum(step, out=run[1:])
-    run *= values.size
-    order += run  # the keys, sorted in place
+    run *= -values.size
+    np.subtract(run, order, out=order)  # the keys, sorted in place
     order.sort()
-    order -= run
-    return order[::-1]
+    np.subtract(run[::-1], order, out=order)
+    ends = np.flatnonzero(np.append(step[::-1], values.size > 0))  # the last value ends a run
+    return order, ends, ranked[::-1][ends]
 
 
-def _level_sets(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`_descending_order` of non-negative ``values``, the end of
-    each run of equal values in it and each run's value ``λ``: the level sets
-    ``{values ≥ λ}`` are prefixes of that order."""
-    order = _descending_order(values)
-    sorted_vals = values[order]
-    ends = np.flatnonzero(np.diff(np.concatenate((sorted_vals, [-1.0]))) != 0.0)
-    return order, ends, sorted_vals[ends]
-
-
-def _weak_norm(sets: Tuple[np.ndarray, ...], cellw: np.ndarray, p: float) -> float:
-    """``sup_λ λ · w({h ≥ λ})^{1/p}`` over the :func:`_level_sets` of ``h``."""
-    order, ends, lam = sets
-    # the tail mass w({h ≥ λ}) is the cumulative sum at the end of λ's run
-    tail = np.cumsum(cellw[order])[ends]
+def _weak_norm(lam: np.ndarray, tail: np.ndarray, p: float) -> float:
+    """``sup_λ λ · w({h ≥ λ})^{1/p}`` over the :func:`_level_sets` values ``λ``
+    of ``h``, given each tail mass: the cumulative sum at the end of λ's run."""
     return float(np.max(lam * tail ** (1.0 / p), where=lam > 0.0, initial=0.0))
 
 
@@ -142,7 +143,8 @@ def weak_lp_norm(
     """Exact ``sup_λ λ · w({|h| ≥ λ})^{1/p}`` by level-set enumeration, for
     ``h`` given as in :func:`strong_lp_norm`."""
     p, values, cellw = _level_norm_inputs(h, w, grid, p, level)
-    return _weak_norm(_level_sets(values), cellw, p)
+    order, ends, lam = _level_sets(values)
+    return _weak_norm(lam, np.cumsum(cellw[order])[ends], p)
 
 
 def _ancestor_max(heap: np.ndarray) -> np.ndarray:
@@ -275,34 +277,6 @@ class OperatorNormRow:
     ratio: float
 
 
-def _corpus_rows(
-    weights: Sequence[Weight],
-    grid: DyadicGrid,
-    p: float,
-    corpus: Iterable[CorpusFunction],
-) -> Tuple[List[str], List[List[Tuple[float, float]]]]:
-    """The corpus functions' names, in corpus order, and per weight
-    ``(‖f‖_{L^p(w)}, ‖Sf‖_{L^{p,∞}(w)})`` for each corpus function ``f``, at
-    its natural depth ``d``: ``f`` and its square function ``Sf`` are
-    constant on level-``d`` cubes, so the level sets are built once per
-    function and both norms read each weight's level-``d`` masses.
-
-    ``corpus`` may be any iterable, such as :func:`_corpus_stream`: each
-    function is drawn when a worker is free for it and dropped once its norms
-    are computed, so only its name outlives the scan."""
-
-    def evaluate(fn: CorpusFunction) -> Tuple[str, List[Tuple[float, float]]]:
-        d = fn.depth
-        sets = _level_sets(dyadic_square_function(fn.cells, DyadicGrid(d)))
-        strong = [strong_lp_norm(fn.cells, w, grid, p, level=d) for w in weights]
-        weak = [_weak_norm(sets, heap_levels(w.pyramid(grid, 1.0))[d], p) for w in weights]
-        return fn.name, list(zip(strong, weak))
-
-    scanned = ordered_map(evaluate, corpus)
-    names = [name for name, _ in scanned]
-    return names, [[norms[k] for _, norms in scanned] for k in range(len(weights))]
-
-
 def empirical_weak_operator_norm(
     weights: Sequence[Weight],
     grid: DyadicGrid,
@@ -311,15 +285,27 @@ def empirical_weak_operator_norm(
 ) -> List[Tuple[float, List[OperatorNormRow]]]:
     """Per weight, from one scan of the corpus (by default the seed-2024 corpus,
     drawn lazily): the largest ratio ‖Sf‖_{L^{p,∞}(w)} / ‖f‖_{L^p(w)} (a lower
-    bound on the weak operator norm) and one row per test function."""
-    if corpus is None:
-        corpus = _corpus_stream(grid)
-    names, per_weight = _corpus_rows(weights, grid, p, corpus)
+    bound on the weak operator norm) and one row per test function.
+
+    ``f`` is constant on level-``d`` cubes and ``Sf`` one level up, so the
+    level sets of ``Sf`` are built once per function and the norms read each
+    weight's masses on those two levels.  ``corpus`` may be any iterable: each
+    function is drawn when a worker is free and dropped once its norms are done."""
+
+    def evaluate(fn: CorpusFunction) -> Tuple[str, List[Tuple[float, float, float]]]:
+        d = fn.depth
+        sf = square_function_from_cell_integrals(fn.cells * 2.0**-d, DyadicGrid(d))
+        order, ends, lam = _level_sets(sf)
+        strong = [strong_lp_norm(fn.cells, w, grid, p, level=d) for w in weights]
+        masses = (heap_levels(w.pyramid(grid, 1.0))[d - 1][order] for w in weights)
+        weak = [_weak_norm(lam, np.cumsum(m)[ends], p) for m in masses]
+        return fn.name, [(s, wk, wk / s if s > 0.0 else 0.0) for s, wk in zip(strong, weak)]
+
+    scanned = ordered_map(evaluate, _corpus_stream(grid) if corpus is None else corpus)
     scans = []
-    for norms in per_weight:
-        ratios = [weak / strong if strong > 0.0 else 0.0 for strong, weak in norms]
-        rows = [OperatorNormRow(name, *pair, r) for name, pair, r in zip(names, norms, ratios)]
-        scans.append((max(ratios, default=0.0), rows))
+    for k in range(len(weights)):
+        rows = [OperatorNormRow(name, *norms[k]) for name, norms in scanned]
+        scans.append((max((row.ratio for row in rows), default=0.0), rows))
     return scans
 
 
@@ -356,6 +342,7 @@ def equivalence_scaffold(
     and ∫_{G'} S(fσ)² w ≤ 4·N₂²·‖f‖², while the level set attaining N₂ gives
     back ≥ ¾·N₂²·‖f‖²; the reported supremum must therefore agree with N₂²
     within a factor of 16 (with margin — the structural window is [3/4, 4]).
+    S(fσ) and w are read on the level-``(L − 1)`` cubes, where S(fσ) lives.
     Each G is a prefix of the descending order of S(fσ) and each G' a slice of
     it, so all of them cost one sort and two prefix sums: ``O(N log N)`` time.
     """
@@ -368,11 +355,11 @@ def equivalence_scaffold(
     sf = square_function_from_cell_integrals(
         fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1], grid
     )
-    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
+    cellw = heap_levels(w.pyramid(grid, 1.0))[-2]
     order, ends, lam = _level_sets(sf)
-    n2 = _weak_norm((order, ends, lam), cellw, 2.0) / norm
     sorted_sf, sorted_w = sf[order], cellw[order]
     mass = np.concatenate(([0.0], np.cumsum(sorted_w)))
+    n2 = _weak_norm(lam, mass[ends + 1], 2.0) / norm
     pairing = np.concatenate(([0.0], np.cumsum(sorted_sf * sorted_sf * sorted_w)))
     # G = the first `stop` cells of the order: each level set {S ≥ v > 0}, then the space
     stop = np.append(ends[lam > 0.0] + 1, sf.size)

@@ -79,12 +79,7 @@ class GehringProfile:
             raise ValueError(
                 f"the self-improvement machinery needs q0_star > 1, got {self.q0_star}"
             )
-        if not self.epsilon > 0.0:
-            raise EpsilonOutOfRangeError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.epsilon_max is not None and self.epsilon > self.epsilon_max * (1 + 1e-12):
-            raise EpsilonOutOfRangeError(
-                f"epsilon {self.epsilon} exceeds the admissible maximum {self.epsilon_max}"
-            )
+        self.check_epsilon(self.epsilon, self.epsilon_max)
         theta = (self.q0_star + self.epsilon - 1.0) / (self.q0_star - 1.0)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "theta_conj", theta / (theta - 1.0))
@@ -93,3 +88,13 @@ class GehringProfile:
             "gamma",
             self.epsilon / (self.q0_star * (self.q0_star + self.epsilon - 1.0)),
         )
+
+    @staticmethod
+    def check_epsilon(epsilon: float, epsilon_max: float | None = None) -> None:
+        """Refuse ``epsilon <= 0``, or above ``epsilon_max`` by over 1e-12 relative."""
+        if not epsilon > 0.0:
+            raise EpsilonOutOfRangeError(f"epsilon must be > 0, got {epsilon}")
+        if epsilon_max is not None and epsilon > epsilon_max * (1 + 1e-12):
+            raise EpsilonOutOfRangeError(
+                f"epsilon {epsilon} exceeds the admissible maximum {epsilon_max}"
+            )

@@ -24,7 +24,6 @@ from weightlab import (
     Weight,
     a_infty_fw,
     dual_weight,
-    dyadic_square_function,
     epsilon_range,
     gehring,
     heap_levels,
@@ -820,12 +819,13 @@ def dense_corpus_values(
 
 
 def oracle_corpus_rows(w: Weight, grid: DyadicGrid, p: float, corpus) -> List[OperatorNormRow]:
-    """Operator-norm rows with every function, its square function and both
-    norms evaluated on the finest cells."""
+    """Operator-norm rows with every function, its matrix square function and
+    both norms evaluated on the finest cells."""
     rows: List[OperatorNormRow] = []
     for fn in corpus:
         strong = strong_lp_norm(fn.values, w, grid, p)
-        weak = weak_lp_norm(dyadic_square_function(fn.values, grid), w, grid, p)
+        sf = oracle_square_function_from_cell_integrals(fn.values * grid.cell_measure, grid)
+        weak = weak_lp_norm(sf, w, grid, p)
         rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
     return rows
 
@@ -849,13 +849,32 @@ def oracle_maximal_weak_constant(
 def oracle_natural_depth_rows(
     w: Weight, grid: DyadicGrid, p: float, corpus
 ) -> Tuple[float, List[OperatorNormRow]]:
-    """Operator-norm rows of one weight, each function at its natural depth:
-    its square function and level sets rebuilt for this weight alone."""
+    """Operator-norm rows of one weight, each function at its natural depth
+    ``d`` and its square function one level up: the square function and its
+    level sets rebuilt for this weight alone."""
     rows: List[OperatorNormRow] = []
     for fn in corpus:
         d = fn.depth
+        at_d = DyadicGrid(d)
         strong = strong_lp_norm(fn.cells, w, grid, p, level=d)
-        sf = dyadic_square_function(fn.cells, DyadicGrid(d))
+        sf = square_function_from_cell_integrals(fn.cells * at_d.cell_measure, at_d)
+        weak = weak_lp_norm(sf, w, grid, p, level=d - 1)
+        rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
+    return max((row.ratio for row in rows), default=0.0), rows
+
+
+def oracle_depth_d_rows(
+    w: Weight, grid: DyadicGrid, p: float, corpus
+) -> Tuple[float, List[OperatorNormRow]]:
+    """Operator-norm rows of one weight with each function and its matrix
+    square function on the level-``d`` cubes of its natural depth ``d``, every
+    sibling pair evaluated apart."""
+    rows: List[OperatorNormRow] = []
+    for fn in corpus:
+        d = fn.depth
+        at_d = DyadicGrid(d)
+        strong = strong_lp_norm(fn.cells, w, grid, p, level=d)
+        sf = oracle_square_function_from_cell_integrals(fn.cells * at_d.cell_measure, at_d)
         weak = weak_lp_norm(sf, w, grid, p, level=d)
         rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
     return max((row.ratio for row in rows), default=0.0), rows
@@ -879,24 +898,30 @@ def oracle_natural_depth_maximal_constant(
 
 
 def oracle_equivalence_scaffold(
-    f: np.ndarray, w: Weight, grid: DyadicGrid
+    f: np.ndarray, w: Weight, grid: DyadicGrid, *, pairs: bool = False
 ) -> EquivalenceScaffold:
-    """The good-subset scaffold with one ``N``-cell mask per level set of
-    ``S(fσ)`` and masked sums for ``w(G)`` and each pairing."""
+    """The good-subset scaffold with the matrix square function ``S(fσ)`` on
+    the finest cells, one mask per level set of it and masked sums for
+    ``w(G)`` and each pairing.  With ``pairs``, each sibling pair of cells
+    is one cell holding the larger of the pair's two values of ``S(fσ)``,
+    which differ by rounding only."""
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
     if norm_sq == 0.0:
         return EquivalenceScaffold(0.0, 0.0, 0)
     norm = math.sqrt(norm_sq)
-    sf = square_function_from_cell_integrals(
+    sf = oracle_square_function_from_cell_integrals(
         fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1], grid
     )
-    n2 = weak_lp_norm(sf, w, grid, 2.0) / norm
-    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
+    level = grid.depth - 1 if pairs else grid.depth
+    if pairs:
+        sf = np.maximum(sf[0::2], sf[1::2])
+    n2 = weak_lp_norm(sf, w, grid, 2.0, level=level) / norm
+    cellw = heap_levels(w.pyramid(grid, 1.0))[level]
     sf_sq_w = sf * sf * cellw
     masks = [sf >= v for v in np.unique(sf[sf > 0.0])[::-1]]
-    masks.append(np.ones(grid.n_cells, dtype=bool))
+    masks.append(np.ones(sf.size, dtype=bool))
     pairing_sup = 0.0
     tested = 0
     for mask in masks:

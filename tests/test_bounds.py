@@ -445,6 +445,15 @@ class TestEvaluateBounds:
         # the loss-chain values stay pinned at the guaranteed gap
         assert rep.loss_chain.direct_value == 1.5
 
+    @pytest.mark.parametrize("w, q0", [(unit_weight(), 4.0), (PowerWeight(-0.25), math.inf)])
+    def test_epsilon_above_the_proven_maximum_is_refused(self, w, q0, grid8):
+        proven = evaluate_bounds(w, grid8, 1.0, q0).epsilon
+        # the same 1e-12 relative slack as GehringProfile
+        assert evaluate_bounds(w, grid8, 1.0, q0, epsilon=proven * (1 + 1e-13)).epsilon > proven
+        for eps in (proven * (1 + 1e-9), 1e300):
+            with pytest.raises(EpsilonOutOfRangeError):
+                evaluate_bounds(w, grid8, 1.0, q0, epsilon=eps)
+
     def test_power_weight_internal_consistency(self, grid8):
         rep = evaluate_bounds(PowerWeight(-0.25), grid8, 1.0, 4.0)
         assert rep.ap_char >= 1.0 and rep.rh_char >= 1.0

@@ -347,7 +347,9 @@ class TestBounds:
             ["bounds", "--p0", "nan"],
             ["bounds", "--epsilon", "nan"],
             ["bounds", "--epsilon", "inf"],
+            ["bounds", "--epsilon", "1e300"],  # above the proven maximum 2/3
             ["weak-norm", "-p", "nan"],
+            ["weak-norm", "-p", "inf"],
         ],
         ids=" ".join,
     )

@@ -9,6 +9,7 @@ rounding.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -97,14 +98,33 @@ def test_norms_check_lengths_and_levels(norm):
         norm(np.ones(16), w, grid, 2.0, level=3)
     with pytest.raises(WrongLengthError):
         norm(np.ones(64), w, grid, 2.0, level=3)
-    for level in (0, -1, 7):
+    for level in (-1, 7):
         with pytest.raises(ValueError):
             norm(np.ones(8), w, grid, 2.0, level=level)
+    # the exponent must be positive and finite
+    for p in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            norm(np.ones(64), w, grid, p)
     # a level-3 vector gives the norm of its expansion to the finest cells
     h = np.arange(1.0, 9.0)
     dense = norm(np.repeat(h, 8), w, grid, 2.0)
     assert _close(norm(h, w, grid, 2.0, level=3), dense)
     assert norm(np.repeat(h, 8), w, grid, 2.0, level=6) == dense
+
+
+@pytest.mark.parametrize("norm", (strong_lp_norm, weak_lp_norm))
+def test_norms_at_level_zero_read_the_root_mass(norm):
+    # a level-0 value is a constant function: both norms are |h|·w([0, 1))^{1/p}
+    grid = DyadicGrid(6)
+    for w in _weights(6):
+        root = float(w.pyramid(grid, 1.0)[0])
+        for p in (1.0, 1.5, 2.0):
+            want = 2.5 * root ** (1.0 / p)
+            assert _close(norm([-2.5], w, grid, p, level=0), want)
+            assert _close(norm(np.full(grid.n_cells, 2.5), w, grid, p), want)
+        assert norm([0.0], w, grid, 2.0, level=0) == 0.0
+        with pytest.raises(WrongLengthError):
+            norm(np.ones(2), w, grid, 2.0, level=0)
 
 
 def test_corpus_allocates_no_dense_structured_vector():

@@ -25,7 +25,7 @@ from weightlab import (
     unit_weight,
     weak_lp_norm,
 )
-from weightlab.operators import _descending_order, maximal_p0
+from weightlab.operators import _level_sets, maximal_p0
 
 
 class TestSquareFunction:
@@ -58,6 +58,15 @@ class TestSquareFunction:
             lhs = float(np.mean(sf**2) + np.mean(f) ** 2)
             rhs = float(np.mean(f**2))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2, 6, 10])
+    def test_constant_on_sibling_pairs(self, depth):
+        # both children jump from their parent by ±(a − b)/2 and share every coarser jump
+        grid = DyadicGrid(depth)
+        for fn in function_corpus(grid, n_random=4):
+            sf = dyadic_square_function(fn.values, grid)
+            assert sf.shape == (grid.n_cells,)
+            assert np.array_equal(sf[0::2], sf[1::2]), fn.name
 
     def test_constant_function_has_zero_square_function(self, grid6):
         sf = dyadic_square_function(np.full(grid6.n_cells, 5.0), grid6)
@@ -155,16 +164,21 @@ class TestWeakNorm:
     def test_descending_order_is_the_reversed_stable_argsort(self, values):
         # few distinct values, so nearly every entry sits in a tie run
         values = np.array(values, dtype=np.float64)
-        np.testing.assert_array_equal(
-            _descending_order(values), np.argsort(values, kind="stable")[::-1]
-        )
+        order, ends, lam = _level_sets(values)
+        np.testing.assert_array_equal(order, np.argsort(values, kind="stable")[::-1])
+        assert order.flags.c_contiguous  # the gathers through it read forward
+        # each run of equal values ends where the next value differs (the NaNs are one run)
+        ranked = values[order]
+        differs = (ranked[1:] != ranked[:-1]) & ~(np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))
+        np.testing.assert_array_equal(ends, np.flatnonzero(np.append(differs, values.size > 0)))
+        np.testing.assert_array_equal(lam, ranked[ends])
 
     @pytest.mark.parametrize("distinct", [1, 2, 7, 1000, 1 << 20])
     def test_descending_order_on_large_tie_runs(self, distinct):
         values = np.abs(np.random.default_rng(distinct).integers(0, distinct, 1 << 16) - 3.0)
         values[::7] = np.nan  # an unstable sort leaves the NaNs out of index order
         np.testing.assert_array_equal(
-            _descending_order(values), np.argsort(values, kind="stable")[::-1]
+            _level_sets(values)[0], np.argsort(values, kind="stable")[::-1]
         )
 
     def test_indicator_saturates_weak_equals_strong(self, grid6):

@@ -3,12 +3,19 @@
 ``empirical_weak_operator_norm`` builds each corpus function's square
 function and level sets once and evaluates every weight from them.  The
 oracle in ``helpers`` rebuilds them for each weight alone; both do the same
-arithmetic on the same values, so the rows must be bit-identical.
+arithmetic on the same values, so the rows must be bit-identical.  Both take
+the square function of a function stored at depth ``d`` one level up, on
+the ``2^(d − 1)`` sibling pairs; the depth-``d`` oracle evaluates it by the
+ancestor matrix on the level-``d`` cubes, where sibling values differ by
+rounding only, so the rows agree to 1e-13 relative.
 
 ``equivalence_scaffold`` reads every candidate set off one descending order
-of ``S(fσ)`` by prefix sums.  Its oracle builds one ``N``-cell mask per level
-set and sums under it: ``n2_sq`` and the set count are equal, the pairing
-supremum agrees up to the rounding of the two summation orders.
+of ``S(fσ)`` on the level-``(L − 1)`` cubes by prefix sums.  Its oracle builds
+one mask per level set of the matrix ``S(fσ)`` and sums under it.  With each
+sibling pair merged into one cell, the set count is equal and ``n2_sq`` and
+the pairing supremum agree up to rounding.  On the finest cells the matrix
+splits a pair whenever its two values round apart, which adds candidate sets:
+there only ``n2_sq`` and the consistency verdict are pinned.
 
 The scans draw the corpus lazily from ``operators._corpus_stream`` through
 ``ordered_map``, which takes one item per free worker: the stream must yield
@@ -29,6 +36,7 @@ import pytest
 
 from helpers import (
     TABULATED_NATIVE_DEPTH,
+    oracle_depth_d_rows,
     oracle_equivalence_scaffold,
     oracle_natural_depth_rows,
     seeded_tabulated_weights,
@@ -67,6 +75,24 @@ def test_rows_are_bit_identical_to_the_per_weight_oracle(depth, p, threads, monk
         assert best == want_best, w.describe()
 
 
+@pytest.mark.parametrize("depth", (2, 6, 12))
+def test_rows_match_the_depth_d_oracle(depth, monkeypatch):
+    monkeypatch.setenv("WEIGHTLAB_THREADS", "1")
+    grid = DyadicGrid(depth)
+    corpus = function_corpus(grid, n_random=16)
+    weights = _weights(depth)
+    for p in (2.0, 1.5):
+        scans = empirical_weak_operator_norm(weights, grid, p=p, corpus=corpus)
+        for w, (best, rows) in zip(weights, scans):
+            want_best, want_rows = oracle_depth_d_rows(w, grid, p, corpus)
+            assert [r.name for r in rows] == [r.name for r in want_rows]
+            for got, ref in zip(rows, want_rows):
+                assert got.strong_norm == ref.strong_norm  # f itself did not move
+                assert abs(got.weak_norm_sf - ref.weak_norm_sf) <= 1e-13 * ref.weak_norm_sf
+                assert abs(got.ratio - ref.ratio) <= 1e-13 * ref.ratio
+            assert abs(best - want_best) <= 1e-13 * want_best
+
+
 def test_empty_weight_list_and_empty_corpus():
     grid = DyadicGrid(4)
     assert empirical_weak_operator_norm([], grid) == []
@@ -89,18 +115,33 @@ def _scaffold_functions(grid):
     ]
 
 
+def _scaffold_weights(depth):
+    return [unit_weight(), PowerWeight(-0.25), PowerWeight(0.375),
+            *seeded_tabulated_weights(2, depth=min(depth, TABULATED_NATIVE_DEPTH))]
+
+
 @pytest.mark.parametrize("depth", (6, 10, 12))
 def test_scaffold_matches_the_mask_oracle(depth):
     grid = DyadicGrid(depth)
-    weights = [unit_weight(), PowerWeight(-0.25), PowerWeight(0.375),
-               *seeded_tabulated_weights(2, depth=min(depth, TABULATED_NATIVE_DEPTH))]
-    for w in weights:
+    for w in _scaffold_weights(depth):
+        for f in _scaffold_functions(grid):
+            got = equivalence_scaffold(f, w, grid)
+            want = oracle_equivalence_scaffold(f, w, grid, pairs=True)
+            assert abs(got.n2_sq - want.n2_sq) <= 1e-13 * want.n2_sq
+            assert got.tested_sets == want.tested_sets
+            assert abs(got.pairing_sup - want.pairing_sup) <= 1e-13 * abs(want.pairing_sup)
+            assert got.consistent_within_16 == want.consistent_within_16
+
+
+@pytest.mark.parametrize("depth", (6, 10, 12))
+def test_scaffold_weak_norm_matches_the_depth_d_oracle(depth):
+    grid = DyadicGrid(depth)
+    for w in _scaffold_weights(depth):
         for f in _scaffold_functions(grid):
             got = equivalence_scaffold(f, w, grid)
             want = oracle_equivalence_scaffold(f, w, grid)
-            assert got.n2_sq == want.n2_sq
-            assert got.tested_sets == want.tested_sets
-            assert abs(got.pairing_sup - want.pairing_sup) <= 1e-13 * abs(want.pairing_sup)
+            assert abs(got.n2_sq - want.n2_sq) <= 1e-13 * want.n2_sq
+            assert got.tested_sets <= want.tested_sets
             assert got.consistent_within_16 == want.consistent_within_16
 
 
