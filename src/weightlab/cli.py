@@ -31,7 +31,7 @@ from .characteristics import characteristic_report, rh_constant
 from .errors import ConfigError, SparsityViolationError, WeightlabError
 from .gehring import epsilon_range, random_subset_checks, sharp_rh_levels
 from .grid import DyadicGrid
-from .operators import _corpus_stream, empirical_weak_operator_norm
+from .operators import _corpus_stream, _norm_exponent, empirical_weak_operator_norm
 from .profiles import ExponentProfile
 from .serialize import dump_json, write_csv, write_text
 from .sparse import SparseFamily, sparse_form, verify_sparsity
@@ -70,6 +70,14 @@ def _add_weight_source(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--unit-weight", action="store_true", help="the constant weight 1"
+    )
+
+
+def _add_window(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p0", type=float, default=1.0, help="lower window exponent")
+    parser.add_argument(
+        "--q0", type=float, default=4.0,
+        help="upper window exponent, above 2 ('inf': not for trace-proof and sweep)",
     )
 
 
@@ -138,14 +146,12 @@ def _cmd_char(args: argparse.Namespace) -> int:
 def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
-    q0s = float(args.q0_star)
-    if not q0s > 1.0:
-        raise ConfigError(f"the integrability exponent must be > 1, got {q0s}")
     if args.eps_grid < 1:
         raise ConfigError("--eps-grid must be at least 1")
     if args.subsets < 0:
         raise ConfigError("--subsets must be at least 0")
-    eps_max = epsilon_range(w, q0s, grid)
+    q0s = args.q0_star
+    eps_max = epsilon_range(w, q0s, grid)  # refuses q0* <= 1
     rh = rh_constant(w, q0s, grid)
     epsilons = [eps_max * i / args.eps_grid for i in range(1, args.eps_grid + 1)]
     columns = ["check", "level", "index", "epsilon", "lhs", "rhs", "ratio"]
@@ -215,13 +221,14 @@ def _cmd_sparse_form(args: argparse.Namespace) -> int:
 def _cmd_weak_norm(args: argparse.Namespace) -> int:
     grid = DyadicGrid(args.depth)
     w = _load_weight(args, grid)
+    p = _norm_exponent(args.p)  # before the CSV header goes out
     columns = ["function", "strong_norm_f", "weak_norm_sf", "ratio"]
     best = 0.0
 
     def table() -> Iterator[List[object]]:
         nonlocal best
         corpus = _corpus_stream(grid, seed=args.seed)
-        [(best, rows)] = empirical_weak_operator_norm([w], grid, p=args.p, corpus=corpus)
+        [(best, rows)] = empirical_weak_operator_norm([w], grid, p=p, corpus=corpus)
         for r in rows:
             yield [r.name, r.strong_norm, r.weak_norm_sf, r.ratio]
 
@@ -304,12 +311,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--alpha-steps must be at least 1")
     profile = ExponentProfile(p0=args.p0, q0=args.q0)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+    weights = [unit_weight() if a == 0.0 else PowerWeight(float(a)) for a in alphas]
     columns = ["alpha", "L", "ap", "rh", "a_infty", "epsilon", "weak_bound",
                "weak_bound_pinned", "strong_bound", "empirical_weak", "c0"]
 
     def rows() -> Iterator[List[object]]:
         ones = np.ones(grid.n_cells, dtype=np.float64)
-        weights = [unit_weight() if a == 0.0 else PowerWeight(float(a)) for a in alphas]
         corpus = _corpus_stream(grid, seed=args.seed)
         scans = empirical_weak_operator_norm(weights, grid, p=2.0, corpus=corpus)
         for alpha, (empirical, _) in zip(alphas, scans):
@@ -402,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sf.add_argument(
         "--g", required=True, metavar="PATH", help="values file: one number per line"
     )
-    p_sf.add_argument("--p0", type=float, default=1.0, help="lower window exponent")
-    p_sf.add_argument("--q0", type=float, default=4.0, help="upper window exponent")
+    _add_window(p_sf)
     p_sf.add_argument("--out", metavar="PATH", help="write JSON here (default stdout)")
     p_sf.set_defaults(func=_cmd_sparse_form)
 
@@ -422,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_weight_source(p_tp)
     _add_depth(p_tp)
-    p_tp.add_argument("--p0", type=float, default=1.0, help="lower window exponent")
-    p_tp.add_argument("--q0", type=float, default=4.0, help="upper window exponent")
+    _add_window(p_tp)
     p_tp.add_argument(
         "--epsilon",
         type=float,
@@ -450,13 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_weight_source(p_bd)
     _add_depth(p_bd)
-    p_bd.add_argument("--p0", type=float, default=1.0, help="lower window exponent")
-    p_bd.add_argument(
-        "--q0",
-        type=float,
-        default=4.0,
-        help="upper window exponent ('inf' allowed)",
-    )
+    _add_window(p_bd)
     p_bd.add_argument(
         "--epsilon",
         type=float,
@@ -473,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--alpha-min", type=float, default=-0.375)
     p_sw.add_argument("--alpha-max", type=float, default=0.375)
     p_sw.add_argument("--alpha-steps", type=int, default=7)
-    p_sw.add_argument("--p0", type=float, default=1.0, help="lower window exponent")
-    p_sw.add_argument("--q0", type=float, default=4.0, help="upper window exponent")
+    _add_window(p_sw)
     p_sw.add_argument("--seed", type=int, default=2024, help="corpus noise seed")
     p_sw.add_argument("--csv", metavar="PATH", help="write CSV here (default stdout)")
     p_sw.set_defaults(func=_cmd_sweep)

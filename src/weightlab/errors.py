@@ -43,5 +43,6 @@ class ZeroFunctionError(WeightlabError):
     """The test function is identically zero where a nonzero one is required."""
 
 
-class ConfigError(WeightlabError):
-    """Invalid run configuration (bad flag combination or malformed input file)."""
+class ConfigError(WeightlabError, ValueError):
+    """Invalid run configuration (bad flag combination, malformed input file or
+    an exponent outside its window); also a ``ValueError``."""

@@ -39,20 +39,16 @@ import numpy as np
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
 from .grid import CellSet, DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages
-from .profiles import GehringProfile
+from .profiles import GehringProfile, admissible_epsilon, check_q0_star
 from .weights import PowerWeight, Weight, measure, pow_weight
-
-DIMENSIONAL_FACTOR = 4.0  # 2^(d+1) with d = 1
 
 
 def epsilon_range(w: Weight, q0_star: float, grid: DyadicGrid) -> float:
-    """Largest proven admissible increment: q0* / (4·[w^{q0*}]_{A_∞} − 1)."""
-    q0_star = float(q0_star)
-    if not q0_star > 1.0:
-        raise ValueError(f"epsilon range needs q0_star > 1, got {q0_star}")
+    """Largest proven admissible increment for ``w``: the ε_max of
+    :func:`~weightlab.profiles.admissible_epsilon` at ``[w^{q0*}]_{A_∞}``."""
+    q0_star = check_q0_star(q0_star)
     w.require_moment(q0_star)
-    a_inf_pow = a_infty_fw(pow_weight(w, q0_star), grid)
-    return q0_star / (DIMENSIONAL_FACTOR * a_inf_pow - 1.0)
+    return admissible_epsilon(q0_star, a_infty_fw(pow_weight(w, q0_star), grid))
 
 
 @dataclass(frozen=True)
@@ -242,9 +238,7 @@ def max_epsilon_empirical(
     of the cap is reported, not an error. Reported alongside: the proven
     range and the conjectured scale ``1/[w]_{RH_p}^p``.
     """
-    p = float(p)
-    if not p > 1.0:
-        raise ValueError(f"self-improvement probe needs p > 1, got {p}")
+    p = check_q0_star(p)
     cap = hard_cap
     if isinstance(w, PowerWeight) and w.alpha < 0.0:
         cap = min(cap, (-1.0 / w.alpha) - p)

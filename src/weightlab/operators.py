@@ -68,6 +68,14 @@ def dyadic_square_function(
     return np.repeat(square_function_from_cell_integrals(values * grid.cell_measure, grid), 2)
 
 
+def _norm_exponent(p: float) -> float:
+    """``p`` as a float, refused unless positive and finite."""
+    p = float(p)
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"norm exponent must be positive and finite, got {p}")
+    return p
+
+
 def _level_norm_inputs(
     h: Sequence[float] | np.ndarray,
     w: Weight,
@@ -77,9 +85,7 @@ def _level_norm_inputs(
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Validated exponent, ``|h|`` per level-``level`` cube and those cubes'
     w-masses (``level`` defaults to the finest level)."""
-    p = float(p)
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"norm exponent must be positive and finite, got {p}")
+    p = _norm_exponent(p)
     if level is None:
         level = grid.depth
     elif not 0 <= level <= grid.depth:

@@ -515,12 +515,10 @@ def percube_ap_holder_scan(
 
     Both must hold to rounding (slack 1e-12) for every cube, any f, any E.
     """
-    p0 = float(p0)
-    if not 1.0 <= p0 < 2.0:
-        raise ConfigError(f"window exponent p0 must lie in [1, 2), got {p0}")
-    phi = p0 / (2.0 - p0)
+    profile = ExponentProfile(float(p0), math.inf)  # checks 1 <= p0 < 2
+    p0, phi = profile.p0, profile.phi_p0
     sigma = dual_weight(w, 2.0)
-    ap = ap_constant(w, 2.0 / p0, grid)
+    ap = ap_constant(w, profile.ap_index, grid)
 
     fvals = (
         np.ones(grid.n_cells, dtype=np.float64)
@@ -533,7 +531,7 @@ def percube_ap_holder_scan(
     sigma_norm **= 1.0 / phi
     worst_ap, worst_ap_cube = _sup_with_argmax(w.level_averages(grid, 1.0) * sigma_norm / ap)
     lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
-    lhs **= 2.0 / p0
+    lhs **= profile.ap_index
     f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
     rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -32,7 +32,7 @@ from weightlab import (
     unit_weight,
     weak_lp_norm,
 )
-from weightlab.bounds import gamma_exponent
+from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
 from weightlab.grid import CellSet
@@ -42,7 +42,7 @@ from weightlab.operators import (
     maximal_p0,
     square_function_from_cell_integrals,
 )
-from weightlab.profiles import GehringProfile
+from weightlab.profiles import GehringProfile, gamma_rate
 from weightlab.sparse import SparsityReport
 from weightlab.tracer import build_good_set
 from weightlab.weights import composed_moment_cells, weighted_l2_norm_sq
@@ -229,8 +229,42 @@ def gamma_quarter_region_max(
     worst = 0.0
     for q0s in q_grid:
         for a in a_grid:
-            worst = max(worst, gamma_exponent(float(q0s), 1.0 / (4.0 * float(a))))
+            worst = max(worst, gamma_rate(float(q0s), 1.0 / (4.0 * float(a))))
     return worst
+
+
+def oracle_bounds_jsonable(report: BoundsReport) -> dict:
+    """The bounds report's JSON form, every field listed by hand."""
+    return {
+        "p0": report.p0,
+        "q0": report.q0 if math.isfinite(report.q0) else "inf",
+        "q0_star": report.q0_star,
+        "ap_char": report.ap_char,
+        "rh_char": report.rh_char,
+        "a_infty_char": report.a_infty_char,
+        "a_infty_pow_char": report.a_infty_pow_char,
+        "epsilon": report.epsilon,
+        "gamma": report.gamma,
+        "eta": report.eta,
+        "weak_bound": report.weak_bound,
+        "strong_bound": report.strong_bound,
+        "bridge_index": report.bridge_index,
+        "comparison": {
+            "weak_a_exponent": report.comparison.weak_a_exponent,
+            "strong_a_exponent": report.comparison.strong_a_exponent,
+            "weak_rh_exponent": report.comparison.weak_rh_exponent,
+            "strong_rh_exponent": report.comparison.strong_rh_exponent,
+            "a_winner": report.comparison.a_winner,
+            "note": report.comparison.note,
+        },
+        "loss_chain": {
+            "direct_exponent": report.loss_chain.direct_exponent,
+            "extrapolated_exponent": report.loss_chain.extrapolated_exponent,
+            "exponent_gap": report.loss_chain.exponent_gap,
+            "direct_value": report.loss_chain.direct_value,
+            "extrapolated_value": report.loss_chain.extrapolated_value,
+        },
+    }
 
 
 # --- dense-mask family oracles: one N-cell mask per cube, all-pairs loops ------------

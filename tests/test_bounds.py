@@ -7,11 +7,12 @@ rational outcomes are asserted with ``==``.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import gamma_quarter_region_max
+from helpers import gamma_quarter_region_max, oracle_bounds_jsonable
 from weightlab import (
     ConfigError,
     DyadicGrid,
@@ -28,18 +29,16 @@ from weightlab import (
     weak_type_factor,
 )
 from weightlab.bounds import (
-    default_epsilon,
     exponent_comparison,
     extrapolated_strong_bound,
-    gamma_exponent,
     loss_chain_exponents,
     loss_chain_values,
-    q0_star_of,
     strong_norm_bound,
     weak_norm_bound,
 )
 from weightlab.errors import EpsilonOutOfRangeError
-from weightlab.profiles import GehringProfile
+from weightlab.profiles import GehringProfile, admissible_epsilon, gamma_rate
+from weightlab.serialize import dump_json
 from weightlab.weights import conjugate_exponent
 
 
@@ -54,6 +53,11 @@ class TestExponentProfile:
     def test_q0_star_convention_at_infinity(self):
         assert ExponentProfile(1.0, math.inf).q0_star == 1.0
 
+    def test_q0_star_spot_values(self):
+        assert ExponentProfile(1.0, 4.0).q0_star == 2.0
+        assert ExponentProfile(1.0, 3.0).q0_star == 3.0
+        assert ExponentProfile(1.0, 6.0).q0_star == 1.5
+
     def test_phi_p0_grows_with_p0(self):
         assert ExponentProfile(1.5, 4.0).phi_p0 == 3.0
         assert ExponentProfile(1.5, 4.0).ap_index == pytest.approx(4.0 / 3.0)
@@ -63,9 +67,11 @@ class TestExponentProfile:
         with pytest.raises(ValueError):
             ExponentProfile(p0, 4.0)
 
-    @pytest.mark.parametrize("q0", [2.0, 1.5, -1.0])
+    @pytest.mark.parametrize("q0", [2.0, 1.5, -1.0, math.nan])
     def test_q0_at_or_below_two_rejected(self, q0):
         with pytest.raises(ValueError):
+            ExponentProfile(1.0, q0)
+        with pytest.raises(ConfigError):  # one check serves both error kinds
             ExponentProfile(1.0, q0)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 4.0, 5.0])
@@ -109,34 +115,59 @@ class TestGehringProfile:
         with pytest.raises(ValueError):
             GehringProfile(q0_star=1.0, epsilon=0.5)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+    def test_epsilon_that_is_not_positive_and_finite_rejected(self, eps):
+        with pytest.raises(EpsilonOutOfRangeError):
+            GehringProfile(q0_star=2.0, epsilon=eps)
+
 
 class TestGammaAndDefaultEpsilon:
     def test_gamma_spot_values(self):
-        assert gamma_exponent(2.0, 2.0 / 3.0) == pytest.approx(0.2, rel=1e-15)
-        assert gamma_exponent(2.0, 0.5) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert gamma_rate(2.0, 2.0 / 3.0) == pytest.approx(0.2, rel=1e-15)
+        assert gamma_rate(2.0, 0.5) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert GehringProfile(2.0, 0.5).gamma == gamma_rate(2.0, 0.5)
 
     @given(eps=st.floats(min_value=1e-3, max_value=10.0))
     def test_gamma_is_one_when_q0_star_is_one(self, eps):
         # eps / (1*(1 + eps - 1)) collapses to eps/eps
-        assert gamma_exponent(1.0, eps) == pytest.approx(1.0, rel=1e-12)
+        assert gamma_rate(1.0, eps) == pytest.approx(1.0, rel=1e-12)
 
     def test_gamma_validation(self):
-        for q0s, eps in [(0.5, 0.5), (math.nan, 0.5), (2.0, 0.0), (2.0, math.nan),
-                         (2.0, math.inf)]:
+        for q0s in (0.5, math.nan):
             with pytest.raises(ConfigError):
-                gamma_exponent(q0s, eps)
+                gamma_rate(q0s, 0.5)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(EpsilonOutOfRangeError):
+                gamma_rate(2.0, eps)
+        with pytest.raises(EpsilonOutOfRangeError):
+            gamma_rate(2.0, 1.0, epsilon_max=0.5)
 
     def test_default_epsilon_spot_values(self):
-        assert default_epsilon(2.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert default_epsilon(1.5, 1.0) == 0.5
+        assert admissible_epsilon(2.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert admissible_epsilon(1.5, 1.0) == 0.5
 
     def test_default_epsilon_shrinks_with_characteristic(self):
-        assert default_epsilon(2.0, 4.0) < default_epsilon(2.0, 2.0)
+        assert admissible_epsilon(2.0, 4.0) < admissible_epsilon(2.0, 2.0)
 
     def test_default_epsilon_validation(self):
         for a_infty_pow in (0.5, math.nan):
             with pytest.raises(ConfigError):
-                default_epsilon(2.0, a_infty_pow)
+                admissible_epsilon(2.0, a_infty_pow)
+
+    @pytest.mark.parametrize(
+        "fn, args, error",
+        [
+            (weak_type_factor, (1.0, 1.0, 0.5, 0.5), ConfigError),  # q0* < 1
+            (weak_type_factor, (1.0, 1.0, 2.0, math.inf), EpsilonOutOfRangeError),
+            (weak_norm_bound, (1.0, 1.0, 1.0, 2.0, 0.0), EpsilonOutOfRangeError),
+            (simplified_weak_type_factor, (1.0, 1.0, 2.0, math.inf), EpsilonOutOfRangeError),
+            (simplified_weak_type_factor, (1.0, 1.0, math.nan, 1.0), ConfigError),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else repr(v),
+    )
+    def test_bound_formulas_refuse_through_the_single_checks(self, fn, args, error):
+        with pytest.raises(error):
+            fn(*args)
 
 
 class TestWeakTypeFactor:
@@ -219,9 +250,33 @@ class TestWeakAndStrongNormBounds:
         with pytest.raises(ConfigError):
             strong_exponent(4.0, 1.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (strong_exponent, (2.0, 1.0, math.nan)),  # a NaN q0 is not q0 = ∞
+            (strong_exponent, (2.0, 0.5, 4.0)),
+            (strong_exponent, (3.0, 2.5, math.inf)),
+            (bridge_ap_index, (2.0, 1.0, math.nan)),
+            (bridge_ap_index, (3.0, 2.5, math.inf)),  # p0 outside [1, 2)
+            (bridge_ap_index, (1.5, 1.0, 1.8)),
+            (extrapolation_inflation, (3.0, 2.5, 1.0, math.nan)),
+            (extrapolation_inflation, (3.0, 2.5, 0.5, 4.0)),
+            (extrapolation_inflation, (1.5, 1.6, 1.0, 1.8)),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else repr(v),
+    )
+    def test_window_outside_the_paper_is_refused(self, fn, args):
+        with pytest.raises(ConfigError):
+            fn(*args)
+
+    def test_extrapolated_bound_cannot_take_a_nan_window(self):
+        # the window reaches the bound only as a checked profile
+        with pytest.raises(ConfigError):
+            extrapolated_strong_bound(2.0, 2.0, ExponentProfile(1.0, math.nan), 0.2)
+
     def test_strong_bound_spots(self):
-        assert strong_norm_bound(2.0, 2.0, 2.0, 1.0, 4.0) == 4.0
-        assert strong_norm_bound(2.0, 2.0, 2.0, 1.5, 4.0) == 16.0
+        assert strong_norm_bound(2.0, 2.0, ExponentProfile(1.0, 4.0)) == 4.0
+        assert strong_norm_bound(2.0, 2.0, ExponentProfile(1.5, 4.0)) == 16.0
 
 
 class TestBridgeIndexAndInflation:
@@ -261,20 +316,10 @@ class TestBridgeIndexAndInflation:
         with pytest.raises(ConfigError):
             extrapolation_inflation(3.0, 4.0, 1.0, 4.0)
 
-    def test_q0_star_spot_values(self):
-        assert q0_star_of(4.0) == 2.0
-        assert q0_star_of(3.0) == 3.0
-        assert q0_star_of(6.0) == 1.5
-        assert q0_star_of(math.inf) == 1.0
-
-    def test_q0_star_validation(self):
-        with pytest.raises(ConfigError):
-            q0_star_of(2.0)
-
 
 class TestExponentComparison:
     def test_reference_window_values(self):
-        cmp = exponent_comparison(1.0, 4.0, 0.2)
+        cmp = exponent_comparison(ExponentProfile(1.0, 4.0), 0.2)
         assert cmp.weak_a_exponent == 0.5
         assert cmp.strong_a_exponent == 1.0
         assert cmp.weak_rh_exponent == pytest.approx(1.9, rel=1e-15)
@@ -283,12 +328,12 @@ class TestExponentComparison:
         assert cmp.note == ""
 
     def test_infinite_upper_exponent_carries_a_note(self):
-        cmp = exponent_comparison(1.0, math.inf, 1.0)
+        cmp = exponent_comparison(ExponentProfile(1.0, math.inf), 1.0)
         assert cmp.note != ""
 
     @given(p0=st.floats(min_value=1.0, max_value=1.95))
     def test_weak_a_exponent_always_beats_strong(self, p0):
-        cmp = exponent_comparison(p0, 4.0, 0.2)
+        cmp = exponent_comparison(ExponentProfile(p0, 4.0), 0.2)
         assert cmp.a_winner == "weak"
         assert cmp.weak_a_exponent < cmp.strong_a_exponent
 
@@ -310,7 +355,7 @@ class TestLossChain:
         assert rep.exponent_gap == pytest.approx(0.5, rel=1e-12)
 
     def test_unit_values(self):
-        rep = loss_chain_values(1.0, 1.0, 1.0, 1.0, 1.0, 4.0)
+        rep = loss_chain_values(1.0, 1.0, 1.0, 1.0, ExponentProfile(1.0, 4.0))
         assert rep.direct_exponent == pytest.approx(2.9, rel=1e-15)
         assert rep.extrapolated_exponent == pytest.approx(3.4, rel=1e-15)
         assert rep.exponent_gap == pytest.approx(0.5, rel=1e-15)
@@ -318,30 +363,30 @@ class TestLossChain:
         assert rep.extrapolated_value == 1.0
 
     def test_direct_route_wins_on_values_for_large_characteristics(self):
-        rep = loss_chain_values(4.0, 4.0, 4.0, 16.0, 1.0, 4.0)
+        rep = loss_chain_values(4.0, 4.0, 4.0, 16.0, ExponentProfile(1.0, 4.0))
         assert rep.direct_value < rep.extrapolated_value
 
     def test_extrapolated_bound_rejects_products_below_one(self):
         with pytest.raises(ConfigError):
-            extrapolated_strong_bound(0.5, 1.0, 2.0, 1.0, 4.0, 0.2)
+            extrapolated_strong_bound(0.5, 1.0, ExponentProfile(1.0, 4.0), 0.2)
 
 
 class TestGammaQuarterRegion:
     def test_pinned_gap_gamma_spot(self):
-        assert gamma_exponent(2.0, 1.0 / (4.0 * 1.0)) == pytest.approx(0.1, rel=1e-15)
+        assert gamma_rate(2.0, 1.0 / (4.0 * 1.0)) == pytest.approx(0.1, rel=1e-15)
 
     def test_region_maximum_is_two_ninths(self):
         worst = gamma_quarter_region_max()
         assert worst == pytest.approx(2.0 / 9.0, rel=1e-12)
         assert worst < 0.25
         # the maximum sits at the lower-left corner of the sampled region
-        assert gamma_exponent(1.5, 1.0 / (4.0 * 1.0)) == pytest.approx(
+        assert gamma_rate(1.5, 1.0 / (4.0 * 1.0)) == pytest.approx(
             2.0 / 9.0, rel=1e-15
         )
 
     def test_bound_fails_for_small_q0_star(self):
         # just outside the guaranteed region the pinned-gap rate exceeds 1/4
-        assert gamma_exponent(1.1, 1.0 / (4.0 * 1.0)) > 0.25
+        assert gamma_rate(1.1, 1.0 / (4.0 * 1.0)) > 0.25
 
 
 def power_bridge(w, p, p0, q0, grid):
@@ -462,8 +507,29 @@ class TestEvaluateBounds:
             rep.ap_char * rep.rh_char * rep.eta, rel=1e-12
         )
         assert rep.gamma == pytest.approx(
-            gamma_exponent(rep.q0_star, rep.epsilon), rel=1e-12
+            gamma_rate(rep.q0_star, rep.epsilon), rel=1e-12
         )
         assert rep.strong_bound == pytest.approx(
             (rep.ap_char * rep.rh_char) ** (1.0 / (2.0 - rep.p0)), rel=1e-12
         )
+
+
+LOGNORMAL = TabulatedWeight(np.exp(np.random.default_rng(11).normal(0.0, 0.8, 256)))
+
+
+class TestBoundsJsonBytes:
+    @pytest.mark.parametrize("w", [unit_weight(), PowerWeight(-0.25), PowerWeight(0.3), LOGNORMAL],
+                             ids=["unit", "x^-0.25", "x^0.3", "lognormal"])
+    @pytest.mark.parametrize("p0, q0", [(1.0, 4.0), (1.5, 6.0), (1.0, math.inf), (1.2, 3.0)])
+    def test_json_matches_the_field_by_field_oracle(self, w, p0, q0, grid8):
+        rep = evaluate_bounds(w, grid8, p0, q0)
+        assert dump_json(rep.to_jsonable()) == dump_json(oracle_bounds_jsonable(rep))
+
+    def test_one_window_check_per_report(self, grid8, monkeypatch):
+        # q0* is computed in the same constructor, so it is computed once too
+        calls = []
+        check = ExponentProfile.__post_init__
+        monkeypatch.setattr(ExponentProfile, "__post_init__",
+                            lambda self: calls.append(self) or check(self))
+        evaluate_bounds(PowerWeight(-0.25), grid8, 1.0, 4.0)
+        assert [(c.p0, c.q0, c.p) for c in calls] == [(1.0, 4.0, 2.0)]

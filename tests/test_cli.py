@@ -483,6 +483,20 @@ class TestUsageErrors:
         assert out == ""
         assert "error:" in err and "--subsets" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak-norm", "--unit-weight", "--L", "3", "-p", "nan"],
+            ["sweep", "--L", "3", "--alpha-min", "-1.5", "--alpha-max", "-1.5",
+             "--alpha-steps", "1"],  # x^-1.5 is not locally integrable
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_refused_before_the_csv_header(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("q0_star", ["1", "0.5", "nan"])
     def test_integrability_exponent_must_exceed_one(self, q0_star, capsys):
         code, out, err = run_cli(

@@ -35,14 +35,9 @@ from weightlab import (
     weights,
 )
 from weightlab.errors import SubsetError
-from weightlab.gehring import (
-    DIMENSIONAL_FACTOR,
-    InequalityCheck,
-    max_epsilon_empirical,
-    verify_subset_bound,
-)
+from weightlab.gehring import InequalityCheck, max_epsilon_empirical, verify_subset_bound
 from weightlab.grid import CellSet, tree_totals
-from weightlab.profiles import GehringProfile
+from weightlab.profiles import DIMENSIONAL_FACTOR, GehringProfile
 
 
 class TestEpsilonRange:

@@ -10,20 +10,20 @@ import pytest
 from helpers import cold_power, seeded_tabulated_weights, standard_weight_corpus
 from weightlab import (
     DyadicGrid,
+    ExponentProfile,
     PowerWeight,
     TabulatedWeight,
     dual_weight,
     evaluate_bounds,
     pow_weight,
 )
-from weightlab.bounds import q0_star_of
 from weightlab.errors import DivergentMomentError
 from weightlab.grid import heap_levels
 from weightlab.serialize import dump_json
 from weightlab.weights import conjugate_exponent
 
 # w**-1, w**2, w**{q0*} (window q0 = 6) and σ = w**{1-p'} (p = 3)
-POWERS = (-1.0, 2.0, q0_star_of(6.0), 1.0 - conjugate_exponent(3.0))
+POWERS = (-1.0, 2.0, ExponentProfile(1.0, 6.0).q0_star, 1.0 - conjugate_exponent(3.0))
 MOMENTS = (-1.0, 1.0, 2.0)
 CORPUS = standard_weight_corpus(n_tabulated=4)
 
