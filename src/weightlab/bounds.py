@@ -14,7 +14,7 @@ defined, with every admissibility check, in :mod:`weightlab.profiles`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .characteristics import a_infty_fw, ap_constant, rh_constant
@@ -28,8 +28,12 @@ def weak_type_factor(
     rh: float, a_infty: float, q0_star: float, epsilon: float
 ) -> float:
     """η_ε = rh^{1−γ}·(1/ε)·(1/ε + max(0, ln a_infty))."""
-    g = gamma_rate(q0_star, epsilon)
-    return rh ** (1.0 - g) * (1.0 / epsilon) * (
+    return _eta(rh, a_infty, epsilon, gamma_rate(q0_star, epsilon))
+
+
+def _eta(rh: float, a_infty: float, epsilon: float, gamma: float) -> float:
+    """η_ε of :func:`weak_type_factor` at a checked ε with its rate γ."""
+    return rh ** (1.0 - gamma) * (1.0 / epsilon) * (
         1.0 / epsilon + max(0.0, math.log(a_infty))
     )
 
@@ -165,23 +169,17 @@ def loss_chain_values(
     ap: float,
     rh: float,
     a_infty: float,
-    a_infty_pow: float,
     profile: ExponentProfile,
+    epsilon: float,
+    gamma: float,
 ) -> LossChainReport:
-    """Exponent gap plus the two bound values at the guaranteed gap ε, for a
-    profile whose target is p = 2."""
-    q0s = profile.q0_star
-    eps = admissible_epsilon(q0s, a_infty_pow)
-    gamma = gamma_rate(q0s, eps)
-    report = loss_chain_exponents(q0s, gamma)
-    direct_value = weak_norm_bound(ap, rh, a_infty, q0s, eps)
-    extrapolated_value = extrapolated_strong_bound(ap, rh, profile, gamma)
-    return LossChainReport(
-        report.direct_exponent,
-        report.extrapolated_exponent,
-        report.exponent_gap,
-        direct_value,
-        extrapolated_value,
+    """Exponent gap plus the two bound values at the proven gap ``epsilon``
+    (:func:`~weightlab.profiles.admissible_epsilon`) with its rate ``gamma``,
+    for a profile whose target is p = 2."""
+    return replace(
+        loss_chain_exponents(profile.q0_star, gamma),
+        direct_value=math.sqrt(ap * rh * _eta(rh, a_infty, epsilon, gamma)),
+        extrapolated_value=extrapolated_strong_bound(ap, rh, profile, gamma),
     )
 
 
@@ -237,6 +235,10 @@ def evaluate_bounds(
     eps_max = admissible_epsilon(q0s, a_inf_pow)
     eps = eps_max if epsilon is None else float(epsilon)
     gamma = gamma_rate(q0s, eps, eps_max)
+    eta = _eta(rh, a_inf, eps, gamma)
+    loss_chain = loss_chain_values(  # at the proven gap, whatever ε is asked for
+        ap, rh, a_inf, profile, eps_max, gamma if epsilon is None else gamma_rate(q0s, eps_max)
+    )
     return BoundsReport(
         p0=p0,
         q0=q0,
@@ -247,10 +249,10 @@ def evaluate_bounds(
         a_infty_pow_char=a_inf_pow,
         epsilon=eps,
         gamma=gamma,
-        eta=weak_type_factor(rh, a_inf, q0s, eps),
-        weak_bound=weak_norm_bound(ap, rh, a_inf, q0s, eps),
+        eta=eta,
+        weak_bound=math.sqrt(ap * rh * eta),
         strong_bound=strong_norm_bound(ap, rh, profile),
         bridge_index=profile.bridge_index,
         comparison=exponent_comparison(profile, gamma),
-        loss_chain=loss_chain_values(ap, rh, a_inf, a_inf_pow, profile),
+        loss_chain=loss_chain,
     )

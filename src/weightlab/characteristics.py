@@ -47,10 +47,7 @@ def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> np.ndarray:
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"A_p characteristic needs p in (1, ∞), got {p}")
-    dual_exp = 1.0 - conjugate_exponent(p)
-    w.require_moment(1.0)
-    w.require_moment(dual_exp)
-    out = w.level_averages(grid, dual_exp)
+    out = w.level_averages(grid, 1.0 - conjugate_exponent(p))
     with np.errstate(all="ignore"):
         out **= p - 1.0
         out *= w.level_averages(grid, 1.0)
@@ -70,8 +67,8 @@ def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> np.ndarray:
     q = float(q)
     if not q > 1.0:
         raise ValueError(f"RH_q characteristic needs q > 1, got {q}")
-    w.require_moment(1.0)
-    w.require_moment(q)
+    if q == math.inf:  # w**inf would collapse the formula to 1/⟨w⟩_Q
+        raise ValueError(f"RH_q characteristic needs a finite q, got {q}")
     out = w.level_averages(grid, q)
     with np.errstate(all="ignore"):
         out **= 1.0 / q
@@ -96,7 +93,6 @@ def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> np.ndarray:
     level by level from the finest cells to the root, yields all integrals in
     O(depth · n_cells) time and O(n_cells) memory, in the averages' heap.
     """
-    w.require_moment(1.0)
     out = w.level_averages(grid, 1.0)
     levels = heap_levels(out)
     running = levels[-1].copy()  # M(w·1_Q) per cell, for Q at the current level

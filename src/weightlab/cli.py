@@ -151,7 +151,7 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     if args.subsets < 0:
         raise ConfigError("--subsets must be at least 0")
     q0s = args.q0_star
-    eps_max = epsilon_range(w, q0s, grid)  # refuses q0* <= 1
+    eps_max = epsilon_range(w, q0s, grid)  # refuses q0* outside (1, ∞)
     rh = rh_constant(w, q0s, grid)
     epsilons = [eps_max * i / args.eps_grid for i in range(1, args.eps_grid + 1)]
     columns = ["check", "level", "index", "epsilon", "lhs", "rhs", "ratio"]

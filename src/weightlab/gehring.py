@@ -16,16 +16,17 @@ with ``θ = (q+ε−1)/(q−1)`` — the explicit constant ``2^{1/θ}`` makes th
 check falsifiable rather than vacuous. :func:`random_subset_checks` runs it on
 seeded random pairs ``E ⊂ Q``, each evaluated on its cube's cells alone: the
 measures of ``E`` are sums over ``Q``'s slice of the finest cells, those of
-``Q`` are read from the pyramids. An empty ``E`` has both sides 0 and ratio 0;
-a side that is not a number (a cube whose ``w^q`` measure underflowed to 0)
-or ``rhs = 0`` under ``lhs > 0`` leaves the check unverified, with ratio
-``inf``, as in :func:`sharp_rh_levels`. :func:`max_epsilon_empirical` probes
-how far ε can actually be pushed on a finite grid, for comparison with the
-proven range and with the conjectured scale ``c / [w]_{RH_q}^q``. It bisects
-on the moment ``t = q + ε``. The worst log ratio ``max_Q log r_Q(t)`` is
-convex in ``t`` (``log ⨍_Q w^t`` is convex by Hölder, the rest is affine),
-so the chords and secants of earlier kernel passes decide most probes, and
-:func:`sharp_rh_levels` runs only on the probes they leave open.
+``Q`` are read from the pyramids; ``E`` is a boolean cell mask. An empty ``E``
+has both sides 0 and ratio 0; a side that cannot be formed (an underflowed
+``w^q(Q)``, a constant past the double range) or ``rhs = 0`` under ``lhs > 0``
+leaves the check unverified, with ratio ``inf``, as in :func:`sharp_rh_levels`.
+:func:`max_epsilon_empirical` probes how far ε can actually be pushed on a
+finite grid, for comparison with the proven range and with the conjectured
+scale ``c / [w]_{RH_q}^q``. It bisects on the moment ``t = q + ε``. The worst
+log ratio ``max_Q log r_Q(t)`` is convex in ``t`` (``log ⨍_Q w^t`` is convex by
+Hölder, the rest is affine), so the chords and secants of earlier kernel passes
+decide most probes, and :func:`sharp_rh_levels` runs only on the probes they
+leave open.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
-from .grid import CellSet, DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages
+from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages
 from .profiles import GehringProfile, admissible_epsilon, check_q0_star
 from .weights import PowerWeight, Weight, measure, pow_weight
 
@@ -51,6 +52,14 @@ def epsilon_range(w: Weight, q0_star: float, grid: DyadicGrid) -> float:
     return admissible_epsilon(q0_star, a_infty_fw(pow_weight(w, q0_star), grid))
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base**exponent``, ``inf`` past the double range (never ``OverflowError``)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class InequalityCheck:
     """One evaluated inequality: lhs ≤ rhs expected, ratio = lhs/rhs."""
@@ -60,14 +69,12 @@ class InequalityCheck:
 
     @property
     def ratio(self) -> float:
-        """``lhs/rhs``, 0 when ``lhs`` is 0 (an empty subset: both sides 0), and
-        ``inf`` for an unverified check: a side that is not a number, or
-        ``rhs = 0`` under ``lhs > 0``.  Never NaN, never an error."""
-        if self.lhs == 0.0 and not math.isnan(self.rhs):
+        """``lhs/rhs``, 0 when ``lhs`` is 0 under a finite ``rhs`` (an empty subset),
+        and ``inf`` for an unverified check: a side that is not a number, or an
+        ``rhs`` that is infinite or 0 under ``lhs > 0``.  Never NaN, never an error."""
+        if self.lhs == 0.0 and math.isfinite(self.rhs):
             return 0.0
-        if self.rhs == 0.0:
-            return math.inf
-        ratio = self.lhs / self.rhs
+        ratio = self.lhs / self.rhs if 0.0 < self.rhs < math.inf else math.nan
         return math.inf if math.isnan(ratio) else ratio
 
     @property
@@ -84,14 +91,14 @@ def sharp_rh_levels(
     ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t`` and ``ratio = lhs/rhs`` indexed
     by cube. The moment heap at ``t`` comes from :meth:`Weight.cube_totals`, not
     cached on ``w`` (ε scans use each ``t`` once); ``lhs`` is a view of it.
-    A ratio that is not a number (both sides 0, as when a cube's moment and
-    mean^t underflow, or both inf) is unverified: it is ``inf``.
+    A side that cannot be formed leaves the cube unverified, with ratio ``inf``:
+    a ratio that is not a number (both sides 0 or both inf, after underflow or
+    overflow) and an infinite ``rhs``, as when ``rh^t`` overflows.
     """
     t = float(t)
-    w.require_moment(t)
     moments = heap_levels(to_averages(w.cube_totals(grid, t)))
     means = heap_levels(w.pyramid(grid, 1.0))
-    factor = 2.0 * rh**t
+    factor = 2.0 * _power(rh, t)
     for k in range(grid.depth, -1, -1):
         lhs, rhs = moments[k], means[k] * float(1 << k)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -99,6 +106,7 @@ def sharp_rh_levels(
             rhs *= factor
             ratio = lhs / rhs
         ratio[np.isnan(ratio)] = np.inf
+        ratio[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
         yield k, lhs, rhs, ratio
 
 
@@ -119,10 +127,10 @@ def _subset_sides(
     """``(lhs, rhs)`` of the subset bound from the measures ``w^q(E)``,
     ``w^q(Q)``, ``w(E)``, ``w(Q)``, scalars or arrays alike:
     ``lhs = w^q(E)/w^q(Q)`` and ``rhs = 2^{1/θ}·rh^{(q+ε)/θ}·(w(E)/w(Q))^{1/θ'}``,
-    left to right.  A measure of Q that underflowed to 0 gives NaN or inf, not
-    an error."""
-    scale = 2.0 ** (1.0 / profile.theta) * rh ** (
-        (profile.q0_star + profile.epsilon) / profile.theta
+    left to right.  A measure of Q that underflowed to 0, or a constant past
+    the double range, gives NaN or inf, not an error."""
+    scale = 2.0 ** (1.0 / profile.theta) * _power(
+        rh, (profile.q0_star + profile.epsilon) / profile.theta
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(wq_e, wq_q), scale * np.divide(w_e, w_q) ** (1.0 / profile.theta_conj)
@@ -133,31 +141,24 @@ def verify_subset_bound(
     q0_star: float,
     epsilon: float,
     cube: DyadicCube,
-    cells: CellSet,
+    cells: np.ndarray,
     grid: DyadicGrid,
     rh: Optional[float] = None,
     epsilon_max: Optional[float] = None,
 ) -> InequalityCheck:
-    """Subset comparison with the explicit constant 2^{1/θ} on one cube."""
-    if not cells.within_cube(grid, cube):
+    """Subset comparison with the explicit constant 2^{1/θ} on one cube; ``cells`` masks E."""
+    start, stop = cube.cell_range(grid.depth)
+    if np.any(cells[:start]) or np.any(cells[stop:]):
         raise SubsetError("the cell set must be contained in the cube")
-    profile = GehringProfile(
-        q0_star=float(q0_star),
-        epsilon=float(epsilon),
-        epsilon_max=(
-            epsilon_range(w, q0_star, grid) if epsilon_max is None else epsilon_max
-        ),
-    )
+    if epsilon_max is None:
+        epsilon_max = epsilon_range(w, q0_star, grid)
+    profile = GehringProfile(float(q0_star), float(epsilon), epsilon_max)
     if rh is None:
         rh = rh_constant(w, q0_star, grid)
     wq = pow_weight(w, q0_star)
     lhs, rhs = _subset_sides(
-        profile,
-        rh,
-        measure(wq, grid, cells),
-        wq.cube_integral(grid, cube, 1.0),
-        measure(w, grid, cells),
-        w.cube_integral(grid, cube, 1.0),
+        profile, rh, measure(wq, grid, cells), wq.cube_integral(grid, cube),
+        measure(w, grid, cells), w.cube_integral(grid, cube),
     )
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
@@ -283,7 +284,7 @@ def max_epsilon_empirical(
         cap=cap,
         cap_hit=cap_hit,
         proven_epsilon=proven,
-        conjectured_scale=1.0 / rh**p,
+        conjectured_scale=1.0 / _power(rh, p),
         rh=rh,
         factor=factor,
         depth=grid.depth,

@@ -1,4 +1,4 @@
-"""Dyadic addressing, tree aggregation, and read-only cell masks on [0, 1).
+"""Dyadic addressing and tree aggregation on [0, 1).
 
 The carrier is a dyadic grid of depth ``L``: the finest level has ``N = 2**L``
 half-open cells ``[i/N, (i+1)/N)``. A :class:`DyadicCube` addresses the
@@ -6,8 +6,8 @@ interval ``[index * 2**-level, (index + 1) * 2**-level)`` for any
 ``0 <= level <= L``; inside the family kernels it is one int64 *heap id*
 ``2**level - 1 + index`` (:func:`cube_ids`), an encoding only this module
 knows.  Per-cube data is one *heap* indexed by heap id, each level a view
-(:func:`heap_levels`).  A :class:`CellSet` is a read-only boolean
-membership mask over the finest cells.
+(:func:`heap_levels`).  A set of finest cells is a plain boolean mask of
+length ``N``.
 
 Aggregation follows a fixed left-to-right pairwise tree order (each parent
 total is ``left + right``), which makes every derived average bit-stable
@@ -219,22 +219,3 @@ def heap_levels(heap: np.ndarray) -> List[np.ndarray]:
     depth = (heap.size + 1).bit_length() - 2
     return [heap[(1 << k) - 1 : (2 << k) - 1] for k in range(depth + 1)]
 
-
-@dataclass(frozen=True)
-class CellSet:
-    """Subset of the finest cells, stored as a read-only boolean mask."""
-
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        mask = np.asarray(self.mask, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def full(cls, grid: DyadicGrid) -> "CellSet":
-        return cls(np.ones(grid.n_cells, dtype=bool))
-
-    def within_cube(self, grid: DyadicGrid, cube: DyadicCube) -> bool:
-        start, stop = cube.cell_range(grid.depth)
-        return not (self.mask[:start].any() or self.mask[stop:].any())

@@ -14,7 +14,7 @@ exponents:
   lifted Muckenhoupt index and the extrapolation inflation at ``p``.
 
 The self-improved reverse Hölder step at an integrability exponent
-``q0_star > 1`` (:func:`check_q0_star`) admits every increment
+``1 < q0_star < ∞`` (:func:`check_q0_star`) admits every increment
 ``0 < ε ≤ q0*/(DIMENSIONAL_FACTOR·[w^{q0*}]_{A∞} − 1)``
 (:func:`admissible_epsilon`) and loses the rate ``γ = ε/(q0*·(q0* + ε − 1))``
 (:func:`gamma_rate`, which also checks ε).  A
@@ -43,10 +43,12 @@ DIMENSIONAL_FACTOR = 4.0  # 2^(d+1) with d = 1
 
 
 def check_q0_star(q0_star: float) -> float:
-    """``q0_star`` as a float; the self-improvement step needs it above 1."""
+    """``q0_star`` as a float; the self-improvement step needs it in (1, ∞)."""
     q0_star = float(q0_star)
     if not q0_star > 1.0:
         raise ConfigError(f"the integrability exponent must be > 1, got {q0_star}")
+    if q0_star == math.inf:
+        raise ConfigError(f"the integrability exponent must be finite, got {q0_star}")
     return q0_star
 
 

@@ -19,9 +19,11 @@ its deepest family cube.  Construction routes:
   otherwise.
 
 The quadratic form of interest is
-``Σ_Q ⟨|f|⟩_{p0,Q}² · ⟨|g|⟩_{q0*,Q} · |Q|`` — evaluated with exact per-cube
-moments, over any cube collection (validity of the collection is the
-caller's concern; the form itself is just a positive sum).
+``Σ_Q ⟨|f|⟩_{p0,Q}² · ⟨|g|⟩_{q0*,Q} · |Q|`` for two per-cell vectors — evaluated
+with exact per-cube moments, over any cube collection (validity of the
+collection is the caller's concern; the form itself is just a positive sum).
+The proof tracer forms its weighted g-side ``⟨1_{G'}w⟩_{q0*,Q}`` itself, from
+the weight's moment store.
 
 Every kernel here addresses cubes by heap id (see :mod:`weightlab.grid`), so
 it gathers per-cube quantities from pyramids instead of looping over cubes,
@@ -40,11 +42,10 @@ import numpy as np
 
 from .errors import SparsityViolationError, SubsetError
 from .grid import (
-    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, id_cell_ranges,
+    DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, id_cell_ranges,
     id_cubes, split_ids, to_averages, tree_totals,
 )
 from .profiles import ExponentProfile
-from .weights import Weight, masked_moment_cells
 
 
 @dataclass(frozen=True)
@@ -309,38 +310,24 @@ def build_sparse_cz(
 
 def sparse_form(
     f: Sequence[float] | np.ndarray,
-    g: Optional[Sequence[float] | np.ndarray],
+    g: Sequence[float] | np.ndarray,
     profile: ExponentProfile,
     cubes: Sequence[DyadicCube] | np.ndarray | SparseFamily,
     grid: DyadicGrid,
-    g_weight: Optional[Weight] = None,
-    g_cells: Optional[CellSet] = None,
 ) -> float:
-    """``Σ_Q ⟨|f|⟩_{p0,Q}² ⟨|g|⟩_{q0*,Q} |Q|`` with exact per-cube moments.
+    """``Σ_Q ⟨|f|⟩_{p0,Q}² ⟨|g|⟩_{q0*,Q} |Q|`` with exact per-cube moments of
+    the per-cell vectors ``f`` and ``g``.
 
-    ``g`` is either a per-cell vector, or — when ``g_weight`` is given — the
-    composition ``1_E · w`` with ``E = g_cells`` (default: all of [0,1)).
     The cube collection may be any sequence of cubes or heap ids; a
     :class:`SparseFamily` passes its own.
     """
-    p0 = profile.p0
-    q = profile.q0_star
     ids = cube_ids(cubes.ids if isinstance(cubes, SparseFamily) else cubes, grid)
     levels = split_ids(ids)[0]
     scale = np.ldexp(1.0, levels)
-    f_moments = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    f_avg = (tree_totals(grid, f_moments)[ids] * scale) ** (1.0 / p0)
-    if g_weight is not None:
-        g_moments = (
-            masked_moment_cells(grid, g_cells, g_weight, q)
-            if g_cells is not None
-            else g_weight.cell_integrals(grid, q)
-        )
-    elif g is None:
-        raise ValueError("either per-cell g values or a weight must be given")
-    else:
-        g_moments = np.abs(grid.check_values(g)) ** q * grid.cell_measure
-    g_avg = (tree_totals(grid, g_moments)[ids] * scale) ** (1.0 / q)
+    f_moments = np.abs(grid.check_values(f)) ** profile.p0 * grid.cell_measure
+    f_avg = (tree_totals(grid, f_moments)[ids] * scale) ** (1.0 / profile.p0)
+    g_moments = np.abs(grid.check_values(g)) ** profile.q0_star * grid.cell_measure
+    g_avg = (tree_totals(grid, g_moments)[ids] * scale) ** (1.0 / profile.q0_star)
     return math.fsum((f_avg * f_avg * g_avg * np.ldexp(1.0, -levels)).tolist())
 
 

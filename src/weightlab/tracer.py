@@ -34,7 +34,9 @@ the empirical constant of every step next to its proven envelope:
     and the trace's headline number C0 = (quadratic form)/(envelope·‖f‖²).
 
 Every step that is a theorem gets a hard pass flag; steps that rely on the
-proof's implicit slack report their ratio without a hard gate.
+proof's implicit slack report their ratio without a hard gate.  G and G'
+are boolean masks over the finest cells, and every moment is read from a
+weight's store: ⟨1_{G'}w⟩_{q0*,Q} from the finest level of w's q0* pyramid.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .characteristics import _sup_with_argmax, a_infty_fw, ap_constant, rh_const
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import (
-    CellSet, DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, split_ids, to_averages,
+    DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, split_ids, to_averages,
     tree_totals,
 )
 from .operators import maximal_p0
@@ -276,7 +278,7 @@ class GoodSetResult:
 
     k_factor: float
     threshold: float
-    good_prime: CellSet
+    good_prime: np.ndarray  # boolean mask of G' over the finest cells
     good_mass: float
     good_prime_mass: float
     f_norm_sq: float
@@ -293,11 +295,12 @@ def build_good_set(
     grid: DyadicGrid,
     p0: float,
     family: Sequence[DyadicCube] | np.ndarray,
-    good_cells: Optional[CellSet] = None,
+    good_cells: Optional[np.ndarray] = None,
 ) -> GoodSetResult:
     """Remove the cells where the family-restricted maximal function of fσ
     exceeds T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)}/w(G)^{1/2}, doubling K
-    from 4 until the remainder keeps 3/4 of the weight mass of G."""
+    from 4 until the remainder keeps 3/4 of the weight mass of G, the mask
+    ``good_cells`` (default: every cell)."""
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     f_norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
@@ -305,9 +308,9 @@ def build_good_set(
         raise ZeroFunctionError("the traced function vanishes identically")
     f_norm = math.sqrt(f_norm_sq)
 
-    good = good_cells if good_cells is not None else CellSet.full(grid)
+    good = good_cells if good_cells is not None else np.ones(grid.n_cells, dtype=bool)
     cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
-    good_mass = float(np.sum(cellw, where=good.mask))
+    good_mass = float(np.sum(cellw, where=good))
     if good_mass <= 0.0:
         raise EmptyGoodSetError("the initial good set carries no weight mass")
 
@@ -317,8 +320,8 @@ def build_good_set(
     k = K_INITIAL
     for _ in range(MAX_K_DOUBLINGS):
         threshold = k * math.sqrt(ap) * f_norm / math.sqrt(good_mass)
-        good_prime = CellSet(good.mask & (m_restricted <= threshold))
-        good_prime_mass = float(np.sum(cellw, where=good_prime.mask))
+        good_prime = good & (m_restricted <= threshold)
+        good_prime_mass = float(np.sum(cellw, where=good_prime))
         if good_prime_mass >= GOOD_FRACTION_TARGET * good_mass * (1.0 - 1e-12):
             return GoodSetResult(
                 k_factor=k,
@@ -341,7 +344,7 @@ def trace_proof(
     grid: DyadicGrid,
     profile: ExponentProfile,
     family: Sequence[DyadicCube] | np.ndarray,
-    good_cells: Optional[CellSet] = None,
+    good_cells: Optional[np.ndarray] = None,
     epsilon: Optional[float] = None,
 ) -> ProofTrace:
     """Run the full pigeonhole trace; see the module docstring for the steps.
@@ -370,16 +373,15 @@ def trace_proof(
 
     # per-cube gathers from exact moment pyramids: fσ at p0, 1_{G'}·w at q0* and 1
     p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
-    gp_mask = gs.good_prime.mask
     scale = np.ldexp(1.0, split_ids(family_ids)[0])
     a1 = (tree_totals(grid, p0_moments)[family_ids] * scale) ** (1.0 / p0)
-    gp_q = tree_totals(grid, cellw * gp_mask)[family_ids]
+    gp_q = tree_totals(grid, cellw * gs.good_prime)[family_ids]
     zero = gp_q <= 0.0
     overflow = ~zero & (a1 <= 0.0)
     binned = ~(zero | overflow)
     ids, scale, a1, gp_q = family_ids[binned], scale[binned], a1[binned], gp_q[binned]
     w_q = tree_totals(grid, cellw)[ids]
-    ind_q_moments = w.cell_integrals(grid, q0s) * gp_mask
+    ind_q_moments = heap_levels(w.pyramid(grid, q0s))[-1] * gs.good_prime
     b_q = (tree_totals(grid, ind_q_moments)[ids] * scale) ** (1.0 / q0s)
 
     r_raw = np.floor(-np.log2(a1 / gs.threshold)).astype(np.int64)
@@ -502,7 +504,7 @@ def percube_ap_holder_scan(
     p0: float,
     grid: DyadicGrid,
     f: Optional[Sequence[float] | np.ndarray] = None,
-    cells: Optional[CellSet] = None,
+    cells: Optional[np.ndarray] = None,
 ) -> PerCubeScan:
     """Scan every cube for the two per-cube inequalities behind the disjoint
     bin cap.
@@ -513,19 +515,15 @@ def percube_ap_holder_scan(
     * ⟨1_E fσ⟩²_{p0,Q} ≤ ⟨σ⟩_{L^{φ(p0)},Q} · (1/|Q|)·∫_Q 1_E f² σ — Hölder
       with exponents 2/p0 and 2/(2−p0).
 
-    Both must hold to rounding (slack 1e-12) for every cube, any f, any E.
+    Both must hold to rounding (slack 1e-12) for every cube, any f, any E (``cells``).
     """
     profile = ExponentProfile(float(p0), math.inf)  # checks 1 <= p0 < 2
     p0, phi = profile.p0, profile.phi_p0
     sigma = dual_weight(w, 2.0)
     ap = ap_constant(w, profile.ap_index, grid)
 
-    fvals = (
-        np.ones(grid.n_cells, dtype=np.float64)
-        if f is None
-        else grid.check_values(f)
-    )
-    mask = (cells.mask if cells is not None else np.ones(grid.n_cells, dtype=bool))
+    fvals = np.ones(grid.n_cells) if f is None else grid.check_values(f)
+    mask = cells if cells is not None else np.ones(grid.n_cells, dtype=bool)
 
     sigma_norm = sigma.level_averages(grid, phi)  # per-cube ⟨σ⟩_{L^φ}
     sigma_norm **= 1.0 / phi

@@ -17,6 +17,8 @@ its base weight's data and moment store: its moment ``t`` is the base's moment
 ``s*t``. The store memoises one read-only heap of cube totals (a pyramid) per
 ``(depth, s*t)``; an entry depends on nothing else, so every view fills it
 with the same bytes (pure, deterministic recomputation, so builds agree).
+Every moment the package reads is a level of a heap built here (stored, but
+for the ε kernel's once-used heaps), which is where admissibility is checked.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergentMomentError, WrongLengthError
-from .grid import CellSet, DyadicCube, DyadicGrid, heap_levels, to_averages, tree_totals
+from .grid import DyadicCube, DyadicGrid, heap_levels, to_averages, tree_totals
 
 _PyramidKey = Tuple[int, float]
 
@@ -96,7 +98,6 @@ class Weight:
         return to_averages(self.pyramid(grid, t).copy())
 
     def cube_integral(self, grid: DyadicGrid, cube: DyadicCube, t: float = 1.0) -> float:
-        self.require_moment(t)
         return float(self.pyramid(grid, t)[cube.heap_id])
 
 
@@ -277,13 +278,14 @@ def dual_weight(w: Weight, p: float) -> Weight:
     return w.power(1.0 - conjugate_exponent(p))
 
 
-def measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
-    """Weight measure ``w(E) = ∫_E w`` over a cell set, by exact cell sums."""
-    if cells.mask.size != grid.n_cells:
+def measure(w: Weight, grid: DyadicGrid, cells: np.ndarray) -> float:
+    """Weight measure ``w(E) = ∫_E w`` over a boolean cell mask, by exact cell sums."""
+    cells = np.asarray(cells, dtype=bool)
+    if cells.size != grid.n_cells:
         raise WrongLengthError(
-            f"cell set over {cells.mask.size} cells does not match grid of {grid.n_cells}"
+            f"cell set over {cells.size} cells does not match grid of {grid.n_cells}"
         )
-    return float((heap_levels(w.pyramid(grid, 1.0))[-1] * cells.mask).sum())
+    return float((heap_levels(w.pyramid(grid, 1.0))[-1] * cells).sum())
 
 
 # --- composed moments (function times weight) -----------------------------------
@@ -295,19 +297,10 @@ def composed_moment_cells(
     """Per-cell ``∫_cell (|f| w)**t dx`` for piecewise-constant ``f``.
 
     Because ``f`` is constant on each finest cell, the composition's t-th
-    moment factorises exactly as ``|f_cell|**t * ∫_cell w**t``.
+    moment factorises exactly as ``|f_cell|**t * ∫_cell w**t``, read from the store.
     """
-    w.require_moment(t)
-    f = np.abs(grid.check_values(f_values)) ** float(t)
-    return f * w.cell_integrals(grid, t)
-
-
-def masked_moment_cells(grid: DyadicGrid, cells: CellSet, w: Weight, t: float) -> np.ndarray:
-    """Per-cell ``∫_cell (1_E w)**t dx`` = cell integrals of ``w**t`` on E, 0 off E."""
-    w.require_moment(t)
-    out = w.cell_integrals(grid, t).copy()
-    out[~cells.mask] = 0.0
-    return out
+    cells = heap_levels(w.pyramid(grid, t))[-1]  # a divergent moment raises first
+    return np.abs(grid.check_values(f_values)) ** float(t) * cells
 
 
 def weighted_l2_norm_sq(

@@ -35,7 +35,6 @@ from weightlab import (
 from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
-from weightlab.grid import CellSet
 from weightlab.operators import (
     EquivalenceScaffold,
     OperatorNormRow,
@@ -133,8 +132,8 @@ def brute_weak_lp_norm(
 
 def random_cellset(
     grid: DyadicGrid, rng: np.random.Generator, density: float = 0.5
-) -> CellSet:
-    return CellSet(rng.random(grid.n_cells) < density)
+) -> np.ndarray:
+    return rng.random(grid.n_cells) < density
 
 
 def cube_mask(grid: DyadicGrid, cube: DyadicCube) -> np.ndarray:
@@ -143,6 +142,11 @@ def cube_mask(grid: DyadicGrid, cube: DyadicCube) -> np.ndarray:
     mask = np.zeros(grid.n_cells, dtype=bool)
     mask[start:stop] = True
     return mask
+
+
+def within_cube(mask: np.ndarray, grid: DyadicGrid, cube: DyadicCube) -> bool:
+    start, stop = cube.cell_range(grid.depth)
+    return not (mask[:start].any() or mask[stop:].any())
 
 
 def mask_ranges(mask: np.ndarray) -> List[List[int]]:
@@ -187,7 +191,7 @@ def verify_average_comparison(
     epsilon: float,
     cube: DyadicCube,
     s: int,
-    good_cells: CellSet,
+    good_cells: np.ndarray,
     grid: DyadicGrid,
     rh: Optional[float] = None,
     epsilon_max: Optional[float] = None,
@@ -199,7 +203,7 @@ def verify_average_comparison(
     geh = GehringProfile(q0_star, epsilon, epsilon_max)
     if rh is None:
         rh = rh_constant(w, q0_star, grid)
-    masked = w.cell_integrals(grid, q0_star) * good_cells.mask
+    masked = w.cell_integrals(grid, q0_star) * good_cells
     start, stop = cube.cell_range(grid.depth)
     scale = float(1 << cube.level)
     lhs = (float(np.sum(masked[start:stop])) * scale) ** (1.0 / q0_star)
@@ -288,9 +292,9 @@ def oracle_peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
 
 def oracle_layer_witnesses(
     layers: Sequence[Sequence[DyadicCube]], grid: DyadicGrid
-) -> Dict[DyadicCube, CellSet]:
+) -> Dict[DyadicCube, np.ndarray]:
     """Witness E_Q = Q minus the next layer's cubes inside Q."""
-    out: Dict[DyadicCube, CellSet] = {}
+    out: Dict[DyadicCube, np.ndarray] = {}
     for j, layer in enumerate(layers):
         next_layer = layers[j + 1] if j + 1 < len(layers) else []
         for cube in layer:
@@ -298,32 +302,32 @@ def oracle_layer_witnesses(
             for sub in next_layer:
                 if cube.contains(sub):
                     mask &= ~cube_mask(grid, sub)
-            out[cube] = CellSet(mask)
+            out[cube] = mask
     return out
 
 
-def dense_witnesses(family) -> List[CellSet]:
+def dense_witnesses(family) -> List[np.ndarray]:
     """A family's witnesses as one dense mask per cube, in cube order."""
-    return [CellSet(family.owner == pos) for pos in range(len(family))]
+    return [family.owner == pos for pos in range(len(family))]
 
 
 def oracle_verify_sparsity(
-    cubes: Sequence[DyadicCube], witnesses: Sequence[CellSet], grid: DyadicGrid
+    cubes: Sequence[DyadicCube], witnesses: Sequence[np.ndarray], grid: DyadicGrid
 ) -> SparsityReport:
     """Containment, strict half measure and disjointness on dense masks."""
     coverage = np.zeros(grid.n_cells, dtype=np.int64)
     for cube, cells in zip(cubes, witnesses):
-        if not cells.within_cube(grid, cube):
+        if not within_cube(cells, grid, cube):
             return SparsityReport(False, f"witness of {cube} leaves the cube")
         start, stop = cube.cell_range(grid.depth)
-        size = int(np.count_nonzero(cells.mask))
+        size = int(np.count_nonzero(cells))
         if 2 * size <= stop - start:
             return SparsityReport(
                 False,
                 f"witness of {cube} has measure {size}/{stop - start}"
                 " of the cube (strictly more than half is required)",
             )
-        coverage += cells.mask
+        coverage += cells
     if np.any(coverage > 1):
         cell = int(np.argmax(coverage > 1))
         return SparsityReport(False, f"witnesses overlap at cell {cell}")
@@ -331,13 +335,13 @@ def oracle_verify_sparsity(
 
 
 def oracle_carleson_packing_ok(
-    cubes: Sequence[DyadicCube], witnesses: Sequence[CellSet], grid: DyadicGrid
+    cubes: Sequence[DyadicCube], witnesses: Sequence[np.ndarray], grid: DyadicGrid
 ) -> bool:
     """Σ_{Q ⊆ Q0} |E_Q| ≤ |Q0| for every family cube, by all-pairs loops."""
     for outer in cubes:
         start, stop = outer.cell_range(grid.depth)
         packed = sum(
-            int(np.count_nonzero(cells.mask))
+            int(np.count_nonzero(cells))
             for cube, cells in zip(cubes, witnesses)
             if outer.contains(cube)
         )
@@ -358,11 +362,11 @@ def oracle_bin_witness_stats(
     per cube over the dense layer witnesses."""
     witnesses = oracle_layer_witnesses(oracle_peel_layers(bin_cubes), grid)
     witness_mass = math.fsum(
-        float(np.sum(f_sq_sigma, where=cells.mask)) for cells in witnesses.values()
+        float(np.sum(f_sq_sigma, where=cells)) for cells in witnesses.values()
     )
     comparability = 0.0
     for cube, avg in zip(bin_cubes, avg_fsigma):
-        total = float(np.sum(p0_moments, where=witnesses[cube].mask))
+        total = float(np.sum(p0_moments, where=witnesses[cube]))
         restricted = (total * float(1 << cube.level)) ** (1.0 / p0)
         comparability = max(comparability, avg / restricted) if restricted > 0.0 else math.inf
     return witness_mass, comparability
@@ -452,7 +456,7 @@ def oracle_trace_proof(
     grid: DyadicGrid,
     profile: ExponentProfile,
     family: Sequence[DyadicCube],
-    good_cells: Optional[CellSet] = None,
+    good_cells: Optional[np.ndarray] = None,
 ) -> dict:
     """The trace's per-cube rows, buckets and bins, one cube at a time.
 
@@ -473,7 +477,7 @@ def oracle_trace_proof(
 
     p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
     p0_totals = oracle_tree_totals(grid, p0_moments)
-    gp_mask = gs.good_prime.mask
+    gp_mask = gs.good_prime
     ind_q_totals = oracle_tree_totals(grid, w.cell_integrals(grid, q0s) * gp_mask)
     gp_w_totals = oracle_tree_totals(grid, cellw * gp_mask)
     w_totals = oracle_tree_totals(grid, cellw)
@@ -803,16 +807,16 @@ def oracle_random_subset_checks(
         mask[start:stop] = rng.random(stop - start) < 0.5
         eps = float(epsilons[i % len(epsilons)])
         check = verify_subset_bound(
-            w, q0_star, eps, cube, CellSet(mask), grid, rh=rh, epsilon_max=eps_max
+            w, q0_star, eps, cube, mask, grid, rh=rh, epsilon_max=eps_max
         )
         out.append((cube, eps, check))
     return out
 
 
-def oracle_measure(w: Weight, grid: DyadicGrid, cells: CellSet) -> float:
+def oracle_measure(w: Weight, grid: DyadicGrid, cells: np.ndarray) -> float:
     """``w(E)`` as ``np.sum(..., where=mask)`` over all cells, the form
     ``weights.measure`` used before its pairwise ``(cells * mask).sum()``."""
-    return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells.mask))
+    return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells))
 
 
 # --- dense corpus oracles: every corpus function as a full 2**L vector -------------------

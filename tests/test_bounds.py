@@ -354,8 +354,13 @@ class TestLossChain:
         rep = loss_chain_exponents(q0s, gamma)
         assert rep.exponent_gap == pytest.approx(0.5, rel=1e-12)
 
+    @staticmethod
+    def at_proven_gap(ap, rh, a_infty, a_infty_pow, profile):
+        eps = admissible_epsilon(profile.q0_star, a_infty_pow)
+        return loss_chain_values(ap, rh, a_infty, profile, eps, gamma_rate(profile.q0_star, eps))
+
     def test_unit_values(self):
-        rep = loss_chain_values(1.0, 1.0, 1.0, 1.0, ExponentProfile(1.0, 4.0))
+        rep = self.at_proven_gap(1.0, 1.0, 1.0, 1.0, ExponentProfile(1.0, 4.0))
         assert rep.direct_exponent == pytest.approx(2.9, rel=1e-15)
         assert rep.extrapolated_exponent == pytest.approx(3.4, rel=1e-15)
         assert rep.exponent_gap == pytest.approx(0.5, rel=1e-15)
@@ -363,7 +368,7 @@ class TestLossChain:
         assert rep.extrapolated_value == 1.0
 
     def test_direct_route_wins_on_values_for_large_characteristics(self):
-        rep = loss_chain_values(4.0, 4.0, 4.0, 16.0, ExponentProfile(1.0, 4.0))
+        rep = self.at_proven_gap(4.0, 4.0, 4.0, 16.0, ExponentProfile(1.0, 4.0))
         assert rep.direct_value < rep.extrapolated_value
 
     def test_extrapolated_bound_rejects_products_below_one(self):

@@ -350,12 +350,14 @@ class TestBounds:
             ["bounds", "--epsilon", "1e300"],  # above the proven maximum 2/3
             ["weak-norm", "-p", "nan"],
             ["weak-norm", "-p", "inf"],
+            ["char", "-q", "inf"],  # w**inf would collapse RH_q to max 1/⟨w⟩_Q
+            ["verify-gehring", "--q0-star", "inf"],
         ],
         ids=" ".join,
     )
     def test_bad_exponent_exits_two_with_one_error_line(self, argv, tmp_path):
         out = tmp_path / "out"
-        flag = "--csv" if argv[0] == "weak-norm" else "--out"
+        flag = "--csv" if argv[0] in ("weak-norm", "verify-gehring") else "--out"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}

@@ -36,7 +36,7 @@ from weightlab import (
 )
 from weightlab.errors import SubsetError
 from weightlab.gehring import InequalityCheck, max_epsilon_empirical, verify_subset_bound
-from weightlab.grid import CellSet, tree_totals
+from weightlab.grid import tree_totals
 from weightlab.profiles import DIMENSIONAL_FACTOR, GehringProfile
 
 
@@ -151,21 +151,33 @@ class TestSharpReverseHolder:
 
 
 class TestSubsetBound:
-    def test_requires_containment(self, grid6):
-        with pytest.raises(SubsetError):
-            verify_subset_bound(
-                unit_weight(),
-                2.0,
-                0.5,
-                DyadicCube(1, 1),
-                CellSet(cube_mask(grid6, DyadicCube(1, 0))),
-                grid6,
-            )
+    @pytest.mark.parametrize("cube", [DyadicCube(1, 1), DyadicCube(6, 0), DyadicCube(6, 63),
+                                      DyadicCube(2, 0), DyadicCube(2, 3), DyadicCube(0, 0)])
+    def test_requires_containment(self, grid6, cube):
+        # the cube itself, the empty set, and the cube plus one cell at either
+        # edge of the cube or of the grid
+        start, stop = cube.cell_range(grid6.depth)
+        cases = [(cube_mask(grid6, cube), True), (np.zeros(grid6.n_cells, dtype=bool), True)]
+        for cell in (0, start - 1, stop, grid6.n_cells - 1):
+            if 0 <= cell < grid6.n_cells:
+                mask = cube_mask(grid6, cube)
+                mask[cell] = True
+                cases.append((mask, start <= cell < stop))
+        if cube == DyadicCube(1, 1):
+            cases += [(cube_mask(grid6, DyadicCube(2, 2)), True),
+                      (cube_mask(grid6, DyadicCube(2, 0)), False),
+                      (cube_mask(grid6, DyadicCube(1, 0)), False)]
+        for mask, contained in cases:
+            if contained:
+                verify_subset_bound(unit_weight(), 2.0, 0.5, cube, mask, grid6)
+            else:
+                with pytest.raises(SubsetError):
+                    verify_subset_bound(unit_weight(), 2.0, 0.5, cube, mask, grid6)
 
     def test_empty_subset_has_zero_ratio(self, grid6):
         chk = verify_subset_bound(
             unit_weight(), 2.0, 0.5, DyadicCube(1, 1),
-            CellSet(np.zeros(grid6.n_cells, dtype=bool)), grid6,
+            np.zeros(grid6.n_cells, dtype=bool), grid6,
         )
         assert chk.lhs == 0.0 and chk.ratio == 0.0
 
@@ -174,7 +186,7 @@ class TestSubsetBound:
         eps = 2 / 3  # theta = 5/3 at q0* = 2
         chk = verify_subset_bound(
             unit_weight(), 2.0, eps, DyadicCube(1, 0),
-            CellSet(cube_mask(grid6, DyadicCube(1, 0))), grid6,
+            cube_mask(grid6, DyadicCube(1, 0)), grid6,
         )
         assert chk.lhs == pytest.approx(1.0, rel=1e-14)
         assert chk.rhs == pytest.approx(2.0 ** (3 / 5), rel=1e-14)
@@ -209,16 +221,16 @@ class TestSubsetBound:
 
     def test_subset_samples_make_no_view_or_cell_set_per_sample(self, grid6, monkeypatch):
         # a sample sums its cube's slice: the w^q view is made before the draws,
-        # and no cell set over all 2**L cells is built for a sample
+        # and no mask over all 2**L cells is measured for a sample
         calls = []
         monkeypatch.setattr(
             gehring, "pow_weight", lambda *args: calls.append(1) or pow_weight(*args)
         )
 
-        def no_cell_set(*args, **kwargs):
-            raise AssertionError("a sample built a CellSet")
+        def no_full_measure(*args, **kwargs):
+            raise AssertionError("a sample measured a mask over all cells")
 
-        monkeypatch.setattr(gehring, "CellSet", no_cell_set)
+        monkeypatch.setattr(gehring, "measure", no_full_measure)
         counts = []
         for n_samples in (1, 200):
             calls.clear()
@@ -247,6 +259,8 @@ class TestUnverifiedSubsetRows:
             (1.0, math.nan, math.inf),
             (math.inf, math.inf, math.inf),
             (math.inf, 2.0, math.inf),
+            (1.0, math.inf, math.inf),  # an rhs past the double range: lhs/inf = 0
+            (0.0, math.inf, math.inf),
         ],
     )
     def test_ratio_rule(self, lhs, rhs, ratio):
@@ -257,9 +271,9 @@ class TestUnverifiedSubsetRows:
     def test_underflowed_cube_is_unverified_not_an_error(self):
         w, grid = TabulatedWeight(TINY_VALUES), DyadicGrid(4)
         tiny = DyadicCube(4, 1)
-        chk = verify_subset_bound(w, 2.0, 0.2, tiny, CellSet(cube_mask(grid, tiny)), grid)
+        chk = verify_subset_bound(w, 2.0, 0.2, tiny, cube_mask(grid, tiny), grid)
         assert math.isnan(chk.lhs) and chk.ratio == math.inf and not chk.passed
-        nothing = CellSet(np.zeros(grid.n_cells, dtype=bool))
+        nothing = np.zeros(grid.n_cells, dtype=bool)
         empty = verify_subset_bound(w, 2.0, 0.2, DyadicCube(4, 0), nothing, grid)
         assert (empty.lhs, empty.rhs, empty.ratio) == (0.0, 0.0, 0.0)
 
@@ -289,6 +303,40 @@ class TestUnverifiedSubsetRows:
         assert proc.stderr.endswith("worst ratio=inf\n")
         ratios = [ln.split(",")[-1] for ln in proc.stdout.splitlines() if ln.startswith("subset,")]
         assert len(ratios) == 50 and "inf" in ratios and "nan" not in ratios
+
+
+# rh**3000 and rh**(3000+ε) overflow a double for x^{1/2}, whose RH_3000 is about 1.5
+OVERFLOW_Q0_STAR = 3000.0
+
+
+class TestOverflowingGehringConstant:
+    def test_kernel_leaves_every_cube_unverified(self):
+        w, grid = PowerWeight(0.5), DyadicGrid(6)
+        rh = rh_constant(w, OVERFLOW_Q0_STAR, grid)
+        eps = epsilon_range(w, OVERFLOW_Q0_STAR, grid)
+        for _, lhs, rhs, ratio in sharp_rh_levels(w, OVERFLOW_Q0_STAR + eps, rh, grid):
+            assert not np.any(np.isfinite(rhs)) and np.all(ratio == math.inf)
+        rows = random_subset_checks(w, OVERFLOW_Q0_STAR, [eps], grid, 20, seed=1)
+        assert all(chk.ratio == math.inf and not chk.passed for *_, chk in rows)
+        # the ε search's probes fail instead of raising
+        found = max_epsilon_empirical(w, OVERFLOW_Q0_STAR, grid)
+        assert not found.cap_hit and found.epsilon_empirical <= 1e-12
+        assert found.conjectured_scale == 0.0
+
+    def test_cli_exits_one_without_a_traceback(self):
+        src = os.path.dirname(os.path.dirname(weights.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightlab.cli", "verify-gehring", "--power", "0.5",
+             "--L", "6", "--q0-star", "3000", "--eps-grid", "1", "--subsets", "5"],
+            capture_output=True, text=True, check=False, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("verify-gehring: 132 checks, ")
+        assert proc.stderr.endswith("worst ratio=inf\n") and proc.stderr.count("\n") == 1
+        ratios = {ln.split(",")[-1] for ln in proc.stdout.splitlines()[2:]}
+        assert ratios == {"inf"}
 
 
 def test_overflowing_power_exits_two_with_one_error_line(tmp_path):

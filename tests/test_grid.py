@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ancestor_value_matrix, cube_mask
+from helpers import ancestor_value_matrix
 from weightlab import DyadicCube, DyadicGrid, LevelOverflowError, heap_levels, id_cubes
-from weightlab.grid import CellSet, cube_ids, split_ids, tree_totals
+from weightlab.grid import cube_ids, split_ids, tree_totals
 
 # a cube at any level 0..40, so ids run up to 2**41 - 2
 CUBES = st.integers(0, 40).flatmap(
@@ -113,27 +113,6 @@ class TestTreeTotals:
         b = heap_levels(tree_totals(grid8, vals))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-
-class TestCellSet:
-    def test_cube_predicates(self, grid6):
-        cube = DyadicCube(1, 1)
-        inside = CellSet(cube_mask(grid6, DyadicCube(2, 2)))
-        outside = CellSet(cube_mask(grid6, DyadicCube(2, 0)))
-        assert inside.within_cube(grid6, cube)
-        assert not outside.within_cube(grid6, cube)
-
-    @pytest.mark.parametrize("cube", [DyadicCube(6, 0), DyadicCube(6, 63), DyadicCube(2, 0),
-                                      DyadicCube(2, 3), DyadicCube(0, 0)])
-    def test_within_cube_at_the_grid_ends(self, grid6, cube):
-        start, stop = cube.cell_range(grid6.depth)
-        assert CellSet(cube_mask(grid6, cube)).within_cube(grid6, cube)
-        assert CellSet(np.zeros(grid6.n_cells, dtype=bool)).within_cube(grid6, cube)
-        for cell in (0, start - 1, stop, grid6.n_cells - 1):
-            if 0 <= cell < grid6.n_cells:
-                mask = cube_mask(grid6, cube)
-                mask[cell] = True
-                assert CellSet(mask).within_cube(grid6, cube) == (start <= cell < stop)
 
 
 class TestAncestorValueMatrix:

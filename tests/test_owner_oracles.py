@@ -91,7 +91,7 @@ def test_layers_and_witness_cells_match_oracle(kind, seed):
     assert [id_cubes(layer) for layer in peel_layers(family.cubes)] == layers
     expected = oracle_layer_witnesses(layers, grid)
     for pos, cube in enumerate(family.cubes):
-        np.testing.assert_array_equal(family.owner == pos, expected[cube].mask)
+        np.testing.assert_array_equal(family.owner == pos, expected[cube])
 
 
 @pytest.mark.parametrize("kind,seed", CASES)
@@ -120,8 +120,8 @@ def test_json_load_matches_dense_masks(kind, seed):
     grid = grid_of(family)
     again = SparseFamily.from_json(family.to_json(), grid)
     for cells, entry in zip(dense_witnesses(again), family.to_jsonable()):
-        assert entry["witness"] == mask_ranges(cells.mask)
-        np.testing.assert_array_equal(cells.mask, ranges_mask(grid, entry["witness"]))
+        assert entry["witness"] == mask_ranges(cells)
+        np.testing.assert_array_equal(cells, ranges_mask(grid, entry["witness"]))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cube_mask, seeded_tabulated_weights
+from helpers import cube_mask
 from weightlab import (
     DyadicCube,
     DyadicGrid,
@@ -20,7 +20,6 @@ from weightlab import (
     sparse_form,
     verify_sparsity,
 )
-from weightlab.grid import CellSet
 from weightlab.sparse import build_sparse_random, carleson_packing_ok, paint_owner
 
 
@@ -32,7 +31,7 @@ def owner_of(grid: DyadicGrid, witnesses) -> np.ndarray:
     """Owner array from disjoint witness cell sets, in cube order."""
     owner = np.full(grid.n_cells, -1)
     for pos, cells in enumerate(witnesses):
-        owner[cells.mask] = pos
+        owner[cells] = pos
     return owner
 
 
@@ -44,8 +43,8 @@ class TestVerifySparsity:
     def test_nested_disjoint_witnesses(self, grid6):
         root = DyadicCube(0, 0)
         child = DyadicCube(1, 0)
-        witness_root = CellSet(cube_mask(grid6, DyadicCube(1, 1)))  # right half
-        witness_child = CellSet(cube_mask(grid6, child))  # left half
+        witness_root = cube_mask(grid6, DyadicCube(1, 1))  # right half
+        witness_child = cube_mask(grid6, child)  # left half
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         # root witness is exactly half: strict sparsity must fail
         report = verify_sparsity(fam, grid6)
@@ -54,8 +53,8 @@ class TestVerifySparsity:
     def test_strict_majority_passes(self, grid6):
         root = DyadicCube(0, 0)
         child = DyadicCube(2, 0)
-        witness_root = CellSet(~cube_mask(grid6, child))  # 3/4 of root
-        witness_child = CellSet(cube_mask(grid6, child))
+        witness_root = ~cube_mask(grid6, child)  # 3/4 of root
+        witness_child = cube_mask(grid6, child)
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         assert verify_sparsity(fam, grid6).ok
         assert carleson_packing_ok(fam, grid6)
@@ -63,7 +62,7 @@ class TestVerifySparsity:
     def test_witness_outside_cube_fails(self, grid6):
         fam = SparseFamily(
             (DyadicCube(1, 0),),
-            owner_of(grid6, [CellSet(cube_mask(grid6, DyadicCube(1, 1)))]),
+            owner_of(grid6, [cube_mask(grid6, DyadicCube(1, 1))]),
         )
         report = verify_sparsity(fam, grid6)
         assert not report.ok and "leaves" in report.first_violation
@@ -106,9 +105,9 @@ class TestBuilders:
         assert [(c.level, c.index) for c in fam.cubes] == [(0, 0), (2, 0)]
         assert verify_sparsity(fam, g).ok
         # the root witness is the root minus the selected subcube
-        root_witness = CellSet(fam.owner == fam.cubes.index(DyadicCube(0, 0)))
+        root_witness = fam.owner == fam.cubes.index(DyadicCube(0, 0))
         np.testing.assert_array_equal(
-            root_witness.mask, np.array([0, 0, 1, 1, 1, 1, 1, 1], dtype=bool)
+            root_witness, np.array([0, 0, 1, 1, 1, 1, 1, 1], dtype=bool)
         )
 
     def test_cz_constant_data_keeps_only_the_root(self, grid6):
@@ -222,21 +221,6 @@ class TestSparseForm:
         assert sparse_form(
             np.zeros(64), np.ones(64), prof, [DyadicCube(0, 0)], grid6
         ) == 0.0
-
-    def test_weight_composition_route_matches_vector_route(self, grid6):
-        # g = 1_E * w evaluated two ways: explicit cell values vs the
-        # weight-and-mask arguments with exact moments
-        prof = ExponentProfile(p0=1.0, q0=4.0)
-        rng = np.random.default_rng(22)
-        f = rng.standard_normal(64)
-        w = seeded_tabulated_weights(1)[0]
-        wvals = np.repeat(w.values, 64 // w.values.size)
-        mask = rng.random(64) < 0.5
-        cells = CellSet(mask)
-        fam = list(grid6.cubes())[:15]
-        direct = sparse_form(f, wvals * mask, prof, fam, grid6)
-        composed = sparse_form(f, None, prof, fam, grid6, g_weight=w, g_cells=cells)
-        assert composed == pytest.approx(direct, rel=1e-12)
 
     def test_sparse_family_object_is_accepted(self, grid6):
         prof = ExponentProfile(p0=1.0, q0=4.0)

@@ -26,7 +26,7 @@ from weightlab import (
     trace_proof,
     unit_weight,
 )
-from weightlab.grid import CellSet, cube_ids
+from weightlab.grid import cube_ids
 
 WEIGHTS = {
     "tabulated": seeded_tabulated_weights(4)[3],
@@ -58,7 +58,7 @@ def _inputs(depth: int, name: str, p0: float, kind: str):
         return grid, w, f, default_trace_family(f, w, grid, p0), None
     every = [DyadicCube(k, i) for k in range(depth + 1) for i in range(1 << k)]
     drawn = [every[j] for j in rng.integers(0, len(every), size=8 * depth)]
-    good = CellSet(rng.random(grid.n_cells) < 0.9)
+    good = rng.random(grid.n_cells) < 0.9
     return grid, w, f, drawn + drawn[:6], good
 
 

@@ -15,6 +15,7 @@ from helpers import (
     geometric_tail_partial,
     seeded_tabulated_weights,
     verify_average_comparison,
+    within_cube,
 )
 from weightlab import (
     ConfigError,
@@ -22,6 +23,7 @@ from weightlab import (
     DyadicGrid,
     ExponentProfile,
     PowerWeight,
+    TabulatedWeight,
     build_sparse_cz,
     default_trace_family,
     dual_weight,
@@ -32,7 +34,7 @@ from weightlab import (
     verify_sparsity,
 )
 from weightlab.errors import EmptyGoodSetError, EpsilonOutOfRangeError, ZeroFunctionError
-from weightlab.grid import CellSet
+from weightlab.gehring import verify_subset_bound
 from weightlab.sparse import paint_owner
 from weightlab.tracer import (
     build_good_set,
@@ -238,16 +240,16 @@ class TestLayerPeeling:
         g = DyadicGrid(4)
         cubes = [DyadicCube(0, 0), DyadicCube(1, 0), DyadicCube(2, 0), DyadicCube(2, 2)]
         owner = paint_owner(cubes, g)
-        wit = {cube: CellSet(owner == pos) for pos, cube in enumerate(cubes)}
+        wit = {cube: owner == pos for pos, cube in enumerate(cubes)}
         assert set(wit) == set(cubes)
         total = np.zeros(g.n_cells, dtype=int)
         for cube, cells in wit.items():
-            assert cells.within_cube(g, cube)
-            total += cells.mask
+            assert within_cube(cells, g, cube)
+            total += cells
         assert total.max() <= 1
         # the root loses every next-layer cube inside it: both (1,0) and (2,2)
         removed = cube_mask(g, DyadicCube(1, 0)) | cube_mask(g, DyadicCube(2, 2))
-        np.testing.assert_array_equal(wit[DyadicCube(0, 0)].mask, ~removed)
+        np.testing.assert_array_equal(wit[DyadicCube(0, 0)], ~removed)
 
 
 class TestGoodSet:
@@ -273,7 +275,7 @@ class TestGoodSet:
                 grid6,
                 1.0,
                 [DyadicCube(0, 0)],
-                good_cells=CellSet(np.zeros(grid6.n_cells, dtype=bool)),
+                good_cells=np.zeros(grid6.n_cells, dtype=bool),
             )
 
     def test_threshold_formula(self, grid6):
@@ -312,7 +314,7 @@ class TestTraceValidation:
 
     def test_zero_bucket_collects_cubes_outside_good_region(self, grid6):
         f = np.ones(grid6.n_cells)
-        left = CellSet(cube_mask(grid6, DyadicCube(1, 0)))
+        left = cube_mask(grid6, DyadicCube(1, 0))
         trace = trace_proof(
             f,
             unit_weight(),
@@ -392,7 +394,7 @@ class TestPerCubeScan:
         rng = np.random.default_rng(71)
         w = seeded_tabulated_weights(1)[0]
         f = np.abs(rng.standard_normal(grid8.n_cells)) + 0.05
-        cells = CellSet(rng.random(grid8.n_cells) < 0.5)
+        cells = rng.random(grid8.n_cells) < 0.5
         scan = percube_ap_holder_scan(w, 1.25, grid8, f=f, cells=cells)
         assert scan.passed
         assert scan.worst_holder_ratio <= 1 + 1e-12
@@ -406,3 +408,36 @@ class TestPerCubeScan:
         scan = percube_ap_holder_scan(TabulatedWeight([1.0, 4.0]), 1.0, g)
         assert scan.worst_ap_ratio == pytest.approx(1.0, rel=1e-12)
         assert scan.worst_ap_cube == DyadicCube(0, 0)
+
+
+class TestMomentStore:
+    def test_cell_integrals_run_once_per_stored_pyramid(self, grid6, monkeypatch):
+        # at p0 = 1 the trace reads three stored pyramids: w, σ = w^-1 and w^{q0*}
+        calls = []
+        cell_integrals = TabulatedWeight.cell_integrals
+        monkeypatch.setattr(
+            TabulatedWeight,
+            "cell_integrals",
+            lambda self, *args: calls.append(args) or cell_integrals(self, *args),
+        )
+        w = seeded_tabulated_weights(1)[0]
+        f = np.random.default_rng(4).standard_normal(grid6.n_cells)
+        family = default_trace_family(f, w, grid6, P14.p0)
+        trace_proof(f, w, grid6, P14, family)
+        assert len(calls) == len(w._pyramids) == 3
+
+    def test_cell_masks_stay_writable_and_unchanged(self, grid6):
+        rng = np.random.default_rng(12)
+        w = seeded_tabulated_weights(1)[0]
+        f = np.ones(grid6.n_cells)
+        good = rng.random(grid6.n_cells) < 0.9
+        cells = rng.random(grid6.n_cells) < 0.5
+        sub = cube_mask(grid6, DyadicCube(1, 0)) & cells
+        before = [good.copy(), cells.copy(), sub.copy()]
+        trace_proof(f, w, grid6, P14, default_trace_family(f, w, grid6, 1.0), good_cells=good)
+        percube_ap_holder_scan(w, 1.0, grid6, f=f, cells=cells)
+        verify_subset_bound(w, 2.0, 0.1, DyadicCube(1, 0), sub, grid6)
+        for mask, copy in zip((good, cells, sub), before):
+            np.testing.assert_array_equal(mask, copy)
+            assert mask.flags.writeable
+            mask[0] = not mask[0]

@@ -19,11 +19,9 @@ from weightlab import (
     unit_weight,
 )
 from weightlab.errors import DivergentMomentError, WrongLengthError
-from weightlab.grid import CellSet
 from weightlab.weights import (
     composed_moment_cells,
     conjugate_exponent,
-    masked_moment_cells,
     measure,
     weighted_l2_norm_sq,
 )
@@ -143,7 +141,7 @@ class TestUnitWeight:
             # e = 1 (any moment of 1, moment 0 of x^a) gives the lengths exactly
             assert w.cube_integral(grid6, cube, 3.0) == cube.measure
             assert PowerWeight(0.5).cube_integral(grid6, cube, 0.0) == cube.measure
-        full = CellSet.full(grid6)
+        full = np.ones(grid6.n_cells, bool)
         assert measure(w, grid6, full) == pytest.approx(1.0)
 
 
@@ -199,15 +197,6 @@ class TestAveragesAndCompositions:
         w = TabulatedWeight(vals)
         got = composed_moment_cells(grid6, f, w, 1.5)
         expected = (np.abs(f) * vals) ** 1.5 / 64
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-    def test_masked_moment_cells(self, grid6):
-        rng = np.random.default_rng(7)
-        vals = rng.uniform(0.5, 2.0, 64)
-        mask = rng.random(64) < 0.5
-        w = TabulatedWeight(vals)
-        got = masked_moment_cells(grid6, CellSet(mask), w, 2.0)
-        expected = np.where(mask, vals**2.0, 0.0) / 64
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_weighted_l2_norm(self, grid6):
