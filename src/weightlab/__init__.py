@@ -13,11 +13,8 @@ e.g. ``from weightlab.grid import cube_ids``.
 
 from ._parallel import ordered_map
 from .bounds import (
-    bridge_ap_index,
     evaluate_bounds,
-    extrapolation_inflation,
     simplified_weak_type_factor,
-    strong_exponent,
     weak_type_factor,
 )
 from .characteristics import (
@@ -84,7 +81,6 @@ __all__ = [
     "WeightlabError",
     "a_infty_fw",
     "ap_constant",
-    "bridge_ap_index",
     "build_sparse_cz",
     "characteristic_report",
     "check_duality",
@@ -96,7 +92,6 @@ __all__ = [
     "epsilon_range",
     "equivalence_scaffold",
     "evaluate_bounds",
-    "extrapolation_inflation",
     "function_corpus",
     "heap_levels",
     "id_cubes",
@@ -110,7 +105,6 @@ __all__ = [
     "sharp_rh_max_ratio",
     "simplified_weak_type_factor",
     "sparse_form",
-    "strong_exponent",
     "strong_lp_norm",
     "trace_proof",
     "unit_weight",

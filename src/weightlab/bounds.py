@@ -8,7 +8,10 @@ self-improved reverse Hölder step, and the three weight characteristics
 
 The exponents the bounds are raised to — q0*, the self-improvement rate γ,
 the proven ε and the window's strong, bridge and inflation exponents — are
-defined, with every admissibility check, in :mod:`weightlab.profiles`.
+defined, with every admissibility check, in :mod:`weightlab.profiles`; read
+them as ``ExponentProfile(p0, q0, p).strong_exponent``, ``.bridge_index``
+and ``.inflation(anchor)``.  The weak L² bound (ap·rh·η_ε)^{1/2} and the
+strong bound (ap·rh)^{γ(2)} are fields of :func:`evaluate_bounds`' report.
 """
 
 from __future__ import annotations
@@ -47,41 +50,6 @@ def simplified_weak_type_factor(
     g = gamma_rate(q0_star, eps)
     big = 4.0 * a_infty_pow
     return rh ** (1.0 - g) * big * (big + max(0.0, math.log(a_infty)))
-
-
-def weak_norm_bound(
-    ap: float, rh: float, a_infty: float, q0_star: float, epsilon: float
-) -> float:
-    """Weak L²(w) operator bound ap^{1/2}·rh^{1/2}·η_ε^{1/2}."""
-    return math.sqrt(ap * rh * weak_type_factor(rh, a_infty, q0_star, epsilon))
-
-
-def strong_exponent(q: float, p0: float, q0: float) -> float:
-    """Joint-characteristic exponent γ(q) = max(1/(q−p0), (q0/q)'/(2·q0*)):
-    :attr:`ExponentProfile.strong_exponent` at the target ``q``.
-
-    At q = 2 this is always 1/(2−p0).
-    """
-    return ExponentProfile(p0, q0, q).strong_exponent
-
-
-def strong_norm_bound(ap: float, rh: float, profile: ExponentProfile) -> float:
-    """Strong L^p(w) bound ( [w]_{A_{p/p0}} · [w]_{RH_{(q0/p)'}} )^{γ(p)} at
-    the profile's target ``p``."""
-    return (ap * rh) ** profile.strong_exponent
-
-
-def bridge_ap_index(p: float, p0: float, q0: float) -> float:
-    """Muckenhoupt index φ(p) = (q0/p)'·(p/p0 − 1) + 1 of the power-lifted
-    weight w^{(q0/p)'}: :attr:`ExponentProfile.bridge_index` at the target ``p``."""
-    return ExponentProfile(p0, q0, p).bridge_index
-
-
-def extrapolation_inflation(p: float, q: float, p0: float, q0: float) -> float:
-    """Inflation β(p, q) of the characteristic exponent when moving the anchor
-    ``p`` to the target ``q`` inside the window: :meth:`ExponentProfile.inflation`."""
-    ExponentProfile(p0, q0, p)  # the anchor lies in the window too
-    return ExponentProfile(p0, q0, q).inflation(p)
 
 
 def extrapolated_strong_bound(
@@ -251,7 +219,7 @@ def evaluate_bounds(
         gamma=gamma,
         eta=eta,
         weak_bound=math.sqrt(ap * rh * eta),
-        strong_bound=strong_norm_bound(ap, rh, profile),
+        strong_bound=(ap * rh) ** profile.strong_exponent,
         bridge_index=profile.bridge_index,
         comparison=exponent_comparison(profile, gamma),
         loss_chain=loss_chain,

@@ -54,10 +54,6 @@ def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> np.ndarray:
     return out
 
 
-def ap_constant_argmax(w: Weight, p: float, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
-    return _sup_with_argmax(ap_per_level(w, p, grid))
-
-
 def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
     return _sup(ap_per_level(w, p, grid))[0]
 
@@ -74,10 +70,6 @@ def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> np.ndarray:
         out **= 1.0 / q
         out /= w.level_averages(grid, 1.0)
     return out
-
-
-def rh_constant_argmax(w: Weight, q: float, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
-    return _sup_with_argmax(rh_per_level(w, q, grid))
 
 
 def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
@@ -102,10 +94,6 @@ def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> np.ndarray:
             np.maximum(rows, avg[:, None], out=rows)
             np.divide(rows.sum(axis=1) * grid.cell_measure, mass, out=avg)
     return out
-
-
-def a_infty_fw_argmax(w: Weight, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
-    return _sup_with_argmax(a_infty_fw_per_level(w, grid))
 
 
 def a_infty_fw(w: Weight, grid: DyadicGrid) -> float:
@@ -155,11 +143,10 @@ class FactorizationCheck:
     combined: float
     lower_ok: bool
     upper_ok: bool
-    slack: float
 
 
 def check_factorization(
-    w: Weight, q: float, s: float, grid: DyadicGrid, slack: float = 1e-12
+    w: Weight, q: float, s: float, grid: DyadicGrid
 ) -> FactorizationCheck:
     q, s = float(q), float(s)
     if not (q > 1.0 and s > 1.0):
@@ -177,9 +164,8 @@ def check_factorization(
         aq=aq,
         rh_s=rh_s,
         combined=combined,
-        lower_ok=lower <= combined * (1.0 + slack),
-        upper_ok=combined <= upper * (1.0 + slack),
-        slack=slack,
+        lower_ok=lower <= combined * (1.0 + 1e-12),
+        upper_ok=combined <= upper * (1.0 + 1e-12),
     )
 
 
@@ -223,12 +209,12 @@ def characteristic_report(
     ap: Dict[float, float] = {}
     ap_arg: Dict[float, DyadicCube] = {}
     for p in ap_exponents:
-        ap[float(p)], ap_arg[float(p)] = ap_constant_argmax(w, p, grid)
+        ap[float(p)], ap_arg[float(p)] = _sup_with_argmax(ap_per_level(w, p, grid))
     rh: Dict[float, float] = {}
     rh_arg: Dict[float, DyadicCube] = {}
     for q in rh_exponents:
-        rh[float(q)], rh_arg[float(q)] = rh_constant_argmax(w, q, grid)
-    a_inf, a_inf_arg = a_infty_fw_argmax(w, grid)
+        rh[float(q)], rh_arg[float(q)] = _sup_with_argmax(rh_per_level(w, q, grid))
+    a_inf, a_inf_arg = _sup_with_argmax(a_infty_fw_per_level(w, grid))
     return CharacteristicReport(
         depth=grid.depth,
         ap=ap,

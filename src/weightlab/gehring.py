@@ -236,8 +236,9 @@ def max_epsilon_empirical(
     their answers are the plain bisection's, so the result is too, bit for
     bit. The search domain is capped by moment admissibility (for power
     weights ``x^α`` with α < 0 the moment p+ε must keep α(p+ε) > −1); a hit
-    of the cap is reported, not an error. Reported alongside: the proven
-    range and the conjectured scale ``1/[w]_{RH_p}^p``.
+    of the cap is reported, not an error, and a search in which not even the
+    smallest probe passes reports ``epsilon_empirical = 0.0``. Reported
+    alongside: the proven range and the conjectured scale ``1/[w]_{RH_p}^p``.
     """
     p = check_q0_star(p)
     cap = hard_cap
@@ -271,8 +272,8 @@ def max_epsilon_empirical(
     if not cap_hit:
         # The RH-constant definition makes tiny ε pass: ⨍w^p ≤ [w]_{RH_p}^p ⟨w⟩^p.
         lo = min(1e-12, hi / 2.0)
-        if not passes(lo):  # cannot happen mathematically; guards fp corner
-            hi = lo
+        if not passes(lo):  # not even the smallest ε passes
+            lo = hi = 0.0
         while hi - lo > rel_precision * max(lo, 1e-12):
             mid = 0.5 * (lo + hi)
             if passes(mid):

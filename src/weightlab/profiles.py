@@ -128,8 +128,11 @@ class ExponentProfile:
     def inflation(self, anchor: float) -> float:
         """Inflation β = max(1, (q0−p)(anchor−p0)/((q0−anchor)(p−p0))) of the
         characteristic exponent when moving ``anchor`` to the target ``p``;
-        β = max(1, (anchor−p0)/(p−p0)) when q0 = ∞."""
+        β = max(1, (anchor−p0)/(p−p0)) when q0 = ∞.  The anchor must lie in
+        the window (p0, q0) too."""
         p0, q0, p = self.p0, self.q0, self.p
+        if not p0 < anchor < q0:
+            raise ConfigError(f"anchor exponent {anchor} must lie in (p0, q0) = ({p0}, {q0})")
         if math.isfinite(q0):
             return max(1.0, (q0 - p) * (anchor - p0) / ((q0 - anchor) * (p - p0)))
         return max(1.0, (anchor - p0) / (p - p0))

@@ -6,17 +6,18 @@ pairwise disjoint.  Disjoint witnesses partition part of the grid, so a
 family stores them as one owner array: ``owner[k]`` is the position of the
 cube whose witness holds cell ``k``, or -1.  The builders and the proof
 tracer derive witnesses by one rule, :func:`paint_owner`: a cell belongs to
-its deepest family cube.  Construction routes:
+its deepest family cube.  A family is built by :func:`build_sparse_cz`, or
+read from JSON by :meth:`SparseFamily.from_json`:
 
-* :func:`build_sparse_random` — seeded top-down selection; a selected cube
-  claims every not-yet-claimed cell inside it provided those are strictly
-  more than half of it, else it is dropped (so the result is always valid).
 * :func:`build_sparse_cz` — stopping-time selection driven by a nonnegative
   density: a child cube stops when its average strictly exceeds ``ratio``
   times the average over the most recent stopping ancestor; witnesses are the
   stopping cubes minus their maximal stopping descendants. For ``ratio ≥ 2``
   the mass argument guarantees validity; the builder verifies and raises
   otherwise.
+* :meth:`SparseFamily.from_json` — cubes and witness cell ranges as written
+  by :meth:`SparseFamily.to_json`; overlapping witnesses are refused, and
+  :func:`verify_sparsity` checks the rest.
 
 The quadratic form of interest is
 ``Σ_Q ⟨|f|⟩_{p0,Q}² · ⟨|g|⟩_{q0*,Q} · |Q|`` for two per-cell vectors — evaluated
@@ -42,8 +43,8 @@ import numpy as np
 
 from .errors import SparsityViolationError, SubsetError
 from .grid import (
-    DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, id_cell_ranges,
-    id_cubes, split_ids, to_averages, tree_totals,
+    DyadicCube, DyadicGrid, cube_ids, heap_levels, id_cell_ranges, id_cubes, split_ids,
+    to_averages, tree_totals,
 )
 from .profiles import ExponentProfile
 
@@ -252,33 +253,6 @@ def verify_sparsity(family: SparseFamily, grid: DyadicGrid) -> SparsityReport:
     )
 
 
-def build_sparse_random(
-    grid: DyadicGrid, max_level: int, density: float, seed: int
-) -> SparseFamily:
-    """Seeded top-down random family; always returns a valid one.
-
-    Cubes of level 0..max_level are visited coarse-to-fine in index order and
-    selected with probability ``density``.  A selected cube claims all cells
-    inside it that no earlier cube claimed, provided they are strictly more
-    than half of it, otherwise it is dropped.  Inside a kept cube no cell is
-    left to claim, so a selected cube is kept exactly when no kept cube
-    contains it, and its witness is the whole cube.  Each level takes one
-    draw of ``2**level`` numbers, the same stream as one draw per cube.
-    """
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must lie in (0, 1], got {density}")
-    if max_level > grid.depth:
-        raise ValueError(f"max_level {max_level} exceeds grid depth {grid.depth}")
-    rng = np.random.default_rng(seed)
-    kept = np.zeros(grid.cube_count, dtype=bool)  # by heap id
-    covered = np.zeros(1, dtype=bool)  # cubes of the level inside a kept cube
-    for keep in heap_levels(kept)[: max_level + 1]:
-        np.less(rng.random(keep.size), density, out=keep)
-        keep &= ~covered
-        covered = np.repeat(covered | keep, 2)
-    return _painted_family(np.flatnonzero(kept), grid)  # valid by construction
-
-
 def build_sparse_cz(
     f: Sequence[float] | np.ndarray, grid: DyadicGrid, ratio: float = 2.0
 ) -> SparseFamily:
@@ -329,17 +303,3 @@ def sparse_form(
     g_moments = np.abs(grid.check_values(g)) ** profile.q0_star * grid.cell_measure
     g_avg = (tree_totals(grid, g_moments)[ids] * scale) ** (1.0 / profile.q0_star)
     return math.fsum((f_avg * f_avg * g_avg * np.ldexp(1.0, -levels)).tolist())
-
-
-def carleson_packing_ok(family: SparseFamily, grid: DyadicGrid) -> bool:
-    """Disjoint-witness packing: Σ_{Q ⊆ Q0} |E_Q| ≤ |Q0| for every family cube
-    (Lerner–Nazarov, *Intuitive dyadic calculus*, 2019); each |E_Q| is added
-    to the family cubes among Q's ancestors, one generation at a time."""
-    unique, inverse = np.unique(cube_ids(family.ids, grid), return_inverse=True)
-    own = np.zeros(unique.size, dtype=np.int64)
-    np.add.at(own, inverse, family.witness_sizes())
-    packed = own.copy()
-    for hit, pos in ancestor_hits(unique):
-        np.add.at(packed, pos[hit], own[hit])
-    start, stop = id_cell_ranges(unique, grid.depth)
-    return bool(np.all(packed <= stop - start))

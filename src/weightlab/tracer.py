@@ -300,12 +300,16 @@ def build_good_set(
     """Remove the cells where the family-restricted maximal function of fσ
     exceeds T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)}/w(G)^{1/2}, doubling K
     from 4 until the remainder keeps 3/4 of the weight mass of G, the mask
-    ``good_cells`` (default: every cell)."""
+    ``good_cells`` (default: every cell).  ``‖f‖²_{L²(σ)}`` must be nonzero
+    and finite."""
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
-    f_norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
+    with np.errstate(over="ignore"):
+        f_norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
     if f_norm_sq == 0.0:
         raise ZeroFunctionError("the traced function vanishes identically")
+    if not math.isfinite(f_norm_sq):
+        raise ConfigError(f"the traced function's squared L²(σ) norm is {f_norm_sq}, not finite")
     f_norm = math.sqrt(f_norm_sq)
 
     good = good_cells if good_cells is not None else np.ones(grid.n_cells, dtype=bool)
@@ -492,11 +496,9 @@ class PerCubeScan:
     worst_holder_ratio: float
     worst_holder_cube: DyadicCube
 
-    def passed(self, slack: float = 1e-12) -> bool:
-        return (
-            self.worst_ap_ratio <= 1.0 + slack
-            and self.worst_holder_ratio <= 1.0 + slack
-        )
+    @property
+    def passed(self) -> bool:
+        return self.worst_ap_ratio <= 1.0 + 1e-12 and self.worst_holder_ratio <= 1.0 + 1e-12
 
 
 def percube_ap_holder_scan(
@@ -516,6 +518,8 @@ def percube_ap_holder_scan(
       with exponents 2/p0 and 2/(2−p0).
 
     Both must hold to rounding (slack 1e-12) for every cube, any f, any E (``cells``).
+    A Hölder ratio that cannot be formed (``inf/inf`` after overflow) leaves its
+    cube unverified, with ratio ``inf``.
     """
     profile = ExponentProfile(float(p0), math.inf)  # checks 1 <= p0 < 2
     p0, phi = profile.p0, profile.phi_p0
@@ -528,12 +532,13 @@ def percube_ap_holder_scan(
     sigma_norm = sigma.level_averages(grid, phi)  # per-cube ⟨σ⟩_{L^φ}
     sigma_norm **= 1.0 / phi
     worst_ap, worst_ap_cube = _sup_with_argmax(w.level_averages(grid, 1.0) * sigma_norm / ap)
-    lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
-    lhs **= profile.ap_index
-    f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
-    rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
+        lhs **= profile.ap_index
+        f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
+        rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
         h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
+    h_ratios[np.isnan(h_ratios)] = np.inf  # inf/inf after overflow: unverified
     worst_h, worst_h_cube = _sup_with_argmax(h_ratios)
 
     return PerCubeScan(

@@ -763,8 +763,8 @@ def oracle_max_epsilon_empirical(
     lo = cap * shrink
     if not cap_hit:
         lo, hi = min(1e-12, cap * shrink / 2.0), cap * shrink
-        if not passes(lo):
-            hi = lo
+        if not passes(lo):  # no ε passes
+            lo = hi = 0.0
         while hi - lo > rel_precision * max(lo, 1e-12):
             mid = 0.5 * (lo + hi)
             if passes(mid):

@@ -27,14 +27,12 @@ from weightlab import (
     ExponentProfile,
     PowerWeight,
     TabulatedWeight,
-    bridge_ap_index,
     ap_constant,
     check_duality,
     check_factorization,
     default_trace_family,
     dyadic_square_function,
     epsilon_range,
-    extrapolation_inflation,
     function_corpus,
     maximal_weighted,
     ordered_map,
@@ -42,7 +40,6 @@ from weightlab import (
     random_subset_checks,
     rh_constant,
     sharp_rh_max_ratio,
-    strong_exponent,
     strong_lp_norm,
     trace_proof,
     weak_lp_norm,
@@ -338,10 +335,10 @@ def _build_09() -> dict:
     """Exact spot values of the bound calculus at the reference window."""
     spots = {
         "weak_type_factor(1,1,2,2/3)": [weak_type_factor(1.0, 1.0, 2.0, 2.0 / 3.0), 2.25],
-        "strong_exponent(2,1,4)": [strong_exponent(2.0, 1.0, 4.0), 1.0],
-        "bridge_ap_index(2,1,4)": [bridge_ap_index(2.0, 1.0, 4.0), 3.0],
+        "strong_exponent(2,1,4)": [ExponentProfile(1.0, 4.0, 2.0).strong_exponent, 1.0],
+        "bridge_ap_index(2,1,4)": [ExponentProfile(1.0, 4.0, 2.0).bridge_index, 3.0],
         "extrapolation_inflation(2,3,1,4)": [
-            extrapolation_inflation(2.0, 3.0, 1.0, 4.0),
+            ExponentProfile(1.0, 4.0, 3.0).inflation(2.0),
             1.0,
         ],
     }

@@ -19,12 +19,9 @@ from weightlab import (
     ExponentProfile,
     PowerWeight,
     TabulatedWeight,
-    bridge_ap_index,
     check_factorization,
     evaluate_bounds,
-    extrapolation_inflation,
     simplified_weak_type_factor,
-    strong_exponent,
     unit_weight,
     weak_type_factor,
 )
@@ -33,8 +30,6 @@ from weightlab.bounds import (
     extrapolated_strong_bound,
     loss_chain_exponents,
     loss_chain_values,
-    strong_norm_bound,
-    weak_norm_bound,
 )
 from weightlab.errors import EpsilonOutOfRangeError
 from weightlab.profiles import GehringProfile, admissible_epsilon, gamma_rate
@@ -159,7 +154,7 @@ class TestGammaAndDefaultEpsilon:
         [
             (weak_type_factor, (1.0, 1.0, 0.5, 0.5), ConfigError),  # q0* < 1
             (weak_type_factor, (1.0, 1.0, 2.0, math.inf), EpsilonOutOfRangeError),
-            (weak_norm_bound, (1.0, 1.0, 1.0, 2.0, 0.0), EpsilonOutOfRangeError),
+            (weak_type_factor, (1.0, 1.0, 2.0, 0.0), EpsilonOutOfRangeError),
             (simplified_weak_type_factor, (1.0, 1.0, 2.0, math.inf), EpsilonOutOfRangeError),
             (simplified_weak_type_factor, (1.0, 1.0, math.nan, 1.0), ConfigError),
         ],
@@ -213,22 +208,26 @@ class TestWeakTypeFactor:
 
 class TestWeakAndStrongNormBounds:
     def test_weak_bound_unit_spot(self):
-        assert weak_norm_bound(1.0, 1.0, 1.0, 2.0, 2.0 / 3.0) == 1.5
+        report = evaluate_bounds(unit_weight(), DyadicGrid(4), 1.0, 4.0)
+        assert report.epsilon == 2.0 / 3.0
+        assert report.weak_bound == 1.5
 
     @given(
-        ap=st.floats(min_value=1.0, max_value=20.0),
-        rh=st.floats(min_value=1.0, max_value=20.0),
-        a_inf=st.floats(min_value=1.0, max_value=20.0),
-        eps=st.floats(min_value=0.05, max_value=1.0),
+        alpha=st.floats(min_value=-0.4, max_value=0.4),
+        eps_frac=st.floats(min_value=0.05, max_value=1.0),
     )
-    def test_weak_bound_square_identity(self, ap, rh, a_inf, eps):
-        eta = weak_type_factor(rh, a_inf, 2.0, eps)
-        assert weak_norm_bound(ap, rh, a_inf, 2.0, eps) ** 2 == pytest.approx(
-            ap * rh * eta, rel=1e-12
+    def test_weak_bound_square_identity(self, alpha, eps_frac):
+        grid = DyadicGrid(4)
+        eps_max = evaluate_bounds(PowerWeight(alpha), grid, 1.0, 4.0).epsilon
+        report = evaluate_bounds(PowerWeight(alpha), grid, 1.0, 4.0, epsilon=eps_frac * eps_max)
+        eta = weak_type_factor(report.rh_char, report.a_infty_char, 2.0, report.epsilon)
+        assert report.eta == eta
+        assert report.weak_bound ** 2 == pytest.approx(
+            report.ap_char * report.rh_char * eta, rel=1e-12
         )
 
     def test_strong_exponent_is_one_at_the_reference_window(self):
-        assert strong_exponent(2.0, 1.0, 4.0) == 1.0
+        assert ExponentProfile(1.0, 4.0, 2.0).strong_exponent == 1.0
 
     @given(
         p0=st.floats(min_value=1.0, max_value=1.95),
@@ -236,38 +235,49 @@ class TestWeakAndStrongNormBounds:
     )
     def test_strong_exponent_at_two_is_determined_by_p0(self, p0, q0):
         # the second branch (q0/2)'/(2 q0*) is always exactly 1/2 at q = 2
-        assert strong_exponent(2.0, p0, q0) == pytest.approx(
+        assert ExponentProfile(p0, q0, 2.0).strong_exponent == pytest.approx(
             1.0 / (2.0 - p0), rel=1e-12
         )
 
     def test_strong_exponent_off_center(self):
         # q = 3 in the (1, 4) window: max(1/2, (4/3)'/4) = max(1/2, 1) = 1
-        assert strong_exponent(3.0, 1.0, 4.0) == pytest.approx(1.0, rel=1e-12)
+        assert ExponentProfile(1.0, 4.0, 3.0).strong_exponent == pytest.approx(1.0, rel=1e-12)
 
     def test_strong_exponent_validation(self):
         with pytest.raises(ConfigError):
-            strong_exponent(1.0, 1.0, 4.0)
+            ExponentProfile(1.0, 4.0, 1.0).strong_exponent
         with pytest.raises(ConfigError):
-            strong_exponent(4.0, 1.0, 4.0)
+            ExponentProfile(1.0, 4.0, 4.0).strong_exponent
 
     @pytest.mark.parametrize(
-        "fn, args",
+        "read",
         [
-            (strong_exponent, (2.0, 1.0, math.nan)),  # a NaN q0 is not q0 = ∞
-            (strong_exponent, (2.0, 0.5, 4.0)),
-            (strong_exponent, (3.0, 2.5, math.inf)),
-            (bridge_ap_index, (2.0, 1.0, math.nan)),
-            (bridge_ap_index, (3.0, 2.5, math.inf)),  # p0 outside [1, 2)
-            (bridge_ap_index, (1.5, 1.0, 1.8)),
-            (extrapolation_inflation, (3.0, 2.5, 1.0, math.nan)),
-            (extrapolation_inflation, (3.0, 2.5, 0.5, 4.0)),
-            (extrapolation_inflation, (1.5, 1.6, 1.0, 1.8)),
+            # a NaN q0 is not q0 = ∞
+            pytest.param(lambda: ExponentProfile(1.0, math.nan, 2.0).strong_exponent,
+                         id="strong_exponent-(2.0, 1.0, nan)"),
+            pytest.param(lambda: ExponentProfile(0.5, 4.0, 2.0).strong_exponent,
+                         id="strong_exponent-(2.0, 0.5, 4.0)"),
+            pytest.param(lambda: ExponentProfile(2.5, math.inf, 3.0).strong_exponent,
+                         id="strong_exponent-(3.0, 2.5, inf)"),
+            pytest.param(lambda: ExponentProfile(1.0, math.nan, 2.0).bridge_index,
+                         id="bridge_index-(2.0, 1.0, nan)"),
+            # p0 outside [1, 2)
+            pytest.param(lambda: ExponentProfile(2.5, math.inf, 3.0).bridge_index,
+                         id="bridge_index-(3.0, 2.5, inf)"),
+            pytest.param(lambda: ExponentProfile(1.0, 1.8, 1.5).bridge_index,
+                         id="bridge_index-(1.5, 1.0, 1.8)"),
+            pytest.param(lambda: ExponentProfile(1.0, math.nan, 2.5).inflation(3.0),
+                         id="inflation-(3.0, 2.5, 1.0, nan)"),
+            pytest.param(lambda: ExponentProfile(0.5, 4.0, 2.5).inflation(3.0),
+                         id="inflation-(3.0, 2.5, 0.5, 4.0)"),
+            pytest.param(lambda: ExponentProfile(1.0, 1.8, 1.6).inflation(1.5),
+                         id="inflation-(1.5, 1.6, 1.0, 1.8)"),
         ],
-        ids=lambda v: v.__name__ if callable(v) else repr(v),
     )
-    def test_window_outside_the_paper_is_refused(self, fn, args):
+    def test_window_outside_the_paper_is_refused(self, read):
+        # every exponent of the window is read from a checked profile
         with pytest.raises(ConfigError):
-            fn(*args)
+            read()
 
     def test_extrapolated_bound_cannot_take_a_nan_window(self):
         # the window reaches the bound only as a checked profile
@@ -275,46 +285,54 @@ class TestWeakAndStrongNormBounds:
             extrapolated_strong_bound(2.0, 2.0, ExponentProfile(1.0, math.nan), 0.2)
 
     def test_strong_bound_spots(self):
-        assert strong_norm_bound(2.0, 2.0, ExponentProfile(1.0, 4.0)) == 4.0
-        assert strong_norm_bound(2.0, 2.0, ExponentProfile(1.5, 4.0)) == 16.0
+        # (ap·rh)^{1/(2−p0)}: the first power at p0 = 1, the square at p0 = 3/2
+        w, grid = PowerWeight(0.25), DyadicGrid(6)
+        report = evaluate_bounds(w, grid, 1.0, 4.0)
+        assert report.strong_bound == report.ap_char * report.rh_char
+        report = evaluate_bounds(w, grid, 1.5, 4.0)
+        assert report.strong_bound == (report.ap_char * report.rh_char) ** 2
 
 
 class TestBridgeIndexAndInflation:
     def test_bridge_index_reference_value(self):
-        assert bridge_ap_index(2.0, 1.0, 4.0) == 3.0
+        assert ExponentProfile(1.0, 4.0, 2.0).bridge_index == 3.0
 
     def test_bridge_index_at_infinite_upper_exponent(self):
-        assert bridge_ap_index(2.0, 1.0, math.inf) == 2.0
-        assert bridge_ap_index(2.0, 1.5, math.inf) == pytest.approx(
+        assert ExponentProfile(1.0, math.inf, 2.0).bridge_index == 2.0
+        assert ExponentProfile(1.5, math.inf, 2.0).bridge_index == pytest.approx(
             2.0 / 1.5, rel=1e-15
         )
 
     def test_bridge_index_validation(self):
         with pytest.raises(ConfigError):
-            bridge_ap_index(1.0, 1.0, 4.0)
+            ExponentProfile(1.0, 4.0, 1.0).bridge_index
         with pytest.raises(ConfigError):
-            bridge_ap_index(4.0, 1.0, 4.0)
+            ExponentProfile(1.0, 4.0, 4.0).bridge_index
 
     def test_inflation_is_one_at_and_below_the_anchor(self):
-        assert extrapolation_inflation(2.0, 2.0, 1.0, 4.0) == 1.0
-        assert extrapolation_inflation(2.0, 3.0, 1.0, 4.0) == 1.0
+        assert ExponentProfile(1.0, 4.0, 2.0).inflation(2.0) == 1.0
+        assert ExponentProfile(1.0, 4.0, 3.0).inflation(2.0) == 1.0
 
     def test_inflation_above_one_when_target_sits_below_anchor(self):
         # p = 3, q = 5/2 in the (1, 4) window: (3/2 * 2) / (1 * 3/2) = 2
-        assert extrapolation_inflation(3.0, 2.5, 1.0, 4.0) == pytest.approx(
+        assert ExponentProfile(1.0, 4.0, 2.5).inflation(3.0) == pytest.approx(
             2.0, rel=1e-15
         )
 
     def test_inflation_at_infinite_upper_exponent(self):
-        assert extrapolation_inflation(3.0, 2.5, 1.0, math.inf) == pytest.approx(
+        assert ExponentProfile(1.0, math.inf, 2.5).inflation(3.0) == pytest.approx(
             4.0 / 3.0, rel=1e-15
         )
 
     def test_inflation_validation(self):
         with pytest.raises(ConfigError):
-            extrapolation_inflation(1.0, 3.0, 1.0, 4.0)
+            ExponentProfile(1.0, 4.0, 3.0).inflation(1.0)
         with pytest.raises(ConfigError):
-            extrapolation_inflation(3.0, 4.0, 1.0, 4.0)
+            ExponentProfile(1.0, 4.0, 4.0).inflation(3.0)
+        # the target p = 3 lies in (1, 4); inflation checks that the anchor does too
+        for anchor in (1.0, 0.5, 4.0, 5.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="anchor"):
+                ExponentProfile(1.0, 4.0, 3.0).inflation(anchor)
 
 
 class TestExponentComparison:
@@ -396,9 +414,9 @@ class TestGammaQuarterRegion:
 
 def power_bridge(w, p, p0, q0, grid):
     """The factorization check at the bridge's indices q = p/p0 and s = (q0/p)',
-    whose lifted index s(q−1)+1 must be φ(p) = ``bridge_ap_index(p, p0, q0)``."""
+    whose lifted index s(q−1)+1 must be φ(p) = ``ExponentProfile(p0, q0, p).bridge_index``."""
     chk = check_factorization(w, p / p0, conjugate_exponent(q0 / p), grid)
-    assert math.isclose(chk.combined_index, bridge_ap_index(p, p0, q0), rel_tol=1e-12)
+    assert math.isclose(chk.combined_index, ExponentProfile(p0, q0, p).bridge_index, rel_tol=1e-12)
     return chk
 
 
@@ -408,7 +426,7 @@ class TestPowerBridge:
         chk = power_bridge(PowerWeight(0.25), 1.5, 1.0, 4.0, g)
         assert chk.lower_ok and chk.upper_ok
         assert chk.combined_index == pytest.approx(
-            bridge_ap_index(1.5, 1.0, 4.0), rel=1e-15
+            ExponentProfile(1.0, 4.0, 1.5).bridge_index, rel=1e-15
         )
         # [x^{1/4}]_{A_{3/2}} in closed form: (1/(5/4)) * (1/(1/2))^{1/2}
         assert chk.aq == pytest.approx(0.8 * math.sqrt(2.0), rel=1e-12)

@@ -22,7 +22,6 @@ from weightlab import (
     rh_constant,
     unit_weight,
 )
-from weightlab.characteristics import a_infty_fw_argmax, ap_constant_argmax
 
 
 def power_ap_closed_form(alpha: float, p: float) -> float:
@@ -61,8 +60,8 @@ class TestPowerClosedForms:
         assert got == pytest.approx(power_rh_closed_form(0.25, 3.0), rel=1e-12)
 
     def test_argmax_sits_on_the_left_edge(self, grid8):
-        _, cube = ap_constant_argmax(PowerWeight(0.375), 2.0, grid8)
-        assert cube.index == 0
+        report = characteristic_report(PowerWeight(0.375), grid8)
+        assert report.ap_argmax[2.0].index == 0
 
 
 class TestUnitWeight:
@@ -74,10 +73,9 @@ class TestUnitWeight:
         assert a_infty_fw(w, grid8) == 1.0
 
     def test_tie_break_picks_the_root(self, grid8):
-        _, cube = ap_constant_argmax(unit_weight(), 2.0, grid8)
-        assert cube == DyadicCube(0, 0)
-        _, cube = a_infty_fw_argmax(unit_weight(), grid8)
-        assert cube == DyadicCube(0, 0)
+        report = characteristic_report(unit_weight(), grid8)
+        assert report.ap_argmax[2.0] == DyadicCube(0, 0)
+        assert report.a_infty_argmax == DyadicCube(0, 0)
 
 
 class TestHandOracles:
@@ -93,25 +91,24 @@ class TestHandOracles:
         # integral 2.5 against mass 2 -> 1.25; single cells give 1
         g = DyadicGrid(1)
         w = TabulatedWeight([1.0, 3.0])
-        value, cube = a_infty_fw_argmax(w, g)
-        assert value == pytest.approx(1.25, rel=1e-14)
-        assert cube == DyadicCube(0, 0)
+        report = characteristic_report(w, g)
+        assert report.a_infty == pytest.approx(1.25, rel=1e-14)
+        assert report.a_infty_argmax == DyadicCube(0, 0)
 
     def test_a_infty_matches_brute_force(self):
         g = DyadicGrid(4)
         for w in seeded_tabulated_weights(4, depth=4, seed=99):
             expected, expected_cube = brute_a_infty(w, g)
-            got, got_cube = a_infty_fw_argmax(w, g)
-            assert got == pytest.approx(expected, rel=1e-12)
-            assert got_cube == expected_cube
+            report = characteristic_report(w, g)
+            assert report.a_infty == pytest.approx(expected, rel=1e-12)
+            assert report.a_infty_argmax == expected_cube
 
     def test_designed_spike_argmax(self):
         g = DyadicGrid(3)
         vals = np.ones(8)
         vals[4] = 100.0  # cube (3,4) dominates; worst two-sided pair is (2,2)
         w = TabulatedWeight(vals)
-        _, cube = ap_constant_argmax(w, 2.0, g)
-        assert cube == DyadicCube(2, 2)
+        assert characteristic_report(w, g).ap_argmax[2.0] == DyadicCube(2, 2)
 
 
 class TestStructuralProperties:

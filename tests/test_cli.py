@@ -309,6 +309,22 @@ class TestTraceProof:
         assert code == 2
         assert "error:" in err
 
+    def test_function_with_an_infinite_norm_exits_two_without_a_warning(self, tmp_path):
+        # (1e200)² is past the double range, so ‖f‖²_{L²(σ)} is not finite
+        f = write_lines(tmp_path / "f.txt", [1e200] * 64)
+        out = tmp_path / "trace.json"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightlab.cli", "trace-proof", "--unit-weight", "--L", "6",
+             "--f", f, "--out", str(out)],
+            capture_output=True, text=True, check=False, env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "not finite" in lines[0] and not out.exists()
+
 
 class TestBounds:
     def test_unit_weight_reference_window(self, capsys):

@@ -318,9 +318,9 @@ class TestOverflowingGehringConstant:
             assert not np.any(np.isfinite(rhs)) and np.all(ratio == math.inf)
         rows = random_subset_checks(w, OVERFLOW_Q0_STAR, [eps], grid, 20, seed=1)
         assert all(chk.ratio == math.inf and not chk.passed for *_, chk in rows)
-        # the ε search's probes fail instead of raising
+        # the ε search's probes fail instead of raising, and none passes
         found = max_epsilon_empirical(w, OVERFLOW_Q0_STAR, grid)
-        assert not found.cap_hit and found.epsilon_empirical <= 1e-12
+        assert not found.cap_hit and found.epsilon_empirical == 0.0
         assert found.conjectured_scale == 0.0
 
     def test_cli_exits_one_without_a_traceback(self):
@@ -419,6 +419,14 @@ class TestEmpiricalEpsilonSearch:
         assert res.conjectured_scale == pytest.approx(1.0 / res.rh**2.0, rel=1e-12)
         # the empirical range should dominate the proven closed-form range
         assert res.epsilon_empirical >= res.proven_epsilon * (1 - 1e-9)
+
+    def test_a_search_in_which_no_probe_passes_reports_zero(self, grid6):
+        # at t = p the worst ratio is 1/2, attained, so factor 1/2 (threshold
+        # 1/4) fails even the smallest probe
+        w = PowerWeight(0.25)
+        res = max_epsilon_empirical(w, 2.0, grid6, factor=0.5)
+        assert not res.cap_hit and res.epsilon_empirical == 0.0
+        assert res == oracle_max_epsilon_empirical(w, 2.0, grid6, factor=0.5)
 
 
 def _lognormal(sigma: float, depth: int, seed: int = 31) -> TabulatedWeight:

@@ -2,8 +2,8 @@
 
 The oracles keep one N-cell mask per cube and find nesting by all-pairs
 loops; the library paints one owner array and counts ancestors.  Both must
-agree exactly on layers, witness cells, sparsity verdicts and packing, and
-to 1e-12 on the tracer's per-bin witness sums.  The heap-id kernels must
+agree exactly on layers, witness cells and sparsity verdicts, and to 1e-12
+on the tracer's per-bin witness sums.  The heap-id kernels must
 also agree exactly with loops over one ``DyadicCube`` at a time, and every
 kernel must reject a cube below the grid.
 """
@@ -21,7 +21,6 @@ from helpers import (
     mask_ranges,
     oracle_bin_witness_stats,
     oracle_build_sparse_random,
-    oracle_carleson_packing_ok,
     oracle_family_from_jsonable,
     oracle_layer_witnesses,
     oracle_paint_owner,
@@ -49,7 +48,7 @@ from weightlab import (
 from weightlab.errors import SubsetError
 from weightlab.grid import cube_ids
 from weightlab.operators import maximal_p0
-from weightlab.sparse import build_sparse_random, carleson_packing_ok, paint_owner
+from weightlab.sparse import paint_owner
 from weightlab.tracer import build_good_set, peel_layers
 from weightlab.weights import composed_moment_cells
 
@@ -66,7 +65,7 @@ def make_family(kind: str, seed: int) -> SparseFamily:
     rng = np.random.default_rng([seed, 31])
     if kind == "random":
         grid = DyadicGrid(6 + seed % 5)
-        return build_sparse_random(grid, grid.depth - 1, 0.2 + 0.15 * (seed % 5), seed)
+        return oracle_build_sparse_random(grid, grid.depth - 1, 0.2 + 0.15 * (seed % 5), seed)
     if kind == "cz":
         grid = DyadicGrid(6 + seed % 5)
         data = np.exp(1.5 * rng.standard_normal(grid.n_cells))
@@ -104,9 +103,6 @@ def test_verdicts_match_oracle_on_mutated_owners(kind, seed):
         fam = SparseFamily(family.cubes, owner)
         witnesses = dense_witnesses(fam)
         assert verify_sparsity(fam, grid) == oracle_verify_sparsity(
-            fam.cubes, witnesses, grid
-        )
-        assert carleson_packing_ok(fam, grid) == oracle_carleson_packing_ok(
             fam.cubes, witnesses, grid
         )
         # hand some cells to a random cube (or to nobody) and check again
@@ -170,10 +166,21 @@ RANDOM_PARAMS = [
 
 
 @pytest.mark.parametrize("depth,max_level,density,seed", RANDOM_PARAMS)
-def test_random_builder_matches_one_draw_per_cube(depth, max_level, density, seed):
+def test_random_family_kernels_match_cube_loops(depth, max_level, density, seed):
+    # one draw per cube, down to the finest level: the library's painting,
+    # peeling, verdict and JSON load must agree with the loops over cubes
     grid = DyadicGrid(depth)
-    got = build_sparse_random(grid, max_level, density, seed)
-    assert got.to_json() == oracle_build_sparse_random(grid, max_level, density, seed).to_json()
+    family = oracle_build_sparse_random(grid, max_level, density, seed)
+    np.testing.assert_array_equal(paint_owner(family.cubes, grid), family.owner)
+    assert [id_cubes(layer) for layer in peel_layers(family.cubes)] == oracle_peel_layers(
+        family.cubes
+    )
+    verdict = verify_sparsity(family, grid)
+    assert verdict.ok
+    assert verdict == oracle_verify_sparsity(family.cubes, dense_witnesses(family), grid)
+    assert loaded(SparseFamily.from_jsonable, family.to_jsonable(), grid) == loaded(
+        oracle_family_from_jsonable, family.to_jsonable(), grid
+    )
 
 
 def drawn_cubes(grid: DyadicGrid, rng: np.random.Generator, count: int):
@@ -297,13 +304,11 @@ KERNELS = {
     "verify_sparsity": lambda cubes: verify_sparsity(
         SparseFamily(cubes, np.zeros(GRID4.n_cells)), GRID4
     ),
-    "carleson_packing_ok": lambda cubes: carleson_packing_ok(
-        SparseFamily(cubes, np.zeros(GRID4.n_cells)), GRID4
-    ),
     "maximal_p0": lambda cubes: maximal_p0(ONES4, GRID4, restriction=cubes),
     "build_good_set": lambda cubes: build_good_set(ONES4, unit_weight(), GRID4, 1.0, cubes),
     "trace_proof": lambda cubes: trace_proof(ONES4, unit_weight(), GRID4, P14, cubes),
     "paint_owner": lambda cubes: paint_owner(cubes, GRID4),
+    "cube_ids": lambda cubes: cube_ids(cubes, GRID4),
 }
 
 

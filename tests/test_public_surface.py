@@ -108,6 +108,31 @@ def _wrapped(span: str, methods: dict) -> bool:
     return inspect.isfunction(obj) and obj.__module__ == f"weightlab.{module}"
 
 
+def _perfbench_reached() -> set:
+    """``module.name`` of every library name the workers and the input builder reach."""
+    reached = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        reached |= set(re.findall(r"\bweightlab\.([a-z_]+\.[A-Za-z_]+)\b", source))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weightlab."):
+                module = node.module.split(".", 1)[1]
+                reached |= {f"{module}.{alias.name}" for alias in node.names}
+    return reached
+
+
+def _perfbench_read(spans: str) -> set:
+    """Every span a counter hook or a ``module.function.*`` metric of
+    ``BENCHMARK.json`` reads."""
+    read = {ast.literal_eval(key) for key in _assigned(spans, "COUNTERS").keys}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in benchmark["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) >= 3:  # the parallel layer is the _parallel module
+            read.add(("_" if parts[0] == "parallel" else "") + ".".join(parts[:2]))
+    return read
+
+
 def test_benchmark_hooks_still_resolve():
     spans = (PERFBENCH / "spans.py").read_text(encoding="utf-8")
     methods = _assigned_literal(spans, "METHODS")
@@ -120,14 +145,7 @@ def test_benchmark_hooks_still_resolve():
         is_method = any(method == name for _, method in methods.get(module, ()))
         assert is_method or callable(_resolve(dotted)), dotted
     # the library names the workers and the input builder reach
-    reached = set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        reached |= set(re.findall(r"\bweightlab\.([a-z_]+\.[A-Za-z_]+)\b", source))
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weightlab."):
-                module = node.module.split(".", 1)[1]
-                reached |= {f"{module}.{alias.name}" for alias in node.names}
+    reached = _perfbench_reached()
     for dotted in ("gehring.max_epsilon_empirical", "weights.TabulatedWeight",
                    "grid.DyadicGrid", "sparse.build_sparse_cz"):
         assert dotted in reached, dotted
@@ -136,11 +154,46 @@ def test_benchmark_hooks_still_resolve():
             _resolve(dotted)
     # every span a counter hook or a module.function.* metric reads is wrapped,
     # so no deletion silently zeroes a metric; the stale list can only shrink
-    read = {ast.literal_eval(key) for key in _assigned(spans, "COUNTERS").keys}
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    for metric in benchmark["per_layer"]:
-        parts = metric["name"].split(".")
-        if len(parts) >= 3:  # the parallel layer is the _parallel module
-            read.add(("_" if parts[0] == "parallel" else "") + ".".join(parts[:2]))
+    read = _perfbench_read(spans)
     assert KNOWN_STALE_SPANS <= read
     assert {span for span in read if not _wrapped(span, methods)} == KNOWN_STALE_SPANS
+
+
+def _referenced_names(tree: ast.Module) -> dict:
+    """Top-level definition name (or None) -> the names its code loads."""
+    refs: dict = {}
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        refs.setdefault(owner, set()).update(
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        )
+    return refs
+
+
+def test_every_public_function_is_exported_used_or_benchmarked():
+    # a public module-level function that only tests call is a second path
+    # beside the one the program runs; it belongs in tests/helpers.py
+    spans = (PERFBENCH / "spans.py").read_text(encoding="utf-8")
+    benchmarked = _perfbench_reached() | _perfbench_read(spans)
+    benchmarked |= set(_assigned_literal(spans, "PEAK_FUNCTIONS"))
+    package = Path(weightlab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    refs = {module: _referenced_names(tree) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            used = any(
+                node.name in names
+                for other, scopes in refs.items()
+                for owner, names in scopes.items()
+                if (other, owner) != (module, node.name)
+            )
+            if not (node.name in weightlab.__all__ or used
+                    or f"{module}.{node.name}" in benchmarked):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []

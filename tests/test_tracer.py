@@ -267,6 +267,12 @@ class TestGoodSet:
         with pytest.raises(ZeroFunctionError):
             build_good_set(np.zeros(grid6.n_cells), unit_weight(), grid6, 1.0, [DyadicCube(0, 0)])
 
+    def test_function_with_an_infinite_norm_rejected(self, grid6):
+        # f² = 1e400 is past the double range, so ‖f‖²_{L²(σ)} cannot be formed
+        f = np.full(grid6.n_cells, 1e200)
+        with pytest.raises(ConfigError, match="not finite"):
+            build_good_set(f, unit_weight(), grid6, 1.0, [DyadicCube(0, 0)])
+
     def test_empty_good_region_rejected(self, grid6):
         with pytest.raises(EmptyGoodSetError):
             build_good_set(
@@ -398,6 +404,15 @@ class TestPerCubeScan:
         scan = percube_ap_holder_scan(w, 1.25, grid8, f=f, cells=cells)
         assert scan.passed
         assert scan.worst_holder_ratio <= 1 + 1e-12
+
+    def test_overflowing_holder_sides_leave_the_scan_unverified(self):
+        # f² = 1e400 overflows both Hölder sides, so every cube's ratio is
+        # inf/inf: unverified (inf), which must not pass
+        scan = percube_ap_holder_scan(unit_weight(), 1.0, DyadicGrid(3), f=np.full(8, 1e200))
+        assert scan.worst_ap_ratio == 1.0
+        assert scan.worst_holder_ratio == math.inf
+        assert scan.worst_holder_cube == DyadicCube(0, 0)
+        assert not scan.passed
 
     def test_sup_is_attained_so_worst_ratio_is_one(self):
         # the scan normalises by the characteristic, whose defining sup is
