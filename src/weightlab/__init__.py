@@ -41,7 +41,6 @@ from .grid import DyadicCube, DyadicGrid, heap_levels, id_cubes
 from .operators import (
     dyadic_square_function,
     empirical_weak_operator_norm,
-    equivalence_scaffold,
     function_corpus,
     maximal_weighted,
     strong_lp_norm,
@@ -90,7 +89,6 @@ __all__ = [
     "dyadic_square_function",
     "empirical_weak_operator_norm",
     "epsilon_range",
-    "equivalence_scaffold",
     "evaluate_bounds",
     "function_corpus",
     "heap_levels",

@@ -13,8 +13,7 @@
   L^p(w) norms of piecewise-constant functions by level-set enumeration (no
   λ grid: the supremum of ``λ·w({|h| ≥ λ})^{1/p}`` over the right-continuous
   tail is attained at the distinct values of |h|).  Each level set is a prefix
-  of one descending order of |h|, which corpus scans share across weights and
-  :func:`equivalence_scaffold` across its candidate sets.
+  of one descending order of |h|, which corpus scans share across weights.
 
 The abstract restricted-range operator is modeled by this square function;
 its (p0, q0) window enters downstream only through the exponents of the
@@ -32,12 +31,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .errors import WrongLengthError
 from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages, tree_totals
-from .weights import (
-    Weight,
-    composed_moment_cells,
-    dual_weight,
-    weighted_l2_norm_sq,
-)
+from .weights import Weight, composed_moment_cells
 
 
 def square_function_from_cell_integrals(
@@ -314,64 +308,3 @@ def empirical_weak_operator_norm(
         scans.append((max((row.ratio for row in rows), default=0.0), rows))
     return scans
 
-
-# --- consistency scaffold between the weak norm and the good-subset pairing --------
-
-
-@dataclass(frozen=True)
-class EquivalenceScaffold:
-    """Two-sided consistency data between the weak norm of S(fσ) and the
-    good-subset pairing ∫_{G'} S(fσ)² w (both normalised by ‖f‖²_{L²(σ)})."""
-
-    n2_sq: float
-    pairing_sup: float
-    tested_sets: int
-
-    @property
-    def consistent_within_16(self) -> bool:
-        if self.n2_sq == 0.0:
-            return self.pairing_sup == 0.0
-        r = self.pairing_sup / self.n2_sq
-        return (1.0 / 16.0) * (1.0 - 1e-12) <= r <= 16.0 * (1.0 + 1e-12)
-
-
-def equivalence_scaffold(
-    f: Sequence[float] | np.ndarray, w: Weight, grid: DyadicGrid
-) -> EquivalenceScaffold:
-    """Probe the passage from a weak L²(w) bound for S(fσ) to a pairing bound
-    on a large good subset.
-
-    For each candidate set G (every level set {S(fσ) ≥ v} of the square
-    function, and the whole space) the good subset is G' = G ∖ {S(fσ) > t}
-    with threshold t = 2·N₂·‖f‖_{L²(σ)}/√w(G), where
-    N₂ = ‖S(fσ)‖_{L^{2,∞}(w)}/‖f‖_{L²(σ)}.  Chebyshev forces w(G') ≥ ¾·w(G)
-    and ∫_{G'} S(fσ)² w ≤ 4·N₂²·‖f‖², while the level set attaining N₂ gives
-    back ≥ ¾·N₂²·‖f‖²; the reported supremum must therefore agree with N₂²
-    within a factor of 16 (with margin — the structural window is [3/4, 4]).
-    S(fσ) and w are read on the level-``(L − 1)`` cubes, where S(fσ) lives.
-    Each G is a prefix of the descending order of S(fσ) and each G' a slice of
-    it, so all of them cost one sort and two prefix sums: ``O(N log N)`` time.
-    """
-    sigma = dual_weight(w, 2.0)
-    fvals = grid.check_values(f)
-    norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
-    if norm_sq == 0.0:
-        return EquivalenceScaffold(0.0, 0.0, 0)
-    norm = math.sqrt(norm_sq)
-    sf = square_function_from_cell_integrals(
-        fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1], grid
-    )
-    cellw = heap_levels(w.pyramid(grid, 1.0))[-2]
-    order, ends, lam = _level_sets(sf)
-    sorted_sf, sorted_w = sf[order], cellw[order]
-    mass = np.concatenate(([0.0], np.cumsum(sorted_w)))
-    n2 = _weak_norm(lam, mass[ends + 1], 2.0) / norm
-    pairing = np.concatenate(([0.0], np.cumsum(sorted_sf * sorted_sf * sorted_w)))
-    # G = the first `stop` cells of the order: each level set {S ≥ v > 0}, then the space
-    stop = np.append(ends[lam > 0.0] + 1, sf.size)
-    stop = stop[mass[stop] > 0.0]
-    threshold = 2.0 * n2 * norm / np.sqrt(mass[stop])
-    # G' is the slice after the cells with S > t, or empty
-    start = np.minimum(sf.size - np.searchsorted(sorted_sf[::-1], threshold, side="right"), stop)
-    pairing_sup = float(np.max((pairing[stop] - pairing[start]) / norm_sq, initial=0.0))
-    return EquivalenceScaffold(n2 * n2, pairing_sup, int(stop.size))

@@ -289,6 +289,19 @@ class GoodSetResult:
         return self.good_prime_mass / self.good_mass if self.good_mass > 0.0 else 0.0
 
 
+def _traced_norm_sq(fvals: np.ndarray, sigma: Weight, grid: DyadicGrid) -> float:
+    """``‖f‖²_{L²(σ)}``, refused unless nonzero and finite."""
+    with np.errstate(over="ignore"):
+        norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
+    if norm_sq == 0.0:
+        if np.any(fvals):
+            raise ConfigError("the traced function's squared L²(σ) norm underflows to 0")
+        raise ZeroFunctionError("the traced function vanishes identically")
+    if not math.isfinite(norm_sq):
+        raise ConfigError(f"the traced function's squared L²(σ) norm is {norm_sq}, not finite")
+    return norm_sq
+
+
 def build_good_set(
     f: Sequence[float] | np.ndarray,
     w: Weight,
@@ -304,12 +317,7 @@ def build_good_set(
     and finite."""
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
-    with np.errstate(over="ignore"):
-        f_norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
-    if f_norm_sq == 0.0:
-        raise ZeroFunctionError("the traced function vanishes identically")
-    if not math.isfinite(f_norm_sq):
-        raise ConfigError(f"the traced function's squared L²(σ) norm is {f_norm_sq}, not finite")
+    f_norm_sq = _traced_norm_sq(fvals, sigma, grid)
     f_norm = math.sqrt(f_norm_sq)
 
     good = good_cells if good_cells is not None else np.ones(grid.n_cells, dtype=bool)
@@ -476,9 +484,12 @@ def default_trace_family(
     ratio: float = 2.0,
 ) -> np.ndarray:
     """Stopping-time family adapted to the composition fσ, as heap ids: run
-    the dyadic stopping construction on the exact cell averages of |fσ|^{p0}."""
+    the dyadic stopping construction on the exact cell averages of |fσ|^{p0}.
+    ``‖f‖²_{L²(σ)}`` must be nonzero and finite, as for :func:`build_good_set`."""
     sigma = dual_weight(w, 2.0)
-    moments = composed_moment_cells(grid, grid.check_values(f), sigma, p0)
+    fvals = grid.check_values(f)
+    _traced_norm_sq(fvals, sigma, grid)
+    moments = composed_moment_cells(grid, fvals, sigma, p0)
     effective = moments / grid.cell_measure
     return build_sparse_cz(effective, grid, ratio=ratio).ids
 

@@ -36,7 +36,6 @@ from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
 from weightlab.operators import (
-    EquivalenceScaffold,
     OperatorNormRow,
     maximal_p0,
     square_function_from_cell_integrals,
@@ -44,7 +43,7 @@ from weightlab.operators import (
 from weightlab.profiles import GehringProfile, gamma_rate
 from weightlab.sparse import SparsityReport
 from weightlab.tracer import build_good_set
-from weightlab.weights import composed_moment_cells, weighted_l2_norm_sq
+from weightlab.weights import composed_moment_cells
 
 POWER_ALPHAS = (-0.375, -0.25, -0.125, 0.125, 0.25, 0.375)
 TABULATED_SEED = 20240915
@@ -881,7 +880,7 @@ def oracle_maximal_weak_constant(
     return best
 
 
-# --- per-weight corpus scans and the per-level-set scaffold ------------------------------
+# --- per-weight corpus scans ------------------------------------------------------------
 
 
 def oracle_natural_depth_rows(
@@ -933,44 +932,6 @@ def oracle_natural_depth_maximal_constant(
         weak = weak_lp_norm(maximal_p0(fn.cells, DyadicGrid(d), p0), w, grid, 2.0, level=d)
         ratios.append(weak / (ap_sqrt * strong))
     return max(ratios, default=0.0)
-
-
-def oracle_equivalence_scaffold(
-    f: np.ndarray, w: Weight, grid: DyadicGrid, *, pairs: bool = False
-) -> EquivalenceScaffold:
-    """The good-subset scaffold with the matrix square function ``S(fσ)`` on
-    the finest cells, one mask per level set of it and masked sums for
-    ``w(G)`` and each pairing.  With ``pairs``, each sibling pair of cells
-    is one cell holding the larger of the pair's two values of ``S(fσ)``,
-    which differ by rounding only."""
-    sigma = dual_weight(w, 2.0)
-    fvals = grid.check_values(f)
-    norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
-    if norm_sq == 0.0:
-        return EquivalenceScaffold(0.0, 0.0, 0)
-    norm = math.sqrt(norm_sq)
-    sf = oracle_square_function_from_cell_integrals(
-        fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1], grid
-    )
-    level = grid.depth - 1 if pairs else grid.depth
-    if pairs:
-        sf = np.maximum(sf[0::2], sf[1::2])
-    n2 = weak_lp_norm(sf, w, grid, 2.0, level=level) / norm
-    cellw = heap_levels(w.pyramid(grid, 1.0))[level]
-    sf_sq_w = sf * sf * cellw
-    masks = [sf >= v for v in np.unique(sf[sf > 0.0])[::-1]]
-    masks.append(np.ones(sf.size, dtype=bool))
-    pairing_sup = 0.0
-    tested = 0
-    for mask in masks:
-        w_g = float(np.sum(cellw, where=mask))
-        if w_g <= 0.0:
-            continue
-        tested += 1
-        threshold = 2.0 * n2 * norm / math.sqrt(w_g)
-        good = mask & (sf <= threshold)
-        pairing_sup = max(pairing_sup, float(np.sum(sf_sq_w, where=good)) / norm_sq)
-    return EquivalenceScaffold(n2 * n2, pairing_sup, tested)
 
 
 # --- value files read a line at a time -----------------------------------------------------

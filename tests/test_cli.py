@@ -309,21 +309,41 @@ class TestTraceProof:
         assert code == 2
         assert "error:" in err
 
-    def test_function_with_an_infinite_norm_exits_two_without_a_warning(self, tmp_path):
-        # (1e200)² is past the double range, so ‖f‖²_{L²(σ)} is not finite
-        f = write_lines(tmp_path / "f.txt", [1e200] * 64)
+    @staticmethod
+    def _refused_in_a_process(tmp_path, value, *options):
+        """The one stderr line of ``trace-proof`` on 64 cells of ``value``, run
+        as a program so that a warning would reach stderr; it must exit 2 and
+        write no JSON."""
+        f = write_lines(tmp_path / "f.txt", [value] * 64)
         out = tmp_path / "trace.json"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-m", "weightlab.cli", "trace-proof", "--unit-weight", "--L", "6",
-             "--f", f, "--out", str(out)],
+             "--f", f, "--out", str(out), *options],
             capture_output=True, text=True, check=False, env=env,
         )
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-        assert "not finite" in lines[0] and not out.exists()
+        assert not out.exists()
+        return lines[0]
+
+    def test_function_with_an_infinite_norm_exits_two_without_a_warning(self, tmp_path):
+        # (1e200)² is past the double range, so ‖f‖²_{L²(σ)} is not finite
+        assert "not finite" in self._refused_in_a_process(tmp_path, 1e200)
+
+    def test_overflowing_p0_moment_exits_two_without_a_warning(self, tmp_path):
+        # (1e250)^1.5 would overflow in the family's moments; the norm is refused first
+        assert "not finite" in self._refused_in_a_process(tmp_path, 1e250, "--p0", "1.5")
+
+    def test_function_with_an_underflowing_norm_says_so(self, tmp_path):
+        # (1e-200)² is below the double range: f is not 0, but its norm reads 0
+        line = self._refused_in_a_process(tmp_path, 1e-200)
+        assert "underflows to 0" in line and "vanishes" not in line
+
+    def test_zero_function_exits_two_saying_it_vanishes(self, tmp_path):
+        assert "vanishes identically" in self._refused_in_a_process(tmp_path, 0.0)
 
 
 class TestBounds:

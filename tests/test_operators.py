@@ -18,7 +18,6 @@ from weightlab import (
     DyadicGrid,
     dyadic_square_function,
     empirical_weak_operator_norm,
-    equivalence_scaffold,
     function_corpus,
     maximal_weighted,
     strong_lp_norm,
@@ -221,21 +220,3 @@ class TestOperatorNormScans:
             for constant in (oracle_maximal_weak_constant, oracle_natural_depth_maximal_constant):
                 c = constant(w, grid6, 1.0, ap_sqrt, corpus)
                 assert 0.0 < c <= 8.0
-
-
-class TestEquivalenceScaffold:
-    def test_consistency_window_on_reference_functions(self, grid6):
-        rng = np.random.default_rng(61)
-        weights = [unit_weight()] + seeded_tabulated_weights(2)
-        for w in weights:
-            for kind in range(3):
-                if kind == 0:
-                    f = np.ones(grid6.n_cells)
-                elif kind == 1:
-                    f = np.zeros(grid6.n_cells)
-                    f[: grid6.n_cells // 4] = 1.0
-                else:
-                    f = np.abs(rng.standard_normal(grid6.n_cells)) + 0.1
-                scaffold = equivalence_scaffold(f, w, grid6)
-                assert scaffold.consistent_within_16
-                assert scaffold.tested_sets >= 1

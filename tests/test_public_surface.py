@@ -197,3 +197,53 @@ def test_every_public_function_is_exported_used_or_benchmarked():
                     or f"{module}.{node.name}" in benchmarked):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+_CROSS_REFERENCE = re.compile(r":(?:func|meth|class|mod):`~?([^`]+)`")
+
+
+def _has_path(obj: object, attrs: list) -> bool:
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _resolves(target: str, module: types.ModuleType) -> bool:
+    """Whether a cross-reference in ``module`` names an attribute path of the
+    module, a ``weightlab.``-qualified path or a method of one of its classes."""
+    parts = target.split(".")
+    if parts[0] == "weightlab" and len(parts) > 1:
+        try:
+            return _has_path(importlib.import_module(f"weightlab.{parts[1]}"), parts[2:])
+        except ModuleNotFoundError:
+            return False
+    classes = [value for value in vars(module).values()
+               if inspect.isclass(value) and value.__module__ == module.__name__]
+    return _has_path(module, parts) or any(_has_path(cls, parts) for cls in classes)
+
+
+def test_docstring_cross_references_resolve():
+    # a deletion takes the references to what it deletes with it
+    package = Path(weightlab.__file__).parent
+    checked, dangling = 0, []
+    for path in sorted(package.glob("*.py")):
+        name = "weightlab" if path.stem == "__init__" else f"weightlab.{path.stem}"
+        module = importlib.import_module(name)
+        for target in _CROSS_REFERENCE.findall(path.read_text(encoding="utf-8")):
+            checked += 1
+            if not _resolves(target, module):
+                dangling.append(f"{path.name}: {target}")
+    assert checked and dangling == []
+
+
+def test_cross_reference_check_rejects_dangling_names():
+    operators = importlib.import_module("weightlab.operators")
+    tracer = importlib.import_module("weightlab.tracer")
+    assert _resolves("weightlab.tracer.build_good_set", operators)
+    assert _resolves("GoodSetResult.good_fraction", tracer)
+    assert _resolves("good_fraction", tracer)  # a method of a class in the module
+    assert not _resolves("equivalence_scaffold", operators)
+    assert not _resolves("weightlab.operators.equivalence_scaffold", tracer)
+    assert not _resolves("weightlab.no_such_module.name", tracer)

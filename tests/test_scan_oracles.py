@@ -1,4 +1,4 @@
-"""One corpus scan for every weight, and the scaffold by prefix sums.
+"""One corpus scan for every weight.
 
 ``empirical_weak_operator_norm`` builds each corpus function's square
 function and level sets once and evaluates every weight from them.  The
@@ -8,14 +8,6 @@ the square function of a function stored at depth ``d`` one level up, on
 the ``2^(d − 1)`` sibling pairs; the depth-``d`` oracle evaluates it by the
 ancestor matrix on the level-``d`` cubes, where sibling values differ by
 rounding only, so the rows agree to 1e-13 relative.
-
-``equivalence_scaffold`` reads every candidate set off one descending order
-of ``S(fσ)`` on the level-``(L − 1)`` cubes by prefix sums.  Its oracle builds
-one mask per level set of the matrix ``S(fσ)`` and sums under it.  With each
-sibling pair merged into one cell, the set count is equal and ``n2_sq`` and
-the pairing supremum agree up to rounding.  On the finest cells the matrix
-splits a pair whenever its two values round apart, which adds candidate sets:
-there only ``n2_sq`` and the consistency verdict are pinned.
 
 The scans draw the corpus lazily from ``operators._corpus_stream`` through
 ``ordered_map``, which takes one item per free worker: the stream must yield
@@ -37,7 +29,6 @@ import pytest
 from helpers import (
     TABULATED_NATIVE_DEPTH,
     oracle_depth_d_rows,
-    oracle_equivalence_scaffold,
     oracle_natural_depth_rows,
     seeded_tabulated_weights,
 )
@@ -45,7 +36,6 @@ from weightlab import (
     DyadicGrid,
     PowerWeight,
     empirical_weak_operator_norm,
-    equivalence_scaffold,
     function_corpus,
     ordered_map,
     unit_weight,
@@ -98,65 +88,6 @@ def test_empty_weight_list_and_empty_corpus():
     assert empirical_weak_operator_norm([], grid) == []
     weights = [unit_weight(), PowerWeight(-0.25)]
     assert empirical_weak_operator_norm(weights, grid, corpus=[]) == [(0.0, []), (0.0, [])]
-
-
-def _scaffold_functions(grid):
-    rng = np.random.default_rng(63)
-    quarter = np.zeros(grid.n_cells)
-    quarter[: grid.n_cells // 4] = 1.0
-    sparse = np.where(rng.random(grid.n_cells) < 0.05, rng.standard_normal(grid.n_cells), 0.0)
-    return [
-        np.ones(grid.n_cells),  # S(fσ) = 0 for the unit weight: one tested set
-        quarter,
-        np.abs(rng.standard_normal(grid.n_cells)) + 0.1,
-        rng.standard_normal(grid.n_cells),
-        sparse,
-        np.zeros(grid.n_cells),
-    ]
-
-
-def _scaffold_weights(depth):
-    return [unit_weight(), PowerWeight(-0.25), PowerWeight(0.375),
-            *seeded_tabulated_weights(2, depth=min(depth, TABULATED_NATIVE_DEPTH))]
-
-
-@pytest.mark.parametrize("depth", (6, 10, 12))
-def test_scaffold_matches_the_mask_oracle(depth):
-    grid = DyadicGrid(depth)
-    for w in _scaffold_weights(depth):
-        for f in _scaffold_functions(grid):
-            got = equivalence_scaffold(f, w, grid)
-            want = oracle_equivalence_scaffold(f, w, grid, pairs=True)
-            assert abs(got.n2_sq - want.n2_sq) <= 1e-13 * want.n2_sq
-            assert got.tested_sets == want.tested_sets
-            assert abs(got.pairing_sup - want.pairing_sup) <= 1e-13 * abs(want.pairing_sup)
-            assert got.consistent_within_16 == want.consistent_within_16
-
-
-@pytest.mark.parametrize("depth", (6, 10, 12))
-def test_scaffold_weak_norm_matches_the_depth_d_oracle(depth):
-    grid = DyadicGrid(depth)
-    for w in _scaffold_weights(depth):
-        for f in _scaffold_functions(grid):
-            got = equivalence_scaffold(f, w, grid)
-            want = oracle_equivalence_scaffold(f, w, grid)
-            assert abs(got.n2_sq - want.n2_sq) <= 1e-13 * want.n2_sq
-            assert got.tested_sets <= want.tested_sets
-            assert got.consistent_within_16 == want.consistent_within_16
-
-
-def test_scaffold_memory_is_linear():
-    grid = DyadicGrid(16)  # one mask per level set would hold 2**16 masks of 2**16 bools
-    f = np.abs(np.random.default_rng(64).standard_normal(grid.n_cells)) + 0.1
-    w = PowerWeight(-0.25)
-    tracemalloc.start()
-    try:
-        scaffold = equivalence_scaffold(f, w, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert scaffold.tested_sets > 1000 and scaffold.consistent_within_16
-    assert peak <= 10 * (1 << 20), peak / (1 << 20)
 
 
 @pytest.mark.parametrize(

@@ -273,6 +273,37 @@ class TestGoodSet:
         with pytest.raises(ConfigError, match="not finite"):
             build_good_set(f, unit_weight(), grid6, 1.0, [DyadicCube(0, 0)])
 
+    def test_function_with_an_underflowing_norm_rejected(self, grid6):
+        # f² = 1e-400 is below the double range: f is not 0, but its norm reads 0
+        f = np.full(grid6.n_cells, 1e-200)
+        with pytest.raises(ConfigError, match="underflows to 0"):
+            build_good_set(f, unit_weight(), grid6, 1.0, [DyadicCube(0, 0)])
+        with pytest.raises(ConfigError, match="underflows to 0"):
+            default_trace_family(f, unit_weight(), grid6, 1.0)
+
+    def test_partly_zero_function_with_an_underflowing_norm_is_not_called_zero(self, grid6):
+        # one cell of 1e-200 and the rest 0: f is not 0, so the refusal names the underflow
+        f = np.zeros(grid6.n_cells)
+        f[5] = 1e-200
+        with pytest.raises(ConfigError, match="underflows to 0"):
+            build_good_set(f, PowerWeight(-0.25), grid6, 1.0, [DyadicCube(0, 0)])
+
+    def test_small_function_with_a_representable_norm_is_traced(self, grid6):
+        # f² = 1e-300 is still a normal double: the norm check lets f through
+        f = np.full(grid6.n_cells, 1e-150)
+        family = default_trace_family(f, unit_weight(), grid6, 1.0)
+        gs = build_good_set(f, unit_weight(), grid6, 1.0, family)
+        assert gs.good_fraction >= 0.75 * (1 - 1e-12)
+
+    def test_default_family_checks_the_norm_before_the_moments(self, grid6):
+        # |f|^1.5 = 1e375 would overflow (an error under this suite's warning
+        # filter) had the norm check not refused f first
+        f = np.full(grid6.n_cells, 1e250)
+        with pytest.raises(ConfigError, match="not finite"):
+            default_trace_family(f, unit_weight(), grid6, 1.5)
+        with pytest.raises(ZeroFunctionError):
+            default_trace_family(np.zeros(grid6.n_cells), unit_weight(), grid6, 1.0)
+
     def test_empty_good_region_rejected(self, grid6):
         with pytest.raises(EmptyGoodSetError):
             build_good_set(
