@@ -46,9 +46,10 @@ from .operators import (
     strong_lp_norm,
     weak_lp_norm,
 )
-from .profiles import ExponentProfile
+from .profiles import SLACK, ExponentProfile
 from .sparse import SparseFamily, build_sparse_cz, sparse_form, verify_sparsity
 from .tracer import (
+    GOOD_FRACTION_TARGET,
     ProofTrace,
     default_trace_family,
     percube_ap_holder_scan,
@@ -70,9 +71,11 @@ __all__ = [
     "DyadicCube",
     "DyadicGrid",
     "ExponentProfile",
+    "GOOD_FRACTION_TARGET",
     "LevelOverflowError",
     "PowerWeight",
     "ProofTrace",
+    "SLACK",
     "SparseFamily",
     "SparsityViolationError",
     "TabulatedWeight",

@@ -24,6 +24,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .grid import DyadicCube, DyadicGrid, heap_levels, id_cubes
+from .profiles import SLACK
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
@@ -164,8 +165,8 @@ def check_factorization(
         aq=aq,
         rh_s=rh_s,
         combined=combined,
-        lower_ok=lower <= combined * (1.0 + 1e-12),
-        upper_ok=combined <= upper * (1.0 + 1e-12),
+        lower_ok=lower <= combined * (1.0 + SLACK),
+        upper_ok=combined <= upper * (1.0 + SLACK),
     )
 
 

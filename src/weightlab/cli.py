@@ -32,13 +32,11 @@ from .errors import ConfigError, SparsityViolationError, WeightlabError
 from .gehring import epsilon_range, random_subset_checks, sharp_rh_levels
 from .grid import DyadicGrid
 from .operators import _corpus_stream, _norm_exponent, empirical_weak_operator_norm
-from .profiles import ExponentProfile
+from .profiles import SLACK, ExponentProfile
 from .serialize import dump_json, write_csv, write_text
 from .sparse import SparseFamily, sparse_form, verify_sparsity
-from .tracer import ProofTrace, default_trace_family, trace_proof
+from .tracer import GOOD_FRACTION_TARGET, ProofTrace, default_trace_family, trace_proof
 from .weights import PowerWeight, TabulatedWeight, Weight, unit_weight
-
-RATIO_SLACK = 1.0 + 1e-12
 
 
 # --- shared argument plumbing ----------------------------------------------------------
@@ -176,7 +174,7 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     n_rows = write_csv(columns, blocks(), args.csv)
     print(f"verify-gehring: {n_rows} checks, epsilon_max={eps_max!r}, "
           f"worst ratio={worst!r}", file=sys.stderr)
-    return 0 if worst <= RATIO_SLACK else 1
+    return 0 if worst <= 1.0 + SLACK else 1
 
 
 # --- sparse-form ------------------------------------------------------------------------
@@ -243,15 +241,15 @@ def _cmd_weak_norm(args: argparse.Namespace) -> int:
 def _trace_gates(trace: ProofTrace) -> List[str]:
     """Hard inequalities every valid trace must satisfy; returns failures."""
     failures: List[str] = []
-    if trace.good_fraction < 0.75 * (1.0 - 1e-12):
+    if trace.good_fraction < GOOD_FRACTION_TARGET * (1.0 - SLACK):
         failures.append(f"good-set fraction {trace.good_fraction!r} below 3/4")
-    if trace.worst_average_ratio > RATIO_SLACK:
+    if trace.worst_average_ratio > 1.0 + SLACK:
         failures.append(
             f"average-comparison ratio {trace.worst_average_ratio!r} above 1"
         )
-    if trace.worst_bin_min_ratio > RATIO_SLACK:
+    if trace.worst_bin_min_ratio > 1.0 + SLACK:
         failures.append(f"bin cap ratio {trace.worst_bin_min_ratio!r} above 1")
-    if trace.worst_mass_ratio > RATIO_SLACK:
+    if trace.worst_mass_ratio > 1.0 + SLACK:
         failures.append(f"layer-counting ratio {trace.worst_mass_ratio!r} above 1")
     if trace.clamped.size:
         failures.append(f"{len(trace.clamped)} cubes needed bin clamping")

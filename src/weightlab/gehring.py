@@ -40,7 +40,7 @@ import numpy as np
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
 from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages
-from .profiles import GehringProfile, admissible_epsilon, check_q0_star
+from .profiles import SLACK, GehringProfile, admissible_epsilon, check_q0_star
 from .weights import PowerWeight, Weight, measure, pow_weight
 
 
@@ -79,7 +79,7 @@ class InequalityCheck:
 
     @property
     def passed(self) -> bool:
-        return self.ratio <= 1.0 + 1e-12
+        return self.ratio <= 1.0 + SLACK
 
 
 def sharp_rh_levels(
@@ -250,7 +250,7 @@ def max_epsilon_empirical(
             )
 
     # the kernel normalises by the constant 2; rescale to `factor`.
-    threshold = (factor / 2.0) * (1.0 + 1e-12)
+    threshold = (factor / 2.0) * (1.0 + SLACK)
     log_threshold = math.log(threshold) if threshold > 0.0 else math.nan
     points: Dict[float, float] = {}  # t -> log worst, from the kernel passes
 

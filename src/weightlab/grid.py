@@ -198,12 +198,12 @@ def id_cell_ranges(ids: np.ndarray, depth: int) -> Tuple[np.ndarray, np.ndarray]
     return indices << shift, (indices + 1) << shift
 
 
-def ancestor_hits(ids: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def ancestor_hits(ids: np.ndarray) -> Iterator[np.ndarray]:
     """Walk ascending, duplicate-free heap ids up the tree a generation a step.
 
-    Step ``u`` yields ``(hit, pos)``: ``hit[j]`` says whether the cube ``u``
-    levels above cube ``j`` is in the set, and then it is ``ids[pos[j]]``.
-    At most ``L`` steps of one binary search per cube: ``O(n·L)`` searches.
+    Step ``u`` yields the mask ``hit``: ``hit[j]`` says whether the cube ``u``
+    levels above cube ``j`` is in the set.  At most ``L`` steps of one binary
+    search per cube: ``O(n·L)`` searches.
     """
     if ids.size == 0:
         return
@@ -211,7 +211,17 @@ def ancestor_hits(ids: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     for _ in range(int(split_ids(ids[-1:])[0][0])):
         up = (up - 1) >> 1  # the root's parent is -1, which never hits
         pos = np.minimum(np.searchsorted(ids, up), ids.size - 1)
-        yield ids[pos] == up, pos
+        yield ids[pos] == up
+
+
+def ancestor_max(heap: np.ndarray) -> np.ndarray:
+    """Per finest cell, the largest value of a per-cube heap over the cell's
+    ancestors, taken top-down one level at a time."""
+    levels = heap_levels(heap)
+    m = levels[0]
+    for vals in levels[1:]:
+        m = np.maximum(np.repeat(m, 2), vals)
+    return m
 
 
 def heap_levels(heap: np.ndarray) -> List[np.ndarray]:

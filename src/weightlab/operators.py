@@ -5,8 +5,6 @@
   it satisfies the exact Plancherel identity
   ``‖Sf‖²_{L²(dx)} = ‖f‖²_{L²(dx)} − ⟨f⟩²`` on the finite grid.  Siblings
   share every jump (the last is ``±(a − b)/2``), so ``Sf`` lives one level up.
-* :func:`maximal_p0` — the dyadic L^{p0}-average maximal function, optionally
-  restricted to a given cube collection (0 where no cube covers the point).
 * :func:`maximal_weighted` — the maximal function of w-averages
   ``sup_Q (1/w(Q)) ∫_Q |g| w``; its weak (1,1) bound holds with constant 1.
 * :func:`weak_lp_norm` / :func:`strong_lp_norm` — exact L^{p,∞}(w) and
@@ -30,8 +28,8 @@ import numpy as np
 
 from ._parallel import ordered_map
 from .errors import WrongLengthError
-from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages, tree_totals
-from .weights import Weight, composed_moment_cells
+from .grid import DyadicCube, DyadicGrid, ancestor_max, heap_levels, to_averages, tree_totals
+from .weights import Weight
 
 
 def square_function_from_cell_integrals(
@@ -147,45 +145,6 @@ def weak_lp_norm(
     return _weak_norm(lam, np.cumsum(cellw[order])[ends], p)
 
 
-def _ancestor_max(heap: np.ndarray) -> np.ndarray:
-    """Per finest cell, the largest value of a per-cube heap over the cell's
-    ancestors, taken top-down one level at a time."""
-    levels = heap_levels(heap)
-    m = levels[0]
-    for vals in levels[1:]:
-        m = np.maximum(np.repeat(m, 2), vals)
-    return m
-
-
-def maximal_p0(
-    f: Sequence[float] | np.ndarray,
-    grid: DyadicGrid,
-    p0: float = 1.0,
-    restriction: Optional[Sequence[DyadicCube] | np.ndarray] = None,
-    weight: Optional[Weight] = None,
-) -> np.ndarray:
-    """Dyadic maximal function of L^{p0} averages, per finest cell.
-
-    With ``weight`` given, the averaged function is the composition
-    ``|f|·weight`` (exact cell moments); with ``restriction`` given, the
-    supremum runs only over that cube collection (cubes or heap ids) and is 0
-    where no cube covers the cell.
-    """
-    p0 = float(p0)
-    if not p0 >= 1.0:
-        raise ValueError(f"maximal-function exponent must be >= 1, got {p0}")
-    if weight is not None:
-        moment_cells = composed_moment_cells(grid, f, weight, p0)
-    else:
-        moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    averages = to_averages(tree_totals(grid, moment_cells))
-    if restriction is not None:  # averages are >= 0, so zeroing a cube drops it
-        member = np.zeros(grid.cube_count, dtype=bool)
-        member[cube_ids(restriction, grid)] = True
-        averages = np.where(member, averages, 0.0)
-    return _ancestor_max(averages) ** (1.0 / p0)
-
-
 def maximal_weighted(
     g: Sequence[float] | np.ndarray, w: Weight, grid: DyadicGrid
 ) -> np.ndarray:
@@ -193,7 +152,7 @@ def maximal_weighted(
     gvals = np.abs(grid.check_values(g))
     den = w.pyramid(grid, 1.0)
     num = tree_totals(grid, gvals * heap_levels(den)[-1])
-    return _ancestor_max(np.divide(num, den, out=num))
+    return ancestor_max(np.divide(num, den, out=num))
 
 
 # --- test-function corpus ----------------------------------------------------------

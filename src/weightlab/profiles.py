@@ -40,6 +40,7 @@ from .errors import ConfigError, EpsilonOutOfRangeError
 from .weights import conjugate_exponent
 
 DIMENSIONAL_FACTOR = 4.0  # 2^(d+1) with d = 1
+SLACK = 1e-12  # relative rounding slack of every verified inequality
 
 
 def check_q0_star(q0_star: float) -> float:
@@ -65,12 +66,12 @@ def gamma_rate(
     """Self-improvement rate γ = ε/(q0*·(q0* + ε − 1)) for ``q0_star >= 1``.
 
     This is also the ε check: ``epsilon`` must be positive and finite, and
-    may exceed ``epsilon_max`` by at most 1e-12 relative."""
+    may exceed ``epsilon_max`` by at most ``SLACK`` relative."""
     if not q0_star >= 1.0:
         raise ConfigError(f"q0* must be >= 1, got {q0_star}")
     if not 0.0 < epsilon < math.inf:
         raise EpsilonOutOfRangeError(f"epsilon must be positive and finite, got {epsilon}")
-    if epsilon_max is not None and epsilon > epsilon_max * (1 + 1e-12):
+    if epsilon_max is not None and epsilon > epsilon_max * (1.0 + SLACK):
         raise EpsilonOutOfRangeError(
             f"epsilon {epsilon} exceeds the admissible maximum {epsilon_max}"
         )

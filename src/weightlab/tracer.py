@@ -6,7 +6,8 @@ replays the proof of the main quadratic estimate step by step and records
 the empirical constant of every step next to its proven envelope:
 
 1.  **Good subset.**  G' = G ∖ {M^A_{p0}(fσ) > T} where M^A is the maximal
-    function of L^{p0} averages restricted to the family and
+    function of L^{p0} averages restricted to the family, read from the same
+    pyramid of ``|fσ|^{p0}`` cube totals as the ⟨fσ⟩_{p0,Q} column below, and
     T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)} / w(G)^{1/2}.  K starts at 4 and
     doubles until w(G') ≥ ¾·w(G); the weak (2,∞) bound of the maximal
     function (constant 1 against [w]^{1/2}_{A_{2/p0}}) makes K = 4 enough.
@@ -51,11 +52,10 @@ from .characteristics import _sup_with_argmax, a_infty_fw, ap_constant, rh_const
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import (
-    DyadicCube, DyadicGrid, ancestor_hits, cube_ids, heap_levels, split_ids, to_averages,
-    tree_totals,
+    DyadicCube, DyadicGrid, ancestor_hits, ancestor_max, cube_ids, heap_levels, split_ids,
+    to_averages, tree_totals,
 )
-from .operators import maximal_p0
-from .profiles import ExponentProfile, GehringProfile
+from .profiles import SLACK, ExponentProfile, GehringProfile
 from .sparse import build_sparse_cz, paint_owner
 from .weights import (
     Weight,
@@ -256,7 +256,7 @@ def peel_layers(cubes: Sequence[DyadicCube] | np.ndarray) -> List[np.ndarray]:
     """
     unique = np.unique(cube_ids(cubes))
     layer = np.zeros(unique.size, dtype=np.int64)
-    for hit, _ in ancestor_hits(unique):
+    for hit in ancestor_hits(unique):
         layer += hit
     return [unique[rows] for rows in _group_rows(layer)]
 
@@ -283,6 +283,7 @@ class GoodSetResult:
     good_prime_mass: float
     f_norm_sq: float
     ap_char: float
+    p0_totals: np.ndarray  # read-only heap of ∫_Q |fσ|^{p0}, one total per cube
 
     @property
     def good_fraction(self) -> float:
@@ -302,6 +303,14 @@ def _traced_norm_sq(fvals: np.ndarray, sigma: Weight, grid: DyadicGrid) -> float
     return norm_sq
 
 
+def _restricted_maximal(p0_totals: np.ndarray, family_ids: np.ndarray, p0: float) -> np.ndarray:
+    """Per finest cell, the largest ⟨fσ⟩_{p0,Q} over the family cubes Q that
+    contain it (0 where none does), from the heap of ``|fσ|^{p0}`` totals."""
+    averages = np.zeros_like(p0_totals)  # averages are >= 0, so a zero drops a cube
+    averages[family_ids] = p0_totals[family_ids]
+    return ancestor_max(to_averages(averages)) ** (1.0 / p0)
+
+
 def build_good_set(
     f: Sequence[float] | np.ndarray,
     w: Weight,
@@ -313,8 +322,9 @@ def build_good_set(
     """Remove the cells where the family-restricted maximal function of fσ
     exceeds T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)}/w(G)^{1/2}, doubling K
     from 4 until the remainder keeps 3/4 of the weight mass of G, the mask
-    ``good_cells`` (default: every cell).  ``‖f‖²_{L²(σ)}`` must be nonzero
-    and finite."""
+    ``good_cells`` (default: every cell).  ``p0`` must lie in [1, 2) and
+    ``‖f‖²_{L²(σ)}`` must be nonzero and finite; the result keeps fσ's moment heap."""
+    p0 = ExponentProfile(float(p0), math.inf).p0  # checks 1 <= p0 < 2
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     f_norm_sq = _traced_norm_sq(fvals, sigma, grid)
@@ -327,14 +337,16 @@ def build_good_set(
         raise EmptyGoodSetError("the initial good set carries no weight mass")
 
     ap = ap_constant(w, 2.0 / p0, grid)
-    m_restricted = maximal_p0(fvals, grid, p0, restriction=family, weight=sigma)
+    p0_totals = tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0))
+    p0_totals.setflags(write=False)
+    m_restricted = _restricted_maximal(p0_totals, cube_ids(family, grid), p0)
 
     k = K_INITIAL
     for _ in range(MAX_K_DOUBLINGS):
         threshold = k * math.sqrt(ap) * f_norm / math.sqrt(good_mass)
         good_prime = good & (m_restricted <= threshold)
         good_prime_mass = float(np.sum(cellw, where=good_prime))
-        if good_prime_mass >= GOOD_FRACTION_TARGET * good_mass * (1.0 - 1e-12):
+        if good_prime_mass >= GOOD_FRACTION_TARGET * good_mass * (1.0 - SLACK):
             return GoodSetResult(
                 k_factor=k,
                 threshold=threshold,
@@ -343,6 +355,7 @@ def build_good_set(
                 good_prime_mass=good_prime_mass,
                 f_norm_sq=f_norm_sq,
                 ap_char=ap,
+                p0_totals=p0_totals,
             )
         k *= 2.0
     raise WeightlabError(  # pragma: no cover - the weak-type bound forbids this
@@ -383,10 +396,10 @@ def trace_proof(
     two_pow = 2.0 ** (1.0 / (geh.theta * q0s))
     rh_pow = rh ** (2.0 - geh.gamma)
 
-    # per-cube gathers from exact moment pyramids: fσ at p0, 1_{G'}·w at q0* and 1
-    p0_moments = composed_moment_cells(grid, fvals, sigma, p0)
+    # per-cube gathers from exact moment pyramids: the good set's fσ at p0, 1_{G'}·w at q0* and 1
+    p0_moments = heap_levels(gs.p0_totals)[-1]
     scale = np.ldexp(1.0, split_ids(family_ids)[0])
-    a1 = (tree_totals(grid, p0_moments)[family_ids] * scale) ** (1.0 / p0)
+    a1 = (gs.p0_totals[family_ids] * scale) ** (1.0 / p0)
     gp_q = tree_totals(grid, cellw * gs.good_prime)[family_ids]
     zero = gp_q <= 0.0
     overflow = ~zero & (a1 <= 0.0)
@@ -509,7 +522,7 @@ class PerCubeScan:
 
     @property
     def passed(self) -> bool:
-        return self.worst_ap_ratio <= 1.0 + 1e-12 and self.worst_holder_ratio <= 1.0 + 1e-12
+        return self.worst_ap_ratio <= 1.0 + SLACK and self.worst_holder_ratio <= 1.0 + SLACK
 
 
 def percube_ap_holder_scan(

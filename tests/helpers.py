@@ -35,11 +35,7 @@ from weightlab import (
 from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
-from weightlab.operators import (
-    OperatorNormRow,
-    maximal_p0,
-    square_function_from_cell_integrals,
-)
+from weightlab.operators import OperatorNormRow, square_function_from_cell_integrals
 from weightlab.profiles import GehringProfile, gamma_rate
 from weightlab.sparse import SparsityReport
 from weightlab.tracer import build_good_set
@@ -75,19 +71,7 @@ def standard_weight_corpus(n_tabulated: int = 20) -> List[Weight]:
     return corpus
 
 
-def weight_label(i: int, w: Weight) -> str:
-    return f"{i:02d}:{w.describe()}"
-
-
 # --- brute-force oracles ---------------------------------------------------------------
-
-
-def brute_cube_average(
-    grid: DyadicGrid, cell_values: np.ndarray, cube: DyadicCube
-) -> float:
-    """Average over a cube of a function given by per-cell values."""
-    start, stop = cube.cell_range(grid.depth)
-    return float(np.mean(cell_values[start:stop]))
 
 
 def brute_a_infty(w: Weight, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
@@ -135,6 +119,11 @@ def random_cellset(
     return rng.random(grid.n_cells) < density
 
 
+def every_cube(grid: DyadicGrid) -> List[DyadicCube]:
+    """Every dyadic cube of the grid, coarsest level first."""
+    return [DyadicCube(k, i) for k in range(grid.depth + 1) for i in range(1 << k)]
+
+
 def cube_mask(grid: DyadicGrid, cube: DyadicCube) -> np.ndarray:
     """Boolean mask of the finest cells of ``cube``."""
     start, stop = cube.cell_range(grid.depth)
@@ -161,10 +150,6 @@ def ranges_mask(grid: DyadicGrid, ranges: Sequence[Sequence[int]]) -> np.ndarray
     for start, stop in ranges:
         mask[start:stop] = True
     return mask
-
-
-def left_edge_cube(level: int) -> DyadicCube:
-    return DyadicCube(level, 0)
 
 
 def geometric_tail_partial(x: float, terms: int, weighted: bool = False) -> float:
@@ -634,7 +619,8 @@ def oracle_square_function_from_cell_integrals(
 def oracle_maximal_p0(
     f: np.ndarray, grid: DyadicGrid, p0: float, weight: Optional[Weight] = None
 ) -> np.ndarray:
-    """Unrestricted L^{p0} maximal function as the column maxima of the matrix."""
+    """Unrestricted L^{p0} maximal function of ``|f|`` (or of ``|f|·weight``)
+    as the column maxima of the matrix."""
     if weight is not None:
         moment_cells = composed_moment_cells(grid, f, weight, p0)
     else:
@@ -650,15 +636,11 @@ def oracle_restricted_maximal_p0(
     grid: DyadicGrid,
     p0: float,
     restriction: Sequence[DyadicCube],
-    weight: Optional[Weight] = None,
+    weight: Weight,
 ) -> np.ndarray:
-    """Restricted L^{p0} maximal function by a loop over the cubes, each
-    raising its cells to its average (0 where no cube covers a cell)."""
-    if weight is not None:
-        moment_cells = composed_moment_cells(grid, f, weight, p0)
-    else:
-        moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    totals = oracle_tree_totals(grid, moment_cells)
+    """Restricted L^{p0} maximal function of ``|f|·weight`` by a loop over the
+    cubes, each raising its cells to its average (0 where no cube covers a cell)."""
+    totals = oracle_tree_totals(grid, composed_moment_cells(grid, f, weight, p0))
     out = np.zeros(grid.n_cells, dtype=np.float64)
     for cube in restriction:
         avg = totals[cube.level][cube.index] * float(1 << cube.level)
@@ -867,19 +849,6 @@ def oracle_corpus_rows(w: Weight, grid: DyadicGrid, p: float, corpus) -> List[Op
     return rows
 
 
-def oracle_maximal_weak_constant(
-    w: Weight, grid: DyadicGrid, p0: float, ap_sqrt: float, corpus
-) -> float:
-    """Empirical maximal-function constant with every function on the finest cells."""
-    best = 0.0
-    for fn in corpus:
-        strong = strong_lp_norm(fn.values, w, grid, 2.0)
-        if strong > 0.0:
-            weak = weak_lp_norm(maximal_p0(fn.values, grid, p0), w, grid, 2.0)
-            best = max(best, weak / (ap_sqrt * strong))
-    return best
-
-
 # --- per-weight corpus scans ------------------------------------------------------------
 
 
@@ -915,23 +884,6 @@ def oracle_depth_d_rows(
         weak = weak_lp_norm(sf, w, grid, p, level=d)
         rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
     return max((row.ratio for row in rows), default=0.0), rows
-
-
-def oracle_natural_depth_maximal_constant(
-    w: Weight, grid: DyadicGrid, p0: float, ap_sqrt: float, corpus
-) -> float:
-    """Empirical maximal-function constant of one weight, each function at
-    its natural depth."""
-    ratios = []
-    for fn in corpus:
-        d = fn.depth
-        strong = strong_lp_norm(fn.cells, w, grid, 2.0, level=d)
-        if strong == 0.0:
-            ratios.append(0.0)
-            continue
-        weak = weak_lp_norm(maximal_p0(fn.cells, DyadicGrid(d), p0), w, grid, 2.0, level=d)
-        ratios.append(weak / (ap_sqrt * strong))
-    return max(ratios, default=0.0)
 
 
 # --- value files read a line at a time -----------------------------------------------------

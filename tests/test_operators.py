@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (
-    brute_weak_lp_norm,
-    oracle_maximal_weak_constant,
-    oracle_natural_depth_maximal_constant,
-    seeded_tabulated_weights,
-)
+from helpers import brute_weak_lp_norm, every_cube, oracle_maximal_p0, seeded_tabulated_weights
 from weightlab import (
     DyadicCube,
     DyadicGrid,
+    Weight,
     dyadic_square_function,
     empirical_weak_operator_norm,
     function_corpus,
@@ -24,7 +20,9 @@ from weightlab import (
     unit_weight,
     weak_lp_norm,
 )
-from weightlab.operators import _level_sets, maximal_p0
+from weightlab.grid import cube_ids
+from weightlab.operators import _level_sets
+from weightlab.tracer import _restricted_maximal, build_good_set
 
 
 class TestSquareFunction:
@@ -72,28 +70,38 @@ class TestSquareFunction:
         np.testing.assert_allclose(sf, 0.0, atol=1e-14)
 
 
+def _good_set_maximal(f, grid, family, p0=1.0):
+    """The family-restricted maximal function of ``f`` on the unit weight,
+    read from :func:`build_good_set`'s heap; G' is where it is at most T."""
+    gs = build_good_set(f, unit_weight(), grid, p0, family)
+    m = _restricted_maximal(gs.p0_totals, cube_ids(family, grid), p0)
+    assert np.array_equal(gs.good_prime, m <= gs.threshold)
+    return m
+
+
 class TestMaximalFunctions:
     def test_hand_example(self):
         g = DyadicGrid(2)
         f = np.array([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(maximal_p0(f, g), [1.0, 0.5, 0.25, 0.25])
+        np.testing.assert_allclose(_good_set_maximal(f, g, every_cube(g)), [1.0, 0.5, 0.25, 0.25])
 
     def test_p0_is_power_of_plain_maximal(self, grid6):
         rng = np.random.default_rng(31)
         f = rng.standard_normal(grid6.n_cells)
-        direct = maximal_p0(f, grid6, p0=1.5)
-        via_power = maximal_p0(np.abs(f) ** 1.5, grid6, p0=1.0) ** (1 / 1.5)
+        every = every_cube(grid6)
+        direct = _good_set_maximal(f, grid6, every, p0=1.5)
+        via_power = _good_set_maximal(np.abs(f) ** 1.5, grid6, every) ** (1 / 1.5)
         np.testing.assert_allclose(direct, via_power, rtol=1e-12)
 
     def test_restricted_to_root_is_global_average(self, grid6):
         rng = np.random.default_rng(32)
         f = np.abs(rng.standard_normal(grid6.n_cells))
-        got = maximal_p0(f, grid6, p0=1.0, restriction=[DyadicCube(0, 0)])
+        got = _good_set_maximal(f, grid6, [DyadicCube(0, 0)])
         np.testing.assert_allclose(got, np.mean(f), rtol=1e-12)
 
     def test_restriction_leaves_uncovered_cells_at_zero(self, grid6):
         f = np.ones(grid6.n_cells)
-        got = maximal_p0(f, grid6, p0=1.0, restriction=[DyadicCube(1, 0)])
+        got = _good_set_maximal(f, grid6, [DyadicCube(1, 0)])
         half = grid6.n_cells // 2
         np.testing.assert_allclose(got[:half], 1.0)
         np.testing.assert_allclose(got[half:], 0.0)
@@ -101,7 +109,7 @@ class TestMaximalFunctions:
     def test_dominates_the_function(self, grid6):
         rng = np.random.default_rng(33)
         f = rng.standard_normal(grid6.n_cells)
-        m = maximal_p0(f, grid6, p0=1.0)
+        m = _good_set_maximal(f, grid6, every_cube(grid6))
         assert np.all(m >= np.abs(f) - 1e-12)
 
     def test_weighted_maximal_unit_weight_matches_plain(self, grid6):
@@ -109,15 +117,18 @@ class TestMaximalFunctions:
         gvals = np.abs(rng.standard_normal(grid6.n_cells))
         np.testing.assert_allclose(
             maximal_weighted(gvals, unit_weight(), grid6),
-            maximal_p0(gvals, grid6, p0=1.0),
+            oracle_maximal_p0(gvals, grid6, 1.0),
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("p0", [0.5, 2.0, float("nan")])
+    def test_exponent_below_one_or_nan_rejected(self, grid6, p0, monkeypatch):
+        def no_moments(*args):
+            raise AssertionError("a moment was formed before the exponent check")
 
-    @pytest.mark.parametrize("p0", [0.5, float("nan")])
-    def test_exponent_below_one_or_nan_rejected(self, grid6, p0):
+        monkeypatch.setattr(Weight, "pyramid", no_moments)
         with pytest.raises(ValueError):
-            maximal_p0(np.ones(grid6.n_cells), grid6, p0)
+            build_good_set(np.ones(grid6.n_cells), unit_weight(), grid6, p0, [DyadicCube(0, 0)])
 
 
 class TestWeakNorm:
@@ -210,13 +221,3 @@ class TestOperatorNormScans:
         assert len(rows) == len(corpus)
         assert best == pytest.approx(max(r.ratio for r in rows))
         assert best >= 0.99  # atoms already give ratio ~ 1 for the unit weight
-
-    def test_maximal_constant_bounded_by_eight(self, grid6):
-        for w in [unit_weight()] + seeded_tabulated_weights(3):
-            from weightlab import ap_constant
-
-            ap_sqrt = ap_constant(w, 2.0, grid6) ** 0.5
-            corpus = function_corpus(grid6, n_random=8)
-            for constant in (oracle_maximal_weak_constant, oracle_natural_depth_maximal_constant):
-                c = constant(w, grid6, 1.0, ap_sqrt, corpus)
-                assert 0.0 < c <= 8.0

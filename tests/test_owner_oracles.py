@@ -47,7 +47,6 @@ from weightlab import (
 )
 from weightlab.errors import SubsetError
 from weightlab.grid import cube_ids
-from weightlab.operators import maximal_p0
 from weightlab.sparse import paint_owner
 from weightlab.tracer import build_good_set, peel_layers
 from weightlab.weights import composed_moment_cells
@@ -304,7 +303,6 @@ KERNELS = {
     "verify_sparsity": lambda cubes: verify_sparsity(
         SparseFamily(cubes, np.zeros(GRID4.n_cells)), GRID4
     ),
-    "maximal_p0": lambda cubes: maximal_p0(ONES4, GRID4, restriction=cubes),
     "build_good_set": lambda cubes: build_good_set(ONES4, unit_weight(), GRID4, 1.0, cubes),
     "trace_proof": lambda cubes: trace_proof(ONES4, unit_weight(), GRID4, P14, cubes),
     "paint_owner": lambda cubes: paint_owner(cubes, GRID4),
@@ -323,7 +321,7 @@ def test_a_cube_below_the_grid_raises_level_overflow(name, as_ids):
 @pytest.mark.parametrize("level,index", [(63, 0), (63, 1), (70, 5)])
 def test_a_cube_too_deep_for_an_int64_id_raises_level_overflow(level, index):
     deep = [DyadicCube(0, 0), DyadicCube(level, index)]
-    for name in ("maximal_p0", "trace_proof", "paint_owner"):
+    for name in ("build_good_set", "trace_proof", "paint_owner"):
         with pytest.raises(LevelOverflowError):
             KERNELS[name](deep)
     payload = [{"level": c.level, "index": c.index, "witness": []} for c in deep]

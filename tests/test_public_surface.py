@@ -20,7 +20,8 @@ import weightlab.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-ACCEPTANCE = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+TESTS = Path(__file__).parent
+ACCEPTANCE = (TESTS / "test_acceptance.py").read_text(encoding="utf-8")
 CLI = Path(weightlab.cli.__file__).read_text(encoding="utf-8")
 PERFBENCH = ROOT / "perfbench"
 
@@ -247,3 +248,24 @@ def test_cross_reference_check_rejects_dangling_names():
     assert not _resolves("equivalence_scaffold", operators)
     assert not _resolves("weightlab.operators.equivalence_scaffold", tracer)
     assert not _resolves("weightlab.no_such_module.name", tracer)
+
+
+def test_every_helper_is_used():
+    # a helper that no test reaches, directly or through other helpers, is
+    # dead code beside the oracles in use
+    helpers = ast.parse((TESTS / "helpers.py").read_text(encoding="utf-8"))
+    calls = {
+        node.name: {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+        for node in helpers.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached = set()
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name != "helpers.py":
+            reached |= set(re.findall(r"\w+", path.read_text(encoding="utf-8"))) & set(calls)
+    frontier = list(reached)
+    while frontier:
+        for name in (calls[frontier.pop()] & set(calls)) - reached:
+            reached.add(name)
+            frontier.append(name)
+    assert sorted(set(calls) - reached) == []

@@ -17,18 +17,19 @@ import numpy as np
 import pytest
 
 from helpers import (
+    every_cube,
     oracle_a_infty_fw_per_level,
     oracle_maximal_p0,
     oracle_maximal_weighted,
     oracle_restricted_maximal_p0,
     oracle_square_function_from_cell_integrals,
+    oracle_tree_totals,
     oracle_weak_lp_norm,
     seeded_tabulated_weights,
 )
 from weightlab import (
     DyadicCube,
     DyadicGrid,
-    LevelOverflowError,
     PowerWeight,
     default_trace_family,
     dual_weight,
@@ -40,8 +41,10 @@ from weightlab import (
     weak_lp_norm,
 )
 from weightlab.characteristics import a_infty_fw_per_level
-from weightlab.grid import cube_ids, heap_levels
-from weightlab.operators import maximal_p0, square_function_from_cell_integrals
+from weightlab.grid import cube_ids, heap_levels, tree_totals
+from weightlab.operators import square_function_from_cell_integrals
+from weightlab.tracer import _restricted_maximal, build_good_set
+from weightlab.weights import composed_moment_cells
 
 DEPTHS = (6, 8, 10)
 
@@ -112,10 +115,17 @@ def test_square_function_of_f_sigma_matches_matrix(w, depth):
 @pytest.mark.parametrize("p0", (1.0, 1.5))
 @pytest.mark.parametrize("w", [None] + WEIGHTS, ids=["unweighted"] + WEIGHT_IDS)
 def test_maximal_p0_matches_matrix(w, p0, depth):
+    # restricted to every cube, the good set's maximal function is the
+    # unrestricted one, which the matrix oracle forms independently
     grid = DyadicGrid(depth)
+    every = cube_ids(every_cube(grid), grid)
     for values in _corpus(grid):
+        if w is None:
+            moment_cells = np.abs(values) ** p0 * grid.cell_measure
+        else:
+            moment_cells = composed_moment_cells(grid, values, w, p0)
         assert np.array_equal(
-            maximal_p0(values, grid, p0, weight=w),
+            _restricted_maximal(tree_totals(grid, moment_cells), every, p0),
             oracle_maximal_p0(values, grid, p0, weight=w),
         )
 
@@ -123,7 +133,7 @@ def test_maximal_p0_matches_matrix(w, p0, depth):
 def _restrictions(values, w, grid, p0, rng):
     """The trace's stopping family for ``values``, a random draw of cubes
     with repeats, every cube, and no cube."""
-    every = [DyadicCube(k, i) for k in range(grid.depth + 1) for i in range(1 << k)]
+    every = every_cube(grid)
     drawn = [every[j] for j in rng.integers(0, len(every), size=3 * grid.depth)]
     return [default_trace_family(values, w, grid, p0), drawn + drawn[:5], every, []]
 
@@ -134,20 +144,30 @@ def _restrictions(values, w, grid, p0, rng):
 def test_restricted_maximal_p0_matches_cube_loop(w, p0, depth):
     grid = DyadicGrid(depth)
     rng = np.random.default_rng(depth)
+    w = w or unit_weight()
     for values in _corpus(grid)[-4:]:  # the last indicators and noise
-        for family in _restrictions(values, w or unit_weight(), grid, p0, rng):
+        totals = tree_totals(grid, composed_moment_cells(grid, values, w, p0))
+        for family in _restrictions(values, w, grid, p0, rng):
             assert np.array_equal(
-                maximal_p0(values, grid, p0, restriction=family, weight=w),
-                oracle_restricted_maximal_p0(
-                    values, grid, p0, id_cubes(cube_ids(family)), weight=w
-                ),
+                _restricted_maximal(totals, cube_ids(family, grid), p0),
+                oracle_restricted_maximal_p0(values, grid, p0, id_cubes(cube_ids(family)), w),
             )
 
 
-def test_restricted_maximal_p0_rejects_a_cube_below_the_grid():
-    grid = DyadicGrid(4)
-    with pytest.raises(LevelOverflowError):
-        maximal_p0(np.ones(grid.n_cells), grid, restriction=[DyadicCube(0, 0), DyadicCube(5, 3)])
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("p0", (1.0, 1.5))
+@pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
+def test_good_set_heap_matches_tree_oracle(w, p0, depth):
+    # the one pyramid of |fσ|^{p0} totals that the good set and the bins read
+    grid = DyadicGrid(depth)
+    sigma = dual_weight(w, 2.0)
+    for values in _corpus(grid)[-4:]:
+        gs = build_good_set(values, w, grid, p0, [DyadicCube(0, 0)])
+        assert not gs.p0_totals.flags.writeable
+        _assert_levels_equal(
+            heap_levels(gs.p0_totals),
+            oracle_tree_totals(grid, composed_moment_cells(grid, values, sigma, p0)),
+        )
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

@@ -9,11 +9,14 @@ may round differently from Python's) and every bin sum within 1e-14.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import weightlab
 from helpers import oracle_trace_proof, seeded_tabulated_weights
 from weightlab import (
     DyadicCube,
@@ -125,3 +128,34 @@ def test_cz_family_and_trace_build_no_cube(monkeypatch):
                 default_trace_family(f, w, grid, 1.25))
     assert len(family) > 100 and trace.bins
     assert built == []
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the function ``name`` through each module's binding."""
+    modules = [importlib.import_module(f"weightlab.{m.name}")
+               for m in pkgutil.iter_modules(weightlab.__path__)]
+    calls = []
+    original = getattr(weightlab.weights, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_trace_forms_the_f_sigma_pyramid_once(monkeypatch):
+    # the good set's heap of |fσ|^{p0} totals is the one the bins read.  A
+    # power weight's pyramids are closed form, so the trees left are fσ's
+    # moments and the bins' w(G'∩Q), w(Q) and ∫_Q 1_{G'} w^{q0*}
+    grid = DyadicGrid(8)
+    f = np.random.default_rng(8).standard_normal(grid.n_cells)
+    family = build_sparse_cz(np.abs(f), grid).ids
+    moments = _count_calls(monkeypatch, "composed_moment_cells")
+    trees = _count_calls(monkeypatch, "tree_totals")
+    trace = trace_proof(f, PowerWeight(-0.25), grid, ExponentProfile(p0=1.25, q0=4.0), family)
+    assert trace.bins
+    assert (len(moments), len(trees)) == (1, 4)
