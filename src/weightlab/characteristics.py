@@ -2,9 +2,11 @@
 
 All suprema run over the finite family of dyadic cubes of the grid (levels 0
 through ``depth``), so every value here is a *dyadic* characteristic at the
-stated resolution; it is nondecreasing in the depth. Argmax cubes are the
-first maximum in heap order: ties break toward the smaller level, then the
-smaller index, and a NaN cube (such as 0/0 after underflow) is skipped.
+stated resolution; it is nondecreasing in the depth. Each supremum walks the
+levels coarse to fine from the stored pyramids in two reused ``N``-double
+buffers, never a fresh averages heap. Argmax cubes are the first maximum in
+heap order: ties break toward the smaller level, then the smaller index, and a
+NaN cube (such as 0/0 after underflow) is skipped.
 
 Quantities (all per-cube averages exact):
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,77 +30,94 @@ from .profiles import SLACK
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
-def _sup(heap: np.ndarray) -> Tuple[float, int]:
-    """Supremum over a fresh heap of per-cube values and the heap id of the
-    first cube that attains it.  NaN cubes are skipped (set to ``-inf`` in place)."""
-    at = int(np.argmax(heap))
-    if np.isnan(heap[at]):  # argmax stops at the first NaN
-        np.copyto(heap, -math.inf, where=np.isnan(heap))
-        at = int(np.argmax(heap))
-    return float(heap[at]), at
+def _level_maxima(levels: Iterable[np.ndarray]) -> List[Tuple[float, int]]:
+    """Each level's first maximum and its heap id; NaN cubes are skipped (set to -inf in place)."""
+    maxima = []
+    for values in levels:
+        at = int(np.argmax(values))
+        if np.isnan(values[at]):  # argmax stops at the first NaN
+            np.copyto(values, -math.inf, where=np.isnan(values))
+            at = int(np.argmax(values))
+        maxima.append((float(values[at]), values.size - 1 + at))
+    return maxima
 
 
-def _sup_with_argmax(heap: np.ndarray) -> Tuple[float, DyadicCube]:
-    best, at = _sup(heap)
+def _sup_with_argmax(maxima: Sequence[Tuple[float, int]]) -> Tuple[float, DyadicCube]:
+    """The largest of the per-level maxima, listed coarse to fine, and its cube;
+    ``max`` keeps the first of equals, so ties go to the coarser level."""
+    best, at = max(maxima, key=lambda m: m[0])
     return best, id_cubes([at])[0]
 
 
-def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> np.ndarray:
-    """Heap of the A_p quantity ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1}."""
+def _power_levels(w: Weight, grid: DyadicGrid, t: float, s: float, op) -> Iterator[np.ndarray]:
+    """``op((⨍_Q w^t)^s, ⟨w⟩_Q)`` a level at a time, coarse to fine, in one ``N``-double
+    buffer and a second for ``⟨w⟩_Q``; a level-``k`` average is its total times ``2**k``."""
+    moments, means = heap_levels(w.pyramid(grid, t)), heap_levels(w.pyramid(grid, 1.0))
+    buf, mean_buf = np.empty(grid.n_cells), np.empty(grid.n_cells)
+    for k, n in enumerate(level.size for level in means):
+        out = np.multiply(moments[k], float(n), out=buf[:n])
+        with np.errstate(all="ignore"):
+            out **= s
+            op(out, np.multiply(means[k], float(n), out=mean_buf[:n]), out=out)
+        yield out
+
+
+def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
+    """Per-level first maxima, coarse to fine, of ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1} (A_p)."""
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"A_p characteristic needs p in (1, ∞), got {p}")
-    out = w.level_averages(grid, 1.0 - conjugate_exponent(p))
-    with np.errstate(all="ignore"):
-        out **= p - 1.0
-        out *= w.level_averages(grid, 1.0)
-    return out
+    return _level_maxima(_power_levels(w, grid, 1.0 - conjugate_exponent(p), p - 1.0, np.multiply))
 
 
 def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
-    return _sup(ap_per_level(w, p, grid))[0]
+    return max(value for value, _ in ap_per_level(w, p, grid))
 
 
-def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> np.ndarray:
-    """Heap of the RH_q quantity (⨍_Q w^q)^{1/q} / ⟨w⟩_Q."""
+def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
+    """Per-level first maxima, coarse to fine, of (⨍_Q w^q)^{1/q} / ⟨w⟩_Q (RH_q)."""
     q = float(q)
     if not q > 1.0:
         raise ValueError(f"RH_q characteristic needs q > 1, got {q}")
     if q == math.inf:  # w**inf would collapse the formula to 1/⟨w⟩_Q
         raise ValueError(f"RH_q characteristic needs a finite q, got {q}")
-    out = w.level_averages(grid, q)
-    with np.errstate(all="ignore"):
-        out **= 1.0 / q
-        out /= w.level_averages(grid, 1.0)
-    return out
+    return _level_maxima(_power_levels(w, grid, q, 1.0 / q, np.divide))
 
 
 def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
-    return _sup(rh_per_level(w, q, grid))[0]
+    return max(value for value, _ in rh_per_level(w, q, grid))
 
 
-def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> np.ndarray:
-    """Heap of (1/w(Q)) ∫_Q M(w·1_Q) over every cube Q.
+def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[np.ndarray]:
+    """(1/w(Q)) ∫_Q M(w·1_Q) a level at a time, fine to coarse, in one buffer.
 
     For a point x in Q, the restricted maximal function M(w·1_Q)(x) is the
     largest average ⟨w⟩_R over dyadic Q ⊇ R ∋ x, i.e. over the ancestors of
     x's finest cell down from level(Q). One per-cell running maximum, raised
     level by level from the finest cells to the root, yields all integrals in
-    O(depth · n_cells) time and O(n_cells) memory, in the averages' heap.
+    O(depth · n_cells) time and O(n_cells) memory.
     """
-    out = w.level_averages(grid, 1.0)
-    levels = heap_levels(out)
-    running = levels[-1].copy()  # M(w·1_Q) per cell, for Q at the current level
-    with np.errstate(all="ignore"):
-        for avg, mass in zip(levels[::-1], heap_levels(w.pyramid(grid, 1.0))[::-1]):
-            rows = running.reshape(avg.size, -1)
-            np.maximum(rows, avg[:, None], out=rows)
-            np.divide(rows.sum(axis=1) * grid.cell_measure, mass, out=avg)
-    return out
+    mass = heap_levels(w.pyramid(grid, 1.0))
+    running = mass[-1] * float(grid.n_cells)  # M(w·1_Q) per cell, for Q at the current level
+    buf = np.empty(grid.n_cells)
+    for k in range(grid.depth, -1, -1):
+        out = np.multiply(mass[k], float(1 << k), out=buf[: mass[k].size])  # ⟨w⟩_Q
+        rows = running.reshape(out.size, -1)
+        with np.errstate(all="ignore"):
+            np.maximum(rows, out[:, None], out=rows)
+            np.sum(rows, axis=1, out=out)
+            out *= grid.cell_measure
+            out /= mass[k]
+        yield out
+
+
+def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[Tuple[float, int]]:
+    """Per-level first maxima, coarse to fine, of (1/w(Q)) ∫_Q M(w·1_Q)."""
+    return _level_maxima(_a_infty_levels(w, grid))[::-1]
 
 
 def a_infty_fw(w: Weight, grid: DyadicGrid) -> float:
-    return _sup(a_infty_fw_per_level(w, grid))[0]
+    return max(value for value, _ in a_infty_fw_per_level(w, grid))
 
 
 # --- identity / relation checks ---------------------------------------------------

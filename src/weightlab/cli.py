@@ -35,7 +35,7 @@ from .operators import _corpus_stream, _norm_exponent, empirical_weak_operator_n
 from .profiles import SLACK, ExponentProfile
 from .serialize import dump_json, write_csv, write_text
 from .sparse import SparseFamily, sparse_form, verify_sparsity
-from .tracer import GOOD_FRACTION_TARGET, ProofTrace, default_trace_family, trace_proof
+from .tracer import GOOD_FRACTION_TARGET, ProofTrace, trace_proof
 from .weights import PowerWeight, TabulatedWeight, Weight, unit_weight
 
 
@@ -157,9 +157,8 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
 
     def blocks() -> Iterator[List[object]]:
         nonlocal worst
-        for eps in epsilons:  # the kernel runs finest first, the file coarse to fine
-            levels = list(sharp_rh_levels(w, q0s + eps, rh, grid))
-            for level, lhs, rhs, ratio in reversed(levels):
+        for eps in epsilons:
+            for level, lhs, rhs, ratio in sharp_rh_levels(w, q0s + eps, rh, grid):
                 worst = max(worst, float(ratio.max()))
                 yield ["self-improve", level, np.arange(lhs.size), eps, lhs, rhs, ratio]
         if args.subsets > 0:
@@ -266,8 +265,7 @@ def _cmd_trace_proof(args: argparse.Namespace) -> int:
         fvals = _read_value_file(args.f, grid, positive=False)
     else:
         fvals = np.ones(grid.n_cells, dtype=np.float64)
-    family = default_trace_family(fvals, w, grid, profile.p0, ratio=args.ratio)
-    trace = trace_proof(fvals, w, grid, profile, family, epsilon=args.epsilon)
+    trace = trace_proof(fvals, w, grid, profile, epsilon=args.epsilon, ratio=args.ratio)
     write_text(dump_json(trace.to_jsonable()), args.out)
     if args.csv is not None:
         columns = ["r", "s", "n_cubes", "quad_sum", "cap_via_mass", "cap_via_disjoint",
@@ -324,8 +322,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 bounds.rh_char, bounds.a_infty_char, bounds.q0_star, bounds.a_infty_pow_char
             )
             pinned = math.sqrt(bounds.ap_char * bounds.rh_char * pinned_eta)
-            family = default_trace_family(ones, w, grid, profile.p0)
-            trace = trace_proof(ones, w, grid, profile, family)
+            trace = trace_proof(ones, w, grid, profile)
             yield [float(alpha), grid.depth, bounds.ap_char, bounds.rh_char,
                    bounds.a_infty_char, bounds.epsilon, bounds.weak_bound, pinned,
                    bounds.strong_bound, empirical, trace.c0]

@@ -25,8 +25,7 @@ finite grid, for comparison with the proven range and with the conjectured
 scale ``c / [w]_{RH_q}^q``. It bisects on the moment ``t = q + ε``. The worst
 log ratio ``max_Q log r_Q(t)`` is convex in ``t`` (``log ⨍_Q w^t`` is convex by
 Hölder, the rest is affine), so the chords and secants of earlier kernel passes
-decide most probes, and :func:`sharp_rh_levels` runs only on the probes they
-leave open.
+decide most probes, and the kernel runs only on the probes they leave open.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def sharp_rh_levels(
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Both sides of the sharp reverse Hölder inequality at moment ``t`` on every cube.
 
-    Yields ``(level, lhs, rhs, ratio)`` one level at a time, finest first, with
+    Yields ``(level, lhs, rhs, ratio)`` one level at a time, coarse to fine, with
     ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t`` and ``ratio = lhs/rhs`` indexed
     by cube. The moment heap at ``t`` comes from :meth:`Weight.cube_totals`, not
     cached on ``w`` (ε scans use each ``t`` once); ``lhs`` is a view of it.
@@ -95,19 +94,35 @@ def sharp_rh_levels(
     a ratio that is not a number (both sides 0 or both inf, after underflow or
     overflow) and an infinite ``rhs``, as when ``rh^t`` overflows.
     """
+    return _sharp_rh_sides(w, t, rh, grid, in_place=False)
+
+
+def _sharp_rh_sides(
+    w: Weight, t: float, rh: float, grid: DyadicGrid, in_place: bool
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`sharp_rh_levels`; in place, ``rhs`` reuses a buffer, ``ratio`` overwrites ``lhs``."""
     t = float(t)
     moments = heap_levels(to_averages(w.cube_totals(grid, t)))
     means = heap_levels(w.pyramid(grid, 1.0))
     factor = 2.0 * _power(rh, t)
-    for k in range(grid.depth, -1, -1):
-        lhs, rhs = moments[k], means[k] * float(1 << k)
+    scratch = np.empty(grid.n_cells) if in_place else None
+    for k, lhs in enumerate(moments):
+        rhs = np.multiply(means[k], float(1 << k), out=scratch[: lhs.size] if in_place else None)
+        ratio = lhs if in_place else np.empty_like(lhs)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             np.power(rhs, t, out=rhs)
             rhs *= factor
-            ratio = lhs / rhs
-        ratio[np.isnan(ratio)] = np.inf
-        ratio[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
+            np.divide(lhs, rhs, out=ratio)
+        if math.isnan(ratio.max()) or not rhs.max() < math.inf:  # a cube is unverified
+            ratio[np.isnan(ratio)] = np.inf
+            ratio[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
         yield k, lhs, rhs, ratio
+
+
+def _worst_ratio(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
+    """The probe: the largest ratio of :func:`sharp_rh_levels` over every cube,
+    taken in place, in the once-used moment heap and one ``N``-double buffer."""
+    return max(float(ratio.max()) for *_, ratio in _sharp_rh_sides(w, t, rh, grid, True))
 
 
 def sharp_rh_max_ratio(
@@ -115,10 +130,8 @@ def sharp_rh_max_ratio(
 ) -> float:
     """max over ALL dyadic cubes of the ratio of :func:`sharp_rh_levels` at
     moment ``q0* + ε``, with ``[w]_{RH_{q0*}}`` on this grid."""
-    q0_star = float(q0_star)
     rh = rh_constant(w, q0_star, grid)
-    levels = sharp_rh_levels(w, q0_star + float(epsilon), rh, grid)
-    return max(float(ratio.max()) for *_, ratio in levels)
+    return _worst_ratio(w, float(q0_star) + float(epsilon), rh, grid)
 
 
 def _subset_sides(
@@ -229,16 +242,16 @@ def max_epsilon_empirical(
     :func:`sharp_rh_levels` is at most ``factor/2`` (up to the ``1e-12``
     slack of every verifier). The worst log ratio ``F(t) = max_Q log r_Q(t)``
     is convex in ``t``, for tabulated and power weights alike: ``log ⨍_Q w^t``
-    is convex by Hölder and the rest of ``log r_Q(t)`` is affine. So the
-    kernel runs only on a probe that :func:`_convexity_verdict` cannot decide
-    from the values of ``F`` at earlier kernel passes; a pass whose worst
-    ratio is not finite and positive fails and adds no point. The probes and
-    their answers are the plain bisection's, so the result is too, bit for
-    bit. The search domain is capped by moment admissibility (for power
-    weights ``x^α`` with α < 0 the moment p+ε must keep α(p+ε) > −1); a hit
-    of the cap is reported, not an error, and a search in which not even the
-    smallest probe passes reports ``epsilon_empirical = 0.0``. Reported
-    alongside: the proven range and the conjectured scale ``1/[w]_{RH_p}^p``.
+    is convex by Hölder and the rest of ``log r_Q(t)`` is affine. So the probe
+    :func:`_worst_ratio` runs only where :func:`_convexity_verdict` cannot decide
+    from the values of ``F`` at earlier probe passes; a pass whose worst ratio
+    is not finite and positive fails and adds no point. The probes and their
+    answers are the plain bisection's, so the result is too, bit for bit. The
+    search domain is capped by moment admissibility (for power weights ``x^α``
+    with α < 0 the moment p+ε must keep α(p+ε) > −1); a hit of the cap is
+    reported, not an error, and a search in which not even the smallest probe
+    passes reports ``epsilon_empirical = 0.0``. Reported alongside: the proven
+    range and the conjectured scale ``1/[w]_{RH_p}^p``.
     """
     p = check_q0_star(p)
     cap = hard_cap
@@ -259,7 +272,7 @@ def max_epsilon_empirical(
         verdict = _convexity_verdict(points, t, log_threshold)
         if verdict is not None:
             return verdict
-        worst = max(float(ratio.max()) for *_, ratio in sharp_rh_levels(w, t, rh, grid))
+        worst = _worst_ratio(w, t, rh, grid)
         if 0.0 < worst < math.inf:
             points[t] = math.log(worst)
         return worst <= threshold

@@ -138,8 +138,13 @@ def tree_totals(grid: DyadicGrid, values: Sequence[float] | np.ndarray) -> np.nd
     exactly additive).
     """
     heap = np.empty(grid.cube_count, dtype=np.float64)
+    heap_levels(heap)[-1][...] = grid.check_values(values)
+    return _sum_pairs(heap)
+
+
+def _sum_pairs(heap: np.ndarray) -> np.ndarray:
+    """Fill a heap's coarser levels from its finest one, in place, child pair by pair."""
     levels = heap_levels(heap)
-    levels[-1][...] = grid.check_values(values)
     for parent, child in zip(levels[-2::-1], levels[:0:-1]):
         np.add(child[0::2], child[1::2], out=parent)
     return heap

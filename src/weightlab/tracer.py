@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import _sup_with_argmax, a_infty_fw, ap_constant, rh_constant
+from .characteristics import _level_maxima, _sup_with_argmax, a_infty_fw, ap_constant, rh_constant
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import (
@@ -284,6 +284,7 @@ class GoodSetResult:
     f_norm_sq: float
     ap_char: float
     p0_totals: np.ndarray  # read-only heap of ∫_Q |fσ|^{p0}, one total per cube
+    family_ids: np.ndarray  # heap ids of the family the maximal function ran over
 
     @property
     def good_fraction(self) -> float:
@@ -316,19 +317,25 @@ def build_good_set(
     w: Weight,
     grid: DyadicGrid,
     p0: float,
-    family: Sequence[DyadicCube] | np.ndarray,
+    family: Optional[Sequence[DyadicCube] | np.ndarray] = None,
     good_cells: Optional[np.ndarray] = None,
+    ratio: float = 2.0,
 ) -> GoodSetResult:
     """Remove the cells where the family-restricted maximal function of fσ
     exceeds T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)}/w(G)^{1/2}, doubling K
     from 4 until the remainder keeps 3/4 of the weight mass of G, the mask
     ``good_cells`` (default: every cell).  ``p0`` must lie in [1, 2) and
-    ``‖f‖²_{L²(σ)}`` must be nonzero and finite; the result keeps fσ's moment heap."""
+    ``‖f‖²_{L²(σ)}`` must be nonzero and finite; the result keeps fσ's moment heap.
+    Without a family, :func:`default_trace_family`'s at ``ratio`` is read from that heap."""
     p0 = ExponentProfile(float(p0), math.inf).p0  # checks 1 <= p0 < 2
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     f_norm_sq = _traced_norm_sq(fvals, sigma, grid)
     f_norm = math.sqrt(f_norm_sq)
+    p0_totals = tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0))
+    p0_totals.setflags(write=False)
+    family_ids = (_stopping_family(heap_levels(p0_totals)[-1], grid, ratio) if family is None
+                  else cube_ids(family, grid))
 
     good = good_cells if good_cells is not None else np.ones(grid.n_cells, dtype=bool)
     cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
@@ -337,9 +344,7 @@ def build_good_set(
         raise EmptyGoodSetError("the initial good set carries no weight mass")
 
     ap = ap_constant(w, 2.0 / p0, grid)
-    p0_totals = tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0))
-    p0_totals.setflags(write=False)
-    m_restricted = _restricted_maximal(p0_totals, cube_ids(family, grid), p0)
+    m_restricted = _restricted_maximal(p0_totals, family_ids, p0)
 
     k = K_INITIAL
     for _ in range(MAX_K_DOUBLINGS):
@@ -356,6 +361,7 @@ def build_good_set(
                 f_norm_sq=f_norm_sq,
                 ap_char=ap,
                 p0_totals=p0_totals,
+                family_ids=family_ids,
             )
         k *= 2.0
     raise WeightlabError(  # pragma: no cover - the weak-type bound forbids this
@@ -368,23 +374,26 @@ def trace_proof(
     w: Weight,
     grid: DyadicGrid,
     profile: ExponentProfile,
-    family: Sequence[DyadicCube] | np.ndarray,
+    family: Optional[Sequence[DyadicCube] | np.ndarray] = None,
     good_cells: Optional[np.ndarray] = None,
     epsilon: Optional[float] = None,
+    ratio: float = 2.0,
 ) -> ProofTrace:
-    """Run the full pigeonhole trace; see the module docstring for the steps.
-    The family is a cube sequence or an array of heap ids."""
+    """Run the full pigeonhole trace; see the module docstring for the steps. The family
+    is a cube sequence or an array of heap ids, by default :func:`default_trace_family`'s."""
     if not math.isfinite(profile.q0):
         raise ConfigError("the trace needs a finite upper window exponent")
     p0 = profile.p0
     q0s = profile.q0_star
-    family_ids = np.unique(cube_ids(family, grid))
-    if family_ids.size == 0:
-        raise ConfigError("the traced cube family is empty")
+    if family is not None:
+        family = np.unique(cube_ids(family, grid))
+        if family.size == 0:
+            raise ConfigError("the traced cube family is empty")
 
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
-    gs = build_good_set(f, w, grid, p0, family_ids, good_cells)
+    gs = build_good_set(f, w, grid, p0, family, good_cells, ratio)
+    family_ids = gs.family_ids
     ap, f_norm_sq, good_prime_mass = gs.ap_char, gs.f_norm_sq, gs.good_prime_mass
 
     cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
@@ -502,9 +511,12 @@ def default_trace_family(
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     _traced_norm_sq(fvals, sigma, grid)
-    moments = composed_moment_cells(grid, fvals, sigma, p0)
-    effective = moments / grid.cell_measure
-    return build_sparse_cz(effective, grid, ratio=ratio).ids
+    return _stopping_family(composed_moment_cells(grid, fvals, sigma, p0), grid, ratio)
+
+
+def _stopping_family(moments: np.ndarray, grid: DyadicGrid, ratio: float) -> np.ndarray:
+    """Heap ids of the stopping family of the cell averages of per-cell moments."""
+    return build_sparse_cz(moments / grid.cell_measure, grid, ratio=ratio).ids
 
 
 # --- exact per-cube steps -------------------------------------------------------------
@@ -555,7 +567,8 @@ def percube_ap_holder_scan(
 
     sigma_norm = sigma.level_averages(grid, phi)  # per-cube ⟨σ⟩_{L^φ}
     sigma_norm **= 1.0 / phi
-    worst_ap, worst_ap_cube = _sup_with_argmax(w.level_averages(grid, 1.0) * sigma_norm / ap)
+    ap_ratios = w.level_averages(grid, 1.0) * sigma_norm / ap
+    worst_ap, worst_ap_cube = _sup_with_argmax(_level_maxima(heap_levels(ap_ratios)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
         lhs **= profile.ap_index
@@ -563,7 +576,7 @@ def percube_ap_holder_scan(
         rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
         h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
     h_ratios[np.isnan(h_ratios)] = np.inf  # inf/inf after overflow: unverified
-    worst_h, worst_h_cube = _sup_with_argmax(h_ratios)
+    worst_h, worst_h_cube = _sup_with_argmax(_level_maxima(heap_levels(h_ratios)))
 
     return PerCubeScan(
         ap_char=ap,

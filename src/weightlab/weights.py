@@ -30,7 +30,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergentMomentError, WrongLengthError
-from .grid import DyadicCube, DyadicGrid, heap_levels, to_averages, tree_totals
+from .grid import DyadicCube, DyadicGrid, _sum_pairs, heap_levels, to_averages
 
 _PyramidKey = Tuple[int, float]
 
@@ -51,8 +51,8 @@ class Weight:
     def moment_admissible(self, t: float) -> bool:
         raise NotImplementedError
 
-    def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
-        """Exact per-cell integrals ``∫_cell w(x)**t dx`` (length 2**depth)."""
+    def cell_integrals(self, grid: DyadicGrid, t: float, out=None) -> np.ndarray:
+        """Exact per-cell integrals ``∫_cell w(x)**t dx`` (length 2**depth), or in ``out``."""
         raise NotImplementedError
 
     def power(self, s: float) -> "Weight":
@@ -90,8 +90,10 @@ class Weight:
         return pyr
 
     def cube_totals(self, grid: DyadicGrid, t: float) -> np.ndarray:
-        """Uncached :meth:`pyramid`: pairwise tree sums of the cell integrals."""
-        return tree_totals(grid, self.cell_integrals(grid, t))
+        """Uncached :meth:`pyramid`: tree sums of cell integrals formed in its finest level."""
+        heap = np.empty(grid.cube_count)
+        self.cell_integrals(grid, t, heap_levels(heap)[-1])
+        return _sum_pairs(heap)
 
     def level_averages(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """A fresh heap of ``⨍_Q w**t`` (cube averages of the t-th power)."""
@@ -142,9 +144,13 @@ class TabulatedWeight(Weight):
     def moment_admissible(self, t: float) -> bool:
         return True
 
-    def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
+    def cell_integrals(self, grid: DyadicGrid, t: float, out=None) -> np.ndarray:
+        out = np.empty(grid.n_cells) if out is None else out
+        out[...] = self._values_at(grid.depth)
         with np.errstate(over="ignore"):  # a power past the double range is inf
-            return self._values_at(grid.depth) ** (self._s * float(t)) * grid.cell_measure
+            out **= self._s * float(t)
+            out *= grid.cell_measure
+        return out
 
     def power(self, s: float) -> "TabulatedWeight":
         view = self._view(s)
@@ -222,8 +228,8 @@ class PowerWeight(Weight):
         right *= gap
         return out
 
-    def cell_integrals(self, grid: DyadicGrid, t: float) -> np.ndarray:
-        return self._levels(grid, t, np.empty(grid.n_cells))
+    def cell_integrals(self, grid: DyadicGrid, t: float, out=None) -> np.ndarray:
+        return self._levels(grid, t, np.empty(grid.n_cells) if out is None else out)
 
     def cube_totals(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """Every cube's integral from the antiderivative, not summed from cells."""

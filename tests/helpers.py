@@ -8,6 +8,7 @@ implementations are checked against independent arithmetic.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -550,6 +551,74 @@ def oracle_sup(per_level: List[np.ndarray]) -> Tuple[float, DyadicCube]:
     return best, DyadicCube(at_level, at_index)
 
 
+def oracle_ap_heap(w: Weight, p: float, grid: DyadicGrid) -> np.ndarray:
+    """Heap of the A_p quantity ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1}, from two fresh
+    averages heaps, in the same floating-point operations as the level walk."""
+    out = w.level_averages(grid, 1.0 - p / (p - 1.0))
+    with np.errstate(all="ignore"):
+        out **= p - 1.0
+        out *= w.level_averages(grid, 1.0)
+    return out
+
+
+def oracle_rh_heap(w: Weight, q: float, grid: DyadicGrid) -> np.ndarray:
+    """Heap of the RH_q quantity (⨍_Q w^q)^{1/q} / ⟨w⟩_Q, from two fresh averages heaps."""
+    out = w.level_averages(grid, q)
+    with np.errstate(all="ignore"):
+        out **= 1.0 / q
+        out /= w.level_averages(grid, 1.0)
+    return out
+
+
+def oracle_a_infty_heap(w: Weight, grid: DyadicGrid) -> np.ndarray:
+    """Heap of (1/w(Q)) ∫_Q M(w·1_Q): a per-cell running maximum raised from
+    the finest cells to the root, written over a fresh averages heap."""
+    out = w.level_averages(grid, 1.0)
+    levels = heap_levels(out)
+    running = levels[-1].copy()
+    with np.errstate(all="ignore"):
+        for avg, mass in zip(levels[::-1], heap_levels(w.pyramid(grid, 1.0))[::-1]):
+            rows = running.reshape(avg.size, -1)
+            np.maximum(rows, avg[:, None], out=rows)
+            np.divide(rows.sum(axis=1) * grid.cell_measure, mass, out=avg)
+    return out
+
+
+def oracle_level_maxima(levels: Iterable[np.ndarray]) -> List[Tuple[float, int]]:
+    """Each level's first largest non-NaN value and its heap id, ``-inf`` at the
+    level's first cube when every value is NaN."""
+    out = []
+    for vals in levels:
+        finite = np.where(np.isnan(vals), -math.inf, vals)
+        at = int(np.argmax(finite))
+        out.append((float(finite[at]), vals.size - 1 + at))
+    return out
+
+
+def oracle_heap_sup(heap: np.ndarray) -> Tuple[float, DyadicCube]:
+    """Supremum over a whole heap of per-cube values, NaN cubes skipped, and the
+    first cube in heap order that attains it."""
+    finite = np.where(np.isnan(heap), -math.inf, heap)
+    at = int(np.argmax(finite))
+    level = (at + 1).bit_length() - 1
+    return float(finite[at]), DyadicCube(level, at + 1 - (1 << level))
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` allocates at its peak above what is already held."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def oracle_power_levels(w: PowerWeight, grid: DyadicGrid, t: float) -> List[np.ndarray]:
     """Per-level cube integrals of ``x**(alpha*t)`` from the antiderivative, each
     level its own array, in the same floating-point operations as the library."""
@@ -726,7 +795,7 @@ def oracle_max_epsilon_empirical(
     """The ε search with one kernel pass per bisection probe: the same probes,
     in the same order, as ``max_epsilon_empirical``, each answered by running
     ``gehring.sharp_rh_levels`` (looked up on the module, so a test can count or
-    replace it for both searches alike)."""
+    replace it; the search's own probe is ``gehring._worst_ratio``)."""
     p = float(p)
     cap = hard_cap
     if isinstance(w, PowerWeight) and w.alpha < 0.0:

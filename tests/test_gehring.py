@@ -18,6 +18,7 @@ from helpers import (
     oracle_sharp_rh,
     seeded_tabulated_weights,
     standard_weight_corpus,
+    traced_peak,
 )
 from weightlab import (
     DyadicCube,
@@ -36,7 +37,6 @@ from weightlab import (
 )
 from weightlab.errors import SubsetError
 from weightlab.gehring import InequalityCheck, max_epsilon_empirical, verify_subset_bound
-from weightlab.grid import tree_totals
 from weightlab.profiles import DIMENSIONAL_FACTOR, GehringProfile
 
 
@@ -60,15 +60,20 @@ class TestEpsilonRange:
 
 def kernel_rows(w, t, rh, grid):
     """The kernel's cubes as ``(level, index, lhs, rhs, ratio)``, coarse to fine,
-    after checking that it yields every level once, finest first."""
+    after checking that it yields every level once, coarse to fine."""
     levels = list(sharp_rh_levels(w, t, rh, grid))
-    assert [k for k, *_ in levels] == list(range(grid.depth, -1, -1))
+    assert [k for k, *_ in levels] == list(range(grid.depth + 1))
     rows = []
-    for k, lhs, rhs, ratio in reversed(levels):
+    for k, lhs, rhs, ratio in levels:
         assert lhs.shape == rhs.shape == ratio.shape == (1 << k,)
         sides = zip(lhs.tolist(), rhs.tolist(), ratio.tolist())
         rows.extend((k, i, a, b, r) for i, (a, b, r) in enumerate(sides))
     return rows
+
+
+def kernel_worst(w, t, rh, grid):
+    """The largest ratio of :func:`sharp_rh_levels` over every cube."""
+    return max(float(ratio.max()) for *_, ratio in sharp_rh_levels(w, t, rh, grid))
 
 
 def assert_within_ulps(actual, expected, ulps):
@@ -120,6 +125,44 @@ class TestSharpReverseHolder:
         rows = oracle_sharp_rh(w, 2.0 + eps, rh_constant(w, 2.0, grid6), grid6)
         expected = max(ratio for *_, ratio in rows)
         assert_within_ulps(sharp_rh_max_ratio(w, 2.0, eps, grid6), expected, 4)
+
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_probe_is_the_kernels_worst_ratio(self, name):
+        grid = DyadicGrid(10)
+        w = ORACLE_WEIGHTS[name](10)
+        rh = rh_constant(w, 2.0, grid)
+        for t in (2.0, 2.0 + epsilon_range(w, 2.0, grid), 3.5, 9.0):
+            if not w.moment_admissible(t):
+                continue
+            assert gehring._worst_ratio(w, t, rh, grid) == kernel_worst(w, t, rh, grid)
+
+    @pytest.mark.parametrize("case", ["lognormal-20", "x^-1/4-at-its-cap", "x^0.7"])
+    def test_probe_is_the_kernels_worst_ratio_at_the_extremes(self, case):
+        # σ = 20 overflows w^t in some cells (inf/inf, unverified) and leaves
+        # huge finite ratios in others; x^{-1/4} diverges at t = 4
+        make, depth, moments = {
+            "lognormal-20": (lambda: _lognormal(20.0, 12), 12, (2.0 + 1e-9, 6.0, 30.0, 66.0)),
+            "x^-1/4-at-its-cap": (lambda: PowerWeight(-0.25), 16,
+                                  (2.0 + 1e-9, 3.9, 4.0 - 4e-9, 4.0 - 1e-12)),
+            "x^0.7": (lambda: PowerWeight(0.7), 12, (2.0 + 1e-9, 20.0, 66.0)),
+        }[case]
+        w, grid = make(), DyadicGrid(depth)
+        rh = rh_constant(w, 2.0, grid)
+        worst = [gehring._worst_ratio(w, t, rh, grid) for t in moments]
+        assert worst == [kernel_worst(w, t, rh, grid) for t in moments]
+        assert all(r > 0.0 for r in worst)
+        if case == "lognormal-20":
+            assert worst[-1] == math.inf and math.isfinite(worst[0])
+
+    @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1)[0],
+                                      lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
+    def test_one_probe_peaks_at_three_levels_above_the_store(self, make):
+        # the once-used moment heap (2N doubles) and one N-double rhs buffer;
+        # rhs and ratio arrays per level, or a second heap, would exceed it
+        grid, w = DyadicGrid(14), make()
+        sharp_rh_max_ratio(w, 2.0, 0.1, grid)  # fill the moment store
+        peak = traced_peak(sharp_rh_max_ratio, w, 2.0, 0.1, grid)
+        assert peak <= 3.1 * grid.n_cells * 8, peak
 
     def test_cube_with_both_sides_underflowing_fails(self):
         # cells 0-31 are tiny: every cube inside them has moment and mean^t 0
@@ -206,9 +249,9 @@ class TestSubsetBound:
 
     def test_subset_samples_build_no_pyramid_per_sample(self, grid6, monkeypatch):
         # every pyramid built lands in w's store, which does not grow with the samples
-        built = []
+        built, sum_pairs = [], weights._sum_pairs
         monkeypatch.setattr(
-            weights, "tree_totals", lambda *args: built.append(1) or tree_totals(*args)
+            weights, "_sum_pairs", lambda *args: built.append(1) or sum_pairs(*args)
         )
         stores = []
         for n_samples in (1, 200):
@@ -316,6 +359,7 @@ class TestOverflowingGehringConstant:
         eps = epsilon_range(w, OVERFLOW_Q0_STAR, grid)
         for _, lhs, rhs, ratio in sharp_rh_levels(w, OVERFLOW_Q0_STAR + eps, rh, grid):
             assert not np.any(np.isfinite(rhs)) and np.all(ratio == math.inf)
+        assert gehring._worst_ratio(w, OVERFLOW_Q0_STAR + eps, rh, grid) == math.inf
         rows = random_subset_checks(w, OVERFLOW_Q0_STAR, [eps], grid, 20, seed=1)
         assert all(chk.ratio == math.inf and not chk.passed for *_, chk in rows)
         # the ε search's probes fail instead of raising, and none passes
@@ -498,7 +542,10 @@ class TestConvexityVerdict:
             if len(calls) in spoil:
                 spoiled[t] = spoil[len(calls)]
             calls.append(t)
-            yield 0, None, None, np.array([spoiled.get(t, 0.5 * math.exp(((t - 2) / 8) ** 2))])
+            return spoiled.get(t, 0.5 * math.exp(((t - 2) / 8) ** 2))
+
+        def fake_levels(w, t, rh, grid):  # the same F for the oracle's bisection
+            yield 0, None, None, np.array([fake(w, t, rh, grid)])
 
         verdict = gehring._convexity_verdict
 
@@ -506,7 +553,8 @@ class TestConvexityVerdict:
             seen.append(points)
             return verdict(points, t, log_threshold)
 
-        monkeypatch.setattr(gehring, "sharp_rh_levels", fake)
+        monkeypatch.setattr(gehring, "_worst_ratio", fake)
+        monkeypatch.setattr(gehring, "sharp_rh_levels", fake_levels)
         monkeypatch.setattr(gehring, "_convexity_verdict", spy)
         w = PowerWeight(0.5)
         res = max_epsilon_empirical(w, 2.0, grid6)
@@ -541,7 +589,7 @@ class TestCertifiedSearch:
         def checked(points, t, log_threshold):
             answer = verdict(points, t, log_threshold)
             if answer is not None:
-                worst = max(float(r.max()) for *_, r in sharp_rh_levels(w, t, rh, grid))
+                worst = kernel_worst(w, t, rh, grid)
                 certified.append((t, answer, worst <= (factor / 2.0) * (1.0 + 1e-12)))
             return answer
 
@@ -552,12 +600,13 @@ class TestCertifiedSearch:
 
     def test_certificates_spare_most_kernel_passes(self, monkeypatch):
         w, grid = _lognormal(0.5, 16), DyadicGrid(16)
-        calls, kernel = [], gehring.sharp_rh_levels
+        calls, kernel, probe = [], gehring.sharp_rh_levels, gehring._worst_ratio
         monkeypatch.setattr(
             gehring, "sharp_rh_levels", lambda *args: calls.append(1) or kernel(*args)
         )
         want = oracle_max_epsilon_empirical(w, 2.0, grid)
         plain = len(calls)
         calls.clear()
+        monkeypatch.setattr(gehring, "_worst_ratio", lambda *args: calls.append(1) or probe(*args))
         assert max_epsilon_empirical(w, 2.0, grid) == want
-        assert plain == 22 and len(calls) <= 8
+        assert plain == 22 and 1 <= len(calls) <= 8

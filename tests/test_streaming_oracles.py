@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     every_cube,
     oracle_a_infty_fw_per_level,
+    oracle_level_maxima,
     oracle_maximal_p0,
     oracle_maximal_weighted,
     oracle_restricted_maximal_p0,
@@ -40,7 +41,7 @@ from weightlab import (
     unit_weight,
     weak_lp_norm,
 )
-from weightlab.characteristics import a_infty_fw_per_level
+from weightlab.characteristics import _a_infty_levels, a_infty_fw_per_level
 from weightlab.grid import cube_ids, heap_levels, tree_totals
 from weightlab.operators import square_function_from_cell_integrals
 from weightlab.tracer import _restricted_maximal, build_good_set
@@ -70,18 +71,23 @@ def _assert_levels_equal(got, want):
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_a_infty_per_level_matches_matrix(w, depth):
     grid = DyadicGrid(depth)
-    _assert_levels_equal(
-        heap_levels(a_infty_fw_per_level(w, grid)), oracle_a_infty_fw_per_level(w, grid)
-    )
+    want = oracle_a_infty_fw_per_level(w, grid)
+    _assert_levels_equal(_a_infty_walk(w, grid), want)
+    assert a_infty_fw_per_level(w, grid) == oracle_level_maxima(want)
+
+
+def _a_infty_walk(w, grid: DyadicGrid):
+    """The A∞ walk's levels coarse to fine, copied out of its reused buffer."""
+    return [level.copy() for level in _a_infty_levels(w, grid)][::-1]
 
 
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_a_infty_leaves_cached_pyramid_intact(w):
     grid = DyadicGrid(7)
     before = [level.copy() for level in heap_levels(w.pyramid(grid, 1.0))]
-    first = heap_levels(a_infty_fw_per_level(w, grid))
+    first = _a_infty_walk(w, grid)
     _assert_levels_equal(heap_levels(w.pyramid(grid, 1.0)), before)
-    _assert_levels_equal(heap_levels(a_infty_fw_per_level(w, grid)), first)
+    _assert_levels_equal(_a_infty_walk(w, grid), first)
 
 
 def _assert_matches_both_siblings(cells: np.ndarray, grid: DyadicGrid):

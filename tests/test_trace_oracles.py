@@ -10,6 +10,7 @@ may round differently from Python's) and every bin sum within 1e-14.
 from __future__ import annotations
 
 import importlib
+import json
 import math
 import pkgutil
 
@@ -29,7 +30,9 @@ from weightlab import (
     trace_proof,
     unit_weight,
 )
+from weightlab import cli
 from weightlab.grid import cube_ids
+from weightlab.tracer import build_good_set
 
 WEIGHTS = {
     "tabulated": seeded_tabulated_weights(4)[3],
@@ -135,7 +138,8 @@ def _count_calls(monkeypatch, name: str) -> list:
     modules = [importlib.import_module(f"weightlab.{m.name}")
                for m in pkgutil.iter_modules(weightlab.__path__)]
     calls = []
-    original = getattr(weightlab.weights, name)
+    original = next(getattr(m, name) for m in modules
+                    if getattr(getattr(m, name, None), "__module__", None) == m.__name__)
 
     def counting(*args, **kwargs):
         calls.append(name)
@@ -145,6 +149,28 @@ def _count_calls(monkeypatch, name: str) -> list:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def test_trace_proof_forms_the_moments_and_the_norm_once(monkeypatch, tmp_path):
+    # the default family is stopped on the good set's heap of |fσ|^{p0} totals,
+    # not on moments formed a second time, and ‖f‖²_{L²(σ)} is taken once
+    moments = _count_calls(monkeypatch, "composed_moment_cells")
+    norms = _count_calls(monkeypatch, "weighted_l2_norm_sq")
+    argv = ["trace-proof", "--power", "-0.25", "--L", "8", "--p0", "1.25",
+            "--out", str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0
+    assert (len(moments), len(norms)) == (1, 1)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 3.0])
+def test_a_trace_without_a_family_runs_on_the_default_family(ratio):
+    grid, w, profile = DyadicGrid(10), seeded_tabulated_weights(4)[3], ExponentProfile(1.25, 4.0)
+    f = np.random.default_rng(9).standard_normal(grid.n_cells)
+    family = default_trace_family(f, w, grid, profile.p0, ratio=ratio)
+    want = trace_proof(f, w, grid, profile, family)
+    got = trace_proof(f, w, grid, profile, ratio=ratio)
+    assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+    assert np.array_equal(build_good_set(f, w, grid, 1.25, ratio=ratio).family_ids, family)
 
 
 def test_trace_forms_the_f_sigma_pyramid_once(monkeypatch):
