@@ -3,10 +3,10 @@
 All suprema run over the finite family of dyadic cubes of the grid (levels 0
 through ``depth``), so every value here is a *dyadic* characteristic at the
 stated resolution; it is nondecreasing in the depth. Each supremum walks the
-levels coarse to fine from the stored pyramids in two reused ``N``-double
-buffers, never a fresh averages heap. Argmax cubes are the first maximum in
-heap order: ties break toward the smaller level, then the smaller index, and a
-NaN cube (such as 0/0 after underflow) is skipped.
+levels from the stored pyramids in blocks of at most ``grid.BLOCK`` cubes, in
+reused block buffers (``A_∞`` also keeps an ``N``-double running maximum).
+Argmax cubes are the first maximum in heap order: ties break toward the smaller
+level, then the smaller index, and a NaN cube (such as 0/0 after underflow) is skipped.
 
 Quantities (all per-cube averages exact):
 
@@ -25,21 +25,34 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, heap_levels, id_cubes
+from .grid import DyadicCube, DyadicGrid, block_buffer, blocks, heap_levels, id_cubes
 from .profiles import SLACK
 from .weights import Weight, conjugate_exponent, pow_weight
 
 
-def _level_maxima(levels: Iterable[np.ndarray]) -> List[Tuple[float, int]]:
-    """Each level's first maximum and its heap id; NaN cubes are skipped (set to -inf in place)."""
-    maxima = []
-    for values in levels:
+_Block = Tuple[int, int, np.ndarray]  # (level, first cube's index, the block's values)
+
+
+def _level_maxima(walk: Iterable[_Block]) -> List[Tuple[float, int]]:
+    """Each level's first maximum and its heap id, in walk order, over its blocks: only a strictly
+    larger value replaces the level's best; NaN cubes are skipped (set to -inf in place)."""
+    maxima: List[Tuple[float, int]] = []
+    for level, start, values in walk:
         at = int(np.argmax(values))
         if np.isnan(values[at]):  # argmax stops at the first NaN
             np.copyto(values, -math.inf, where=np.isnan(values))
             at = int(np.argmax(values))
-        maxima.append((float(values[at]), values.size - 1 + at))
+        best = (float(values[at]), (1 << level) - 1 + start + at)
+        if start == 0:
+            maxima.append(best)
+        elif best[0] > maxima[-1][0]:
+            maxima[-1] = best
     return maxima
+
+
+def _heap_sup(heap: np.ndarray) -> Tuple[float, DyadicCube]:
+    """The supremum of a heap of per-cube values and its cube, each level one block."""
+    return _sup_with_argmax(_level_maxima((k, 0, v) for k, v in enumerate(heap_levels(heap))))
 
 
 def _sup_with_argmax(maxima: Sequence[Tuple[float, int]]) -> Tuple[float, DyadicCube]:
@@ -49,17 +62,18 @@ def _sup_with_argmax(maxima: Sequence[Tuple[float, int]]) -> Tuple[float, Dyadic
     return best, id_cubes([at])[0]
 
 
-def _power_levels(w: Weight, grid: DyadicGrid, t: float, s: float, op) -> Iterator[np.ndarray]:
-    """``op((⨍_Q w^t)^s, ⟨w⟩_Q)`` a level at a time, coarse to fine, in one ``N``-double
-    buffer and a second for ``⟨w⟩_Q``; a level-``k`` average is its total times ``2**k``."""
+def _power_levels(w: Weight, grid: DyadicGrid, t: float, s: float, op) -> Iterator[_Block]:
+    """``op((⨍_Q w^t)^s, ⟨w⟩_Q)`` a block at a time, coarse to fine, in one block buffer
+    and a second for ``⟨w⟩_Q``; a level-``k`` average is its total times ``2**k``."""
     moments, means = heap_levels(w.pyramid(grid, t)), heap_levels(w.pyramid(grid, 1.0))
-    buf, mean_buf = np.empty(grid.n_cells), np.empty(grid.n_cells)
+    buf, mean_buf = block_buffer(grid.n_cells), block_buffer(grid.n_cells)
     for k, n in enumerate(level.size for level in means):
-        out = np.multiply(moments[k], float(n), out=buf[:n])
-        with np.errstate(all="ignore"):
-            out **= s
-            op(out, np.multiply(means[k], float(n), out=mean_buf[:n]), out=out)
-        yield out
+        for at in blocks(n):
+            out = np.multiply(moments[k][at], float(n), out=buf[: at.stop - at.start])
+            with np.errstate(all="ignore"):
+                out **= s
+                op(out, np.multiply(means[k][at], float(n), out=mean_buf[: out.size]), out=out)
+            yield k, at.start, out
 
 
 def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
@@ -88,8 +102,8 @@ def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
     return max(value for value, _ in rh_per_level(w, q, grid))
 
 
-def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[np.ndarray]:
-    """(1/w(Q)) ∫_Q M(w·1_Q) a level at a time, fine to coarse, in one buffer.
+def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[_Block]:
+    """(1/w(Q)) ∫_Q M(w·1_Q) a block at a time, fine to coarse, in one block buffer.
 
     For a point x in Q, the restricted maximal function M(w·1_Q)(x) is the
     largest average ⟨w⟩_R over dyadic Q ⊇ R ∋ x, i.e. over the ancestors of
@@ -99,16 +113,18 @@ def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[np.ndarray]:
     """
     mass = heap_levels(w.pyramid(grid, 1.0))
     running = mass[-1] * float(grid.n_cells)  # M(w·1_Q) per cell, for Q at the current level
-    buf = np.empty(grid.n_cells)
+    buf = block_buffer(grid.n_cells)
     for k in range(grid.depth, -1, -1):
-        out = np.multiply(mass[k], float(1 << k), out=buf[: mass[k].size])  # ⟨w⟩_Q
-        rows = running.reshape(out.size, -1)
-        with np.errstate(all="ignore"):
-            np.maximum(rows, out[:, None], out=rows)
-            np.sum(rows, axis=1, out=out)
-            out *= grid.cell_measure
-            out /= mass[k]
-        yield out
+        width = grid.n_cells >> k  # cells per cube
+        for at in blocks(1 << k):
+            out = np.multiply(mass[k][at], float(1 << k), out=buf[: at.stop - at.start])  # ⟨w⟩
+            rows = running[at.start * width : at.stop * width].reshape(out.size, width)
+            with np.errstate(all="ignore"):
+                np.maximum(rows, out[:, None], out=rows)
+                np.sum(rows, axis=1, out=out)
+                out *= grid.cell_measure
+                out /= mass[k][at]
+            yield k, at.start, out
 
 
 def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[Tuple[float, int]]:

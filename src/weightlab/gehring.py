@@ -38,7 +38,7 @@ import numpy as np
 
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
-from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, to_averages
+from .grid import DyadicCube, DyadicGrid, block_buffer, blocks, cube_ids, heap_levels, to_averages
 from .profiles import SLACK, GehringProfile, admissible_epsilon, check_q0_star
 from .weights import PowerWeight, Weight, measure, pow_weight
 
@@ -88,41 +88,49 @@ def sharp_rh_levels(
 
     Yields ``(level, lhs, rhs, ratio)`` one level at a time, coarse to fine, with
     ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t`` and ``ratio = lhs/rhs`` indexed
-    by cube. The moment heap at ``t`` comes from :meth:`Weight.cube_totals`, not
-    cached on ``w`` (ε scans use each ``t`` once); ``lhs`` is a view of it.
-    A side that cannot be formed leaves the cube unverified, with ratio ``inf``:
-    a ratio that is not a number (both sides 0 or both inf, after underflow or
-    overflow) and an infinite ``rhs``, as when ``rh^t`` overflows.
+    by cube, full levels for the CSV rows. The moment heap at ``t`` comes from
+    :meth:`Weight.cube_totals`, not cached on ``w`` (ε scans use each ``t`` once);
+    ``lhs`` is a view of it. Ratios and unverified cubes are :func:`_ratio`'s.
     """
-    return _sharp_rh_sides(w, t, rh, grid, in_place=False)
-
-
-def _sharp_rh_sides(
-    w: Weight, t: float, rh: float, grid: DyadicGrid, in_place: bool
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`sharp_rh_levels`; in place, ``rhs`` reuses a buffer, ``ratio`` overwrites ``lhs``."""
     t = float(t)
+    factor = 2.0 * _power(rh, t)
     moments = heap_levels(to_averages(w.cube_totals(grid, t)))
     means = heap_levels(w.pyramid(grid, 1.0))
-    factor = 2.0 * _power(rh, t)
-    scratch = np.empty(grid.n_cells) if in_place else None
     for k, lhs in enumerate(moments):
-        rhs = np.multiply(means[k], float(1 << k), out=scratch[: lhs.size] if in_place else None)
-        ratio = lhs if in_place else np.empty_like(lhs)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            np.power(rhs, t, out=rhs)
-            rhs *= factor
-            np.divide(lhs, rhs, out=ratio)
-        if math.isnan(ratio.max()) or not rhs.max() < math.inf:  # a cube is unverified
-            ratio[np.isnan(ratio)] = np.inf
-            ratio[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
-        yield k, lhs, rhs, ratio
+        rhs = np.multiply(means[k], float(1 << k))
+        yield k, lhs, rhs, _ratio(lhs, rhs, t, factor, np.empty_like(lhs))
+
+
+def _ratio(lhs: np.ndarray, rhs: np.ndarray, t: float, factor: float, out: np.ndarray):
+    """``lhs/rhs`` in ``out`` (may be ``lhs``), with the cube means ``rhs`` made ``factor·mean^t``
+    in place. An unverified cube, whose ratio is not a number (both sides 0 or inf, after
+    underflow or overflow) or whose ``rhs`` is inf (as when ``rh^t`` overflows), reads ``inf``."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.power(rhs, t, out=rhs)
+        rhs *= factor
+        np.divide(lhs, rhs, out=out)
+    if math.isnan(out.max()) or not rhs.max() < math.inf:  # a cube is unverified
+        out[np.isnan(out)] = np.inf
+        out[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
+    return out
 
 
 def _worst_ratio(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
-    """The probe: the largest ratio of :func:`sharp_rh_levels` over every cube,
-    taken in place, in the once-used moment heap and one ``N``-double buffer."""
-    return max(float(ratio.max()) for *_, ratio in _sharp_rh_sides(w, t, rh, grid, True))
+    """The probe: the largest ratio of :func:`sharp_rh_levels` over every cube, from the
+    levels of :meth:`Weight.level_totals`, taken a block at a time in two block buffers."""
+    t = float(t)
+    factor = 2.0 * _power(rh, t)
+    means = heap_levels(w.pyramid(grid, 1.0))
+    levels = w.level_totals(grid, t)  # a power weight's heap is built here, before the buffers
+    lhs_buf, rhs_buf = block_buffer(grid.n_cells), block_buffer(grid.n_cells)
+    worst = -math.inf
+    for totals in levels:
+        n, mean = totals.size, means[totals.size.bit_length() - 1]
+        for at in blocks(n):
+            lhs = np.multiply(totals[at], float(n), out=lhs_buf[: at.stop - at.start])
+            rhs = np.multiply(mean[at], float(n), out=rhs_buf[: lhs.size])
+            worst = max(worst, float(_ratio(lhs, rhs, t, factor, lhs).max()))
+    return worst
 
 
 def sharp_rh_max_ratio(

@@ -146,8 +146,13 @@ def _sum_pairs(heap: np.ndarray) -> np.ndarray:
     """Fill a heap's coarser levels from its finest one, in place, child pair by pair."""
     levels = heap_levels(heap)
     for parent, child in zip(levels[-2::-1], levels[:0:-1]):
-        np.add(child[0::2], child[1::2], out=parent)
+        add_pairs(child, parent)
     return heap
+
+
+def add_pairs(child: np.ndarray, parent: np.ndarray) -> None:
+    """``parent[i] = child[2i] + child[2i+1]``: the one summation order of every tree of totals."""
+    np.add(child[0::2], child[1::2], out=parent)
 
 
 def to_averages(heap: np.ndarray) -> np.ndarray:
@@ -234,3 +239,18 @@ def heap_levels(heap: np.ndarray) -> List[np.ndarray]:
     depth = (heap.size + 1).bit_length() - 2
     return [heap[(1 << k) - 1 : (2 << k) - 1] for k in range(depth + 1)]
 
+
+# cubes per block of a level walk (a block buffer is 128 KiB).  At L = 20 on a 2-core
+# Xeon, the walks took about 1.6x as long in blocks of 2**12 and were within 10 % in
+# blocks of 2**16, which take four times the scratch
+BLOCK = 1 << 14
+
+
+def blocks(size: int) -> Iterator[slice]:
+    """The slices of at most :data:`BLOCK` cubes that tile a level of ``size`` cubes, in order."""
+    return (slice(i, min(i + BLOCK, size)) for i in range(0, size, BLOCK))
+
+
+def block_buffer(size: int) -> np.ndarray:
+    """Scratch for one block of a level of at most ``size`` cubes."""
+    return np.empty(min(BLOCK, size))

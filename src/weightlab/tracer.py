@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import _level_maxima, _sup_with_argmax, a_infty_fw, ap_constant, rh_constant
+from .characteristics import _heap_sup, a_infty_fw, ap_constant, rh_constant
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import (
@@ -414,7 +414,7 @@ def trace_proof(
     overflow = ~zero & (a1 <= 0.0)
     binned = ~(zero | overflow)
     ids, scale, a1, gp_q = family_ids[binned], scale[binned], a1[binned], gp_q[binned]
-    w_q = tree_totals(grid, cellw)[ids]
+    w_q = w.pyramid(grid, 1.0)[ids]
     ind_q_moments = heap_levels(w.pyramid(grid, q0s))[-1] * gs.good_prime
     b_q = (tree_totals(grid, ind_q_moments)[ids] * scale) ** (1.0 / q0s)
 
@@ -568,7 +568,7 @@ def percube_ap_holder_scan(
     sigma_norm = sigma.level_averages(grid, phi)  # per-cube ⟨σ⟩_{L^φ}
     sigma_norm **= 1.0 / phi
     ap_ratios = w.level_averages(grid, 1.0) * sigma_norm / ap
-    worst_ap, worst_ap_cube = _sup_with_argmax(_level_maxima(heap_levels(ap_ratios)))
+    worst_ap, worst_ap_cube = _heap_sup(ap_ratios)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
         lhs **= profile.ap_index
@@ -576,7 +576,7 @@ def percube_ap_holder_scan(
         rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
         h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
     h_ratios[np.isnan(h_ratios)] = np.inf  # inf/inf after overflow: unverified
-    worst_h, worst_h_cube = _sup_with_argmax(_level_maxima(heap_levels(h_ratios)))
+    worst_h, worst_h_cube = _heap_sup(h_ratios)
 
     return PerCubeScan(
         ap_char=ap,

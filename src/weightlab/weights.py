@@ -17,20 +17,20 @@ its base weight's data and moment store: its moment ``t`` is the base's moment
 ``s*t``. The store memoises one read-only heap of cube totals (a pyramid) per
 ``(depth, s*t)``; an entry depends on nothing else, so every view fills it
 with the same bytes (pure, deterministic recomputation, so builds agree).
-Every moment the package reads is a level of a heap built here (stored, but
-for the ε kernel's once-used heaps), which is where admissibility is checked.
+Every moment the package reads is a level built here (a stored heap, but for
+the ε kernel's once-used levels), which is where admissibility is checked.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DivergentMomentError, WrongLengthError
-from .grid import DyadicCube, DyadicGrid, _sum_pairs, heap_levels, to_averages
+from .grid import DyadicCube, DyadicGrid, _sum_pairs, add_pairs, blocks, heap_levels, to_averages
 
 _PyramidKey = Tuple[int, float]
 
@@ -52,7 +52,8 @@ class Weight:
         raise NotImplementedError
 
     def cell_integrals(self, grid: DyadicGrid, t: float, out=None) -> np.ndarray:
-        """Exact per-cell integrals ``∫_cell w(x)**t dx`` (length 2**depth), or in ``out``."""
+        """Exact per-cell integrals ``∫_cell w(x)**t dx`` (length 2**depth), or in ``out``
+        (a contiguous array)."""
         raise NotImplementedError
 
     def power(self, s: float) -> "Weight":
@@ -95,6 +96,18 @@ class Weight:
         self.cell_integrals(grid, t, heap_levels(heap)[-1])
         return _sum_pairs(heap)
 
+    def level_totals(self, grid: DyadicGrid, t: float) -> Iterator[np.ndarray]:
+        """Uncached :meth:`pyramid` levels, fine to coarse, each overwriting the last in
+        one ``N``-double buffer: cell integrals, then ``left + right`` a block of parents
+        at a time."""
+        totals = self.cell_integrals(grid, t)
+        yield totals
+        while totals.size > 1:
+            for at in blocks(totals.size // 2):  # a block's parents sit before its unread children
+                add_pairs(totals[2 * at.start : 2 * at.stop], totals[at])
+            totals = totals[: totals.size // 2]
+            yield totals
+
     def level_averages(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """A fresh heap of ``⨍_Q w**t`` (cube averages of the t-th power)."""
         return to_averages(self.pyramid(grid, t).copy())
@@ -130,23 +143,16 @@ class TabulatedWeight(Weight):
     def native_depth(self) -> int:
         return int(self._base.size).bit_length() - 1
 
-    def _values_at(self, depth: int) -> np.ndarray:
-        """Base cell values at the requested depth (refining by repetition)."""
-        native = self.native_depth
-        if depth < native:
-            raise WrongLengthError(
-                f"grid depth {depth} is coarser than the tabulated depth {native}"
-            )
-        if depth == native:
-            return self._base
-        return np.repeat(self._base, 1 << (depth - native))
-
     def moment_admissible(self, t: float) -> bool:
         return True
 
     def cell_integrals(self, grid: DyadicGrid, t: float, out=None) -> np.ndarray:
+        if grid.depth < self.native_depth:
+            raise WrongLengthError(
+                f"grid depth {grid.depth} is coarser than the tabulated depth {self.native_depth}"
+            )
         out = np.empty(grid.n_cells) if out is None else out
-        out[...] = self._values_at(grid.depth)
+        out.reshape(self._base.size, -1)[...] = self._base[:, None]  # refined by repetition
         with np.errstate(over="ignore"):  # a power past the double range is inf
             out **= self._s * float(t)
             out *= grid.cell_measure
@@ -234,6 +240,10 @@ class PowerWeight(Weight):
     def cube_totals(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """Every cube's integral from the antiderivative, not summed from cells."""
         return self._levels(grid, t, np.empty(grid.cube_count))
+
+    def level_totals(self, grid: DyadicGrid, t: float) -> Iterator[np.ndarray]:
+        """The levels of :meth:`cube_totals`, fine to coarse: no sums of cells."""
+        return iter(heap_levels(self.cube_totals(grid, t))[::-1])
 
     def power(self, s: float) -> "PowerWeight":
         view = self._view(s)

@@ -33,9 +33,11 @@ from weightlab import (
     unit_weight,
     weak_lp_norm,
 )
+from weightlab import grid as grid_module
 from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
+from weightlab.grid import to_averages
 from weightlab.operators import OperatorNormRow, square_function_from_cell_integrals
 from weightlab.profiles import GehringProfile, gamma_rate
 from weightlab.sparse import SparsityReport
@@ -465,7 +467,7 @@ def oracle_trace_proof(
     gp_mask = gs.good_prime
     ind_q_totals = oracle_tree_totals(grid, w.cell_integrals(grid, q0s) * gp_mask)
     gp_w_totals = oracle_tree_totals(grid, cellw * gp_mask)
-    w_totals = oracle_tree_totals(grid, cellw)
+    w_totals = oracle_pyramid(w, grid, 1.0)
 
     out: dict = {"rows": [], "zero": [], "overflow": [], "clamped": [], "bins": {}}
     members: Dict[Tuple[int, int], list] = {}
@@ -602,6 +604,21 @@ def oracle_heap_sup(heap: np.ndarray) -> Tuple[float, DyadicCube]:
     at = int(np.argmax(finite))
     level = (at + 1).bit_length() - 1
     return float(finite[at]), DyadicCube(level, at + 1 - (1 << level))
+
+
+def walked_levels(walk: Iterable[Tuple[int, int, np.ndarray]]) -> List[np.ndarray]:
+    """A level walk's values, level by level in walk order: its blocks, copied out of
+    the reused buffers and joined, after checking that they tile each level in order
+    and that none holds more than ``grid.BLOCK`` cubes."""
+    levels: List[Tuple[int, List[np.ndarray]]] = []
+    for level, start, values in walk:
+        if start == 0:
+            levels.append((level, []))
+        blocks = levels[-1][1]
+        assert levels[-1][0] == level and start == sum(b.size for b in blocks)
+        assert 0 < values.size <= grid_module.BLOCK
+        blocks.append(values.copy())
+    return [np.concatenate(blocks) for _, blocks in levels]
 
 
 def traced_peak(fn, *args) -> int:
@@ -782,6 +799,24 @@ def oracle_sharp_rh(
         rhs = 2.0 * rh**t * mean**t
         rows.append((cube.level, cube.index, lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs))
     return rows
+
+
+def oracle_worst_ratio(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
+    """The ε probe in heap form: the largest ratio ``⨍_Q w^t / (2·rh^t·(⨍_Q w)^t)``
+    over every cube, from a fresh averages heap of ``w^t`` and full-level arrays, in
+    the same floating-point operations as the library.  An unverified cube (a ratio
+    that is not a number, or an infinite right side) reads ``inf``."""
+    t = float(t)
+    try:
+        factor = 2.0 * rh**t
+    except OverflowError:
+        factor = math.inf
+    lhs_heap = to_averages(w.cube_totals(grid, t))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rhs_heap = (w.level_averages(grid, 1.0) ** t) * factor
+        ratio = lhs_heap / rhs_heap
+    ratio[np.isnan(ratio) | np.isinf(rhs_heap)] = math.inf
+    return float(ratio.max())
 
 
 def oracle_max_epsilon_empirical(

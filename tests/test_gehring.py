@@ -16,6 +16,7 @@ from helpers import (
     cube_mask,
     oracle_max_epsilon_empirical,
     oracle_sharp_rh,
+    oracle_worst_ratio,
     seeded_tabulated_weights,
     standard_weight_corpus,
     traced_peak,
@@ -35,6 +36,7 @@ from weightlab import (
     unit_weight,
     weights,
 )
+from weightlab import grid as grid_module
 from weightlab.errors import SubsetError
 from weightlab.gehring import InequalityCheck, max_epsilon_empirical, verify_subset_bound
 from weightlab.profiles import DIMENSIONAL_FACTOR, GehringProfile
@@ -154,15 +156,54 @@ class TestSharpReverseHolder:
         if case == "lognormal-20":
             assert worst[-1] == math.inf and math.isfinite(worst[0])
 
-    @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1)[0],
+    @pytest.mark.parametrize("depth", [6, 10])
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_probe_in_blocks_of_four_is_the_heap_oracle(self, name, depth, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK", 4)
+        grid = DyadicGrid(depth)
+        w = ORACLE_WEIGHTS[name](depth)
+        rh = rh_constant(w, 2.0, grid)
+        for t in (2.0, 2.0 + epsilon_range(w, 2.0, grid), 3.5, 9.0):
+            if w.moment_admissible(t):
+                assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid)
+
+    def test_probe_reads_an_infinite_rhs_in_a_later_block(self, monkeypatch):
+        # one large cell, 13, in the last of four blocks: there w^t is finite but
+        # 2·rh^t·w^t overflows (rh = 4), so lhs/rhs = 0 on that cube alone, no pass
+        monkeypatch.setattr(grid_module, "BLOCK", 4)
+        values = np.ones(16)
+        values[13] = 1e100
+        w, grid, t = TabulatedWeight(values), DyadicGrid(4), 3.065
+        rh = rh_constant(w, 2.0, grid)
+        for k, lhs, rhs, _ in sharp_rh_levels(w, t, rh, grid):
+            assert np.isinf(rhs).tolist() == [k == 4 and i == 13 for i in range(1 << k)]
+            assert np.all(np.isfinite(lhs))
+        assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid) == math.inf
+
+    @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
                                       lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
-    def test_one_probe_peaks_at_three_levels_above_the_store(self, make):
-        # the once-used moment heap (2N doubles) and one N-double rhs buffer;
-        # rhs and ratio arrays per level, or a second heap, would exceed it
-        grid, w = DyadicGrid(14), make()
+    def test_probe_over_several_real_blocks_is_the_heap_oracle(self, make):
+        grid, w = DyadicGrid(16), make()
+        assert grid.n_cells == 4 * grid_module.BLOCK
+        rh = rh_constant(w, 2.0, grid)
+        for t in (2.0, 2.5, 3.5):
+            assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid)
+
+    @pytest.mark.parametrize("make, levels", [(lambda: seeded_tabulated_weights(1)[0], 1.1),
+                                              (lambda: seeded_tabulated_weights(1, 16)[0], 1.1),
+                                              (lambda: PowerWeight(-0.25), 3.1)],
+                             ids=["tabulated-refined", "tabulated-native", "power"])
+    def test_one_probe_peaks_at_one_level_above_the_store(self, make, levels, monkeypatch):
+        # a tabulated weight, refined from depth 6 or at its own depth 16: its
+        # cell integrals in one N-double buffer, reduced in place level by level,
+        # and two block buffers.  A power weight reads its uncached heap (2N
+        # doubles), built with one N-double temporary.  The block is cut to
+        # 2**10 cubes so that it is small beside N
+        monkeypatch.setattr(grid_module, "BLOCK", 1 << 10)
+        grid, w = DyadicGrid(16), make()
         sharp_rh_max_ratio(w, 2.0, 0.1, grid)  # fill the moment store
         peak = traced_peak(sharp_rh_max_ratio, w, 2.0, 0.1, grid)
-        assert peak <= 3.1 * grid.n_cells * 8, peak
+        assert peak <= levels * grid.n_cells * 8, peak
 
     def test_cube_with_both_sides_underflowing_fails(self):
         # cells 0-31 are tiny: every cube inside them has moment and mean^t 0

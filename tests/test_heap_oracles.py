@@ -3,11 +3,13 @@
 A pyramid is one array indexed by heap id ``2**k - 1 + i``.  The oracles in
 ``helpers`` keep the layout it replaced, one array per level: the heaps must
 be the concatenation of those levels bit for bit.  The suprema walk the
-levels in one reused buffer; each level's values must equal the heap-form
-oracles' (two fresh averages heaps) bit for bit, and the supremum must pick
-the same cube as the heap argmax (the first maximum, coarser level first),
-including the exact ties of ``x**alpha`` on the left-edge cubes.  A
-tracemalloc guard holds the suprema to two levels above the moment store.
+levels in blocks of at most ``grid.BLOCK`` cubes in reused buffers; each
+level's blocks, joined, must equal the heap-form oracles' (two fresh averages
+heaps) bit for bit, and the supremum must pick the same cube as the heap
+argmax (the first maximum, coarser level first), including the exact ties of
+``x**alpha`` on the left-edge cubes.  With the block cut to 4 cubes, NaN
+cubes, all-NaN levels and ties fall across block boundaries.  A tracemalloc
+guard holds ``A_p`` and ``RH_q`` to a few blocks above the moment store.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from helpers import (
     oracle_tree_totals,
     seeded_tabulated_weights,
     traced_peak,
+    walked_levels,
 )
 import weightlab
 from weightlab import (
@@ -46,7 +49,7 @@ from weightlab import (
 )
 from weightlab.characteristics import (
     _a_infty_levels,
-    _level_maxima,
+    _heap_sup,
     _power_levels,
     _sup_with_argmax,
     a_infty_fw,
@@ -56,6 +59,7 @@ from weightlab.characteristics import (
     rh_constant,
     rh_per_level,
 )
+from weightlab import grid as grid_module
 from weightlab.grid import tree_totals
 
 DEPTHS = (1, 4, 8, 12)
@@ -145,11 +149,6 @@ def _oracle_rh(w, q: float, grid: DyadicGrid):
     return [qavg[k] ** (1.0 / q) / wavg[k] for k in range(grid.depth + 1)]
 
 
-def _walked(levels):
-    """A level walk's values, copied out of its reused buffer level by level."""
-    return [values.copy() for values in levels]
-
-
 def _ap_levels(w, p: float, grid: DyadicGrid):
     return _power_levels(w, grid, 1.0 - p / (p - 1.0), p - 1.0, np.multiply)
 
@@ -158,31 +157,94 @@ def _rh_levels(w, q: float, grid: DyadicGrid):
     return _power_levels(w, grid, q, 1.0 / q, np.divide)
 
 
-@pytest.mark.parametrize("depth", [6, 12])
-@pytest.mark.parametrize("i", range(len(WEIGHTS)), ids=WEIGHT_IDS)
-def test_suprema_match_the_level_oracle(i, depth):
-    w, grid = WEIGHTS[i], DyadicGrid(depth)
+def _check_suprema(w, grid: DyadicGrid) -> None:
     cases = [(_ap_levels, ap_per_level, oracle_ap_heap, _oracle_ap, p) for p in (2.0, 3.0)]
     cases += [(_rh_levels, rh_per_level, oracle_rh_heap, _oracle_rh, q)
               for q in (1.5, 2.0) if w.moment_admissible(q)]
     for walk, kernel, heap_oracle, level_oracle, x in cases:
         heap, levels = heap_oracle(w, x, grid), level_oracle(w, x, grid)
         _assert_heap_is_levels(heap, levels)
-        _assert_heap_is_levels(heap, _walked(walk(w, x, grid)))
+        _assert_heap_is_levels(heap, walked_levels(walk(w, x, grid)))
         maxima = kernel(w, x, grid)
         assert maxima == oracle_level_maxima(levels), (kernel.__name__, x)
         assert _sup_with_argmax(maxima) == oracle_sup(levels) == oracle_heap_sup(heap)
 
 
-@pytest.mark.parametrize("depth", [6, 12])
-@pytest.mark.parametrize("i", range(len(WEIGHTS)), ids=WEIGHT_IDS)
-def test_a_infty_walk_matches_the_heap_oracle(i, depth):
-    w, grid = WEIGHTS[i], DyadicGrid(depth)
+def _check_a_infty(w, grid: DyadicGrid) -> None:
     heap = oracle_a_infty_heap(w, grid)
-    _assert_heap_is_levels(heap, _walked(_a_infty_levels(w, grid))[::-1])
+    _assert_heap_is_levels(heap, walked_levels(_a_infty_levels(w, grid))[::-1])
     maxima = a_infty_fw_per_level(w, grid)
     assert maxima == oracle_level_maxima(heap_levels(heap))
     assert _sup_with_argmax(maxima) == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+@pytest.mark.parametrize("i", range(len(WEIGHTS)), ids=WEIGHT_IDS)
+def test_suprema_match_the_level_oracle(i, depth):
+    _check_suprema(WEIGHTS[i], DyadicGrid(depth))
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+@pytest.mark.parametrize("i", range(len(WEIGHTS)), ids=WEIGHT_IDS)
+def test_a_infty_walk_matches_the_heap_oracle(i, depth):
+    _check_a_infty(WEIGHTS[i], DyadicGrid(depth))
+
+
+@pytest.mark.parametrize("depth", [6, 10])
+@pytest.mark.parametrize("i", range(len(WEIGHTS)), ids=WEIGHT_IDS)
+def test_walks_in_blocks_of_four_match_the_heap_oracles(i, depth, monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK", 4)
+    _check_suprema(WEIGHTS[i], DyadicGrid(depth))
+    _check_a_infty(WEIGHTS[i], DyadicGrid(depth))
+
+
+def _subnormal_cell(cell: int) -> np.ndarray:
+    """16 cells of mild values with the subnormal 5e-324 at ``cell``: there
+    ``⟨w⟩`` underflows to 0 and ``w^{-1}`` overflows, so ``A_2`` reads 0·inf
+    and ``RH_2`` 0/0 (NaN) on the finest cube."""
+    values = np.linspace(0.5, 2.0, 16)
+    values[cell] = 5e-324
+    return values
+
+
+# name -> 16 cell values, walked in blocks of 4 cubes
+BLOCK_CASES = {
+    "nan-in-a-later-block": _subnormal_cell(9),
+    "all-nan-levels": np.full(16, 5e-324),
+    "ties-across-blocks": np.tile([0.5, 2.0, 1.0, 3.0], 4),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_boundaries_match_the_heap_oracles(case, monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK", 4)
+    w, grid = TabulatedWeight(BLOCK_CASES[case]), DyadicGrid(4)
+    heaps = [(ap_per_level, oracle_ap_heap(w, 2.0, grid), (w, 2.0, grid)),
+             (rh_per_level, oracle_rh_heap(w, 2.0, grid), (w, 2.0, grid)),
+             (a_infty_fw_per_level, oracle_a_infty_heap(w, grid), (w, grid))]
+    for kernel, heap, args in heaps:
+        levels = heap_levels(heap)
+        maxima = kernel(*args)
+        assert maxima == oracle_level_maxima(levels), kernel.__name__
+        assert _sup_with_argmax(maxima) == oracle_heap_sup(heap)
+        if case == "ties-across-blocks":  # each block of the finest level repeats the first
+            value, at = maxima[-1]
+            assert at - DyadicCube(4, 0).heap_id < 4 and value in levels[-1][4:]
+    finest = heap_levels(heaps[1][1])[-1]  # RH_2 on the 16 finest cubes
+    if case == "nan-in-a-later-block":
+        assert np.isnan(finest).tolist() == [i == 9 for i in range(16)]
+    elif case == "all-nan-levels":
+        assert np.all(np.isnan(finest))
+        assert rh_per_level(w, 2.0, grid)[-1] == (-math.inf, DyadicCube(4, 0).heap_id)
+
+
+@pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
+                                  lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
+def test_fine_levels_span_several_real_blocks(make):
+    grid = DyadicGrid(16)
+    assert grid.n_cells == 4 * grid_module.BLOCK
+    _check_suprema(make(), grid)
+    _check_a_infty(make(), grid)
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5])
@@ -214,7 +276,7 @@ def test_a_infty_argmax_matches_the_level_oracle():
 
 def test_a_nan_cube_does_not_hide_its_level():
     heap = np.array([1.0, math.nan, 5.0, 0.0, 2.0, math.nan, 3.0])
-    assert _sup_with_argmax(_level_maxima(heap_levels(heap.copy()))) == (5.0, DyadicCube(1, 1))
+    assert _heap_sup(heap.copy()) == (5.0, DyadicCube(1, 1))
     assert oracle_heap_sup(heap) == (5.0, DyadicCube(1, 1))
     # the level-by-level form dropped level 1 whole, as its first maximum is NaN
     dropped = oracle_sup(heap_levels(np.array([1.0, math.nan, 5.0])))
@@ -222,8 +284,7 @@ def test_a_nan_cube_does_not_hide_its_level():
 
 
 def test_an_all_nan_heap_reports_minus_inf_at_the_root():
-    levels = heap_levels(np.full(7, math.nan))
-    assert _sup_with_argmax(_level_maxima(levels)) == (-math.inf, DyadicCube(0, 0))
+    assert _heap_sup(np.full(7, math.nan)) == (-math.inf, DyadicCube(0, 0))
 
 
 def test_subnormal_weight_characteristics_are_quiet(tmp_path):
@@ -245,23 +306,29 @@ def test_subnormal_weight_characteristics_are_quiet(tmp_path):
     assert (report["a_infty"], report["a_infty_argmax"]) == (1.5, [0, 0])
 
 
-# --- memory: the suprema hold two levels above the moment store -----------------------------
+# --- memory: A_p and RH_q hold a few blocks above the moment store, whatever N is --------
 
 
-@pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1)[0], lambda: PowerWeight(-0.25)],
-                         ids=["tabulated", "power"])
-def test_suprema_peak_at_two_levels_above_the_store(make):
-    # two N-double level buffers (a_infty_fw: its running maximum and one);
-    # a fresh averages heap alone is 2N doubles.  a_infty_fw's broadcast
-    # maximum also takes numpy's ufunc buffer, a fixed np.getbufsize() doubles
-    grid = DyadicGrid(14)
+@pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1)[0],
+                                  lambda: seeded_tabulated_weights(1, 12)[0],
+                                  lambda: PowerWeight(-0.25)],
+                         ids=["tabulated-refined", "tabulated-native", "power"])
+def test_suprema_peak_a_few_blocks_above_the_store(make, monkeypatch):
+    # A_p and RH_q: two block buffers and the pyramids' level views, at depth
+    # 12 and at depth 16 alike; two N-double level buffers would be 2N doubles.
+    # a_infty_fw: its N-double running maximum and one block, plus numpy's ufunc
+    # buffer for the broadcast maximum, a fixed np.getbufsize() doubles.  The
+    # block is cut to 2**10 cubes so that it is small beside N.
+    monkeypatch.setattr(grid_module, "BLOCK", 1 << 10)
     w = make()
-    budget = 2.1 * grid.n_cells * 8
     runs = ((ap_constant, 2.0), (ap_constant, 3.0), (rh_constant, 2.0), (rh_constant, 1.5))
-    for fn, x in runs:  # fill the moment store first
-        fn(w, x, grid)
-    for fn, x in runs:
-        peak = traced_peak(fn, w, x, grid)
-        assert peak <= budget, (fn.__name__, x, peak, budget)
+    budget = 4 * grid_module.BLOCK * 8
+    for grid in (DyadicGrid(12), DyadicGrid(16)):
+        for fn, x in runs:  # fill the moment store first
+            fn(w, x, grid)
+        for fn, x in runs:
+            peak = traced_peak(fn, w, x, grid)
+            assert peak <= budget, (fn.__name__, x, grid.depth, peak, budget)
+    budget = 1.1 * grid.n_cells * 8 + np.getbufsize() * 8
     peak = traced_peak(a_infty_fw, w, grid)
-    assert peak <= budget + np.getbufsize() * 8, ("a_infty_fw", peak, budget)
+    assert peak <= budget, ("a_infty_fw", peak, budget)

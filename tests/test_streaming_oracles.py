@@ -27,6 +27,7 @@ from helpers import (
     oracle_tree_totals,
     oracle_weak_lp_norm,
     seeded_tabulated_weights,
+    walked_levels,
 )
 from weightlab import (
     DyadicCube,
@@ -77,8 +78,8 @@ def test_a_infty_per_level_matches_matrix(w, depth):
 
 
 def _a_infty_walk(w, grid: DyadicGrid):
-    """The A∞ walk's levels coarse to fine, copied out of its reused buffer."""
-    return [level.copy() for level in _a_infty_levels(w, grid)][::-1]
+    """The A∞ walk's levels coarse to fine, copied out of its reused buffers."""
+    return walked_levels(_a_infty_levels(w, grid))[::-1]
 
 
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)

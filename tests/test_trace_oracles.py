@@ -174,9 +174,10 @@ def test_a_trace_without_a_family_runs_on_the_default_family(ratio):
 
 
 def test_trace_forms_the_f_sigma_pyramid_once(monkeypatch):
-    # the good set's heap of |fσ|^{p0} totals is the one the bins read.  A
-    # power weight's pyramids are closed form, so the trees left are fσ's
-    # moments and the bins' w(G'∩Q), w(Q) and ∫_Q 1_{G'} w^{q0*}
+    # the good set's heap of |fσ|^{p0} totals is the one the bins read, and
+    # w(Q) is read from w's pyramid.  A power weight's pyramids are closed
+    # form, so the trees left are fσ's moments and the bins' w(G'∩Q) and
+    # ∫_Q 1_{G'} w^{q0*}
     grid = DyadicGrid(8)
     f = np.random.default_rng(8).standard_normal(grid.n_cells)
     family = build_sparse_cz(np.abs(f), grid).ids
@@ -184,4 +185,4 @@ def test_trace_forms_the_f_sigma_pyramid_once(monkeypatch):
     trees = _count_calls(monkeypatch, "tree_totals")
     trace = trace_proof(f, PowerWeight(-0.25), grid, ExponentProfile(p0=1.25, q0=4.0), family)
     assert trace.bins
-    assert (len(moments), len(trees)) == (1, 4)
+    assert (len(moments), len(trees)) == (1, 3)

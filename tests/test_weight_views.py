@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import cold_power, seeded_tabulated_weights, standard_weight_corpus
+from helpers import cold_power, seeded_tabulated_weights, standard_weight_corpus, traced_peak
 from weightlab import (
     DyadicGrid,
     ExponentProfile,
@@ -73,12 +73,17 @@ class TestViewsShareTheStore:
             with pytest.raises(ValueError, match=r"w\*\*2 .* 1e-200\*\*2 = 0"):
                 TabulatedWeight([1e-200, 1.0]).power(2.0)
 
-    def test_native_depth_values_are_not_copied(self):
+    def test_refined_cell_integrals_repeat_the_base_without_a_temporary(self):
+        # the base values go straight into out, each repeated over its cells;
+        # an np.repeat of them first would take N doubles more
         w = seeded_tabulated_weights(1)[0]
-        assert w._values_at(w.native_depth) is w._base
-        refined = w._values_at(w.native_depth + 2)
-        assert not np.shares_memory(refined, w._base)
-        np.testing.assert_array_equal(refined, np.repeat(w._base, 4))
+        for depth in (w.native_depth, w.native_depth + 2, w.native_depth + 10):
+            grid = DyadicGrid(depth)
+            out = np.empty(grid.n_cells)
+            assert w.cell_integrals(grid, 1.0, out) is out
+            repeated = np.repeat(w._base, grid.n_cells // w._base.size)
+            np.testing.assert_array_equal(out, repeated * grid.cell_measure)
+        assert traced_peak(w.cell_integrals, grid, 2.0, out) < 0.1 * grid.n_cells * 8
 
     def test_stored_pyramids_are_read_only(self, grid6):
         w = seeded_tabulated_weights(1)[0]
