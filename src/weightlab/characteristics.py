@@ -2,11 +2,11 @@
 
 All suprema run over the finite family of dyadic cubes of the grid (levels 0
 through ``depth``), so every value here is a *dyadic* characteristic at the
-stated resolution; it is nondecreasing in the depth. Each supremum walks the
-levels from the stored pyramids in blocks of at most ``grid.BLOCK`` cubes, in
-reused block buffers (``A_∞`` also keeps an ``N``-double running maximum).
-Argmax cubes are the first maximum in heap order: ties break toward the smaller
-level, then the smaller index, and a NaN cube (such as 0/0 after underflow) is skipped.
+stated resolution; it is nondecreasing in the depth. Each supremum reads the
+stored pyramids through ``grid.level_blocks`` (``A_∞`` also keeps an ``N``-double
+running maximum) and folds the blocks with :func:`level_maxima`: argmax cubes are
+the first maximum in heap order, ties break toward the smaller level, then the
+smaller index, and a NaN cube (such as 0/0 after underflow) is skipped.
 
 Quantities (all per-cube averages exact):
 
@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, block_buffer, blocks, heap_levels, id_cubes
+from .grid import DyadicCube, DyadicGrid, heap_levels, id_cubes, level_blocks
 from .profiles import SLACK
 from .weights import Weight, conjugate_exponent, pow_weight
 
@@ -33,7 +33,7 @@ from .weights import Weight, conjugate_exponent, pow_weight
 _Block = Tuple[int, int, np.ndarray]  # (level, first cube's index, the block's values)
 
 
-def _level_maxima(walk: Iterable[_Block]) -> List[Tuple[float, int]]:
+def level_maxima(walk: Iterable[_Block]) -> List[Tuple[float, int]]:
     """Each level's first maximum and its heap id, in walk order, over its blocks: only a strictly
     larger value replaces the level's best; NaN cubes are skipped (set to -inf in place)."""
     maxima: List[Tuple[float, int]] = []
@@ -50,30 +50,21 @@ def _level_maxima(walk: Iterable[_Block]) -> List[Tuple[float, int]]:
     return maxima
 
 
-def _heap_sup(heap: np.ndarray) -> Tuple[float, DyadicCube]:
-    """The supremum of a heap of per-cube values and its cube, each level one block."""
-    return _sup_with_argmax(_level_maxima((k, 0, v) for k, v in enumerate(heap_levels(heap))))
-
-
-def _sup_with_argmax(maxima: Sequence[Tuple[float, int]]) -> Tuple[float, DyadicCube]:
+def sup_with_argmax(maxima: Sequence[Tuple[float, int]]) -> Tuple[float, DyadicCube]:
     """The largest of the per-level maxima, listed coarse to fine, and its cube;
     ``max`` keeps the first of equals, so ties go to the coarser level."""
     best, at = max(maxima, key=lambda m: m[0])
     return best, id_cubes([at])[0]
 
 
-def _power_levels(w: Weight, grid: DyadicGrid, t: float, s: float, op) -> Iterator[_Block]:
-    """``op((⨍_Q w^t)^s, ⟨w⟩_Q)`` a block at a time, coarse to fine, in one block buffer
-    and a second for ``⟨w⟩_Q``; a level-``k`` average is its total times ``2**k``."""
-    moments, means = heap_levels(w.pyramid(grid, t)), heap_levels(w.pyramid(grid, 1.0))
-    buf, mean_buf = block_buffer(grid.n_cells), block_buffer(grid.n_cells)
-    for k, n in enumerate(level.size for level in means):
-        for at in blocks(n):
-            out = np.multiply(moments[k][at], float(n), out=buf[: at.stop - at.start])
-            with np.errstate(all="ignore"):
-                out **= s
-                op(out, np.multiply(means[k][at], float(n), out=mean_buf[: out.size]), out=out)
-            yield k, at.start, out
+def power_levels(w: Weight, grid: DyadicGrid, t: float, s: float, op) -> Iterator[_Block]:
+    """``op((⨍_Q w^t)^s, ⟨w⟩_Q)`` a block at a time, coarse to fine, from the stored pyramids."""
+    levels = zip(heap_levels(w.pyramid(grid, t)), heap_levels(w.pyramid(grid, 1.0)))
+    for k, start, (out, mean) in level_blocks(grid, levels):
+        with np.errstate(all="ignore"):
+            out **= s
+            op(out, mean, out=out)
+        yield k, start, out
 
 
 def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
@@ -81,7 +72,7 @@ def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"A_p characteristic needs p in (1, ∞), got {p}")
-    return _level_maxima(_power_levels(w, grid, 1.0 - conjugate_exponent(p), p - 1.0, np.multiply))
+    return level_maxima(power_levels(w, grid, 1.0 - conjugate_exponent(p), p - 1.0, np.multiply))
 
 
 def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
@@ -95,7 +86,7 @@ def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> List[Tuple[float, int
         raise ValueError(f"RH_q characteristic needs q > 1, got {q}")
     if q == math.inf:  # w**inf would collapse the formula to 1/⟨w⟩_Q
         raise ValueError(f"RH_q characteristic needs a finite q, got {q}")
-    return _level_maxima(_power_levels(w, grid, q, 1.0 / q, np.divide))
+    return level_maxima(power_levels(w, grid, q, 1.0 / q, np.divide))
 
 
 def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
@@ -103,7 +94,7 @@ def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
 
 
 def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[_Block]:
-    """(1/w(Q)) ∫_Q M(w·1_Q) a block at a time, fine to coarse, in one block buffer.
+    """(1/w(Q)) ∫_Q M(w·1_Q) a block at a time, fine to coarse.
 
     For a point x in Q, the restricted maximal function M(w·1_Q)(x) is the
     largest average ⟨w⟩_R over dyadic Q ⊇ R ∋ x, i.e. over the ancestors of
@@ -113,23 +104,19 @@ def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[_Block]:
     """
     mass = heap_levels(w.pyramid(grid, 1.0))
     running = mass[-1] * float(grid.n_cells)  # M(w·1_Q) per cell, for Q at the current level
-    buf = block_buffer(grid.n_cells)
-    for k in range(grid.depth, -1, -1):
-        width = grid.n_cells >> k  # cells per cube
-        for at in blocks(1 << k):
-            out = np.multiply(mass[k][at], float(1 << k), out=buf[: at.stop - at.start])  # ⟨w⟩
-            rows = running[at.start * width : at.stop * width].reshape(out.size, width)
-            with np.errstate(all="ignore"):
-                np.maximum(rows, out[:, None], out=rows)
-                np.sum(rows, axis=1, out=out)
-                out *= grid.cell_measure
-                out /= mass[k][at]
-            yield k, at.start, out
+    for k, start, (out,) in level_blocks(grid, zip(mass[::-1])):  # out holds ⟨w⟩_Q
+        rows = running.reshape(1 << k, -1)[start : start + out.size]  # one row of cells per cube
+        with np.errstate(all="ignore"):
+            np.maximum(rows, out[:, None], out=rows)
+            np.sum(rows, axis=1, out=out)
+            out *= grid.cell_measure
+            out /= mass[k][start : start + out.size]
+        yield k, start, out
 
 
 def a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[Tuple[float, int]]:
     """Per-level first maxima, coarse to fine, of (1/w(Q)) ∫_Q M(w·1_Q)."""
-    return _level_maxima(_a_infty_levels(w, grid))[::-1]
+    return level_maxima(_a_infty_levels(w, grid))[::-1]
 
 
 def a_infty_fw(w: Weight, grid: DyadicGrid) -> float:
@@ -245,12 +232,12 @@ def characteristic_report(
     ap: Dict[float, float] = {}
     ap_arg: Dict[float, DyadicCube] = {}
     for p in ap_exponents:
-        ap[float(p)], ap_arg[float(p)] = _sup_with_argmax(ap_per_level(w, p, grid))
+        ap[float(p)], ap_arg[float(p)] = sup_with_argmax(ap_per_level(w, p, grid))
     rh: Dict[float, float] = {}
     rh_arg: Dict[float, DyadicCube] = {}
     for q in rh_exponents:
-        rh[float(q)], rh_arg[float(q)] = _sup_with_argmax(rh_per_level(w, q, grid))
-    a_inf, a_inf_arg = _sup_with_argmax(a_infty_fw_per_level(w, grid))
+        rh[float(q)], rh_arg[float(q)] = sup_with_argmax(rh_per_level(w, q, grid))
+    a_inf, a_inf_arg = sup_with_argmax(a_infty_fw_per_level(w, grid))
     return CharacteristicReport(
         depth=grid.depth,
         ap=ap,

@@ -158,9 +158,9 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     def blocks() -> Iterator[List[object]]:
         nonlocal worst
         for eps in epsilons:
-            for level, lhs, rhs, ratio in sharp_rh_levels(w, q0s + eps, rh, grid):
+            for level, at, lhs, rhs, ratio in sharp_rh_levels(w, q0s + eps, rh, grid):
                 worst = max(worst, float(ratio.max()))
-                yield ["self-improve", level, np.arange(lhs.size), eps, lhs, rhs, ratio]
+                yield ["self-improve", level, np.arange(at, at + lhs.size), eps, lhs, rhs, ratio]
         if args.subsets > 0:
             cubes, eps, checks = zip(
                 *random_subset_checks(w, q0s, epsilons, grid, args.subsets, args.seed)

@@ -6,8 +6,8 @@ dimensional constant is ``2^(d+1) = 4`` on the line) the inequality
 
     ⨍_Q w^{q+ε}  ≤  2 · [w]_{RH_q}^{q+ε} · (⨍_Q w)^{q+ε}
 
-holds on every dyadic cube. :func:`sharp_rh_levels` evaluates both sides
-exactly, level by level. :func:`verify_subset_bound` checks the derived subset
+holds on every dyadic cube. :func:`sharp_rh_levels` evaluates both sides exactly,
+a block of cubes at a time. :func:`verify_subset_bound` checks the derived subset
 comparison
 
     w^q(E)/w^q(Q)  ≤  2^{1/θ} · [w]_{RH_q}^{(q+ε)/θ} · (w(E)/w(Q))^{1/θ'}
@@ -38,7 +38,7 @@ import numpy as np
 
 from .characteristics import a_infty_fw, rh_constant
 from .errors import EpsilonOutOfRangeError, SubsetError
-from .grid import DyadicCube, DyadicGrid, block_buffer, blocks, cube_ids, heap_levels, to_averages
+from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, level_blocks
 from .profiles import SLACK, GehringProfile, admissible_epsilon, check_q0_star
 from .weights import PowerWeight, Weight, measure, pow_weight
 
@@ -83,54 +83,41 @@ class InequalityCheck:
 
 def sharp_rh_levels(
     w: Weight, t: float, rh: float, grid: DyadicGrid
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Both sides of the sharp reverse Hölder inequality at moment ``t`` on every cube.
 
-    Yields ``(level, lhs, rhs, ratio)`` one level at a time, coarse to fine, with
-    ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t`` and ``ratio = lhs/rhs`` indexed
-    by cube, full levels for the CSV rows. The moment heap at ``t`` comes from
-    :meth:`Weight.cube_totals`, not cached on ``w`` (ε scans use each ``t`` once);
-    ``lhs`` is a view of it. Ratios and unverified cubes are :func:`_ratio`'s.
+    Yields ``(level, first index, lhs, rhs, ratio)`` a block of at most ``grid.BLOCK`` cubes at
+    a time, coarse to fine: ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t``, ``ratio = lhs/rhs``,
+    the sides in reused buffers (read a block before drawing the next), from an uncached heap
+    of :meth:`Weight.cube_totals` (ε scans use each ``t`` once).
     """
+    return _sharp_rh_blocks(w, t, rh, grid, heap_levels(w.cube_totals(grid, t)))
+
+
+def _sharp_rh_blocks(w: Weight, t: float, rh: float, grid: DyadicGrid, levels):
+    """The blocks of :func:`sharp_rh_levels` over ``levels`` of ``w^t`` totals, in any order.
+    An unverified cube, whose ratio is not a number (both sides 0 or inf, after underflow or
+    overflow) or whose ``rhs`` is inf (as when ``rh^t`` overflows), reads ``inf``."""
     t = float(t)
     factor = 2.0 * _power(rh, t)
-    moments = heap_levels(to_averages(w.cube_totals(grid, t)))
     means = heap_levels(w.pyramid(grid, 1.0))
-    for k, lhs in enumerate(moments):
-        rhs = np.multiply(means[k], float(1 << k))
-        yield k, lhs, rhs, _ratio(lhs, rhs, t, factor, np.empty_like(lhs))
-
-
-def _ratio(lhs: np.ndarray, rhs: np.ndarray, t: float, factor: float, out: np.ndarray):
-    """``lhs/rhs`` in ``out`` (may be ``lhs``), with the cube means ``rhs`` made ``factor·mean^t``
-    in place. An unverified cube, whose ratio is not a number (both sides 0 or inf, after
-    underflow or overflow) or whose ``rhs`` is inf (as when ``rh^t`` overflows), reads ``inf``."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.power(rhs, t, out=rhs)
-        rhs *= factor
-        np.divide(lhs, rhs, out=out)
-    if math.isnan(out.max()) or not rhs.max() < math.inf:  # a cube is unverified
-        out[np.isnan(out)] = np.inf
-        out[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
-    return out
+    sources = ((totals, means[totals.size.bit_length() - 1]) for totals in levels)
+    for k, start, (lhs, rhs) in level_blocks(grid, sources):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.power(rhs, t, out=rhs)
+            rhs *= factor
+            ratio = np.divide(lhs, rhs)
+        if math.isnan(ratio.max()) or not rhs.max() < math.inf:  # a cube is unverified
+            ratio[np.isnan(ratio)] = np.inf
+            ratio[np.isinf(rhs)] = np.inf  # lhs/inf = 0 is no pass
+        yield k, start, lhs, rhs, ratio
 
 
 def _worst_ratio(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
-    """The probe: the largest ratio of :func:`sharp_rh_levels` over every cube, from the
-    levels of :meth:`Weight.level_totals`, taken a block at a time in two block buffers."""
-    t = float(t)
-    factor = 2.0 * _power(rh, t)
-    means = heap_levels(w.pyramid(grid, 1.0))
-    levels = w.level_totals(grid, t)  # a power weight's heap is built here, before the buffers
-    lhs_buf, rhs_buf = block_buffer(grid.n_cells), block_buffer(grid.n_cells)
-    worst = -math.inf
-    for totals in levels:
-        n, mean = totals.size, means[totals.size.bit_length() - 1]
-        for at in blocks(n):
-            lhs = np.multiply(totals[at], float(n), out=lhs_buf[: at.stop - at.start])
-            rhs = np.multiply(mean[at], float(n), out=rhs_buf[: lhs.size])
-            worst = max(worst, float(_ratio(lhs, rhs, t, factor, lhs).max()))
-    return worst
+    """The probe: the largest ratio of :func:`sharp_rh_levels` over every cube, read fine to
+    coarse from the levels of :meth:`Weight.level_totals`."""
+    blocks = _sharp_rh_blocks(w, t, rh, grid, w.level_totals(grid, t))
+    return max(float(ratio.max()) for *_, ratio in blocks)
 
 
 def sharp_rh_max_ratio(

@@ -6,18 +6,18 @@ interval ``[index * 2**-level, (index + 1) * 2**-level)`` for any
 ``0 <= level <= L``; inside the family kernels it is one int64 *heap id*
 ``2**level - 1 + index`` (:func:`cube_ids`), an encoding only this module
 knows.  Per-cube data is one *heap* indexed by heap id, each level a view
-(:func:`heap_levels`).  A set of finest cells is a plain boolean mask of
-length ``N``.
+(:func:`heap_levels`); a set of finest cells is a boolean mask (:meth:`DyadicGrid.check_mask`).
+Every per-cube scan reads the one level walk, :func:`level_blocks`, a block at a time.
 
-Aggregation follows a fixed left-to-right pairwise tree order (each parent
-total is ``left + right``), which makes every derived average bit-stable
-across runs and thread counts.
+Aggregation follows a fixed left-to-right pairwise tree order (each parent total
+is ``left + right``, in a heap or in place: :func:`level_sums`), which makes
+every derived average bit-stable across runs and thread counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +127,13 @@ class DyadicGrid:
             )
         return arr
 
+    def check_mask(self, mask: Sequence[bool] | np.ndarray) -> np.ndarray:
+        """Validate and return a per-cell mask of length 2**depth, cast to bool."""
+        arr = np.asarray(mask, dtype=bool)
+        if arr.shape != (self.n_cells,):
+            raise WrongLengthError(f"expected {self.n_cells} mask cells, got shape {arr.shape}")
+        return arr
+
 
 def tree_totals(grid: DyadicGrid, values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Per-cube totals for every cube of the grid, by pairwise tree reduction.
@@ -139,18 +146,18 @@ def tree_totals(grid: DyadicGrid, values: Sequence[float] | np.ndarray) -> np.nd
     """
     heap = np.empty(grid.cube_count, dtype=np.float64)
     heap_levels(heap)[-1][...] = grid.check_values(values)
-    return _sum_pairs(heap)
+    return sum_pairs(heap)
 
 
-def _sum_pairs(heap: np.ndarray) -> np.ndarray:
+def sum_pairs(heap: np.ndarray) -> np.ndarray:
     """Fill a heap's coarser levels from its finest one, in place, child pair by pair."""
     levels = heap_levels(heap)
     for parent, child in zip(levels[-2::-1], levels[:0:-1]):
-        add_pairs(child, parent)
+        _add_pairs(child, parent)
     return heap
 
 
-def add_pairs(child: np.ndarray, parent: np.ndarray) -> None:
+def _add_pairs(child: np.ndarray, parent: np.ndarray) -> None:
     """``parent[i] = child[2i] + child[2i+1]``: the one summation order of every tree of totals."""
     np.add(child[0::2], child[1::2], out=parent)
 
@@ -244,13 +251,34 @@ def heap_levels(heap: np.ndarray) -> List[np.ndarray]:
 # Xeon, the walks took about 1.6x as long in blocks of 2**12 and were within 10 % in
 # blocks of 2**16, which take four times the scratch
 BLOCK = 1 << 14
+_Blocks = Tuple[int, int, Tuple[np.ndarray, ...]]  # (level, first cube's index, source blocks)
 
 
-def blocks(size: int) -> Iterator[slice]:
+def _blocks(size: int) -> Iterator[slice]:
     """The slices of at most :data:`BLOCK` cubes that tile a level of ``size`` cubes, in order."""
     return (slice(i, min(i + BLOCK, size)) for i in range(0, size, BLOCK))
 
 
-def block_buffer(size: int) -> np.ndarray:
-    """Scratch for one block of a level of at most ``size`` cubes."""
-    return np.empty(min(BLOCK, size))
+def level_sums(totals: np.ndarray) -> Iterator[np.ndarray]:
+    """The levels of tree totals over a finest level ``totals``, fine to coarse, each
+    reduced in place over the last: ``left + right`` a block of parents at a time."""
+    yield totals
+    while totals.size > 1:
+        for at in _blocks(totals.size // 2):  # a block's parents sit before its unread children
+            _add_pairs(totals[2 * at.start : 2 * at.stop], totals[at])
+        totals = totals[: totals.size // 2]
+        yield totals
+
+
+def level_blocks(grid: DyadicGrid, levels: Iterable[Tuple[np.ndarray, ...]]) -> Iterator[_Blocks]:
+    """``(level, first index, averages)`` a block of at most :data:`BLOCK` cubes at a time over
+    tuples of same-level totals, in their order: each source's totals times ``2**level``, formed
+    in one reused buffer per source."""
+    buffers: List[np.ndarray] = []
+    for sources in levels:
+        n = sources[0].size
+        buffers = buffers or [np.empty(min(BLOCK, grid.n_cells)) for _ in sources]
+        for at in _blocks(n):
+            averages = (np.multiply(src[at], float(n), out=buf[: at.stop - at.start])
+                        for src, buf in zip(sources, buffers))
+            yield n.bit_length() - 1, at.start, tuple(averages)

@@ -35,9 +35,10 @@ the empirical constant of every step next to its proven envelope:
     and the trace's headline number C0 = (quadratic form)/(envelope·‖f‖²).
 
 Every step that is a theorem gets a hard pass flag; steps that rely on the
-proof's implicit slack report their ratio without a hard gate.  G and G'
-are boolean masks over the finest cells, and every moment is read from a
-weight's store: ⟨1_{G'}w⟩_{q0*,Q} from the finest level of w's q0* pyramid.
+proof's implicit slack report their ratio without a hard gate.  G and G' are
+boolean masks over the finest cells, and every moment is read from a weight's
+store: ⟨1_{G'}w⟩_{q0*,Q} from the finest level of w's q0* pyramid.  The exact
+per-cube scan walks the levels through ``grid.level_blocks`` and forms no heap.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import _heap_sup, a_infty_fw, ap_constant, rh_constant
+from .characteristics import (
+    a_infty_fw, ap_constant, level_maxima, power_levels, rh_constant, sup_with_argmax,
+)
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .gehring import epsilon_range
 from .grid import (
-    DyadicCube, DyadicGrid, ancestor_hits, ancestor_max, cube_ids, heap_levels, split_ids,
-    to_averages, tree_totals,
+    DyadicCube, DyadicGrid, ancestor_hits, ancestor_max, cube_ids, heap_levels, level_blocks,
+    level_sums, split_ids, to_averages, tree_totals,
 )
 from .profiles import SLACK, ExponentProfile, GehringProfile
 from .sparse import build_sparse_cz, paint_owner
@@ -337,7 +340,7 @@ def build_good_set(
     family_ids = (_stopping_family(heap_levels(p0_totals)[-1], grid, ratio) if family is None
                   else cube_ids(family, grid))
 
-    good = good_cells if good_cells is not None else np.ones(grid.n_cells, dtype=bool)
+    good = grid.check_mask(np.ones(grid.n_cells, dtype=bool) if good_cells is None else good_cells)
     cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
     good_mass = float(np.sum(cellw, where=good))
     if good_mass <= 0.0:
@@ -563,20 +566,28 @@ def percube_ap_holder_scan(
     ap = ap_constant(w, profile.ap_index, grid)
 
     fvals = np.ones(grid.n_cells) if f is None else grid.check_values(f)
-    mask = cells if cells is not None else np.ones(grid.n_cells, dtype=bool)
+    mask = grid.check_mask(np.ones(grid.n_cells, dtype=bool) if cells is None else cells)
+    sigma_phi = heap_levels(w.pyramid(grid, -phi))  # σ's moment φ is w's moment −φ, one pyramid
 
-    sigma_norm = sigma.level_averages(grid, phi)  # per-cube ⟨σ⟩_{L^φ}
-    sigma_norm **= 1.0 / phi
-    ap_ratios = w.level_averages(grid, 1.0) * sigma_norm / ap
-    worst_ap, worst_ap_cube = _heap_sup(ap_ratios)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
-        lhs **= profile.ap_index
-        f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
-        rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
-        h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
-    h_ratios[np.isnan(h_ratios)] = np.inf  # inf/inf after overflow: unverified
-    worst_h, worst_h_cube = _heap_sup(h_ratios)
+    def holder_blocks(levels):  # the Hölder ratio a block at a time, fine to coarse
+        for k, start, (lhs, rhs, sigma_avg) in level_blocks(grid, levels):
+            lhs **= profile.ap_index
+            rhs *= sigma_avg ** (1.0 / phi)  # ⟨σ⟩_{L^φ,Q}
+            ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
+            ratios[np.isnan(ratios)] = np.inf  # inf/inf after overflow: unverified
+            yield k, start, ratios
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # level_sums adds lazily
+        ap_blocks = power_levels(w, grid, -phi, 1.0 / phi, np.multiply)  # ⟨σ⟩_{L^φ,Q}·⟨w⟩_Q
+        worst_ap, worst_ap_cube = sup_with_argmax(
+            level_maxima((k, start, np.divide(v, ap, out=v)) for k, start, v in ap_blocks))
+        moments = composed_moment_cells(grid, fvals, sigma, p0)
+        moments *= mask
+        f2s = fvals * fvals
+        f2s *= heap_levels(sigma.pyramid(grid, 1.0))[-1]
+        f2s *= mask
+        levels = zip(level_sums(moments), level_sums(f2s), sigma_phi[::-1])
+        worst_h, worst_h_cube = sup_with_argmax(level_maxima(holder_blocks(levels))[::-1])
 
     return PerCubeScan(
         ap_char=ap,

@@ -17,8 +17,8 @@ its base weight's data and moment store: its moment ``t`` is the base's moment
 ``s*t``. The store memoises one read-only heap of cube totals (a pyramid) per
 ``(depth, s*t)``; an entry depends on nothing else, so every view fills it
 with the same bytes (pure, deterministic recomputation, so builds agree).
-Every moment the package reads is a level built here (a stored heap, but for
-the ε kernel's once-used levels), which is where admissibility is checked.
+Every moment the package reads is a level built here (a stored heap, or the ε
+probe's once-used levels, reduced in place), which is where admissibility is checked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergentMomentError, WrongLengthError
-from .grid import DyadicCube, DyadicGrid, _sum_pairs, add_pairs, blocks, heap_levels, to_averages
+from .grid import DyadicCube, DyadicGrid, heap_levels, level_sums, sum_pairs, to_averages
 
 _PyramidKey = Tuple[int, float]
 
@@ -94,19 +94,11 @@ class Weight:
         """Uncached :meth:`pyramid`: tree sums of cell integrals formed in its finest level."""
         heap = np.empty(grid.cube_count)
         self.cell_integrals(grid, t, heap_levels(heap)[-1])
-        return _sum_pairs(heap)
+        return sum_pairs(heap)
 
     def level_totals(self, grid: DyadicGrid, t: float) -> Iterator[np.ndarray]:
-        """Uncached :meth:`pyramid` levels, fine to coarse, each overwriting the last in
-        one ``N``-double buffer: cell integrals, then ``left + right`` a block of parents
-        at a time."""
-        totals = self.cell_integrals(grid, t)
-        yield totals
-        while totals.size > 1:
-            for at in blocks(totals.size // 2):  # a block's parents sit before its unread children
-                add_pairs(totals[2 * at.start : 2 * at.stop], totals[at])
-            totals = totals[: totals.size // 2]
-            yield totals
+        """Uncached :meth:`pyramid` levels, fine to coarse: :func:`level_sums` of cell integrals."""
+        return level_sums(self.cell_integrals(grid, t))
 
     def level_averages(self, grid: DyadicGrid, t: float) -> np.ndarray:
         """A fresh heap of ``⨍_Q w**t`` (cube averages of the t-th power)."""
@@ -296,12 +288,7 @@ def dual_weight(w: Weight, p: float) -> Weight:
 
 def measure(w: Weight, grid: DyadicGrid, cells: np.ndarray) -> float:
     """Weight measure ``w(E) = ∫_E w`` over a boolean cell mask, by exact cell sums."""
-    cells = np.asarray(cells, dtype=bool)
-    if cells.size != grid.n_cells:
-        raise WrongLengthError(
-            f"cell set over {cells.size} cells does not match grid of {grid.n_cells}"
-        )
-    return float((heap_levels(w.pyramid(grid, 1.0))[-1] * cells).sum())
+    return float((heap_levels(w.pyramid(grid, 1.0))[-1] * grid.check_mask(cells)).sum())
 
 
 # --- composed moments (function times weight) -----------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from weightlab import (
     TabulatedWeight,
     Weight,
     a_infty_fw,
+    ap_constant,
     dual_weight,
     epsilon_range,
     gehring,
@@ -37,11 +38,11 @@ from weightlab import grid as grid_module
 from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
-from weightlab.grid import to_averages
+from weightlab.grid import to_averages, tree_totals
 from weightlab.operators import OperatorNormRow, square_function_from_cell_integrals
 from weightlab.profiles import GehringProfile, gamma_rate
 from weightlab.sparse import SparsityReport
-from weightlab.tracer import build_good_set
+from weightlab.tracer import PerCubeScan, build_good_set
 from weightlab.weights import composed_moment_cells
 
 POWER_ALPHAS = (-0.375, -0.25, -0.125, 0.125, 0.25, 0.375)
@@ -664,6 +665,35 @@ def oracle_power_levels(w: PowerWeight, grid: DyadicGrid, t: float) -> List[np.n
 # --- ancestor-matrix oracles: every ancestor's value copied onto every cell ----------
 
 
+def oracle_percube_ap_holder_scan(
+    w: Weight,
+    p0: float,
+    grid: DyadicGrid,
+    f: Optional[np.ndarray] = None,
+    cells: Optional[np.ndarray] = None,
+) -> PerCubeScan:
+    """The per-cube scan in heap form: fresh averages heaps of ``⟨w⟩`` and
+    ``⟨σ⟩_{L^φ}``, the tree totals of the two masked cell vectors and whole ratio
+    heaps, each supremum the first maximum in heap order with NaN cubes skipped."""
+    profile = ExponentProfile(float(p0), math.inf)
+    p0, phi = profile.p0, profile.phi_p0
+    sigma = dual_weight(w, 2.0)
+    ap = ap_constant(w, profile.ap_index, grid)
+    fvals = np.ones(grid.n_cells) if f is None else grid.check_values(f)
+    mask = cells if cells is not None else np.ones(grid.n_cells, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma_norm = sigma.level_averages(grid, phi)
+        sigma_norm **= 1.0 / phi
+        ap_ratios = w.level_averages(grid, 1.0) * sigma_norm / ap
+        lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
+        lhs **= profile.ap_index
+        f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
+        rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
+        h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
+    h_ratios[np.isnan(h_ratios)] = np.inf
+    return PerCubeScan(ap, *oracle_heap_sup(ap_ratios), *oracle_heap_sup(h_ratios))
+
+
 def ancestor_value_matrix(grid: DyadicGrid, per_level: List[np.ndarray]) -> np.ndarray:
     """Expand per-cube values to a (depth+1, n_cells) per-cell matrix.
 
@@ -817,6 +847,30 @@ def oracle_worst_ratio(w: Weight, t: float, rh: float, grid: DyadicGrid) -> floa
         ratio = lhs_heap / rhs_heap
     ratio[np.isnan(ratio) | np.isinf(rhs_heap)] = math.inf
     return float(ratio.max())
+
+
+def oracle_sharp_rh_levels(
+    w: Weight, t: float, rh: float, grid: DyadicGrid
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(level, lhs, rhs, ratio)`` of the sharp reverse Hölder inequality one full
+    level at a time, coarse to fine, ``lhs`` a view of a fresh averages heap of
+    ``w^t`` and ``rhs``, ``ratio`` fresh per level, in the same floating-point
+    operations as the library.  An unverified cube reads ``inf``."""
+    t = float(t)
+    try:
+        factor = 2.0 * rh**t
+    except OverflowError:
+        factor = math.inf
+    moments = heap_levels(to_averages(w.cube_totals(grid, t)))
+    means = heap_levels(w.pyramid(grid, 1.0))
+    for k, lhs in enumerate(moments):
+        rhs = np.multiply(means[k], float(1 << k))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.power(rhs, t, out=rhs)
+            rhs *= factor
+            ratio = lhs / rhs
+        ratio[np.isnan(ratio) | np.isinf(rhs)] = np.inf
+        yield k, lhs, rhs, ratio
 
 
 def oracle_max_epsilon_empirical(

@@ -23,6 +23,7 @@ from helpers import (
     dump_csv,
     oracle_natural_depth_rows,
     oracle_random_subset_checks,
+    oracle_sharp_rh_levels,
     seeded_tabulated_weights,
 )
 from weightlab import (
@@ -39,11 +40,11 @@ from weightlab import (
     random_subset_checks,
     rh_constant,
     serialize,
-    sharp_rh_levels,
     simplified_weak_type_factor,
     trace_proof,
     unit_weight,
 )
+from weightlab import grid as grid_module
 from weightlab.cli import main
 from weightlab.profiles import ExponentProfile
 from weightlab.serialize import write_csv
@@ -131,8 +132,7 @@ def _verify_gehring_rows(w: Weight, grid: DyadicGrid, eps_grid: int, subsets: in
     epsilons = [eps_max * i / eps_grid for i in range(1, eps_grid + 1)]
     rows = []
     for eps in epsilons:
-        levels = sorted(sharp_rh_levels(w, 2.0 + eps, rh, grid), key=lambda lv: lv[0])
-        for level, lhs, rhs, ratio in levels:
+        for level, lhs, rhs, ratio in oracle_sharp_rh_levels(w, 2.0 + eps, rh, grid):
             rows.extend(
                 ["self-improve", level, i, eps, float(a), float(b), float(r)]
                 for i, (a, b, r) in enumerate(zip(lhs, rhs, ratio))
@@ -204,8 +204,11 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("block", [None, 4], ids=["one-block-levels", "blocks-of-4"])
 @pytest.mark.parametrize("source", ["power", "file"])
-def test_verify_gehring_csv_is_the_oracle_rendering(source, tmp_path, capsys):
+def test_verify_gehring_csv_is_the_oracle_rendering(source, block, tmp_path, capsys, monkeypatch):
+    if block is not None:  # the kernel's levels come in several blocks, each its own index run
+        monkeypatch.setattr(grid_module, "BLOCK", block)
     grid = DyadicGrid(7)
     if source == "power":
         w, flags = PowerWeight(-0.25), ["--power", "-0.25"]

@@ -16,10 +16,12 @@ from helpers import (
     cube_mask,
     oracle_max_epsilon_empirical,
     oracle_sharp_rh,
+    oracle_sharp_rh_levels,
     oracle_worst_ratio,
     seeded_tabulated_weights,
     standard_weight_corpus,
     traced_peak,
+    walked_levels,
 )
 from weightlab import (
     DyadicCube,
@@ -62,15 +64,33 @@ class TestEpsilonRange:
 
 def kernel_rows(w, t, rh, grid):
     """The kernel's cubes as ``(level, index, lhs, rhs, ratio)``, coarse to fine,
-    after checking that it yields every level once, coarse to fine."""
-    levels = list(sharp_rh_levels(w, t, rh, grid))
-    assert [k for k, *_ in levels] == list(range(grid.depth + 1))
+    after checking that its blocks tile every level once, coarse to fine."""
     rows = []
-    for k, lhs, rhs, ratio in levels:
-        assert lhs.shape == rhs.shape == ratio.shape == (1 << k,)
+    for k, start, lhs, rhs, ratio in sharp_rh_levels(w, t, rh, grid):
+        assert lhs.shape == rhs.shape == ratio.shape and 0 < lhs.size <= grid_module.BLOCK
         sides = zip(lhs.tolist(), rhs.tolist(), ratio.tolist())
-        rows.extend((k, i, a, b, r) for i, (a, b, r) in enumerate(sides))
+        rows.extend((k, start + i, a, b, r) for i, (a, b, r) in enumerate(sides))
+    assert [row[:2] for row in rows] == [(c.level, c.index) for c in grid.cubes()]
     return rows
+
+
+def kernel_levels(w, t, rh, grid):
+    """The kernel's ``(lhs, rhs, ratio)`` per level, coarse to fine: its blocks copied out
+    of the reused buffers and joined, after checking that they tile each level in order."""
+    walks = ([], [], [])
+    for k, start, *sides in sharp_rh_levels(w, t, rh, grid):
+        for walk, side in zip(walks, sides):
+            walk.append((k, start, side.copy()))
+    return list(zip(*(walked_levels(walk) for walk in walks)))
+
+
+def assert_kernel_is_the_level_oracle(w, t, rh, grid):
+    oracle = list(oracle_sharp_rh_levels(w, t, rh, grid))
+    got = kernel_levels(w, t, rh, grid)
+    assert len(got) == len(oracle) == grid.depth + 1
+    for sides, (_, *want) in zip(got, oracle):
+        for a, b in zip(sides, want):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def kernel_worst(w, t, rh, grid):
@@ -167,6 +187,38 @@ class TestSharpReverseHolder:
             if w.moment_admissible(t):
                 assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid)
 
+    @pytest.mark.parametrize("depth", [1, 6, 10])
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_kernel_in_blocks_of_four_is_the_level_oracle(self, name, depth, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK", 4)
+        grid, w = DyadicGrid(depth), ORACLE_WEIGHTS[name](depth)
+        rh = rh_constant(w, 2.0, grid)
+        for t in (2.0, 2.0 + epsilon_range(w, 2.0, grid), 3.5):
+            assert_kernel_is_the_level_oracle(w, t, rh, grid)
+
+    @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
+                                      lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
+    def test_kernel_over_several_real_blocks_is_the_level_oracle(self, make):
+        grid, w = DyadicGrid(16), make()
+        assert grid.n_cells == 4 * grid_module.BLOCK
+        assert_kernel_is_the_level_oracle(w, 2.5, rh_constant(w, 2.0, grid), grid)
+
+    @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
+                                      lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
+    def test_one_kernel_epsilon_peaks_at_its_heap_and_a_few_blocks(self, make):
+        # the uncached heap of w^t (2N doubles; a power weight builds it with one
+        # N-double temporary) and the blocks, consumed block by block as the CSV
+        # writer does; full-level rhs and ratio arrays would add 2N doubles
+        grid, w = DyadicGrid(16), make()
+        rh = rh_constant(w, 2.0, grid)  # fill the moment store
+
+        def consume():
+            for _, start, lhs, rhs, ratio in sharp_rh_levels(w, 2.1, rh, grid):
+                float(ratio.max()), np.arange(start, start + lhs.size)
+
+        peak = traced_peak(consume)
+        assert peak <= 3.5 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
     def test_probe_reads_an_infinite_rhs_in_a_later_block(self, monkeypatch):
         # one large cell, 13, in the last of four blocks: there w^t is finite but
         # 2·rh^t·w^t overflows (rh = 4), so lhs/rhs = 0 on that cube alone, no pass
@@ -175,9 +227,10 @@ class TestSharpReverseHolder:
         values[13] = 1e100
         w, grid, t = TabulatedWeight(values), DyadicGrid(4), 3.065
         rh = rh_constant(w, 2.0, grid)
-        for k, lhs, rhs, _ in sharp_rh_levels(w, t, rh, grid):
-            assert np.isinf(rhs).tolist() == [k == 4 and i == 13 for i in range(1 << k)]
+        for k, start, lhs, rhs, _ in sharp_rh_levels(w, t, rh, grid):
+            assert np.isinf(rhs).tolist() == [k == 4 and start + i == 13 for i in range(rhs.size)]
             assert np.all(np.isfinite(lhs))
+        assert_kernel_is_the_level_oracle(w, t, rh, grid)
         assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid) == math.inf
 
     @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
@@ -212,7 +265,7 @@ class TestSharpReverseHolder:
         w, grid = TabulatedWeight(values), DyadicGrid(6)
         assert sharp_rh_max_ratio(w, 2.0, 0.1, grid) == math.inf
         rh = rh_constant(w, 2.0, grid)
-        for k, lhs, rhs, ratio in sharp_rh_levels(w, 2.1, rh, grid):
+        for k, _, lhs, rhs, ratio in sharp_rh_levels(w, 2.1, rh, grid):
             unverified = (lhs == 0.0) & (rhs == 0.0)
             assert unverified.any() == (k > 0)
             assert np.all(ratio[unverified] == math.inf)
@@ -290,9 +343,9 @@ class TestSubsetBound:
 
     def test_subset_samples_build_no_pyramid_per_sample(self, grid6, monkeypatch):
         # every pyramid built lands in w's store, which does not grow with the samples
-        built, sum_pairs = [], weights._sum_pairs
+        built, sum_pairs = [], weights.sum_pairs
         monkeypatch.setattr(
-            weights, "_sum_pairs", lambda *args: built.append(1) or sum_pairs(*args)
+            weights, "sum_pairs", lambda *args: built.append(1) or sum_pairs(*args)
         )
         stores = []
         for n_samples in (1, 200):
@@ -398,7 +451,7 @@ class TestOverflowingGehringConstant:
         w, grid = PowerWeight(0.5), DyadicGrid(6)
         rh = rh_constant(w, OVERFLOW_Q0_STAR, grid)
         eps = epsilon_range(w, OVERFLOW_Q0_STAR, grid)
-        for _, lhs, rhs, ratio in sharp_rh_levels(w, OVERFLOW_Q0_STAR + eps, rh, grid):
+        for _, _, lhs, rhs, ratio in sharp_rh_levels(w, OVERFLOW_Q0_STAR + eps, rh, grid):
             assert not np.any(np.isfinite(rhs)) and np.all(ratio == math.inf)
         assert gehring._worst_ratio(w, OVERFLOW_Q0_STAR + eps, rh, grid) == math.inf
         rows = random_subset_checks(w, OVERFLOW_Q0_STAR, [eps], grid, 20, seed=1)
@@ -586,7 +639,7 @@ class TestConvexityVerdict:
             return spoiled.get(t, 0.5 * math.exp(((t - 2) / 8) ** 2))
 
         def fake_levels(w, t, rh, grid):  # the same F for the oracle's bisection
-            yield 0, None, None, np.array([fake(w, t, rh, grid)])
+            yield 0, 0, None, None, np.array([fake(w, t, rh, grid)])
 
         verdict = gehring._convexity_verdict
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ancestor_value_matrix
+from helpers import ancestor_value_matrix, oracle_tree_totals
 from weightlab import DyadicCube, DyadicGrid, LevelOverflowError, heap_levels, id_cubes
-from weightlab.grid import cube_ids, split_ids, tree_totals
+from weightlab import grid as grid_module
+from weightlab.errors import WrongLengthError
+from weightlab.grid import cube_ids, level_blocks, level_sums, split_ids, tree_totals
 
 # a cube at any level 0..40, so ids run up to 2**41 - 2
 CUBES = st.integers(0, 40).flatmap(
@@ -87,6 +89,55 @@ class TestDyadicGrid:
             g.check_values([1.0] * 7)
         out = g.check_values([1.0] * 8)
         assert out.shape == (8,)
+
+
+    def test_check_mask(self):
+        g = DyadicGrid(3)
+        for wrong in ([True] * 7, np.ones((2, 4), bool), np.ones(16, bool)):
+            with pytest.raises(WrongLengthError):
+                g.check_mask(wrong)
+        bools = np.arange(8) % 2 == 1
+        assert g.check_mask(bools) is bools
+        cast = g.check_mask(np.array([0, 1, 0, 2, 0, -1, 0, 1]))
+        assert cast.dtype == bool and cast.tolist() == bools.tolist()
+
+
+class TestLevelWalk:
+    """``level_sums`` reduces a finest level in place, fine to coarse, and
+    ``level_blocks`` cuts tuples of same-level totals into blocks of averages."""
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    @pytest.mark.parametrize("block", [1, 4, 1 << 14])
+    def test_level_sums_are_the_tree_levels(self, depth, block, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK", block)
+        values = np.random.default_rng(depth).standard_normal(1 << depth)
+        want = oracle_tree_totals(DyadicGrid(depth), values)[::-1]
+        buffer = values.copy()
+        got = [level.copy() for level in level_sums(buffer)]
+        assert len(got) == depth + 1
+        for level, expected in zip(got, want):
+            np.testing.assert_array_equal(level, expected)
+        assert buffer[0] == want[-1][0]  # reduced in place, the root in the first cell
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("block", [1, 2, 1 << 14])
+    def test_level_blocks_tile_each_level_with_averages(self, depth, block, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK", block)
+        grid = DyadicGrid(depth)
+        rng = np.random.default_rng(depth)
+        first, second = (heap_levels(tree_totals(grid, rng.standard_normal(grid.n_cells)))
+                         for _ in range(2))
+        seen, buffers = [], set()
+        for k, start, (a, b) in level_blocks(grid, zip(first[::-1], second[::-1])):
+            assert 0 < a.size == b.size <= block
+            stop = start + a.size
+            np.testing.assert_array_equal(a, first[k][start:stop] * float(1 << k))
+            np.testing.assert_array_equal(b, second[k][start:stop] * float(1 << k))
+            seen += [(k, i) for i in range(start, stop)]
+            buffers.add((a.base.ctypes.data, b.base.ctypes.data))
+        # fine to coarse, as given, each cube once; one reused buffer per source
+        assert seen == [(k, i) for k in range(depth, -1, -1) for i in range(1 << k)]
+        assert len(buffers) == 1
 
 
 class TestTreeTotals:

@@ -49,15 +49,15 @@ from weightlab import (
 )
 from weightlab.characteristics import (
     _a_infty_levels,
-    _heap_sup,
-    _power_levels,
-    _sup_with_argmax,
     a_infty_fw,
     a_infty_fw_per_level,
     ap_constant,
     ap_per_level,
+    level_maxima,
+    power_levels,
     rh_constant,
     rh_per_level,
+    sup_with_argmax,
 )
 from weightlab import grid as grid_module
 from weightlab.grid import tree_totals
@@ -150,11 +150,11 @@ def _oracle_rh(w, q: float, grid: DyadicGrid):
 
 
 def _ap_levels(w, p: float, grid: DyadicGrid):
-    return _power_levels(w, grid, 1.0 - p / (p - 1.0), p - 1.0, np.multiply)
+    return power_levels(w, grid, 1.0 - p / (p - 1.0), p - 1.0, np.multiply)
 
 
 def _rh_levels(w, q: float, grid: DyadicGrid):
-    return _power_levels(w, grid, q, 1.0 / q, np.divide)
+    return power_levels(w, grid, q, 1.0 / q, np.divide)
 
 
 def _check_suprema(w, grid: DyadicGrid) -> None:
@@ -167,7 +167,7 @@ def _check_suprema(w, grid: DyadicGrid) -> None:
         _assert_heap_is_levels(heap, walked_levels(walk(w, x, grid)))
         maxima = kernel(w, x, grid)
         assert maxima == oracle_level_maxima(levels), (kernel.__name__, x)
-        assert _sup_with_argmax(maxima) == oracle_sup(levels) == oracle_heap_sup(heap)
+        assert sup_with_argmax(maxima) == oracle_sup(levels) == oracle_heap_sup(heap)
 
 
 def _check_a_infty(w, grid: DyadicGrid) -> None:
@@ -175,7 +175,7 @@ def _check_a_infty(w, grid: DyadicGrid) -> None:
     _assert_heap_is_levels(heap, walked_levels(_a_infty_levels(w, grid))[::-1])
     maxima = a_infty_fw_per_level(w, grid)
     assert maxima == oracle_level_maxima(heap_levels(heap))
-    assert _sup_with_argmax(maxima) == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
+    assert sup_with_argmax(maxima) == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -226,7 +226,7 @@ def test_block_boundaries_match_the_heap_oracles(case, monkeypatch):
         levels = heap_levels(heap)
         maxima = kernel(*args)
         assert maxima == oracle_level_maxima(levels), kernel.__name__
-        assert _sup_with_argmax(maxima) == oracle_heap_sup(heap)
+        assert sup_with_argmax(maxima) == oracle_heap_sup(heap)
         if case == "ties-across-blocks":  # each block of the finest level repeats the first
             value, at = maxima[-1]
             assert at - DyadicCube(4, 0).heap_id < 4 and value in levels[-1][4:]
@@ -260,23 +260,28 @@ def test_left_edge_ties_of_a_power_weight_break_toward_the_root(alpha):
                               (ap_per_level, oracle_ap_heap, 3.0),
                               (rh_per_level, oracle_rh_heap, 1.5)):
         heap = oracle(w, x, grid)
-        got = _sup_with_argmax(kernel(w, x, grid))
+        got = sup_with_argmax(kernel(w, x, grid))
         assert got == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
 
 
 def test_a_infty_argmax_matches_the_level_oracle():
     for w in WEIGHTS:
         heap = oracle_a_infty_heap(w, DyadicGrid(8))
-        got = _sup_with_argmax(a_infty_fw_per_level(w, DyadicGrid(8)))
+        got = sup_with_argmax(a_infty_fw_per_level(w, DyadicGrid(8)))
         assert got == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
 
 
 # --- NaN cubes are skipped one at a time ---------------------------------------------------
 
 
+def _fold(heap: np.ndarray):
+    """The supremum of a heap of per-cube values through the fold, each level one block."""
+    return sup_with_argmax(level_maxima((k, 0, v) for k, v in enumerate(heap_levels(heap))))
+
+
 def test_a_nan_cube_does_not_hide_its_level():
     heap = np.array([1.0, math.nan, 5.0, 0.0, 2.0, math.nan, 3.0])
-    assert _heap_sup(heap.copy()) == (5.0, DyadicCube(1, 1))
+    assert _fold(heap.copy()) == (5.0, DyadicCube(1, 1))
     assert oracle_heap_sup(heap) == (5.0, DyadicCube(1, 1))
     # the level-by-level form dropped level 1 whole, as its first maximum is NaN
     dropped = oracle_sup(heap_levels(np.array([1.0, math.nan, 5.0])))
@@ -284,7 +289,7 @@ def test_a_nan_cube_does_not_hide_its_level():
 
 
 def test_an_all_nan_heap_reports_minus_inf_at_the_root():
-    assert _heap_sup(np.full(7, math.nan)) == (-math.inf, DyadicCube(0, 0))
+    assert _fold(np.full(7, math.nan)) == (-math.inf, DyadicCube(0, 0))
 
 
 def test_subnormal_weight_characteristics_are_quiet(tmp_path):

@@ -200,6 +200,20 @@ def test_every_public_function_is_exported_used_or_benchmarked():
     assert unused == []
 
 
+def test_no_module_imports_a_private_name_of_grid_or_characteristics():
+    # a name another module needs is public; a private one is the module's own
+    package = Path(weightlab.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in (
+                "grid", "characteristics"
+            ):
+                private += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
+
+
 _CROSS_REFERENCE = re.compile(r":(?:func|meth|class|mod):`~?([^`]+)`")
 
 

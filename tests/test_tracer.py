@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from helpers import (
     cube_mask,
     geometric_tail_partial,
+    oracle_percube_ap_holder_scan,
     seeded_tabulated_weights,
+    traced_peak,
     verify_average_comparison,
     within_cube,
 )
@@ -33,7 +35,10 @@ from weightlab import (
     unit_weight,
     verify_sparsity,
 )
-from weightlab.errors import EmptyGoodSetError, EpsilonOutOfRangeError, ZeroFunctionError
+from weightlab import grid as grid_module
+from weightlab.errors import (
+    EmptyGoodSetError, EpsilonOutOfRangeError, WrongLengthError, ZeroFunctionError,
+)
 from weightlab.gehring import verify_subset_bound
 from weightlab.sparse import paint_owner
 from weightlab.tracer import (
@@ -454,6 +459,102 @@ class TestPerCubeScan:
         scan = percube_ap_holder_scan(TabulatedWeight([1.0, 4.0]), 1.0, g)
         assert scan.worst_ap_ratio == pytest.approx(1.0, rel=1e-12)
         assert scan.worst_ap_cube == DyadicCube(0, 0)
+
+
+# six weights for the scan against its heap-form oracle; tabulated ones at their depth
+SCAN_WEIGHTS = {
+    "unit": lambda depth: unit_weight(),
+    "x^-1/4": lambda depth: PowerWeight(-0.25),
+    "x^1/4": lambda depth: PowerWeight(0.25),
+    **{f"tab{i}": (lambda depth, i=i: seeded_tabulated_weights(4, depth)[i]) for i in (0, 1, 3)},
+}
+
+
+def _scan_inputs(grid: DyadicGrid):
+    """No ``f`` and no ``E``, then a seeded signed ``f`` with a random ``E``."""
+    rng = np.random.default_rng(grid.depth)
+    return [(None, None), (rng.standard_normal(grid.n_cells), rng.random(grid.n_cells) < 0.5)]
+
+
+class TestPerCubeScanWalk:
+    """The level walk against the heap-form scan of ``oracle_percube_ap_holder_scan``:
+    values and argmax cubes bit for bit."""
+
+    @pytest.mark.parametrize("depth", [6, 10])
+    @pytest.mark.parametrize("name", list(SCAN_WEIGHTS))
+    def test_walk_in_blocks_of_four_is_the_heap_oracle(self, name, depth, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK", 4)
+        grid, w = DyadicGrid(depth), SCAN_WEIGHTS[name](depth)
+        for p0 in (1.0, 1.25, 1.5):
+            for f, cells in _scan_inputs(grid):
+                got = percube_ap_holder_scan(w, p0, grid, f=f, cells=cells)
+                assert got == oracle_percube_ap_holder_scan(w, p0, grid, f=f, cells=cells)
+
+    @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
+                                      lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
+    def test_walk_over_several_real_blocks_is_the_heap_oracle(self, make):
+        grid, w = DyadicGrid(16), make()
+        assert grid.n_cells == 4 * grid_module.BLOCK
+        for f, cells in _scan_inputs(grid):
+            got = percube_ap_holder_scan(w, 1.25, grid, f=f, cells=cells)
+            assert got == oracle_percube_ap_holder_scan(w, 1.25, grid, f=f, cells=cells)
+
+    def test_block_boundaries_match_the_heap_oracle(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK", 4)
+        grid = DyadicGrid(4)
+        # f² overflows: every Hölder ratio is inf/inf, unverified, at the root first
+        args = (unit_weight(), 1.0, DyadicGrid(3), np.full(8, 1e200), None)
+        scan = percube_ap_holder_scan(*args)
+        assert scan == oracle_percube_ap_holder_scan(*args)
+        assert (scan.worst_holder_ratio, scan.worst_holder_cube) == (math.inf, DyadicCube(0, 0))
+        # cell 9 of 1e-200 makes w^{-3} and so [w]_{A_{4/3}} infinite: the A ratio of
+        # every cube above cell 9 is inf/inf (NaN, skipped), in the third block of level 4
+        values = np.ones(16)
+        values[9] = 1e-200
+        scan = percube_ap_holder_scan(TabulatedWeight(values), 1.5, grid)
+        assert scan == oracle_percube_ap_holder_scan(TabulatedWeight(values), 1.5, grid)
+        assert (scan.ap_char, scan.worst_ap_ratio) == (math.inf, 0.0)
+        # w and f repeat every four cells, so each block of the finest level repeats
+        # the first, where the worst Hölder ratio lies: the tie goes to the first block
+        w, f = TabulatedWeight(np.tile([0.5, 2.0, 1.0, 3.0], 4)), np.tile([1.0, 3.0, 2.0, 0.5], 4)
+        for p0 in (1.0, 1.5):
+            scan = percube_ap_holder_scan(w, p0, grid, f=f)
+            assert scan == oracle_percube_ap_holder_scan(w, p0, grid, f=f)
+            assert scan.worst_holder_cube.level == 4 and scan.worst_holder_cube.index < 4
+
+    def test_scan_peaks_at_a_few_cell_vectors_above_the_store(self):
+        # the two masked cell vectors, f = 1 and the mask, reduced in place, and
+        # the walk's block buffers; the heap form held about 16 N doubles
+        w, grid = PowerWeight(-0.25), DyadicGrid(16)
+        percube_ap_holder_scan(w, 1.25, grid)  # fill the moment store
+        peak = traced_peak(percube_ap_holder_scan, w, 1.25, grid)
+        assert peak <= 6 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
+
+class TestCellMasks:
+    """Every cell-mask input goes through ``DyadicGrid.check_mask``."""
+
+    def test_scan_refuses_a_mask_of_the_wrong_length(self):
+        with pytest.raises(WrongLengthError):
+            percube_ap_holder_scan(unit_weight(), 1.0, DyadicGrid(3), cells=np.ones(4, bool))
+
+    def test_scan_reads_an_int_mask_as_bool(self, grid6):
+        w = seeded_tabulated_weights(1)[0]
+        f = np.random.default_rng(2).standard_normal(grid6.n_cells)
+        cells = np.arange(grid6.n_cells) % 3  # 0, 1, 2: the 2s are cells of E, not weights
+        got = percube_ap_holder_scan(w, 1.25, grid6, f=f, cells=cells)
+        assert got == percube_ap_holder_scan(w, 1.25, grid6, f=f, cells=cells > 0)
+
+    def test_good_set_refuses_a_mask_of_the_wrong_length(self, grid6):
+        with pytest.raises(WrongLengthError):
+            build_good_set(np.ones(grid6.n_cells), unit_weight(), grid6, 1.0,
+                           good_cells=np.ones(8, bool))
+
+    def test_trace_reads_an_int_mask_as_bool(self, grid6):
+        w, f = seeded_tabulated_weights(1)[0], np.ones(grid6.n_cells)
+        good = np.array([0, 1] * (grid6.n_cells // 2))
+        got = trace_proof(f, w, grid6, P14, good_cells=good).to_jsonable()
+        assert got == trace_proof(f, w, grid6, P14, good_cells=good > 0).to_jsonable()
 
 
 class TestMomentStore:

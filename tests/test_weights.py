@@ -144,6 +144,14 @@ class TestUnitWeight:
         full = np.ones(grid6.n_cells, bool)
         assert measure(w, grid6, full) == pytest.approx(1.0)
 
+    def test_measure_checks_its_mask(self, grid6):
+        w = PowerWeight(0.5)
+        for wrong in (np.ones(8, bool), np.ones((2, grid6.n_cells // 2), bool)):
+            with pytest.raises(WrongLengthError):
+                measure(w, grid6, wrong)
+        ints = np.arange(grid6.n_cells) % 3  # 2 marks a cell of E, it does not double it
+        assert measure(w, grid6, ints) == measure(w, grid6, ints > 0)
+
 
 class TestDuals:
     def test_conjugate_exponent(self):
