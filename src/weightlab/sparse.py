@@ -6,15 +6,15 @@ pairwise disjoint.  Disjoint witnesses partition part of the grid, so a
 family stores them as one owner array: ``owner[k]`` is the position of the
 cube whose witness holds cell ``k``, or -1.  The builders and the proof
 tracer derive witnesses by one rule, :func:`paint_owner`: a cell belongs to
-its deepest family cube.  A family is built by :func:`build_sparse_cz`, or
+its deepest family cube.  A family is built by :func:`stopping_family`, or
 read from JSON by :meth:`SparseFamily.from_json`:
 
-* :func:`build_sparse_cz` — stopping-time selection driven by a nonnegative
-  density: a child cube stops when its average strictly exceeds ``ratio``
+* :func:`stopping_family` — stopping-time selection on a heap of nonnegative
+  cube totals: a child cube stops when its average strictly exceeds ``ratio``
   times the average over the most recent stopping ancestor; witnesses are the
   stopping cubes minus their maximal stopping descendants. For ``ratio ≥ 2``
   the mass argument guarantees validity; the builder verifies and raises
-  otherwise.
+  otherwise.  :func:`build_sparse_cz` runs it on a density, the tracer on ``|fσ|^{p0}``.
 * :meth:`SparseFamily.from_json` — cubes and witness cell ranges as written
   by :meth:`SparseFamily.to_json`; overlapping witnesses are refused, and
   :func:`verify_sparsity` checks the rest.
@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import SparsityViolationError, SubsetError
 from .grid import (
-    DyadicCube, DyadicGrid, cube_ids, heap_levels, id_cell_ranges, id_cubes, split_ids,
-    to_averages, tree_totals,
+    DyadicCube, DyadicGrid, cube_ids, heap_levels, id_cell_ranges, id_cubes, split_ids, tree_totals,
 )
 from .profiles import ExponentProfile
 
@@ -256,29 +255,34 @@ def verify_sparsity(family: SparseFamily, grid: DyadicGrid) -> SparsityReport:
 def build_sparse_cz(
     f: Sequence[float] | np.ndarray, grid: DyadicGrid, ratio: float = 2.0
 ) -> SparseFamily:
-    """Stopping-time family: children whose average first strictly exceeds
-    ``ratio`` times the last stopping ancestor's average become stopping cubes.
-
-    The witness of a stopping cube is the cube minus its maximal stopping
-    descendants; sparsity is verified and a violation raises (possible when
-    ``ratio`` is too close to 1).
-    """
-    if not ratio > 1.0:
-        raise ValueError(f"stopping ratio must be > 1, got {ratio}")
+    """:func:`stopping_family` of a nonnegative density's tree of cell totals."""
     values = grid.check_values(f)
     if np.any(values < 0.0):
         raise ValueError("stopping-time construction needs nonnegative cell values")
-    if not np.any(values > 0.0):
-        raise SparsityViolationError("density is identically zero")
-    averages = heap_levels(to_averages(tree_totals(grid, values)))
-    # level by level: the average of each cube's most recent stopping ancestor
-    stops = np.zeros(grid.cube_count, dtype=bool)  # by heap id; the root always stops
+    with np.errstate(over="ignore"):  # a root total past the double range is refused
+        return stopping_family(tree_totals(grid, values), grid, ratio)
+
+
+def stopping_family(totals: np.ndarray, grid: DyadicGrid, ratio: float = 2.0) -> SparseFamily:
+    """Stopping-time family of a grid's heap of nonnegative cube totals, its root finite and
+    positive: a child whose average first strictly exceeds ``ratio`` times the last stopping
+    ancestor's stops and owns its cells outside deeper stopping cubes.  Its total is compared
+    with its share of that ancestor's total, so ``totals`` is only read and no power-of-two
+    scale of it changes a decision; a family that is not 1/2-sparse (``ratio`` near 1) raises."""
+    if not ratio > 1.0:
+        raise ValueError(f"stopping ratio must be > 1, got {ratio}")
+    if not 0.0 < totals[0] < math.inf:  # bounds every total, as they are nonnegative
+        raise (SparsityViolationError("density is identically zero") if totals[0] == 0.0
+               else ValueError(f"the root total must be finite and positive, got {totals[0]}"))
+    # level by level: each cube's share of its most recent stopping ancestor's total
+    stops = np.zeros(totals.size, dtype=bool)  # by heap id; the root always stops
     stops[0] = True
-    anchor = averages[0]
-    for avg, stop in zip(averages[1:], heap_levels(stops)[1:]):
+    anchor = totals[:1]
+    for tot, stop in zip(heap_levels(totals)[1:], heap_levels(stops)[1:]):
         inherited = np.repeat(anchor, 2)
-        np.greater(avg, ratio * inherited, out=stop)
-        anchor = np.where(stop, avg, inherited)
+        inherited *= 0.5  # a child's share, exact above the subnormal range
+        np.greater(tot, ratio * inherited, out=stop)
+        anchor = np.where(stop, tot, inherited)
     return _painted_family(np.flatnonzero(stops), grid)
 
 

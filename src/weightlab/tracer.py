@@ -6,10 +6,10 @@ replays the proof of the main quadratic estimate step by step and records
 the empirical constant of every step next to its proven envelope:
 
 1.  **Good subset.**  G' = G ∖ {M^A_{p0}(fσ) > T} where M^A is the maximal
-    function of L^{p0} averages restricted to the family, read from the same
-    pyramid of ``|fσ|^{p0}`` cube totals as the ⟨fσ⟩_{p0,Q} column below, and
-    T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)} / w(G)^{1/2}.  K starts at 4 and
-    doubles until w(G') ≥ ¾·w(G); the weak (2,∞) bound of the maximal
+    function of L^{p0} averages restricted to the family, read from the one heap
+    of ``|fσ|^{p0}`` cube totals that also stops the default family and gives the
+    ⟨fσ⟩_{p0,Q} column below, and T = K·[w]^{1/2}_{A_{2/p0}}·‖f‖_{L²(σ)} / w(G)^{1/2}.
+    K starts at 4 and doubles until w(G') ≥ ¾·w(G); the weak (2,∞) bound of the maximal
     function (constant 1 against [w]^{1/2}_{A_{2/p0}}) makes K = 4 enough.
 2.  **Pigeonhole.**  Each family cube Q with w(G'∩Q) > 0 goes to the bin
     (r, s) with ⟨fσ⟩_{p0,Q} ∈ (T·2^{−r−1}, T·2^{−r}] and
@@ -59,7 +59,7 @@ from .grid import (
     level_sums, split_ids, to_averages, tree_totals,
 )
 from .profiles import SLACK, ExponentProfile, GehringProfile
-from .sparse import build_sparse_cz, paint_owner
+from .sparse import paint_owner, stopping_family
 from .weights import (
     Weight,
     composed_moment_cells,
@@ -294,8 +294,14 @@ class GoodSetResult:
         return self.good_prime_mass / self.good_mass if self.good_mass > 0.0 else 0.0
 
 
-def _traced_norm_sq(fvals: np.ndarray, sigma: Weight, grid: DyadicGrid) -> float:
-    """``‖f‖²_{L²(σ)}``, refused unless nonzero and finite."""
+def _traced_moments(
+    f: Sequence[float] | np.ndarray, w: Weight, grid: DyadicGrid, p0: float
+) -> Tuple[np.ndarray, float]:
+    """The read-only heap of ``∫_Q |fσ|^{p0}`` totals and ``‖f‖²_{L²(σ)}``, refused
+    unless ``1 ≤ p0 < 2`` and the norm is nonzero and finite."""
+    p0 = ExponentProfile(float(p0), math.inf).p0  # checks 1 <= p0 < 2
+    sigma = dual_weight(w, 2.0)
+    fvals = grid.check_values(f)
     with np.errstate(over="ignore"):
         norm_sq = weighted_l2_norm_sq(grid, fvals, sigma)
     if norm_sq == 0.0:
@@ -304,7 +310,9 @@ def _traced_norm_sq(fvals: np.ndarray, sigma: Weight, grid: DyadicGrid) -> float
         raise ZeroFunctionError("the traced function vanishes identically")
     if not math.isfinite(norm_sq):
         raise ConfigError(f"the traced function's squared L²(σ) norm is {norm_sq}, not finite")
-    return norm_sq
+    p0_totals = tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0))
+    p0_totals.setflags(write=False)
+    return p0_totals, norm_sq
 
 
 def _restricted_maximal(p0_totals: np.ndarray, family_ids: np.ndarray, p0: float) -> np.ndarray:
@@ -329,15 +337,10 @@ def build_good_set(
     from 4 until the remainder keeps 3/4 of the weight mass of G, the mask
     ``good_cells`` (default: every cell).  ``p0`` must lie in [1, 2) and
     ``‖f‖²_{L²(σ)}`` must be nonzero and finite; the result keeps fσ's moment heap.
-    Without a family, :func:`default_trace_family`'s at ``ratio`` is read from that heap."""
-    p0 = ExponentProfile(float(p0), math.inf).p0  # checks 1 <= p0 < 2
-    sigma = dual_weight(w, 2.0)
-    fvals = grid.check_values(f)
-    f_norm_sq = _traced_norm_sq(fvals, sigma, grid)
+    Without a family, :func:`default_trace_family`'s at ``ratio`` is stopped on that heap."""
+    p0_totals, f_norm_sq = _traced_moments(f, w, grid, p0)
     f_norm = math.sqrt(f_norm_sq)
-    p0_totals = tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0))
-    p0_totals.setflags(write=False)
-    family_ids = (_stopping_family(heap_levels(p0_totals)[-1], grid, ratio) if family is None
+    family_ids = (stopping_family(p0_totals, grid, ratio).ids if family is None
                   else cube_ids(family, grid))
 
     good = grid.check_mask(np.ones(grid.n_cells, dtype=bool) if good_cells is None else good_cells)
@@ -508,18 +511,9 @@ def default_trace_family(
     p0: float,
     ratio: float = 2.0,
 ) -> np.ndarray:
-    """Stopping-time family adapted to the composition fσ, as heap ids: run
-    the dyadic stopping construction on the exact cell averages of |fσ|^{p0}.
-    ``‖f‖²_{L²(σ)}`` must be nonzero and finite, as for :func:`build_good_set`."""
-    sigma = dual_weight(w, 2.0)
-    fvals = grid.check_values(f)
-    _traced_norm_sq(fvals, sigma, grid)
-    return _stopping_family(composed_moment_cells(grid, fvals, sigma, p0), grid, ratio)
-
-
-def _stopping_family(moments: np.ndarray, grid: DyadicGrid, ratio: float) -> np.ndarray:
-    """Heap ids of the stopping family of the cell averages of per-cell moments."""
-    return build_sparse_cz(moments / grid.cell_measure, grid, ratio=ratio).ids
+    """Heap ids of the :func:`stopping_family` of the exact |fσ|^{p0} cube totals, with ``p0``
+    and ``‖f‖²_{L²(σ)}`` checked as for :func:`build_good_set`."""
+    return stopping_family(_traced_moments(f, w, grid, p0)[0], grid, ratio).ids
 
 
 # --- exact per-cube steps -------------------------------------------------------------
@@ -565,7 +559,7 @@ def percube_ap_holder_scan(
     sigma = dual_weight(w, 2.0)
     ap = ap_constant(w, profile.ap_index, grid)
 
-    fvals = np.ones(grid.n_cells) if f is None else grid.check_values(f)
+    fvals = None if f is None else grid.check_values(f)
     mask = grid.check_mask(np.ones(grid.n_cells, dtype=bool) if cells is None else cells)
     sigma_phi = heap_levels(w.pyramid(grid, -phi))  # σ's moment φ is w's moment −φ, one pyramid
 
@@ -581,11 +575,13 @@ def percube_ap_holder_scan(
         ap_blocks = power_levels(w, grid, -phi, 1.0 / phi, np.multiply)  # ⟨σ⟩_{L^φ,Q}·⟨w⟩_Q
         worst_ap, worst_ap_cube = sup_with_argmax(
             level_maxima((k, start, np.divide(v, ap, out=v)) for k, start, v in ap_blocks))
-        moments = composed_moment_cells(grid, fvals, sigma, p0)
-        moments *= mask
-        f2s = fvals * fvals
-        f2s *= heap_levels(sigma.pyramid(grid, 1.0))[-1]
-        f2s *= mask
+        if fvals is None:  # |fσ|^{p0}·1_E and f²σ·1_E per cell: σ's stored moments masked
+            moments, f2s = (heap_levels(sigma.pyramid(grid, t))[-1] * mask for t in (p0, 1.0))
+        else:  # the same, scaled by f's powers in place
+            moments, f2s = np.abs(fvals) ** p0, fvals * fvals
+            for vec, t in ((moments, p0), (f2s, 1.0)):
+                vec *= heap_levels(sigma.pyramid(grid, t))[-1]
+                vec *= mask
         levels = zip(level_sums(moments), level_sums(f2s), sigma_phi[::-1])
         worst_h, worst_h_cube = sup_with_argmax(level_maxima(holder_blocks(levels))[::-1])
 

@@ -25,6 +25,7 @@ from weightlab import (
     Weight,
     a_infty_fw,
     ap_constant,
+    build_sparse_cz,
     dual_weight,
     epsilon_range,
     gehring,
@@ -387,6 +388,15 @@ def keyed_peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
             layers.append([])
         layers[layer].append(cube)
     return layers
+
+
+def oracle_default_trace_family(
+    f: np.ndarray, w: Weight, grid: DyadicGrid, p0: float, ratio: float = 2.0
+) -> np.ndarray:
+    """Heap ids of the trace's default family by the density route: the cell
+    moments of ``|fσ|^{p0}`` divided by the cell measure, summed into a tree of their own."""
+    moments = composed_moment_cells(grid, f, dual_weight(w, 2.0), p0)
+    return build_sparse_cz(moments / grid.cell_measure, grid, ratio=ratio).ids
 
 
 def oracle_build_sparse_random(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from weightlab import (
     sparse_form,
     verify_sparsity,
 )
-from weightlab.sparse import paint_owner
+from weightlab.grid import tree_totals
+from weightlab.sparse import paint_owner, stopping_family
 
 
 def full_cube_family(grid: DyadicGrid, cubes) -> SparseFamily:
@@ -145,6 +147,33 @@ class TestBuilders:
             ancestors = [c for c in cubes if c != cube and c.contains(cube)]
             parent = max(ancestors, key=lambda c: c.level)
             assert avg(cube) > 2.0 * avg(parent)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_cz_refuses_a_non_finite_cell(self, grid6, bad):
+        # a NaN cell passes the sign check; the root total catches both
+        data = np.ones(grid6.n_cells)
+        data[5] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_sparse_cz(data, grid6)
+
+    def test_cz_refuses_a_density_whose_total_overflows(self, grid6):
+        # every cell is finite, but 64 cells of 1e308 sum past the double range
+        with pytest.raises(ValueError, match="finite and positive, got inf"):
+            build_sparse_cz(np.full(grid6.n_cells, 1e308), grid6)
+
+    def test_cz_refuses_a_zero_density(self, grid6):
+        with pytest.raises(SparsityViolationError, match="identically zero"):
+            build_sparse_cz(np.zeros(grid6.n_cells), grid6)
+
+    def test_stopping_family_reads_a_heap_and_ignores_a_power_of_two_scale(self, grid8):
+        data = np.exp(np.random.default_rng(14).standard_normal(grid8.n_cells))
+        want = build_sparse_cz(data, grid8, ratio=3.0)
+        for scale in (1.0, 2.0**-8, 2.0**40):
+            totals = tree_totals(grid8, data * scale)
+            totals.setflags(write=False)  # the rule only reads the heap
+            got = stopping_family(totals, grid8, ratio=3.0)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.owner, want.owner)
 
 
 class TestSerialisation:

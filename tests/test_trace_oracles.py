@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 import weightlab
-from helpers import oracle_trace_proof, seeded_tabulated_weights
+from helpers import oracle_default_trace_family, oracle_trace_proof, seeded_tabulated_weights
 from weightlab import (
     DyadicCube,
     DyadicGrid,
     ExponentProfile,
     PowerWeight,
+    TabulatedWeight,
     build_sparse_cz,
     default_trace_family,
     id_cubes,
@@ -32,6 +33,7 @@ from weightlab import (
 )
 from weightlab import cli
 from weightlab.grid import cube_ids
+from weightlab.sparse import stopping_family
 from weightlab.tracer import build_good_set
 
 WEIGHTS = {
@@ -186,3 +188,26 @@ def test_trace_forms_the_f_sigma_pyramid_once(monkeypatch):
     trace = trace_proof(f, PowerWeight(-0.25), grid, ExponentProfile(p0=1.25, q0=4.0), family)
     assert trace.bins
     assert (len(moments), len(trees)) == (1, 3)
+    # the default family's stopping rule reads that same heap: no tree of its own
+    moments.clear()
+    trees.clear()
+    trace = trace_proof(f, PowerWeight(-0.25), grid, ExponentProfile(p0=1.25, q0=4.0))
+    assert trace.bins
+    assert (len(moments), len(trees)) == (1, 3)
+
+
+@pytest.mark.parametrize("depth", [1, 5, 8, 10])
+@pytest.mark.parametrize("ratio", [2.0, 3.0])
+@pytest.mark.parametrize("p0", [1.0, 1.25, 1.75])
+def test_stopping_family_on_the_p0_heap_is_the_density_route(depth, ratio, p0):
+    grid = DyadicGrid(depth)
+    rng = np.random.default_rng([depth, int(4 * p0), int(ratio)])
+    f = rng.standard_normal(grid.n_cells)
+    for w in (PowerWeight(-0.25), seeded_tabulated_weights(1, depth, seed=depth)[0],
+              TabulatedWeight(np.exp(2.0 * rng.standard_normal(grid.n_cells)))):
+        want = oracle_default_trace_family(f, w, grid, p0, ratio)
+        gs = build_good_set(f, w, grid, p0, ratio=ratio)
+        assert np.array_equal(stopping_family(gs.p0_totals, grid, ratio).ids, want)
+        assert np.array_equal(gs.family_ids, want)
+        assert np.array_equal(default_trace_family(f, w, grid, p0, ratio), want)
+        assert depth < 8 or want.size > 1

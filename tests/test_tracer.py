@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +424,24 @@ class TestDefaultTraceFamily:
         assert list(rebuilt.cubes) == id_cubes(family)
         assert verify_sparsity(rebuilt, grid8).ok
 
+    @pytest.mark.parametrize("p0", [-1.0, math.nan, 1e6])
+    def test_window_exponent_checked_as_for_the_good_set(self, grid6, p0):
+        f = np.random.default_rng(3).standard_normal(grid6.n_cells)
+        for w in (unit_weight(), PowerWeight(-0.25)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match=r"p0 must lie in \[1, 2\)"):
+                    default_trace_family(f, w, grid6, p0)
+
+    def test_good_set_stops_the_default_family_on_its_own_heap(self):
+        # the stopping rule reads the heap of |fσ|^{p0} totals a level at a time:
+        # no density copy and no second tree (11.5 N doubles when it built both)
+        w, grid = PowerWeight(-0.25), DyadicGrid(16)
+        f = np.random.default_rng(16).standard_normal(grid.n_cells)
+        build_good_set(f, w, grid, 1.25)  # fill the moment store
+        peak = traced_peak(build_good_set, f, w, grid, 1.25)
+        assert peak <= 10 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
 
 class TestPerCubeScan:
     def test_reference_weights_pass(self, grid8):
@@ -523,12 +542,24 @@ class TestPerCubeScanWalk:
             assert scan.worst_holder_cube.level == 4 and scan.worst_holder_cube.index < 4
 
     def test_scan_peaks_at_a_few_cell_vectors_above_the_store(self):
-        # the two masked cell vectors, f = 1 and the mask, reduced in place, and
-        # the walk's block buffers; the heap form held about 16 N doubles
+        # the two masked cell vectors and the mask, reduced in place, and the
+        # walk's block buffers; the heap form held about 16 N doubles
         w, grid = PowerWeight(-0.25), DyadicGrid(16)
         percube_ap_holder_scan(w, 1.25, grid)  # fill the moment store
         peak = traced_peak(percube_ap_holder_scan, w, 1.25, grid)
         assert peak <= 6 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
+    def test_scan_without_f_peaks_no_higher_than_with_f(self):
+        # without f the masked cell vectors are σ's stored moments times the mask, with
+        # f they are scaled in place by |f|^{p0} and f²: no vector of ones, no fresh square
+        w, grid = PowerWeight(-0.25), DyadicGrid(16)
+        ones = np.ones(grid.n_cells)
+        with_f = percube_ap_holder_scan(w, 1.25, grid, ones)  # also fills the moment store
+        assert percube_ap_holder_scan(w, 1.25, grid) == with_f
+        peak_f = traced_peak(percube_ap_holder_scan, w, 1.25, grid, ones)
+        peak = traced_peak(percube_ap_holder_scan, w, 1.25, grid)
+        n8 = grid.n_cells * 8  # the peaks move by a few hundred bytes of Python objects
+        assert peak <= peak_f + 0.01 * n8 and peak_f <= 3.95 * n8, (peak / n8, peak_f / n8)
 
 
 class TestCellMasks:
