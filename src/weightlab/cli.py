@@ -188,14 +188,9 @@ def _cmd_sparse_form(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read family file {args.family!r}: {exc}") from exc
     try:  # overlapping witnesses are rejected while the family loads
         family = SparseFamily.from_json(text, grid)
-        violation = verify_sparsity(family, grid).first_violation
+        verify_sparsity(family, grid)
     except SparsityViolationError as exc:
-        violation = str(exc)
-    if violation is not None:
-        print(
-            f"sparse-form: family at {args.family!r} is not 1/2-sparse ({violation})",
-            file=sys.stderr,
-        )
+        print(f"sparse-form: family at {args.family!r} is not 1/2-sparse ({exc})", file=sys.stderr)
         return 1
     fvals = _read_value_file(args.f, grid, positive=False)
     gvals = _read_value_file(args.g, grid, positive=False)

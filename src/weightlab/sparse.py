@@ -13,11 +13,20 @@ read from JSON by :meth:`SparseFamily.from_json`:
   cube totals: a child cube stops when its average strictly exceeds ``ratio``
   times the average over the most recent stopping ancestor; witnesses are the
   stopping cubes minus their maximal stopping descendants. For ``ratio ≥ 2``
-  the mass argument guarantees validity; the builder verifies and raises
-  otherwise.  :func:`build_sparse_cz` runs it on a density, the tracer on ``|fσ|^{p0}``.
+  the mass argument guarantees validity; the builder runs
+  :func:`verify_sparsity` on its family all the same.  :func:`build_sparse_cz`
+  runs it on a density, the tracer on ``|fσ|^{p0}``.
 * :meth:`SparseFamily.from_json` — cubes and witness cell ranges as written
   by :meth:`SparseFamily.to_json`; overlapping witnesses are refused, and
   :func:`verify_sparsity` checks the rest.
+
+Either way a family that is not 1/2-sparse raises one error,
+:class:`~weightlab.errors.SparsityViolationError`, naming the first violation.
+The check and the JSON writer read the owner array as its maximal runs of one
+owner: one comparison pass over the cells, then arrays the size of the run
+count, not of the grid.  A negative density cell, a ratio ``≤ 1``, an owner
+entry outside ``[-1, len)`` or family JSON that is not a list of cube objects
+raises :class:`~weightlab.errors.ConfigError`, which is also a ``ValueError``.
 
 The quadratic form of interest is
 ``Σ_Q ⟨|f|⟩_{p0,Q}² · ⟨|g|⟩_{q0*,Q} · |Q|`` for two per-cell vectors — evaluated
@@ -41,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SparsityViolationError, SubsetError
+from .errors import ConfigError, SparsityViolationError, SubsetError
 from .grid import (
     DyadicCube, DyadicGrid, cube_ids, heap_levels, id_cell_ranges, id_cubes, split_ids, tree_totals,
 )
@@ -66,7 +75,7 @@ class SparseFamily:
         ids = np.array(cube_ids(self.ids))  # the family's own copies
         owner = np.array(self.owner, dtype=np.int32)
         if owner.ndim != 1 or np.any((owner < -1) | (owner >= ids.size)):
-            raise ValueError("owner entries must be -1 or positions in cubes")
+            raise ConfigError("owner entries must be -1 or positions in cubes")
         ids.setflags(write=False)
         owner.setflags(write=False)
         object.__setattr__(self, "ids", ids)
@@ -76,23 +85,13 @@ class SparseFamily:
     def cubes(self) -> Tuple[DyadicCube, ...]:
         return tuple(id_cubes(self.ids))
 
-    def witness_sizes(self) -> np.ndarray:
-        """Cell count of every witness, in family order."""
-        return np.bincount(self.owner[self.owner >= 0], minlength=len(self))
-
     def __len__(self) -> int:
         return int(self.ids.size)
 
     def to_jsonable(self) -> List[dict]:
-        # maximal runs of one owner, grouped by owner in cell order
-        owner = self.owner
-        edges = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-        starts = np.concatenate(([0], edges)).tolist()
-        stops = np.concatenate((edges, [owner.size])).tolist()
         ranges: List[List[List[int]]] = [[] for _ in range(len(self))]
-        for pos, start, stop in zip(owner[starts].tolist(), starts, stops):
-            if pos >= 0:
-                ranges[pos].append([start, stop])
+        for start, stop, pos in zip(*(a.tolist() for a in _owner_runs(self.owner))):
+            ranges[pos].append([start, stop])
         levels, indices = split_ids(self.ids)
         return [
             {"level": k, "index": i, "witness": r}
@@ -136,7 +135,7 @@ class SparseFamily:
         if owner is None:
             raise _first_overlap(start, stop, pos, grid.n_cells)
         if isinstance(failure, (TypeError, KeyError)):
-            raise ValueError(
+            raise ConfigError(
                 "family JSON must be a list of objects with "
                 "'level', 'index', and 'witness' keys"
             ) from failure
@@ -210,45 +209,40 @@ def paint_owner(cubes: Sequence[DyadicCube] | np.ndarray, grid: DyadicGrid) -> n
     return owner
 
 
-def _painted_family(ids: np.ndarray, grid: DyadicGrid) -> SparseFamily:
-    """Family with the deepest-cube witnesses; raises unless it is 1/2-sparse."""
-    family = SparseFamily(ids, paint_owner(ids, grid))
-    report = verify_sparsity(family, grid)
-    if not report.ok:
-        raise SparsityViolationError(report.first_violation or "invalid family")
-    return family
+def _owner_runs(owner: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, stop, position)`` of the maximal runs ``[start, stop)`` of one
+    owner, in cell order; runs of no owner (-1) are left out."""
+    edges = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+    start = np.concatenate(([0], edges))
+    stop = np.concatenate((edges, [owner.size]))
+    pos = owner[start]
+    kept = pos >= 0
+    return start[kept], stop[kept], pos[kept]
 
 
-@dataclass(frozen=True)
-class SparsityReport:
-    ok: bool
-    first_violation: Optional[str] = None
-
-
-def verify_sparsity(family: SparseFamily, grid: DyadicGrid) -> SparsityReport:
-    """Exact check: witness containment and strict half measure, reported for
-    the first failing cube in family order (disjointness holds by
-    construction of the owner array)."""
+def verify_sparsity(family: SparseFamily, grid: DyadicGrid) -> None:
+    """Exact check of witness containment and strict half measure on the owner
+    array's runs (disjointness holds by its construction): raises
+    :class:`SparsityViolationError` for the first failing cube in family order,
+    and :class:`~weightlab.errors.LevelOverflowError` for a cube below the grid."""
     if family.owner.size != grid.n_cells:
-        return SparsityReport(False, "witnesses sized for a different grid")
-    start, stop = id_cell_ranges(cube_ids(family.ids, grid), grid.depth)
-    cells = np.flatnonzero(family.owner >= 0)
-    pos = family.owner[cells]
-    outside = (cells < start[pos]) | (cells >= stop[pos])
-    leaves = np.bincount(pos[outside], minlength=len(family)) > 0
-    sizes = family.witness_sizes()
-    extent = stop - start
+        raise SparsityViolationError("witnesses sized for a different grid")
+    cube_start, cube_stop = id_cell_ranges(cube_ids(family.ids, grid), grid.depth)
+    start, stop, pos = _owner_runs(family.owner)
+    leaves = np.zeros(len(family), dtype=bool)
+    leaves[pos[(start < cube_start[pos]) | (stop > cube_stop[pos])]] = True
+    sizes = np.bincount(pos, weights=stop - start, minlength=len(family)).astype(np.int64)
+    extent = cube_stop - cube_start
     failing = np.flatnonzero(leaves | (2 * sizes <= extent))
     if failing.size == 0:
-        return SparsityReport(True, None)
+        return
     first = int(failing[0])
     cube = id_cubes(family.ids[first : first + 1])[0]
     if leaves[first]:
-        return SparsityReport(False, f"witness of {cube} leaves the cube")
-    return SparsityReport(
-        False,
+        raise SparsityViolationError(f"witness of {cube} leaves the cube")
+    raise SparsityViolationError(
         f"witness of {cube} has measure {sizes[first]}/{extent[first]}"
-        " of the cube (strictly more than half is required)",
+        " of the cube (strictly more than half is required)"
     )
 
 
@@ -258,7 +252,7 @@ def build_sparse_cz(
     """:func:`stopping_family` of a nonnegative density's tree of cell totals."""
     values = grid.check_values(f)
     if np.any(values < 0.0):
-        raise ValueError("stopping-time construction needs nonnegative cell values")
+        raise ConfigError("stopping-time construction needs nonnegative cell values")
     with np.errstate(over="ignore"):  # a root total past the double range is refused
         return stopping_family(tree_totals(grid, values), grid, ratio)
 
@@ -268,22 +262,28 @@ def stopping_family(totals: np.ndarray, grid: DyadicGrid, ratio: float = 2.0) ->
     positive: a child whose average first strictly exceeds ``ratio`` times the last stopping
     ancestor's stops and owns its cells outside deeper stopping cubes.  Its total is compared
     with its share of that ancestor's total, so ``totals`` is only read and no power-of-two
-    scale of it changes a decision; a family that is not 1/2-sparse (``ratio`` near 1) raises."""
+    scale of it changes a decision.  A ``ratio ≤ 1`` or a non-finite root raises
+    :class:`ConfigError`; a zero root, or a family that :func:`verify_sparsity` finds not
+    1/2-sparse (``ratio`` near 1), raises :class:`SparsityViolationError`."""
     if not ratio > 1.0:
-        raise ValueError(f"stopping ratio must be > 1, got {ratio}")
+        raise ConfigError(f"stopping ratio must be > 1, got {ratio}")
     if not 0.0 < totals[0] < math.inf:  # bounds every total, as they are nonnegative
         raise (SparsityViolationError("density is identically zero") if totals[0] == 0.0
-               else ValueError(f"the root total must be finite and positive, got {totals[0]}"))
+               else ConfigError(f"the root total must be finite and positive, got {totals[0]}"))
     # level by level: each cube's share of its most recent stopping ancestor's total
     stops = np.zeros(totals.size, dtype=bool)  # by heap id; the root always stops
     stops[0] = True
     anchor = totals[:1]
     for tot, stop in zip(heap_levels(totals)[1:], heap_levels(stops)[1:]):
-        inherited = np.repeat(anchor, 2)
-        inherited *= 0.5  # a child's share, exact above the subnormal range
-        np.greater(tot, ratio * inherited, out=stop)
-        anchor = np.where(stop, tot, inherited)
-    return _painted_family(np.flatnonzero(stops), grid)
+        anchor = np.repeat(anchor, 2)
+        anchor *= 0.5  # a child's share, exact above the subnormal range
+        np.greater(tot, ratio * anchor, out=stop)
+        np.copyto(anchor, tot, where=stop)
+    del anchor  # before the family is painted
+    ids = np.flatnonzero(stops)
+    family = SparseFamily(ids, paint_owner(ids, grid))
+    verify_sparsity(family, grid)
+    return family
 
 
 def sparse_form(

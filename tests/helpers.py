@@ -42,7 +42,6 @@ from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subse
 from weightlab.grid import to_averages, tree_totals
 from weightlab.operators import OperatorNormRow, square_function_from_cell_integrals
 from weightlab.profiles import GehringProfile, gamma_rate
-from weightlab.sparse import SparsityReport
 from weightlab.tracer import PerCubeScan, build_good_set
 from weightlab.weights import composed_moment_cells
 
@@ -302,25 +301,26 @@ def dense_witnesses(family) -> List[np.ndarray]:
 
 def oracle_verify_sparsity(
     cubes: Sequence[DyadicCube], witnesses: Sequence[np.ndarray], grid: DyadicGrid
-) -> SparsityReport:
-    """Containment, strict half measure and disjointness on dense masks."""
+) -> Optional[str]:
+    """The first violation of containment, strict half measure or
+    disjointness on dense masks, or None when the family is 1/2-sparse."""
+    if any(cells.size != grid.n_cells for cells in witnesses):
+        return "witnesses sized for a different grid"
     coverage = np.zeros(grid.n_cells, dtype=np.int64)
     for cube, cells in zip(cubes, witnesses):
         if not within_cube(cells, grid, cube):
-            return SparsityReport(False, f"witness of {cube} leaves the cube")
+            return f"witness of {cube} leaves the cube"
         start, stop = cube.cell_range(grid.depth)
         size = int(np.count_nonzero(cells))
         if 2 * size <= stop - start:
-            return SparsityReport(
-                False,
+            return (
                 f"witness of {cube} has measure {size}/{stop - start}"
-                " of the cube (strictly more than half is required)",
+                " of the cube (strictly more than half is required)"
             )
         coverage += cells
     if np.any(coverage > 1):
-        cell = int(np.argmax(coverage > 1))
-        return SparsityReport(False, f"witnesses overlap at cell {cell}")
-    return SparsityReport(True, None)
+        return f"witnesses overlap at cell {int(np.argmax(coverage > 1))}"
+    return None
 
 
 def oracle_carleson_packing_ok(
@@ -441,7 +441,7 @@ def oracle_family_from_jsonable(data: Sequence[dict], grid: DyadicGrid) -> Spars
                     )
                 cells[:] = pos
     except (TypeError, KeyError) as exc:
-        raise ValueError(
+        raise ConfigError(
             "family JSON must be a list of objects with "
             "'level', 'index', and 'witness' keys"
         ) from exc

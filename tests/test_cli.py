@@ -184,19 +184,26 @@ class TestSparseForm:
         }
 
     def test_non_sparse_family_exits_one(self, tmp_path, capsys):
-        fam, f, g = self.make_inputs(
-            tmp_path,
-            [
-                {"level": 0, "index": 0, "witness": [[0, 16]]},
-                {"level": 1, "index": 0, "witness": [[0, 8]]},
-            ],
-        )
-        code, _, err = run_cli(
-            ["sparse-form", "--L", "4", "--family", fam, "--f", f, "--g", g],
-            capsys,
-        )
-        assert code == 1
-        assert "not 1/2-sparse (witnesses overlap at cell 0)" in err
+        # an overlap found while loading, then the two failures of the check
+        cases = [
+            ([{"level": 0, "index": 0, "witness": [[0, 16]]},
+              {"level": 1, "index": 0, "witness": [[0, 8]]}],
+             "witnesses overlap at cell 0"),
+            ([{"level": 0, "index": 0, "witness": [[0, 4], [9, 16]]},
+              {"level": 1, "index": 0, "witness": [[4, 9]]}],
+             "witness of DyadicCube(level=1, index=0) leaves the cube"),
+            ([{"level": 0, "index": 0, "witness": [[0, 3], [3, 8]]}],
+             "witness of DyadicCube(level=0, index=0) has measure 8/16 of the cube"
+             " (strictly more than half is required)"),
+        ]
+        for payload, violation in cases:
+            fam, f, g = self.make_inputs(tmp_path, payload)
+            code, out, err = run_cli(
+                ["sparse-form", "--L", "4", "--family", fam, "--f", f, "--g", g],
+                capsys,
+            )
+            assert (code, out) == (1, "")
+            assert err == f"sparse-form: family at {fam!r} is not 1/2-sparse ({violation})\n"
 
     def test_wrong_length_function_file_exits_two(self, tmp_path, capsys):
         fam, f, _ = self.make_inputs(

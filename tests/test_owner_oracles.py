@@ -10,6 +10,7 @@ kernel must reject a cube below the grid.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,15 @@ def grid_of(family: SparseFamily) -> DyadicGrid:
     return DyadicGrid(int(family.owner.size).bit_length() - 1)
 
 
+def verdict(family: SparseFamily, grid: DyadicGrid):
+    """The violation :func:`verify_sparsity` raises, or None when it passes."""
+    try:
+        verify_sparsity(family, grid)
+    except SparsityViolationError as exc:
+        return str(exc)
+    return None
+
+
 CASES = [(kind, seed) for kind in ("random", "cz", "cubes") for seed in range(8)]
 
 
@@ -101,9 +111,7 @@ def test_verdicts_match_oracle_on_mutated_owners(kind, seed):
     for step in range(6):
         fam = SparseFamily(family.cubes, owner)
         witnesses = dense_witnesses(fam)
-        assert verify_sparsity(fam, grid) == oracle_verify_sparsity(
-            fam.cubes, witnesses, grid
-        )
+        assert verdict(fam, grid) == oracle_verify_sparsity(fam.cubes, witnesses, grid)
         # hand some cells to a random cube (or to nobody) and check again
         cells = rng.integers(0, grid.n_cells, size=1 + step)
         owner[cells] = rng.integers(-1, len(family), size=cells.size)
@@ -174,9 +182,8 @@ def test_random_family_kernels_match_cube_loops(depth, max_level, density, seed)
     assert [id_cubes(layer) for layer in peel_layers(family.cubes)] == oracle_peel_layers(
         family.cubes
     )
-    verdict = verify_sparsity(family, grid)
-    assert verdict.ok
-    assert verdict == oracle_verify_sparsity(family.cubes, dense_witnesses(family), grid)
+    assert verdict(family, grid) is None
+    assert oracle_verify_sparsity(family.cubes, dense_witnesses(family), grid) is None
     assert loaded(SparseFamily.from_jsonable, family.to_jsonable(), grid) == loaded(
         oracle_family_from_jsonable, family.to_jsonable(), grid
     )
@@ -291,6 +298,82 @@ def test_family_json_errors_come_in_file_order():
                                     *overlap], grid)
     with pytest.raises(ValueError, match="family JSON"):
         SparseFamily.from_jsonable([{"level": 0}, *overlap], grid)
+
+
+def dense_json(family: SparseFamily) -> str:
+    """``to_json`` rebuilt from dense masks: each witness as its maximal runs."""
+    return json.dumps(
+        [{"level": c.level, "index": c.index, "witness": mask_ranges(cells)}
+         for c, cells in zip(family.cubes, dense_witnesses(family))],
+        sort_keys=True,
+    )
+
+
+def assert_run_check_matches_oracle(family: SparseFamily, grid: DyadicGrid) -> None:
+    """Same verdict as the dense oracle, message for message, and JSON that
+    round-trips byte for byte."""
+    assert verdict(family, grid) == oracle_verify_sparsity(
+        family.cubes, dense_witnesses(family), grid
+    )
+    text = family.to_json()
+    assert text == dense_json(family)
+    assert SparseFamily.from_json(text, grid_of(family)).to_json() == text
+
+
+def from_entries(grid: DyadicGrid, entries) -> SparseFamily:
+    return SparseFamily.from_jsonable(
+        [{"level": k, "index": i, "witness": w} for (k, i), w in entries], grid
+    )
+
+
+def full_family(grid: DyadicGrid, cubes) -> SparseFamily:
+    return SparseFamily(tuple(cubes), paint_owner(cubes, grid))
+
+
+G1, G3 = DyadicGrid(1), DyadicGrid(3)
+EDGE_FAMILIES = {
+    # one cube's witness split into adjacent ranges, which join into one run
+    "split witness": lambda: (from_entries(G3, [((0, 0), [[0, 2], [2, 3], [3, 5]]),
+                                                ((2, 3), [[7, 8], [6, 7]])]), G3),
+    "split half witness": lambda: (from_entries(G3, [((0, 0), [[0, 1], [1, 4]])]), G3),
+    "witness leaves its cube": lambda: (from_entries(G3, [((1, 0), [[2, 5]])]), G3),
+    "witness wholly outside": lambda: (from_entries(G3, [((2, 1), [[0, 1]]),
+                                                         ((1, 1), [[4, 8]])]), G3),
+    "leaving cube after a half cube": lambda: (from_entries(G3, [((1, 1), [[4, 6]]),
+                                                                 ((1, 0), [[0, 3], [6, 7]])]), G3),
+    "exactly half": lambda: (from_entries(G3, [((1, 0), [[0, 3]]), ((1, 1), [[4, 6]])]), G3),
+    "empty witness": lambda: (from_entries(G3, [((0, 0), [[2, 8]]), ((2, 0), [])]), G3),
+    "every finest cell": lambda: (
+        full_family(G3, [DyadicCube(3, i) for i in range(8)]), G3),
+    "every cube painted": lambda: (
+        full_family(G3, [DyadicCube(k, i) for k in range(4) for i in range(1 << k)]), G3),
+    "wrong-size owner": lambda: (SparseFamily((DyadicCube(0, 0),), np.zeros(8)), GRID4),
+    "L=1 root": lambda: (from_entries(G1, [((0, 0), [[0, 2]])]), G1),
+    "L=1 halves": lambda: (full_family(G1, [DyadicCube(1, 1), DyadicCube(1, 0)]), G1),
+    "L=1 root over a half": lambda: (full_family(G1, [DyadicCube(0, 0), DyadicCube(1, 1)]), G1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
+def test_run_check_matches_the_dense_oracle_on_edge_families(name):
+    assert_run_check_matches_oracle(*EDGE_FAMILIES[name]())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_run_check_matches_the_dense_oracle_on_json_families(seed):
+    rng = np.random.default_rng([seed, 73])
+    family = make_family(("random", "cz", "cubes")[seed % 3], seed)
+    grid = grid_of(family)
+    assert_run_check_matches_oracle(family, grid)
+    checked = 0
+    for payload in [valid_payload(family, rng)] + [random_payload(grid, rng) for _ in range(8)]:
+        try:
+            loaded_family = SparseFamily.from_jsonable(payload, grid)
+        except SparsityViolationError:
+            continue  # overlapping witnesses are refused while the family loads
+        assert_run_check_matches_oracle(loaded_family, grid)
+        checked += 1
+    assert checked
 
 
 GRID4 = DyadicGrid(4)

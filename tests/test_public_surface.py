@@ -200,14 +200,14 @@ def test_every_public_function_is_exported_used_or_benchmarked():
     assert unused == []
 
 
-def test_no_module_imports_a_private_name_of_grid_or_characteristics():
+def test_no_module_imports_a_private_name_of_grid_characteristics_or_sparse():
     # a name another module needs is public; a private one is the module's own
     package = Path(weightlab.__file__).parent
     private = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in (
-                "grid", "characteristics"
+                "grid", "characteristics", "sparse"
             ):
                 private += [f"{path.stem}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]

@@ -22,6 +22,7 @@ from weightlab import (
     ExponentProfile,
     SparseFamily,
     SparsityViolationError,
+    WeightlabError,
     build_sparse_cz,
     sparse_form,
     verify_sparsity,
@@ -45,7 +46,7 @@ def owner_of(grid: DyadicGrid, witnesses) -> np.ndarray:
 class TestVerifySparsity:
     def test_single_cube_with_itself_as_witness(self, grid6):
         fam = full_cube_family(grid6, [DyadicCube(1, 0)])
-        assert verify_sparsity(fam, grid6).ok
+        assert verify_sparsity(fam, grid6) is None
 
     def test_nested_disjoint_witnesses(self, grid6):
         root = DyadicCube(0, 0)
@@ -54,8 +55,8 @@ class TestVerifySparsity:
         witness_child = cube_mask(grid6, child)  # left half
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         # root witness is exactly half: strict sparsity must fail
-        report = verify_sparsity(fam, grid6)
-        assert not report.ok and "strictly more than half" in report.first_violation
+        with pytest.raises(SparsityViolationError, match="strictly more than half"):
+            verify_sparsity(fam, grid6)
 
     def test_strict_majority_passes(self, grid6):
         root = DyadicCube(0, 0)
@@ -63,7 +64,7 @@ class TestVerifySparsity:
         witness_root = ~cube_mask(grid6, child)  # 3/4 of root
         witness_child = cube_mask(grid6, child)
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
-        assert verify_sparsity(fam, grid6).ok
+        assert verify_sparsity(fam, grid6) is None
         assert oracle_carleson_packing_ok(fam.cubes, dense_witnesses(fam), grid6)
 
     def test_witness_outside_cube_fails(self, grid6):
@@ -71,8 +72,8 @@ class TestVerifySparsity:
             (DyadicCube(1, 0),),
             owner_of(grid6, [cube_mask(grid6, DyadicCube(1, 1))]),
         )
-        report = verify_sparsity(fam, grid6)
-        assert not report.ok and "leaves" in report.first_violation
+        with pytest.raises(SparsityViolationError, match="leaves"):
+            verify_sparsity(fam, grid6)
 
     def test_overlapping_witnesses_fail(self, grid6):
         # an owner array cannot hold overlapping witnesses: loading rejects them
@@ -98,7 +99,7 @@ class TestBuilders:
     def test_random_builder_output_is_valid(self, seed, grid6):
         fam = oracle_build_sparse_random(grid6, max_level=4, density=0.5, seed=seed)
         assert len(fam) >= 1
-        assert verify_sparsity(fam, grid6).ok
+        assert verify_sparsity(fam, grid6) is None
         assert oracle_carleson_packing_ok(fam.cubes, dense_witnesses(fam), grid6)
 
     def test_cz_hand_example(self):
@@ -110,7 +111,7 @@ class TestBuilders:
         f[0] = 1.0
         fam = build_sparse_cz(f, g, ratio=2.0)
         assert [(c.level, c.index) for c in fam.cubes] == [(0, 0), (2, 0)]
-        assert verify_sparsity(fam, g).ok
+        assert verify_sparsity(fam, g) is None
         # the root witness is the root minus the selected subcube
         root_witness = fam.owner == fam.cubes.index(DyadicCube(0, 0))
         np.testing.assert_array_equal(
@@ -126,7 +127,7 @@ class TestBuilders:
         rng = np.random.default_rng(seed)
         data = np.exp(rng.standard_normal(grid8.n_cells))
         fam = build_sparse_cz(data, grid8, ratio=2.0)
-        assert verify_sparsity(fam, grid8).ok
+        assert verify_sparsity(fam, grid8) is None
         assert oracle_carleson_packing_ok(fam.cubes, dense_witnesses(fam), grid8)
 
     def test_cz_stopping_condition(self, grid8):
@@ -174,6 +175,40 @@ class TestBuilders:
             got = stopping_family(totals, grid8, ratio=3.0)
             assert np.array_equal(got.ids, want.ids)
             assert np.array_equal(got.owner, want.owner)
+
+
+def _owner_family(value: int):
+    return lambda g: SparseFamily((DyadicCube(0, 0),), np.full(g.n_cells, value))
+
+
+def _with_cell(value: float):
+    def call(g):
+        data = np.ones(g.n_cells)
+        data[3] = value
+        return build_sparse_cz(data, g)
+    return call
+
+
+REFUSALS = {
+    "negative density cell": (_with_cell(-1.0), "nonnegative cell values"),
+    "ratio 1": (lambda g: build_sparse_cz(np.ones(g.n_cells), g, ratio=1.0), "ratio must be > 1"),
+    "ratio nan": (lambda g: stopping_family(tree_totals(g, np.ones(g.n_cells)), g, math.nan),
+                  "ratio must be > 1"),
+    "infinite root total": (_with_cell(math.inf), "finite and positive, got inf"),
+    "nan root total": (_with_cell(math.nan), "finite and positive, got nan"),
+    "owner past the family": (_owner_family(1), "owner entries"),
+    "owner below -1": (_owner_family(-2), "owner entries"),
+    "malformed family JSON": (lambda g: SparseFamily.from_json('[{"level": 0}]', g),
+                              "family JSON"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_is_a_weightlab_error_and_a_value_error(name, grid6):
+    call, message = REFUSALS[name]
+    with pytest.raises(WeightlabError, match=message) as info:
+        call(grid6)
+    assert isinstance(info.value, ValueError)
 
 
 class TestSerialisation:

@@ -41,7 +41,7 @@ from weightlab.errors import (
     EmptyGoodSetError, EpsilonOutOfRangeError, WrongLengthError, ZeroFunctionError,
 )
 from weightlab.gehring import verify_subset_bound
-from weightlab.sparse import paint_owner
+from weightlab.sparse import paint_owner, stopping_family
 from weightlab.tracer import (
     build_good_set,
     geometric_tail_sum,
@@ -422,7 +422,7 @@ class TestDefaultTraceFamily:
         moments = composed_moment_cells(grid8, f, sigma, 1.0) / grid8.cell_measure
         rebuilt = build_sparse_cz(moments, grid8, ratio=2.0)
         assert list(rebuilt.cubes) == id_cubes(family)
-        assert verify_sparsity(rebuilt, grid8).ok
+        assert verify_sparsity(rebuilt, grid8) is None
 
     @pytest.mark.parametrize("p0", [-1.0, math.nan, 1e6])
     def test_window_exponent_checked_as_for_the_good_set(self, grid6, p0):
@@ -435,12 +435,33 @@ class TestDefaultTraceFamily:
 
     def test_good_set_stops_the_default_family_on_its_own_heap(self):
         # the stopping rule reads the heap of |fσ|^{p0} totals a level at a time:
-        # no density copy and no second tree (11.5 N doubles when it built both)
+        # no density copy and no second tree (11.5 N doubles when it built both,
+        # 8.5 while the sparsity check gathered per cell)
         w, grid = PowerWeight(-0.25), DyadicGrid(16)
         f = np.random.default_rng(16).standard_normal(grid.n_cells)
         build_good_set(f, w, grid, 1.25)  # fill the moment store
         peak = traced_peak(build_good_set, f, w, grid, 1.25)
-        assert peak <= 10 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+        assert peak <= 7.5 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
+    @staticmethod
+    def trace_heap():
+        """The |fσ|^{p0} heap of a trace at L = 16, its moment store filled."""
+        w, grid = PowerWeight(-0.25), DyadicGrid(16)
+        f = np.random.default_rng(16).standard_normal(grid.n_cells)
+        return build_good_set(f, w, grid, 1.25).p0_totals, grid
+
+    def test_sparsity_check_reads_the_owner_runs(self):
+        # 3.5 N doubles when the check gathered per cell
+        heap, grid = self.trace_heap()
+        family = stopping_family(heap, grid)
+        peak = traced_peak(verify_sparsity, family, grid)
+        assert peak <= 2.5 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
+    def test_stopping_rule_drops_its_levels_before_painting(self):
+        # 6.5 N doubles when the last level's shares and the per-cell check met
+        heap, grid = self.trace_heap()
+        peak = traced_peak(stopping_family, heap, grid)
+        assert peak <= 3.5 * grid.n_cells * 8, peak / (grid.n_cells * 8)
 
 
 class TestPerCubeScan:
