@@ -12,7 +12,7 @@ class WeightlabError(Exception):
 
 
 class LevelOverflowError(WeightlabError):
-    """A cube at the finest level was asked for its children."""
+    """A cube lies below the grid's finest level."""
 
 
 class WrongLengthError(WeightlabError):

@@ -68,10 +68,6 @@ class InequalityCheck:
         ratio = self.lhs / self.rhs if 0.0 < self.rhs < math.inf else math.nan
         return math.inf if math.isnan(ratio) else ratio
 
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= 1.0 + SLACK
-
 
 def sharp_rh_levels(
     w: Weight, t: float, rh: float, grid: DyadicGrid
@@ -163,6 +159,7 @@ def verify_subset_bound(
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
+EPSILON_CAP = 64.0  # the largest increment the ε search tries
 _CERTIFICATE_SLACK = 1e-9  # far above the ~1e-13 rounding of a computed log worst
 
 
@@ -220,7 +217,6 @@ def max_epsilon_empirical(
     grid: DyadicGrid,
     factor: float = 2.0,
     rel_precision: float = 1e-4,
-    hard_cap: float = 64.0,
 ) -> EpsilonSearchResult:
     """Largest ε with ⨍_Q w^{p+ε} ≤ factor·[w]_{RH_p}^{p+ε}(⨍_Q w)^{p+ε} on all cubes.
 
@@ -234,14 +230,14 @@ def max_epsilon_empirical(
     from the values of ``F`` at earlier probe passes; a pass whose worst ratio
     is not finite and positive fails and adds no point. The probes and their
     answers are the plain bisection's, so the result is too, bit for bit. The
-    search domain is capped by moment admissibility (for power weights ``x^α``
-    with α < 0 the moment p+ε must keep α(p+ε) > −1); a hit of the cap is
-    reported, not an error, and a search in which not even the smallest probe
-    passes reports ``epsilon_empirical = 0.0``. Reported alongside: the proven
-    range and the conjectured scale ``1/[w]_{RH_p}^p``.
+    search domain ``ε <`` :data:`EPSILON_CAP` is capped further by moment
+    admissibility (for power weights ``x^α`` with α < 0 the moment p+ε must keep
+    α(p+ε) > −1); a hit of the cap is reported, not an error, and a search in which
+    not even the smallest probe passes reports ``epsilon_empirical = 0.0``. Reported
+    alongside: the proven range and the conjectured scale ``1/[w]_{RH_p}^p``.
     """
     p = check_q0_star(p)
-    cap = hard_cap
+    cap = EPSILON_CAP
     if isinstance(w, PowerWeight) and w.alpha < 0.0:
         cap = min(cap, (-1.0 / w.alpha) - p)
         if cap <= 0.0:

@@ -1,11 +1,13 @@
 """Dyadic addressing and tree aggregation on [0, 1).
 
 The carrier is a dyadic grid of depth ``L``: the finest level has ``N = 2**L``
-half-open cells ``[i/N, (i+1)/N)``. A :class:`DyadicCube` addresses the
-interval ``[index * 2**-level, (index + 1) * 2**-level)`` for any
-``0 <= level <= L``; inside the family kernels it is one int64 *heap id*
-``2**level - 1 + index`` (:func:`cube_ids`), an encoding only this module
-knows.  Per-cube data is one *heap* indexed by heap id, each level a view
+half-open cells ``[i/N, (i+1)/N)``. A :class:`DyadicCube` names the interval
+``[index * 2**-level, (index + 1) * 2**-level)``, ``0 <= level <= L``, at the edges: in
+reports, argmax fields and family JSON.  Every kernel addresses a cube by one int64 *heap id*
+``2**level - 1 + index`` (:func:`cube_ids`; :func:`id_cubes` back), an encoding only this
+module knows, and the one cube algebra is on ids: a parent is ``(id - 1) >> 1``, containment
+:func:`ancestor_hits`, a cube's cells :func:`id_cell_ranges`, and ``np.arange(grid.cube_count)``
+enumerates every cube.  Per-cube data is one *heap* indexed by heap id, each level a view
 (:func:`heap_levels`); a set of finest cells is a boolean mask (:meth:`DyadicGrid.check_mask`).
 Every per-cube scan reads the one level walk, :func:`level_blocks`, a block at a time.
 
@@ -49,33 +51,6 @@ class DyadicCube:
         """Lebesgue measure |Q| = 2**-level (exact float for level <= 1074)."""
         return 2.0 ** (-self.level)
 
-    def interval(self) -> Tuple[float, float]:
-        """Endpoints (a, b) of the half-open interval; exact dyadic floats."""
-        width = 2.0 ** (-self.level)
-        return self.index * width, (self.index + 1) * width
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise LevelOverflowError("the root cube has no parent")
-        return DyadicCube(self.level - 1, self.index >> 1)
-
-    def children(self, depth: int) -> Tuple["DyadicCube", "DyadicCube"]:
-        """The two halves of this cube; errors at the finest level ``depth``."""
-        if self.level >= depth:
-            raise LevelOverflowError(
-                f"cube at level {self.level} has no children within depth {depth}"
-            )
-        return (
-            DyadicCube(self.level + 1, 2 * self.index),
-            DyadicCube(self.level + 1, 2 * self.index + 1),
-        )
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """Set containment other ⊆ self (true when other refines self)."""
-        if other.level < self.level:
-            return False
-        return (other.index >> (other.level - self.level)) == self.index
-
     def cell_range(self, depth: int) -> Tuple[int, int]:
         """Half-open range [start, stop) of finest-cell indices at grid depth."""
         if self.level > depth:
@@ -108,15 +83,6 @@ class DyadicGrid:
     def cube_count(self) -> int:
         """Number of dyadic cubes with level <= depth: 2**(depth+1) - 1."""
         return (1 << (self.depth + 1)) - 1
-
-    def cubes(self) -> Iterator[DyadicCube]:
-        """All cubes in deterministic (level, index) order, coarse to fine."""
-        for level in range(self.depth + 1):
-            for index in range(1 << level):
-                yield DyadicCube(level, index)
-
-    def root(self) -> DyadicCube:
-        return DyadicCube(0, 0)
 
     def check_values(self, values: Sequence[float] | np.ndarray) -> np.ndarray:
         """Validate and return a float64 per-cell vector of length 2**depth."""

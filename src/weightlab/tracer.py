@@ -520,10 +520,6 @@ class PerCubeScan:
     worst_holder_ratio: float
     worst_holder_cube: DyadicCube
 
-    @property
-    def passed(self) -> bool:
-        return self.worst_ap_ratio <= 1.0 + SLACK and self.worst_holder_ratio <= 1.0 + SLACK
-
 
 def percube_ap_holder_scan(
     w: Weight,

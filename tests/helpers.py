@@ -8,6 +8,7 @@ implementations are checked against independent arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import tracemalloc
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -85,8 +86,8 @@ def brute_a_infty(w: Weight, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
     cell and Q, then divide by the weight's mass on Q."""
     cellw = w.cell_integrals(grid, 1.0)
     best = -np.inf
-    best_cube = grid.root()
-    for cube in grid.cubes():
+    best_cube = DyadicCube(0, 0)
+    for cube in every_cube(grid):
         start, stop = cube.cell_range(grid.depth)
         total = float(np.sum(cellw[start:stop]))
         acc = 0.0
@@ -127,6 +128,12 @@ def random_cellset(
 def every_cube(grid: DyadicGrid) -> List[DyadicCube]:
     """Every dyadic cube of the grid, coarsest level first."""
     return [DyadicCube(k, i) for k in range(grid.depth + 1) for i in range(1 << k)]
+
+
+def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
+    """Set containment ``inner ⊆ outer``: ``inner`` is ``outer`` or refines it."""
+    shift = inner.level - outer.level
+    return shift >= 0 and inner.index >> shift == outer.index
 
 
 def cube_mask(grid: DyadicGrid, cube: DyadicCube) -> np.ndarray:
@@ -271,7 +278,7 @@ def oracle_peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
         maximal = [
             c
             for c in remaining
-            if not any(o != c and o.contains(c) for o in remaining)
+            if not any(o != c and contains(o, c) for o in remaining)
         ]
         layers.append(maximal)
         kept = set(maximal)
@@ -289,7 +296,7 @@ def oracle_layer_witnesses(
         for cube in layer:
             mask = cube_mask(grid, cube)
             for sub in next_layer:
-                if cube.contains(sub):
+                if contains(cube, sub):
                     mask &= ~cube_mask(grid, sub)
             out[cube] = mask
     return out
@@ -333,7 +340,7 @@ def oracle_carleson_packing_ok(
         packed = sum(
             int(np.count_nonzero(cells))
             for cube, cells in zip(cubes, witnesses)
-            if outer.contains(cube)
+            if contains(outer, cube)
         )
         if packed > stop - start:
             return False
@@ -427,14 +434,14 @@ def oracle_family_from_jsonable(data: Sequence[dict], grid: DyadicGrid) -> Spars
     try:
         entries = list(data)
         for pos, entry in enumerate(entries):
-            cubes.append(DyadicCube(int(entry["level"]), int(entry["index"])))
+            cubes.append(DyadicCube(exact_int(entry["level"]), exact_int(entry["index"])))
             for start, stop in entry["witness"]:
                 if not 0 <= start <= stop <= grid.n_cells:
                     raise SubsetError(
                         f"cell range [{start}, {stop}) outside grid of "
                         f"{grid.n_cells} cells"
                     )
-                cells = owner[start:stop]
+                cells = owner[exact_int(start) : exact_int(stop)]
                 taken = (cells >= 0) & (cells != pos)
                 if taken.any():
                     raise SparsityViolationError(
@@ -449,6 +456,13 @@ def oracle_family_from_jsonable(data: Sequence[dict], grid: DyadicGrid) -> Spars
             "'level', 'index', and 'witness' keys"
         ) from exc
     return SparseFamily(cubes, owner)
+
+
+def exact_int(value: object) -> int:
+    """A JSON integer field: a bool, a float or a string raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def good_set(
@@ -541,6 +555,15 @@ def oracle_trace_proof(
             "comparability_max": comparability,
         }
     return out
+
+
+# --- correctly rounded references ---------------------------------------------------------
+
+
+def fsum_cube_total(cells: np.ndarray, cube: DyadicCube, depth: int) -> float:
+    """The sum of a cube's cell values, correctly rounded (``math.fsum``)."""
+    start, stop = cube.cell_range(depth)
+    return math.fsum(cells[start:stop].tolist())
 
 
 # --- list-form pyramids: one array per level, the layout before the heap ------------
@@ -850,7 +873,7 @@ def oracle_sharp_rh(
     at moment ``t`` on every cube, coarse to fine, in Python floats one cube at a
     time: ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t``, ratio 0 where lhs is 0."""
     rows = []
-    for cube in grid.cubes():
+    for cube in every_cube(grid):
         scale = float(1 << cube.level)
         lhs = w.cube_integral(grid, cube, t) * scale
         mean = w.cube_integral(grid, cube, 1.0) * scale
@@ -907,14 +930,13 @@ def oracle_max_epsilon_empirical(
     grid: DyadicGrid,
     factor: float = 2.0,
     rel_precision: float = 1e-4,
-    hard_cap: float = 64.0,
 ) -> EpsilonSearchResult:
     """The ε search with one kernel pass per bisection probe: the same probes,
     in the same order, as ``max_epsilon_empirical``, each answered by running
     ``gehring.sharp_rh_levels`` (looked up on the module, so a test can count or
     replace it; the search's own probe is ``gehring._worst_ratio``)."""
     p = float(p)
-    cap = hard_cap
+    cap = gehring.EPSILON_CAP
     if isinstance(w, PowerWeight) and w.alpha < 0.0:
         cap = min(cap, (-1.0 / w.alpha) - p)
 
@@ -1002,13 +1024,12 @@ def dense_corpus_values(
     for level in range(atom_levels + 1):
         for index in range(1 << level):
             cube = DyadicCube(level, index)
-            left, right = cube.children(grid.depth)
+            start, stop = cube.cell_range(grid.depth)
+            mid = (start + stop) // 2
             vals = np.zeros(grid.n_cells, dtype=np.float64)
             amp = cube.measure**-0.5
-            a0, a1 = left.cell_range(grid.depth)
-            b0, b1 = right.cell_range(grid.depth)
-            vals[a0:a1] = amp
-            vals[b0:b1] = -amp
+            vals[start:mid] = amp
+            vals[mid:stop] = -amp
             out.append((f"haar[{level},{index}]", vals))
     ind_levels = min(structured_max_level, grid.depth)
     for level in range(ind_levels + 1):

@@ -117,6 +117,15 @@ class TestVerifyGehring:
             ratio = float(line.rsplit(",", 1)[1])
             assert ratio <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("depth,expected", [(4, 1), (8, 1), (12, 0)])
+    def test_a_power_weight_fails_the_gate_at_small_depth_only(self, depth, expected, capsys):
+        # [w^{q0*}]_{A_inf} grows with L toward its continuum value, so a coarse grid's
+        # epsilon_max (0.216 / 0.143 / 0.114) checks increments the lemma does not cover
+        code, _, err = run_cli(
+            ["verify-gehring", "--power", "-0.45", "--eps-grid", "4", "--L", str(depth)], capsys
+        )
+        assert code == expected, err
+
     @pytest.mark.parametrize("source", ["power", "file"])
     def test_worst_ratio_is_the_kernel_max_over_the_eps_grid(self, source, tmp_path, capsys):
         grid = DyadicGrid(6)
@@ -239,8 +248,13 @@ class TestSparseForm:
         assert code == 2
         assert "family JSON" in err
 
-    def test_family_field_that_is_not_an_integer_exits_two(self, tmp_path, capsys):
-        fam, f, g = self.make_inputs(tmp_path, [{"level": "deep", "index": 0, "witness": []}])
+    @pytest.mark.parametrize("entry", [
+        {"level": "deep", "index": 0, "witness": []},
+        {"level": 0.9, "index": 0, "witness": [[0, 16]]},  # not read as the root
+        {"level": True, "index": False, "witness": [[0, 8]]},  # not read as cube (1, 0)
+    ], ids=["string", "float", "bool"])
+    def test_family_field_that_is_not_an_integer_exits_two(self, tmp_path, capsys, entry):
+        fam, f, g = self.make_inputs(tmp_path, [entry])
         code, out, err = run_cli(
             ["sparse-form", "--L", "4", "--family", fam, "--f", f, "--g", g],
             capsys,

@@ -9,7 +9,8 @@ heaps) bit for bit, and the supremum must pick the same cube as the heap
 argmax (the first maximum, coarser level first), including the exact ties of
 ``x**alpha`` on the left-edge cubes.  With the block cut to 4 cubes, NaN
 cubes, all-NaN levels and ties fall across block boundaries.  A tracemalloc
-guard holds ``A_p`` and ``RH_q`` to a few blocks above the moment store.
+guard holds ``A_p`` and ``RH_q`` to a few blocks above the moment store, and a
+``math.fsum`` reference holds stored totals to the pairwise-summation bound.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    every_cube,
+    fsum_cube_total,
     oracle_a_infty_heap,
     oracle_ap_heap,
     oracle_averages,
@@ -111,6 +114,24 @@ def test_tree_totals_is_the_level_list(depth, kind):
         heap = tree_totals(grid, values)
         _assert_heap_is_levels(heap, oracle_tree_totals(grid, values))
     assert not np.shares_memory(heap, values)
+
+
+@pytest.mark.parametrize("depth,sampled", [(12, None), (16, 64)])
+def test_pyramid_totals_are_within_pairwise_rounding_of_fsum(depth, sampled):
+    # positive terms summed pairwise through depth levels: at most depth·2**-53
+    # relative (1.8e-15 at L = 16), far below the verifiers' 1e-12 slack
+    grid = DyadicGrid(depth)
+    rng = np.random.default_rng([depth, 10])
+    w = TabulatedWeight(np.exp(2.0 * rng.standard_normal(grid.n_cells)))
+    cubes = every_cube(grid)
+    if sampled:  # every cube of the coarse levels, `sampled` of each finer one
+        cubes = [DyadicCube(k, int(i)) for k in range(depth + 1)
+                 for i in rng.choice(1 << k, min(sampled, 1 << k), replace=False)]
+    for t in (1.0, 3.0, 6.0):
+        cells, pyramid = w.cell_integrals(grid, t), w.pyramid(grid, t)
+        for cube in cubes:
+            exact = fsum_cube_total(cells, cube, depth)
+            assert abs(pyramid[cube.heap_id] - exact) <= depth * 2.0**-53 * exact, (t, cube)
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

@@ -96,10 +96,10 @@ CASES = [(kind, seed) for kind in ("random", "cz", "cubes") for seed in range(8)
 def test_layers_and_witness_cells_match_oracle(kind, seed):
     family = make_family(kind, seed)
     grid = grid_of(family)
-    layers = oracle_peel_layers(family.cubes)
-    assert [id_cubes(layer) for layer in peel_layers(family.cubes)] == layers
+    layers = oracle_peel_layers(id_cubes(family.ids))
+    assert [id_cubes(layer) for layer in peel_layers(id_cubes(family.ids))] == layers
     expected = oracle_layer_witnesses(layers, grid)
-    for pos, cube in enumerate(family.cubes):
+    for pos, cube in enumerate(id_cubes(family.ids)):
         np.testing.assert_array_equal(family.owner == pos, expected[cube])
 
 
@@ -110,9 +110,9 @@ def test_verdicts_match_oracle_on_mutated_owners(kind, seed):
     rng = np.random.default_rng([seed, 47])
     owner = family.owner.copy()
     for step in range(6):
-        fam = SparseFamily(family.cubes, owner)
+        fam = SparseFamily(id_cubes(family.ids), owner)
         witnesses = dense_witnesses(fam)
-        assert verdict(fam, grid) == oracle_verify_sparsity(fam.cubes, witnesses, grid)
+        assert verdict(fam, grid) == oracle_verify_sparsity(id_cubes(fam.ids), witnesses, grid)
         # hand some cells to a random cube (or to nobody) and check again
         cells = rng.integers(0, grid.n_cells, size=1 + step)
         owner[cells] = rng.integers(-1, len(family), size=cells.size)
@@ -179,12 +179,12 @@ def test_random_family_kernels_match_cube_loops(depth, max_level, density, seed)
     # peeling, verdict and JSON load must agree with the loops over cubes
     grid = DyadicGrid(depth)
     family = oracle_build_sparse_random(grid, max_level, density, seed)
-    np.testing.assert_array_equal(paint_owner(family.cubes, grid), family.owner)
-    assert [id_cubes(layer) for layer in peel_layers(family.cubes)] == oracle_peel_layers(
-        family.cubes
+    np.testing.assert_array_equal(paint_owner(id_cubes(family.ids), grid), family.owner)
+    assert [id_cubes(layer) for layer in peel_layers(id_cubes(family.ids))] == oracle_peel_layers(
+        id_cubes(family.ids)
     )
     assert verdict(family, grid) is None
-    assert oracle_verify_sparsity(family.cubes, dense_witnesses(family), grid) is None
+    assert oracle_verify_sparsity(id_cubes(family.ids), dense_witnesses(family), grid) is None
     assert loaded(SparseFamily.from_jsonable, family.to_jsonable(), grid) == loaded(
         oracle_family_from_jsonable, family.to_jsonable(), grid
     )
@@ -255,12 +255,17 @@ def corrupt(payload: list, grid: DyadicGrid, rng: np.random.Generator) -> list:
         lambda e: e.pop("witness"),
         lambda e: e.pop("level"),
         lambda e: e.update(level="deep"),
+        lambda e: e.update(level=e["level"] + 0.9),
+        lambda e: e.update(level=float(e["level"])),
+        lambda e: e.update(level=True, index=False),
+        lambda e: e.update(index=str(e["index"])),
         lambda e: e.update(level=-1),
         lambda e: e.update(index=1 << e["level"]),
         lambda e: e.update(index=-2),
         lambda e: e.update(witness=[[0, 1, 2]]),
         lambda e: e.update(witness=[[1.0, 2]]),
         lambda e: e.update(witness=[["0", 2]]),
+        lambda e: e.update(witness=[[False, True]]),
         lambda e: e.update(witness=e["witness"] + [[n - 1, n + 3]]),
         lambda e: e.update(witness=[[-1, 2]] + e["witness"]),
         lambda e: e.update(witness=[[3, 2]]),
@@ -305,7 +310,7 @@ def dense_json(family: SparseFamily) -> str:
     """``to_json`` rebuilt from dense masks: each witness as its maximal runs."""
     return json.dumps(
         [{"level": c.level, "index": c.index, "witness": mask_ranges(cells)}
-         for c, cells in zip(family.cubes, dense_witnesses(family))],
+         for c, cells in zip(id_cubes(family.ids), dense_witnesses(family))],
         sort_keys=True,
     )
 
@@ -314,7 +319,7 @@ def assert_run_check_matches_oracle(family: SparseFamily, grid: DyadicGrid) -> N
     """Same verdict as the dense oracle, message for message, and JSON that
     round-trips byte for byte."""
     assert verdict(family, grid) == oracle_verify_sparsity(
-        family.cubes, dense_witnesses(family), grid
+        id_cubes(family.ids), dense_witnesses(family), grid
     )
     text = family.to_json()
     assert text == dense_json(family)

@@ -200,6 +200,37 @@ def test_every_public_function_is_exported_used_or_benchmarked():
     assert unused == []
 
 
+def test_every_public_method_or_property_is_used_named_or_benchmarked():
+    # the guard above for the members of the package's classes: a method must be
+    # called and a property read as an attribute, in src/ or, as ``.name(`` or
+    # ``.name``, in the README, the CLI or the acceptance suite
+    spans = (PERFBENCH / "spans.py").read_text(encoding="utf-8")
+    benchmarked = {(module, cls, method)
+                   for module, pairs in _assigned_literal(spans, "METHODS").items()
+                   for cls, method in pairs}
+    package = Path(weightlab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    nodes = [sub for tree in trees.values() for sub in ast.walk(tree)]
+    read = {sub.attr for sub in nodes if isinstance(sub, ast.Attribute)}
+    called = {sub.func.attr for sub in nodes
+              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)}
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                prop = any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in member.decorator_list)
+                pattern = rf"\.{member.name}\b" + ("" if prop else r"\(")
+                if not (member.name in (read if prop else called)
+                        or any(re.search(pattern, text) for text in (README, CLI, ACCEPTANCE))
+                        or (module, cls.name, member.name) in benchmarked):
+                    unused.append(f"{module}.{cls.name}.{member.name}")
+    assert unused == []
+
+
 def test_no_module_imports_a_private_name_of_grid_characteristics_or_sparse():
     # a name another module needs is public; a private one is the module's own
     package = Path(weightlab.__file__).parent

@@ -11,8 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    contains,
     cube_mask,
     dense_witnesses,
+    every_cube,
     oracle_build_sparse_random,
     oracle_carleson_packing_ok,
     traced_peak,
@@ -37,7 +39,7 @@ from weightlab import (
     verify_sparsity,
     weak_lp_norm,
 )
-from weightlab.grid import cube_ids, tree_totals
+from weightlab.grid import cube_ids, id_cubes, tree_totals
 from weightlab.tracer import geometric_tail_sum, geometric_weighted_tail_sum
 from weightlab.weights import conjugate_exponent
 from weightlab.sparse import paint_owner, stopping_family
@@ -77,7 +79,7 @@ class TestVerifySparsity:
         witness_child = cube_mask(grid6, child)
         fam = SparseFamily((root, child), owner_of(grid6, [witness_root, witness_child]))
         assert verify_sparsity(fam, grid6) is None
-        assert oracle_carleson_packing_ok(fam.cubes, dense_witnesses(fam), grid6)
+        assert oracle_carleson_packing_ok(id_cubes(fam.ids), dense_witnesses(fam), grid6)
 
     def test_witness_outside_cube_fails(self, grid6):
         fam = SparseFamily(
@@ -112,7 +114,7 @@ class TestBuilders:
         fam = oracle_build_sparse_random(grid6, max_level=4, density=0.5, seed=seed)
         assert len(fam) >= 1
         assert verify_sparsity(fam, grid6) is None
-        assert oracle_carleson_packing_ok(fam.cubes, dense_witnesses(fam), grid6)
+        assert oracle_carleson_packing_ok(id_cubes(fam.ids), dense_witnesses(fam), grid6)
 
     def test_cz_hand_example(self):
         # f = indicator of the first of 8 cells, stopping ratio 2:
@@ -122,17 +124,17 @@ class TestBuilders:
         f = np.zeros(8)
         f[0] = 1.0
         fam = build_sparse_cz(f, g, ratio=2.0)
-        assert [(c.level, c.index) for c in fam.cubes] == [(0, 0), (2, 0)]
+        assert [(c.level, c.index) for c in id_cubes(fam.ids)] == [(0, 0), (2, 0)]
         assert verify_sparsity(fam, g) is None
         # the root witness is the root minus the selected subcube
-        root_witness = fam.owner == fam.cubes.index(DyadicCube(0, 0))
+        root_witness = fam.owner == id_cubes(fam.ids).index(DyadicCube(0, 0))
         np.testing.assert_array_equal(
             root_witness, np.array([0, 0, 1, 1, 1, 1, 1, 1], dtype=bool)
         )
 
     def test_cz_constant_data_keeps_only_the_root(self, grid6):
         fam = build_sparse_cz(np.ones(grid6.n_cells), grid6, ratio=2.0)
-        assert [(c.level, c.index) for c in fam.cubes] == [(0, 0)]
+        assert [(c.level, c.index) for c in id_cubes(fam.ids)] == [(0, 0)]
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_cz_output_is_always_sparse(self, seed, grid8):
@@ -140,7 +142,7 @@ class TestBuilders:
         data = np.exp(rng.standard_normal(grid8.n_cells))
         fam = build_sparse_cz(data, grid8, ratio=2.0)
         assert verify_sparsity(fam, grid8) is None
-        assert oracle_carleson_packing_ok(fam.cubes, dense_witnesses(fam), grid8)
+        assert oracle_carleson_packing_ok(id_cubes(fam.ids), dense_witnesses(fam), grid8)
 
     def test_cz_stopping_condition(self, grid8):
         # every non-root family cube strictly exceeds the ratio against its
@@ -148,16 +150,16 @@ class TestBuilders:
         rng = np.random.default_rng(13)
         data = np.exp(rng.standard_normal(grid8.n_cells))
         fam = build_sparse_cz(data, grid8, ratio=2.0)
-        cubes = set(fam.cubes)
+        cubes = set(id_cubes(fam.ids))
 
         def avg(cube):
             s, t = cube.cell_range(grid8.depth)
             return float(np.mean(data[s:t]))
 
-        for cube in fam.cubes:
+        for cube in id_cubes(fam.ids):
             if cube.level == 0:
                 continue
-            ancestors = [c for c in cubes if c != cube and c.contains(cube)]
+            ancestors = [c for c in cubes if c != cube and contains(c, cube)]
             parent = max(ancestors, key=lambda c: c.level)
             assert avg(cube) > 2.0 * avg(parent)
 
@@ -273,7 +275,7 @@ class TestSerialisation:
     def test_json_round_trip(self, grid6):
         fam = oracle_build_sparse_random(grid6, max_level=3, density=0.6, seed=4)
         again = SparseFamily.from_json(fam.to_json(), grid6)
-        assert again.cubes == fam.cubes
+        assert id_cubes(again.ids) == id_cubes(fam.ids)
         np.testing.assert_array_equal(again.owner, fam.owner)
 
     def test_jsonable_schema(self, grid6):
@@ -283,7 +285,7 @@ class TestSerialisation:
             {"level": 1, "index": 1, "witness": [[32, 64]]}
         ]
         text = json.dumps(payload)
-        assert SparseFamily.from_json(text, grid6).cubes == (DyadicCube(1, 1),)
+        assert id_cubes(SparseFamily.from_json(text, grid6).ids) == [DyadicCube(1, 1)]
 
     @pytest.mark.parametrize(
         "payload",
@@ -304,7 +306,7 @@ class TestSparseForm:
         g = DyadicGrid(3)
         prof = ExponentProfile(p0=1.0, q0=4.0)
         ones = np.ones(8)
-        value = sparse_form(ones, ones, prof, list(g.cubes()), g)
+        value = sparse_form(ones, ones, prof, every_cube(g), g)
         assert value == pytest.approx(4.0, rel=1e-12)
 
     def test_single_root_scalars(self):
@@ -328,7 +330,7 @@ class TestSparseForm:
         rng = np.random.default_rng(20)
         f = rng.standard_normal(16)
         gv = rng.standard_normal(16)
-        fam = list(g.cubes())[:7]
+        fam = every_cube(g)[:7]
         base = sparse_form(f, gv, prof, fam, g)
         scaled = sparse_form(cf * f, cg * gv, prof, fam, g)
         assert scaled == pytest.approx(cf**2 * cg * base, rel=1e-9)
@@ -338,7 +340,7 @@ class TestSparseForm:
         rng = np.random.default_rng(21)
         f = rng.standard_normal(64)
         gv = rng.standard_normal(64)
-        cubes = list(grid6.cubes())
+        cubes = every_cube(grid6)
         small = sparse_form(f, gv, prof, cubes[:5], grid6)
         large = sparse_form(f, gv, prof, cubes[:20], grid6)
         assert large >= small * (1 - 1e-12)
@@ -354,5 +356,5 @@ class TestSparseForm:
         fam = oracle_build_sparse_random(grid6, max_level=3, density=0.5, seed=6)
         ones = np.ones(64)
         a = sparse_form(ones, ones, prof, fam, grid6)
-        b = sparse_form(ones, ones, prof, list(fam.cubes), grid6)
+        b = sparse_form(ones, ones, prof, id_cubes(fam.ids), grid6)
         assert a == pytest.approx(b, rel=1e-14)
