@@ -76,8 +76,17 @@ def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int
     return level_maxima(power_levels(w, grid, 1.0 - conjugate_exponent(p), p - 1.0, np.multiply))
 
 
+def _at_least_one(value: float, name: str, exponent: float, w: Weight) -> float:
+    """``value``, read as ``[w]_{A_p}`` or ``[w]_{RH_q}`` (``name``): both are at least 1, so a
+    value below ``1 − SLACK`` means the weight's powers left the double range."""
+    if value < 1.0 - SLACK:
+        raise ConfigError(f"[w]_{{{name}_{float(exponent)!r}}} of {w.describe()} reads "
+                          f"{value!r}, below 1: the weight's powers leave the double range")
+    return value
+
+
 def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
-    return max(value for value, _ in ap_per_level(w, p, grid))
+    return _at_least_one(max(value for value, _ in ap_per_level(w, p, grid)), "A", p, w)
 
 
 def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
@@ -91,7 +100,7 @@ def rh_per_level(w: Weight, q: float, grid: DyadicGrid) -> List[Tuple[float, int
 
 
 def rh_constant(w: Weight, q: float, grid: DyadicGrid) -> float:
-    return max(value for value, _ in rh_per_level(w, q, grid))
+    return _at_least_one(max(value for value, _ in rh_per_level(w, q, grid)), "RH", q, w)
 
 
 def _a_infty_levels(w: Weight, grid: DyadicGrid) -> Iterator[_Block]:
@@ -234,10 +243,12 @@ def characteristic_report(
     ap_arg: Dict[float, DyadicCube] = {}
     for p in ap_exponents:
         ap[float(p)], ap_arg[float(p)] = sup_with_argmax(ap_per_level(w, p, grid))
+        _at_least_one(ap[float(p)], "A", p, w)
     rh: Dict[float, float] = {}
     rh_arg: Dict[float, DyadicCube] = {}
     for q in rh_exponents:
         rh[float(q)], rh_arg[float(q)] = sup_with_argmax(rh_per_level(w, q, grid))
+        _at_least_one(rh[float(q)], "RH", q, w)
     a_inf, a_inf_arg = sup_with_argmax(a_infty_fw_per_level(w, grid))
     return CharacteristicReport(
         depth=grid.depth,

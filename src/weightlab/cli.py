@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import evaluate_bounds, simplified_weak_type_factor
 from .characteristics import characteristic_report, rh_constant
 from .errors import ConfigError, SparsityViolationError, WeightlabError
-from .gehring import epsilon_range, random_subset_checks, sharp_rh_levels
+from .gehring import _random_subset_checks, epsilon_range, sharp_rh_levels
 from .grid import DyadicGrid
 from .operators import _corpus_stream, _norm_exponent, empirical_weak_operator_norm
 from .profiles import SLACK, ExponentProfile
@@ -152,6 +152,7 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
     eps_max = epsilon_range(w, q0s, grid)  # refuses q0* outside (1, ∞)
     rh = rh_constant(w, q0s, grid)
     epsilons = [eps_max * i / args.eps_grid for i in range(1, args.eps_grid + 1)]
+    w.require_moment(q0s + epsilons[-1])  # a divergent ε fails before the CSV header
     columns = ["check", "level", "index", "epsilon", "lhs", "rhs", "ratio"]
     worst = 0.0
 
@@ -162,9 +163,9 @@ def _cmd_verify_gehring(args: argparse.Namespace) -> int:
                 worst = max(worst, float(ratio.max()))
                 yield ["self-improve", level, np.arange(at, at + lhs.size), eps, lhs, rhs, ratio]
         if args.subsets > 0:
-            cubes, eps, checks = zip(
-                *random_subset_checks(w, q0s, epsilons, grid, args.subsets, args.seed)
-            )
+            cubes, eps, checks = zip(*_random_subset_checks(
+                w, q0s, epsilons, grid, args.subsets, args.seed, rh, eps_max
+            ))
             ratios = [chk.ratio for chk in checks]
             worst = max(worst, *ratios)
             yield ["subset", [c.level for c in cubes], [c.index for c in cubes], eps,

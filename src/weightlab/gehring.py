@@ -14,9 +14,9 @@ comparison
 
 with ``θ = (q+ε−1)/(q−1)`` — the explicit constant ``2^{1/θ}`` makes the
 check falsifiable rather than vacuous. :func:`random_subset_checks` runs it on
-seeded random pairs ``E ⊂ Q``, each evaluated on its cube's cells alone: the
-measures of ``E`` are sums over ``Q``'s slice of the finest cells, those of
-``Q`` are read from the pyramids; ``E`` is a boolean cell mask. An empty ``E``
+seeded random pairs ``E ⊂ Q``. Both evaluate a pair on its cube's cells alone:
+the measures of ``E``, a boolean cell mask, are sums over ``Q``'s slice of the
+finest cells, and those of ``Q`` are read from the pyramids. An empty ``E``
 has both sides 0 and ratio 0; a side that cannot be formed (an underflowed
 ``w^q(Q)``, a constant past the double range) or ``rhs = 0`` under ``lhs > 0``
 leaves the check unverified, with ratio ``inf``, as in :func:`sharp_rh_levels`.
@@ -40,7 +40,7 @@ from .characteristics import a_infty_fw, rh_constant
 from .errors import ConfigError, EpsilonOutOfRangeError, SubsetError
 from .grid import DyadicCube, DyadicGrid, cube_ids, heap_levels, level_blocks
 from .profiles import SLACK, GehringProfile, admissible_epsilon, check_q0_star, power
-from .weights import PowerWeight, Weight, measure, pow_weight
+from .weights import PowerWeight, Weight, pow_weight
 
 
 def epsilon_range(w: Weight, q0_star: float, grid: DyadicGrid) -> float:
@@ -139,22 +139,19 @@ def verify_subset_bound(
     cube: DyadicCube,
     cells: np.ndarray,
     grid: DyadicGrid,
-    rh: Optional[float] = None,
-    epsilon_max: Optional[float] = None,
 ) -> InequalityCheck:
-    """Subset comparison with the explicit constant 2^{1/θ} on one cube; ``cells`` masks E."""
+    """Subset comparison with the explicit constant 2^{1/θ} on one cube; ``cells`` masks E,
+    whose measures are sums over the cube's slice of the finest cells."""
+    mask = grid.check_mask(cells)
     start, stop = cube.cell_range(grid.depth)
-    if np.any(cells[:start]) or np.any(cells[stop:]):
+    if np.any(mask[:start]) or np.any(mask[stop:]):
         raise SubsetError("the cell set must be contained in the cube")
-    if epsilon_max is None:
-        epsilon_max = epsilon_range(w, q0_star, grid)
-    profile = GehringProfile(float(q0_star), float(epsilon), epsilon_max)
-    if rh is None:
-        rh = rh_constant(w, q0_star, grid)
-    wq = pow_weight(w, q0_star)
+    profile = GehringProfile(float(q0_star), float(epsilon), epsilon_range(w, q0_star, grid))
+    w_cells, wq_cells = (heap_levels(w.pyramid(grid, t))[-1][start:stop] for t in (1.0, q0_star))
+    sub = mask[start:stop]
     lhs, rhs = _subset_sides(
-        profile, rh, measure(wq, grid, cells), wq.cube_integral(grid, cube),
-        measure(w, grid, cells), w.cube_integral(grid, cube),
+        profile, rh_constant(w, q0_star, grid), (wq_cells * sub).sum(),
+        w.cube_integral(grid, cube, q0_star), (w_cells * sub).sum(), w.cube_integral(grid, cube),
     )
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
@@ -309,16 +306,23 @@ def random_subset_checks(
     """
     if not epsilons:
         raise ConfigError("need at least one epsilon value")
+    window = rh_constant(w, q0_star, grid), epsilon_range(w, q0_star, grid)
+    return _random_subset_checks(w, q0_star, epsilons, grid, n_samples, seed, *window)
+
+
+def _random_subset_checks(
+    w: Weight, q0_star: float, epsilons: List[float], grid: DyadicGrid, n_samples: int,
+    seed: int, rh: float, eps_max: float,
+) -> List[Tuple[DyadicCube, float, InequalityCheck]]:
+    """:func:`random_subset_checks` at a window already derived: ``rh = [w]_{RH_{q0*}}``
+    and ``eps_max`` the proven ε_max, as a ``verify-gehring`` run derives them once."""
     n_samples = max(n_samples, 0)
     rng = np.random.default_rng(seed)
-    rh = rh_constant(w, q0_star, grid)
-    eps_max = epsilon_range(w, q0_star, grid)
     profiles = [  # the ε values in use, checked before any draw
         GehringProfile(q0_star=float(q0_star), epsilon=float(eps), epsilon_max=eps_max)
         for eps in epsilons[:n_samples]
     ]
-    w_heap = w.pyramid(grid, 1.0)
-    wq_heap = pow_weight(w, q0_star).pyramid(grid, 1.0)
+    w_heap, wq_heap = w.pyramid(grid, 1.0), w.pyramid(grid, q0_star)  # w^q's measures
     w_cells, wq_cells = heap_levels(w_heap)[-1], heap_levels(wq_heap)[-1]
     cubes: List[DyadicCube] = []
     w_e, wq_e = np.empty(n_samples), np.empty(n_samples)

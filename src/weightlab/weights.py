@@ -286,11 +286,6 @@ def dual_weight(w: Weight, p: float) -> Weight:
     return w.power(1.0 - conjugate_exponent(p))
 
 
-def measure(w: Weight, grid: DyadicGrid, cells: np.ndarray) -> float:
-    """Weight measure ``w(E) = ∫_E w`` over a boolean cell mask, by exact cell sums."""
-    return float((heap_levels(w.pyramid(grid, 1.0))[-1] * grid.check_mask(cells)).sum())
-
-
 # --- composed moments (function times weight) -----------------------------------
 
 

@@ -40,7 +40,7 @@ from weightlab import (
 from weightlab import grid as grid_module
 from weightlab.bounds import BoundsReport
 from weightlab.errors import SubsetError
-from weightlab.gehring import EpsilonSearchResult, InequalityCheck, verify_subset_bound
+from weightlab.gehring import EpsilonSearchResult, InequalityCheck
 from weightlab.grid import to_averages, tree_totals
 from weightlab.operators import OperatorNormRow, square_function_from_cell_integrals
 from weightlab.profiles import GehringProfile, gamma_rate
@@ -566,6 +566,31 @@ def fsum_cube_total(cells: np.ndarray, cube: DyadicCube, depth: int) -> float:
     return math.fsum(cells[start:stop].tolist())
 
 
+def _fsum_longdouble(terms: np.ndarray) -> np.longdouble:
+    """The sum of ``np.longdouble`` terms to about ``2**-106`` relative: ``math.fsum``
+    of each term's two double parts, and of what its rounding to a double left."""
+    hi = terms.astype(np.float64)
+    parts = hi.tolist() + (terms - hi).astype(np.float64).tolist()
+    total = math.fsum(parts)
+    return np.longdouble(total) + np.longdouble(math.fsum(parts + [-total]))
+
+
+def fsum_sharp_rh(
+    values: np.ndarray, t: float, rh: float, cube: DyadicCube
+) -> Tuple[float, float]:
+    """``(⨍_Q w^t, ratio)`` of the sharp reverse Hölder inequality for the tabulated
+    weight ``values`` at its own depth, near correctly rounded: the cell integrals of
+    ``w^t`` and ``w`` in ``np.longdouble``, summed by ``math.fsum``, and the rest of
+    ``ratio = ⨍_Q w^t / (2·rh^t·⟨w⟩_Q^t)`` in ``np.longdouble``."""
+    start, stop = cube.cell_range(values.size.bit_length() - 1)
+    cells = values[start:stop].astype(np.longdouble)
+    t_ld, size = np.longdouble(t), np.longdouble(stop - start)
+    lhs = _fsum_longdouble(cells**t_ld) / size  # the cell length cancels
+    mean = _fsum_longdouble(cells) / size
+    ratio = lhs / (2 * np.longdouble(rh) ** t_ld * mean**t_ld)
+    return float(lhs), float(ratio)
+
+
 # --- list-form pyramids: one array per level, the layout before the heap ------------
 
 
@@ -972,6 +997,22 @@ def oracle_max_epsilon_empirical(
     )
 
 
+def subset_draws(
+    grid: DyadicGrid, epsilons: Sequence[float], n_samples: int, seed: int
+) -> Iterator[Tuple[DyadicCube, np.ndarray, float]]:
+    """The draws of ``random_subset_checks``, one sample at a time:
+    ``(cube, E as a full 2**L cell mask, ε)``."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_samples):
+        level = int(rng.integers(0, grid.depth + 1))
+        index = int(rng.integers(0, 1 << level))
+        cube = DyadicCube(level, index)
+        start, stop = cube.cell_range(grid.depth)
+        mask = np.zeros(grid.n_cells, dtype=bool)
+        mask[start:stop] = rng.random(stop - start) < 0.5
+        yield cube, mask, float(epsilons[i % len(epsilons)])
+
+
 def oracle_random_subset_checks(
     w: Weight,
     q0_star: float,
@@ -980,31 +1021,26 @@ def oracle_random_subset_checks(
     n_samples: int,
     seed: int,
 ) -> List[Tuple[DyadicCube, float, InequalityCheck]]:
-    """The subset scan one sample at a time: the same draws as
-    ``random_subset_checks``, each subset a full ``2**L`` cell mask checked by
-    ``verify_subset_bound``, so every measure is a masked sum over all cells."""
-    rng = np.random.default_rng(seed)
+    """The subset scan one sample at a time: the draws of :func:`subset_draws`,
+    each ``E`` measured by :func:`oracle_measure` over all cells, and the sides
+    formed at one ``[w]_{RH_{q0*}}`` and ``ε_max``."""
     rh = rh_constant(w, q0_star, grid)
     eps_max = epsilon_range(w, q0_star, grid)
+    wq = w.power(q0_star)
     out = []
-    for i in range(n_samples):
-        level = int(rng.integers(0, grid.depth + 1))
-        index = int(rng.integers(0, 1 << level))
-        cube = DyadicCube(level, index)
-        start, stop = cube.cell_range(grid.depth)
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[start:stop] = rng.random(stop - start) < 0.5
-        eps = float(epsilons[i % len(epsilons)])
-        check = verify_subset_bound(
-            w, q0_star, eps, cube, mask, grid, rh=rh, epsilon_max=eps_max
+    for cube, mask, eps in subset_draws(grid, epsilons, n_samples, seed):
+        lhs, rhs = gehring._subset_sides(
+            GehringProfile(float(q0_star), eps, eps_max), rh,
+            oracle_measure(wq, grid, mask), wq.cube_integral(grid, cube),
+            oracle_measure(w, grid, mask), w.cube_integral(grid, cube),
         )
-        out.append((cube, eps, check))
+        out.append((cube, eps, InequalityCheck(lhs=float(lhs), rhs=float(rhs))))
     return out
 
 
 def oracle_measure(w: Weight, grid: DyadicGrid, cells: np.ndarray) -> float:
-    """``w(E)`` as ``np.sum(..., where=mask)`` over all cells, the form
-    ``weights.measure`` used before its pairwise ``(cells * mask).sum()``."""
+    """``w(E)`` as ``np.sum(..., where=mask)`` over all cells, not the pairwise
+    sum over the cube's slice that the subset bound and its scan form."""
     return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells))
 
 

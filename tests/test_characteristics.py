@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import POWER_ALPHAS, brute_a_infty, seeded_tabulated_weights
 from weightlab import (
+    ConfigError,
     DyadicCube,
     DyadicGrid,
     PowerWeight,
@@ -189,3 +190,13 @@ class TestReport:
         assert payload["depth"] == 6
         assert payload["ap"]["2.0"] == pytest.approx(1.0 / (1 - 0.0625), rel=1e-12)
         assert set(payload["ap_argmax"]) == {"1.5", "2.0"}
+
+    def test_a_characteristic_below_one_is_refused(self):
+        # every RH_q is at least 1; 0.7**4001 underflows, so each cube's quantity reads 0
+        w, grid = TabulatedWeight(np.full(64, 0.7)), DyadicGrid(6)
+        assert rh_constant(w, 400.0, grid) == pytest.approx(1.0, rel=1e-12)
+        for read in (lambda: rh_constant(w, 4001.0, grid),
+                     lambda: characteristic_report(w, grid, rh_exponents=(2.0, 4001.0))):
+            with pytest.raises(ConfigError, match=r"RH_4001\.0.*reads 0\.0, below 1: "
+                                                  r"the weight's powers leave the double range"):
+                read()

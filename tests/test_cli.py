@@ -18,6 +18,7 @@ from weightlab import (
     DyadicGrid,
     PowerWeight,
     TabulatedWeight,
+    characteristics,
     cli,
     epsilon_range,
     sharp_rh_max_ratio,
@@ -144,6 +145,19 @@ class TestVerifyGehring:
             sharp_rh_max_ratio(w, 2.0, eps_max * i / 4, grid) for i in range(1, 5)
         )
         assert float(err.rsplit("worst ratio=", 1)[1]) == expected
+
+    def test_one_run_derives_the_window_once(self, monkeypatch, capsys):
+        # [w]_{RH_{q0*}} and ε_max serve the ε grid, the kernel rows and the subset scan
+        calls = []
+        for name in ("rh_per_level", "a_infty_fw_per_level"):
+            def counted(*args, fold=getattr(characteristics, name), name=name):
+                return calls.append(name) or fold(*args)
+
+            monkeypatch.setattr(characteristics, name, counted)
+        code, _, _ = run_cli(["verify-gehring", "--power", "-0.25", "--L", "5", "--eps-grid", "2",
+                              "--subsets", "20"], capsys)
+        assert code == 0
+        assert sorted(calls) == ["a_infty_fw_per_level", "rh_per_level"]
 
     def test_csv_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "scan.csv"
@@ -565,6 +579,24 @@ class TestUsageErrors:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_a_divergent_epsilon_is_refused_before_the_csv_header(self, depth, capsys):
+        # a coarse grid's ε_max passes the moment cap -1/α - q0* of x^-0.45
+        code, out, err = run_cli(
+            ["verify-gehring", "--power", "-0.45", "--L", str(depth), "--eps-grid", "2"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: moment exponent t=")
+        assert err.endswith(" diverges for weight x^-0.45\n") and err.count("\n") == 1
+
+    def test_a_characteristic_below_one_is_refused(self, tmp_path, capsys):
+        # 0.7**4001 underflows, so RH_4001 would read 0
+        wfile = write_lines(tmp_path / "w.txt", [0.7] * 64)
+        code, out, err = run_cli(["char", "--weight-file", wfile, "--L", "6", "-q", "4001"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: [w]_{RH_4001.0} of tabulated[64 cells] reads 0.0, below 1: "
+                       "the weight's powers leave the double range\n")
 
     @pytest.mark.parametrize("q0_star", ["1", "0.5", "nan"])
     def test_integrability_exponent_must_exceed_one(self, q0_star, capsys):

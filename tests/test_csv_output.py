@@ -379,7 +379,7 @@ def test_a_failed_run_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     def failing_subsets(*args, **kwargs):
         raise ValueError("subset sampling failed")
 
-    monkeypatch.setattr(cli, "random_subset_checks", failing_subsets)
+    monkeypatch.setattr(cli, "_random_subset_checks", failing_subsets)
     fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
     kept.write_text("earlier run\n", encoding="utf-8")
     for target in (fresh, kept):

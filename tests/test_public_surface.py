@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import re
 import types
 from pathlib import Path
@@ -314,3 +315,89 @@ def test_every_helper_is_used():
             reached.add(name)
             frontier.append(name)
     assert sorted(set(calls) - reached) == []
+
+
+# Defaulted parameters that no call in the program, the README, the acceptance
+# suite or the benchmark sets, each kept for the reason given.
+UNSET_DEFAULTS = {
+    "gehring.max_epsilon_empirical(factor)":
+        "the lemma's constant 2 is the default; another constant probes how far ε moves with it",
+    "gehring.max_epsilon_empirical(rel_precision)":
+        "the bisection's stopping width, a documented accuracy knob of the ε search",
+    "operators.weak_lp_norm(level)":
+        "the partner of strong_lp_norm(level=), for values given per cube of a coarser level",
+    "operators.function_corpus(seed)": "the corpus's documented noise seed, 2024 as in the CLI",
+    "operators.function_corpus(n_random)": "the versioned corpus's size of the noise part",
+    "operators.function_corpus(structured_max_level)":
+        "the versioned corpus's deepest Haar atom and indicator",
+    "tracer.trace_proof(good_cells)":
+        "the region G the good set is chosen in, every cell by default",
+    "tracer.default_trace_family(ratio)":
+        "the stopping-time ratio, 2 as trace_proof's own ratio defaults to",
+}
+
+
+def _defaulted_parameters(node: ast.FunctionDef, method: bool) -> dict:
+    """Each defaulted parameter -> its position in a call (``None`` for keyword-only);
+    a method's position does not count ``self``."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args][1 if method else 0:]
+    out = {name: at for at, name in enumerate(positional)
+           if at >= len(positional) - len(args.defaults)}
+    out.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return out
+
+
+def _passed_parameters(sources) -> dict:
+    """Callee name -> (keywords passed, most positional arguments); a call that
+    unpacks ``*args`` or ``**kwargs`` passes every parameter."""
+    passed: dict = {}
+    for source in sources:
+        for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            keywords, most = passed.get(name, (set(), 0))
+            unpacks = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            passed[name] = (keywords | {k.arg for k in call.keywords},
+                            math.inf if unpacks else max(most, len(call.args)))
+    return passed
+
+
+def _functions_and_methods(tree: ast.Module):
+    """``(name, node, is_method)`` for each module function and class member;
+    a static method takes no ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in member.decorator_list)
+                    yield f"{node.name}.{member.name}", member, not static
+
+
+def _unset_defaults() -> list:
+    package = Path(weightlab.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", README, re.S) + [ACCEPTANCE]
+    sources += [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    passed = _passed_parameters(sources)
+    unset = []
+    for path in sorted(package.glob("*.py")):
+        for name, fn, method in _functions_and_methods(ast.parse(path.read_text(encoding="utf-8"))):
+            if fn.name.startswith("_"):
+                continue
+            keywords, most = passed.get(fn.name, (set(), 0))
+            unset += [f"{path.stem}.{name}({param})"
+                      for param, at in _defaulted_parameters(fn, method).items()
+                      if param not in keywords and (at is None or at >= most)]
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    # a default that nothing overrides is a knob only tests turn; the allowlist
+    # names the ones kept on purpose, and shrinks when one goes
+    unset = set(_unset_defaults())
+    assert sorted(unset - set(UNSET_DEFAULTS)) == []  # a new knob nothing sets
+    assert sorted(set(UNSET_DEFAULTS) - unset) == []  # an entry whose knob is set or gone

@@ -1,15 +1,13 @@
-"""The subset scan against the per-sample oracle that masks all ``2**L`` cells.
+"""The subset scan and the subset bound against the oracle that masks all ``2**L`` cells.
 
-``random_subset_checks`` sums each subset over its cube's slice of the finest
-cells and reads the cube's measures from the pyramids; the oracle
-(``helpers.oracle_random_subset_checks``) builds a full cell mask per sample
-and calls ``verify_subset_bound``.  Both make the same draws, so cubes, ``ε``
-values and empty draws agree exactly; the sums round differently, so the
-sides agree to a pinned relative tolerance.
-
-``verify_subset_bound`` measures a cell set by the pairwise sum
-``(cells * mask).sum()``; its oracle (``helpers.oracle_measure``) is the
-``np.sum(cells, where=mask)`` it replaced, pinned to the same tolerance.
+``random_subset_checks`` and ``verify_subset_bound`` sum each subset over its
+cube's slice of the finest cells and read the cube's measures from the
+pyramids; the oracle (``helpers.oracle_random_subset_checks``) builds a full
+cell mask per sample and measures it with ``np.sum(cells, where=mask)``
+(``helpers.oracle_measure``).  ``helpers.subset_draws`` repeats the scan's
+draws for the oracle and for ``verify_subset_bound``, so cubes, ``ε`` values
+and empty draws agree exactly; the sums round differently, so the sides agree
+to a pinned relative tolerance.
 """
 
 from __future__ import annotations
@@ -18,12 +16,13 @@ import pytest
 
 from helpers import (
     TABULATED_NATIVE_DEPTH,
-    oracle_measure,
     oracle_random_subset_checks,
     seeded_tabulated_weights,
     standard_weight_corpus,
+    subset_draws,
 )
-from weightlab import DyadicGrid, epsilon_range, gehring, random_subset_checks
+from weightlab import DyadicGrid, epsilon_range, random_subset_checks
+from weightlab.gehring import verify_subset_bound
 
 REL = 1e-13
 SEEDS = (3, 11, 2024)
@@ -69,17 +68,14 @@ def test_subset_rows_match_the_masked_oracle(depth):
 
 
 @pytest.mark.parametrize("depth", [4, 8, 12])
-def test_subset_bound_matches_the_where_sum_oracle(depth, monkeypatch):
+def test_subset_bound_matches_the_where_sum_oracle(depth):
     grid = DyadicGrid(depth)
     checked = 0
     for w in corpus_at(depth):
         epsilons = [epsilon_range(w, 2.0, grid) * frac for frac in (0.25, 1.0)]
-        got = oracle_random_subset_checks(w, 2.0, epsilons, grid, SAMPLES, 5)
-        with monkeypatch.context() as patched:
-            patched.setattr(gehring, "measure", oracle_measure)
-            want = oracle_random_subset_checks(w, 2.0, epsilons, grid, SAMPLES, 5)
-        assert [row[:2] for row in got] == [row[:2] for row in want]
-        for (*_, a), (*_, b) in zip(got, want):
+        want = oracle_random_subset_checks(w, 2.0, epsilons, grid, SAMPLES, 5)
+        for (cube, mask, eps), (*_, b) in zip(subset_draws(grid, epsilons, SAMPLES, 5), want):
+            a = verify_subset_bound(w, 2.0, eps, cube, mask, grid)
             assert relative_move(a.lhs, b.lhs) <= REL, (w.describe(), a, b)
             assert relative_move(a.rhs, b.rhs) <= REL, (w.describe(), a, b)
             checked += a.lhs > 0.0

@@ -22,7 +22,6 @@ from weightlab.errors import DivergentMomentError, WrongLengthError
 from weightlab.weights import (
     composed_moment_cells,
     conjugate_exponent,
-    measure,
     weighted_l2_norm_sq,
 )
 
@@ -141,16 +140,6 @@ class TestUnitWeight:
             # e = 1 (any moment of 1, moment 0 of x^a) gives the lengths exactly
             assert w.cube_integral(grid6, cube, 3.0) == cube.measure
             assert PowerWeight(0.5).cube_integral(grid6, cube, 0.0) == cube.measure
-        full = np.ones(grid6.n_cells, bool)
-        assert measure(w, grid6, full) == pytest.approx(1.0)
-
-    def test_measure_checks_its_mask(self, grid6):
-        w = PowerWeight(0.5)
-        for wrong in (np.ones(8, bool), np.ones((2, grid6.n_cells // 2), bool)):
-            with pytest.raises(WrongLengthError):
-                measure(w, grid6, wrong)
-        ints = np.arange(grid6.n_cells) % 3  # 2 marks a cell of E, it does not double it
-        assert measure(w, grid6, ints) == measure(w, grid6, ints > 0)
 
 
 class TestDuals:
