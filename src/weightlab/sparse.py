@@ -306,13 +306,22 @@ def sparse_form(
     the per-cell vectors ``f`` and ``g``.
 
     The cube collection may be any sequence of cubes or heap ids; a
-    :class:`SparseFamily` passes its own.
+    :class:`SparseFamily` passes its own.  A value past the double range
+    raises :class:`ConfigError`.
     """
     ids = cube_ids(cubes.ids if isinstance(cubes, SparseFamily) else cubes, grid)
     levels = split_ids(ids)[0]
     scale = np.ldexp(1.0, levels)
-    f_moments = np.abs(grid.check_values(f)) ** profile.p0 * grid.cell_measure
-    f_avg = (tree_totals(grid, f_moments)[ids] * scale) ** (1.0 / profile.p0)
-    g_moments = np.abs(grid.check_values(g)) ** profile.q0_star * grid.cell_measure
-    g_avg = (tree_totals(grid, g_moments)[ids] * scale) ** (1.0 / profile.q0_star)
-    return math.fsum((f_avg * f_avg * g_avg * np.ldexp(1.0, -levels)).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        f_moments = np.abs(grid.check_values(f)) ** profile.p0 * grid.cell_measure
+        f_avg = (tree_totals(grid, f_moments)[ids] * scale) ** (1.0 / profile.p0)
+        g_moments = np.abs(grid.check_values(g)) ** profile.q0_star * grid.cell_measure
+        g_avg = (tree_totals(grid, g_moments)[ids] * scale) ** (1.0 / profile.q0_star)
+        terms = f_avg * f_avg * g_avg * np.ldexp(1.0, -levels)
+    try:
+        value = math.fsum(terms.tolist())
+    except OverflowError:  # finite terms whose sum passes the double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"the sparse form of f and g leaves the double range (got {value})")
+    return value

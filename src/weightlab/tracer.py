@@ -72,20 +72,27 @@ from .weights import (
 # --- geometric series used to sum the bins ------------------------------------------
 
 
-def geometric_tail_sum(x: float) -> float:
-    """Σ_{s≥0} 2^{−s/x} = 2^{1/x} / (2^{1/x} − 1), for x > 0."""
+def _series_step(x: float) -> float:
+    """``e = 2^{1/x} − 1`` by ``expm1``, so no cancellation for large ``x``;
+    ``inf`` where it passes the double range (``x`` below about 1e-3)."""
     if x <= 0.0:
         raise ConfigError(f"series scale must be positive, got {x}")
-    g = 2.0 ** (1.0 / x)
-    return g / (g - 1.0)
+    try:
+        return math.expm1(math.log(2.0) / x)
+    except OverflowError:
+        return math.inf
+
+
+def geometric_tail_sum(x: float) -> float:
+    """Σ_{s≥0} 2^{−s/x} = 2^{1/x} / (2^{1/x} − 1) = 1 + 1/e, for x > 0."""
+    return 1.0 + 1.0 / _series_step(x)
 
 
 def geometric_weighted_tail_sum(x: float) -> float:
-    """Σ_{s≥0} s·2^{−s/x} = 2^{1/x} / (2^{1/x} − 1)², for x > 0."""
-    if x <= 0.0:
-        raise ConfigError(f"series scale must be positive, got {x}")
-    g = 2.0 ** (1.0 / x)
-    return g / (g - 1.0) ** 2
+    """Σ_{s≥0} s·2^{−s/x} = 2^{1/x} / (2^{1/x} − 1)² = (1 + 1/e)/e, for x > 0;
+    ``inf`` where ``e²`` underflows."""
+    e = _series_step(x)
+    return (1.0 + 1.0 / e) / e
 
 
 # --- traced records ------------------------------------------------------------------

@@ -1,8 +1,16 @@
-"""Shared corpora and brute-force oracles used across the test modules.
+"""Shared corpora and oracles used across the test modules.
 
-Everything here is deterministic: weight corpora are built from fixed seeds
-and the oracles recompute quantities by direct loops so the fast vectorised
-implementations are checked against independent arithmetic.
+Everything here is deterministic: weight corpora are built from fixed seeds.
+Each quantity has at most one oracle per role:
+
+- a same-operations oracle (``oracle_*``) forms the quantity in the library's
+  own floating-point operations, in another layout (dense masks, one array per
+  level, an ancestor matrix, a loop over cubes), so a test can pin its bits
+  (or a stated few ulps, where the library's form rounds apart by design);
+- a reference (``brute_*``, ``fsum_*``) forms it by direct loops or correctly
+  rounded sums (``math.fsum``), so a test can bound the library's rounding.
+
+A new kernel form is checked against these; it does not add an oracle of its own.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import tracemalloc
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +33,6 @@ from weightlab import (
     TabulatedWeight,
     Weight,
     WeightlabError,
-    a_infty_fw,
     ap_constant,
     build_sparse_cz,
     dual_weight,
@@ -105,20 +112,6 @@ def brute_a_infty(w: Weight, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
     return best, best_cube
 
 
-def brute_weak_lp_norm(
-    h: np.ndarray, cell_masses: np.ndarray, p: float
-) -> float:
-    """sup_λ λ · w({|h| ≥ λ})^{1/p} over all candidate levels λ = |h_i|."""
-    mags = np.abs(np.asarray(h, dtype=np.float64))
-    best = 0.0
-    for lam in np.unique(mags):
-        if lam <= 0.0:
-            continue
-        mass = float(np.sum(cell_masses[mags >= lam]))
-        best = max(best, float(lam) * mass ** (1.0 / p))
-    return best
-
-
 def random_cellset(
     grid: DyadicGrid, rng: np.random.Generator, density: float = 0.5
 ) -> np.ndarray:
@@ -171,46 +164,6 @@ def geometric_tail_partial(x: float, terms: int, weighted: bool = False) -> floa
         term = 2.0 ** (-s / x)
         total += s * term if weighted else term
     return total
-
-
-class AverageComparison(NamedTuple):
-    """⟨1_{G'}w⟩_{q0*,Q} against its reverse-Hölder envelope."""
-
-    lhs: float
-    rhs_strict: float
-    ratio_strict: float
-
-
-def verify_average_comparison(
-    w: Weight,
-    q0_star: float,
-    epsilon: float,
-    cube: DyadicCube,
-    s: int,
-    good_cells: np.ndarray,
-    grid: DyadicGrid,
-    rh: Optional[float] = None,
-    epsilon_max: Optional[float] = None,
-) -> AverageComparison:
-    """Standalone recomputation of the tracer's indicator-average comparison
-    for one cube, from masked cell moments."""
-    if epsilon_max is None:
-        epsilon_max = epsilon_range(w, q0_star, grid)
-    geh = GehringProfile(q0_star, epsilon, epsilon_max)
-    if rh is None:
-        rh = rh_constant(w, q0_star, grid)
-    masked = w.cell_integrals(grid, q0_star) * good_cells
-    start, stop = cube.cell_range(grid.depth)
-    scale = float(1 << cube.level)
-    lhs = (float(np.sum(masked[start:stop])) * scale) ** (1.0 / q0_star)
-    w_avg = float(np.sum(w.cell_integrals(grid, 1.0)[start:stop])) * scale
-    rhs_strict = (
-        2.0 ** (1.0 / (geh.theta * q0_star))
-        * rh ** (2.0 - geh.gamma)
-        * 2.0 ** (-s * geh.gamma)
-        * w_avg
-    )
-    return AverageComparison(lhs, rhs_strict, lhs / rhs_strict if rhs_strict > 0.0 else 0.0)
 
 
 def gamma_quarter_region_max(
@@ -382,22 +335,6 @@ def oracle_paint_owner(cubes: Sequence[DyadicCube], grid: DyadicGrid) -> np.ndar
     return owner
 
 
-def keyed_peel_layers(cubes: Sequence[DyadicCube]) -> List[List[DyadicCube]]:
-    """Layers by counting each cube's strict ancestors in a (level, index) set."""
-    unique = sorted(set(cubes))
-    keys = {(c.level, c.index) for c in unique}
-    layers: List[List[DyadicCube]] = []
-    for cube in unique:
-        layer = sum(
-            (cube.level - up, cube.index >> up) in keys
-            for up in range(1, cube.level + 1)
-        )
-        while len(layers) <= layer:
-            layers.append([])
-        layers[layer].append(cube)
-    return layers
-
-
 def oracle_default_trace_family(
     f: np.ndarray, w: Weight, grid: DyadicGrid, p0: float, ratio: float = 2.0
 ) -> np.ndarray:
@@ -497,9 +434,9 @@ def oracle_trace_proof(
     sigma = dual_weight(w, 2.0)
     fvals = grid.check_values(f)
     gs = good_set(f, w, grid, p0, list(family), good_cells)
-    cellw = oracle_pyramid(w, grid, 1.0)[grid.depth]
+    w_totals = heap_levels(w.pyramid(grid, 1.0))
+    cellw = w_totals[grid.depth]
     rh = rh_constant(w, q0s, grid)
-    a_inf = a_infty_fw(w, grid)
     eps_max = epsilon_range(w, q0s, grid)
     geh = GehringProfile(q0s, eps_max, eps_max)
     two_pow = 2.0 ** (1.0 / (geh.theta * q0s))
@@ -510,7 +447,6 @@ def oracle_trace_proof(
     gp_mask = gs.good_prime
     ind_q_totals = oracle_tree_totals(grid, w.cell_integrals(grid, q0s) * gp_mask)
     gp_w_totals = oracle_tree_totals(grid, cellw * gp_mask)
-    w_totals = oracle_pyramid(w, grid, 1.0)
 
     out: dict = {"rows": [], "zero": [], "overflow": [], "clamped": [], "bins": {}}
     members: Dict[Tuple[int, int], list] = {}
@@ -536,7 +472,7 @@ def oracle_trace_proof(
         out["rows"].append(row)
         members.setdefault((r, s), []).append(row)
 
-    f_sq_sigma = fvals * fvals * oracle_pyramid(sigma, grid, 1.0)[grid.depth]
+    f_sq_sigma = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[grid.depth]
     for key, rows in sorted(members.items()):
         cubes = [row[0] for row in rows]
         owner = oracle_paint_owner(cubes, grid)
@@ -548,7 +484,7 @@ def oracle_trace_proof(
             comparability = max(comparability, row[1] / avg) if avg > 0.0 else math.inf
         out["bins"][key] = {
             "cubes": cubes,
-            "layer_sizes": tuple(len(layer) for layer in keyed_peel_layers(cubes)),
+            "layer_sizes": tuple(len(layer) for layer in oracle_peel_layers(cubes)),
             "quad_sum": math.fsum(row[1] ** 2 * row[2] * row[0].measure for row in rows),
             "mass_lhs": math.fsum(row[3] for row in rows),
             "witness_mass": float(np.sum(f_sq_sigma[owned])),
@@ -605,48 +541,6 @@ def oracle_tree_totals(grid: DyadicGrid, values: np.ndarray) -> List[np.ndarray]
         totals.append(arr)
     totals.reverse()
     return totals
-
-
-def oracle_pyramid(w: Weight, grid: DyadicGrid, t: float) -> List[np.ndarray]:
-    """The weight's cached pyramid at moment ``t``, one array per level."""
-    return heap_levels(w.pyramid(grid, t))
-
-
-def oracle_level_averages(w: Weight, grid: DyadicGrid, t: float) -> List[np.ndarray]:
-    """Per-level arrays of ``⨍_Q w**t``, each level's totals times ``2**k``."""
-    return oracle_averages(grid, oracle_pyramid(w, grid, t))
-
-
-def oracle_sup(per_level: List[np.ndarray]) -> Tuple[float, DyadicCube]:
-    """Supremum over all cubes, one level at a time: the first maximum of each
-    level, and a strict ``>`` across levels, so the coarser level wins ties.
-    A level whose first maximum is NaN drops out whole."""
-    best, at_level, at_index = -math.inf, 0, 0
-    for level, vals in enumerate(per_level):
-        idx = int(np.argmax(vals))
-        val = float(vals[idx])
-        if val > best:
-            best, at_level, at_index = val, level, idx
-    return best, DyadicCube(at_level, at_index)
-
-
-def oracle_ap_heap(w: Weight, p: float, grid: DyadicGrid) -> np.ndarray:
-    """Heap of the A_p quantity ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1}, from two fresh
-    averages heaps, in the same floating-point operations as the level walk."""
-    out = w.level_averages(grid, 1.0 - p / (p - 1.0))
-    with np.errstate(all="ignore"):
-        out **= p - 1.0
-        out *= w.level_averages(grid, 1.0)
-    return out
-
-
-def oracle_rh_heap(w: Weight, q: float, grid: DyadicGrid) -> np.ndarray:
-    """Heap of the RH_q quantity (⨍_Q w^q)^{1/q} / ⟨w⟩_Q, from two fresh averages heaps."""
-    out = w.level_averages(grid, q)
-    with np.errstate(all="ignore"):
-        out **= 1.0 / q
-        out /= w.level_averages(grid, 1.0)
-    return out
 
 
 def oracle_a_infty_heap(w: Weight, grid: DyadicGrid) -> np.ndarray:
@@ -786,18 +680,6 @@ def oracle_averages(grid: DyadicGrid, totals: List[np.ndarray]) -> List[np.ndarr
     return [totals[k] * float(1 << k) for k in range(grid.depth + 1)]
 
 
-def oracle_a_infty_fw_per_level(w: Weight, grid: DyadicGrid) -> List[np.ndarray]:
-    """Fujii–Wilson per-level arrays from suffix running maxima of the matrix."""
-    pyr = oracle_pyramid(w, grid, 1.0)
-    avg_rows = ancestor_value_matrix(grid, oracle_level_averages(w, grid, 1.0))
-    suffix_max = np.maximum.accumulate(avg_rows[::-1], axis=0)[::-1]
-    out: List[np.ndarray] = []
-    for level in range(grid.depth + 1):
-        integrals = suffix_max[level].reshape(1 << level, -1).sum(axis=1) * grid.cell_measure
-        out.append(integrals / pyr[level])
-    return out
-
-
 def oracle_square_function_from_cell_integrals(
     cell_integrals: np.ndarray, grid: DyadicGrid
 ) -> np.ndarray:
@@ -808,21 +690,6 @@ def oracle_square_function_from_cell_integrals(
     return np.sqrt(np.sum(diffs * diffs, axis=0))
 
 
-def oracle_maximal_p0(
-    f: np.ndarray, grid: DyadicGrid, p0: float, weight: Optional[Weight] = None
-) -> np.ndarray:
-    """Unrestricted L^{p0} maximal function of ``|f|`` (or of ``|f|·weight``)
-    as the column maxima of the matrix."""
-    if weight is not None:
-        moment_cells = composed_moment_cells(grid, f, weight, p0)
-    else:
-        moment_cells = np.abs(grid.check_values(f)) ** p0 * grid.cell_measure
-    rows = ancestor_value_matrix(
-        grid, oracle_averages(grid, oracle_tree_totals(grid, moment_cells))
-    )
-    return rows.max(axis=0) ** (1.0 / p0)
-
-
 def oracle_restricted_maximal_p0(
     f: np.ndarray,
     grid: DyadicGrid,
@@ -830,21 +697,21 @@ def oracle_restricted_maximal_p0(
     restriction: Sequence[DyadicCube],
     weight: Weight,
 ) -> np.ndarray:
-    """Restricted L^{p0} maximal function of ``|f|·weight`` by a loop over the
-    cubes, each raising its cells to its average (0 where no cube covers a cell)."""
+    """Restricted L^{p0} maximal function of ``|f|·weight``: a loop over the
+    cubes sets each one's average in per-level arrays of zeros, and the column
+    maxima of their ancestor matrix give each cell its largest (0 where no cube
+    covers it).  Over every cube it is the unrestricted maximal function."""
     totals = oracle_tree_totals(grid, composed_moment_cells(grid, f, weight, p0))
-    out = np.zeros(grid.n_cells, dtype=np.float64)
+    kept = [np.zeros(1 << k) for k in range(grid.depth + 1)]
     for cube in restriction:
-        avg = totals[cube.level][cube.index] * float(1 << cube.level)
-        start, stop = cube.cell_range(grid.depth)
-        np.maximum(out[start:stop], avg, out=out[start:stop])
-    return out ** (1.0 / p0)
+        kept[cube.level][cube.index] = totals[cube.level][cube.index] * float(1 << cube.level)
+    return ancestor_value_matrix(grid, kept).max(axis=0) ** (1.0 / p0)
 
 
 def oracle_maximal_weighted(g: np.ndarray, w: Weight, grid: DyadicGrid) -> np.ndarray:
     """Weighted maximal function as the column maxima of the ratio matrix."""
     num = oracle_tree_totals(grid, np.abs(grid.check_values(g)) * w.cell_integrals(grid, 1.0))
-    den = oracle_pyramid(w, grid, 1.0)
+    den = heap_levels(w.pyramid(grid, 1.0))
     rows = ancestor_value_matrix(grid, [num[k] / den[k] for k in range(grid.depth + 1)])
     return rows.max(axis=0)
 
@@ -888,41 +755,7 @@ def longdouble_power_pyramid(alpha: float, t: float, depth: int) -> List[np.ndar
     return out
 
 
-# --- per-cube sharp reverse Hölder oracle -----------------------------------------------
-
-
-def oracle_sharp_rh(
-    w: Weight, t: float, rh: float, grid: DyadicGrid
-) -> List[Tuple[int, int, float, float, float]]:
-    """``(level, index, lhs, rhs, ratio)`` of the sharp reverse Hölder inequality
-    at moment ``t`` on every cube, coarse to fine, in Python floats one cube at a
-    time: ``lhs = ⨍_Q w^t``, ``rhs = 2·rh^t·(⨍_Q w)^t``, ratio 0 where lhs is 0."""
-    rows = []
-    for cube in every_cube(grid):
-        scale = float(1 << cube.level)
-        lhs = w.cube_integral(grid, cube, t) * scale
-        mean = w.cube_integral(grid, cube, 1.0) * scale
-        rhs = 2.0 * rh**t * mean**t
-        rows.append((cube.level, cube.index, lhs, rhs, 0.0 if lhs == 0.0 else lhs / rhs))
-    return rows
-
-
-def oracle_worst_ratio(w: Weight, t: float, rh: float, grid: DyadicGrid) -> float:
-    """The ε probe in heap form: the largest ratio ``⨍_Q w^t / (2·rh^t·(⨍_Q w)^t)``
-    over every cube, from a fresh averages heap of ``w^t`` and full-level arrays, in
-    the same floating-point operations as the library.  An unverified cube (a ratio
-    that is not a number, or an infinite right side) reads ``inf``."""
-    t = float(t)
-    try:
-        factor = 2.0 * rh**t
-    except OverflowError:
-        factor = math.inf
-    lhs_heap = to_averages(w.cube_totals(grid, t))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rhs_heap = (w.level_averages(grid, 1.0) ** t) * factor
-        ratio = lhs_heap / rhs_heap
-    ratio[np.isnan(ratio) | np.isinf(rhs_heap)] = math.inf
-    return float(ratio.max())
+# --- sharp reverse Hölder oracle ---------------------------------------------------------
 
 
 def oracle_sharp_rh_levels(
@@ -1022,26 +855,23 @@ def oracle_random_subset_checks(
     seed: int,
 ) -> List[Tuple[DyadicCube, float, InequalityCheck]]:
     """The subset scan one sample at a time: the draws of :func:`subset_draws`,
-    each ``E`` measured by :func:`oracle_measure` over all cells, and the sides
-    formed at one ``[w]_{RH_{q0*}}`` and ``ε_max``."""
+    each ``w(E)`` summed as ``np.sum(..., where=mask)`` over all cells, not the
+    pairwise sum over the cube's slice that the scan forms, and the sides formed
+    at one ``[w]_{RH_{q0*}}`` and ``ε_max``."""
     rh = rh_constant(w, q0_star, grid)
     eps_max = epsilon_range(w, q0_star, grid)
     wq = w.power(q0_star)
+    cells = heap_levels(w.pyramid(grid, 1.0))[-1]
+    cells_q = heap_levels(wq.pyramid(grid, 1.0))[-1]
     out = []
     for cube, mask, eps in subset_draws(grid, epsilons, n_samples, seed):
         lhs, rhs = gehring._subset_sides(
             GehringProfile(float(q0_star), eps, eps_max), rh,
-            oracle_measure(wq, grid, mask), wq.cube_integral(grid, cube),
-            oracle_measure(w, grid, mask), w.cube_integral(grid, cube),
+            float(np.sum(cells_q, where=mask)), wq.cube_integral(grid, cube),
+            float(np.sum(cells, where=mask)), w.cube_integral(grid, cube),
         )
         out.append((cube, eps, InequalityCheck(lhs=float(lhs), rhs=float(rhs))))
     return out
-
-
-def oracle_measure(w: Weight, grid: DyadicGrid, cells: np.ndarray) -> float:
-    """``w(E)`` as ``np.sum(..., where=mask)`` over all cells, not the pairwise
-    sum over the cube's slice that the subset bound and its scan form."""
-    return float(np.sum(heap_levels(w.pyramid(grid, 1.0))[-1], where=cells))
 
 
 # --- dense corpus oracles: every corpus function as a full 2**L vector -------------------
@@ -1080,16 +910,22 @@ def dense_corpus_values(
     return out
 
 
-def oracle_corpus_rows(w: Weight, grid: DyadicGrid, p: float, corpus) -> List[OperatorNormRow]:
-    """Operator-norm rows with every function, its matrix square function and
-    both norms evaluated on the finest cells."""
-    rows: List[OperatorNormRow] = []
+def oracle_corpus_rows(
+    weights: Sequence[Weight], grid: DyadicGrid, p: float, corpus
+) -> List[List[OperatorNormRow]]:
+    """Operator-norm rows of each weight, with every function, its matrix square
+    function (formed once for all the weights) and both norms evaluated on the
+    finest cells."""
+    out: List[List[OperatorNormRow]] = [[] for _ in weights]
     for fn in corpus:
-        strong = strong_lp_norm(fn.values, w, grid, p)
-        sf = oracle_square_function_from_cell_integrals(fn.values * grid.cell_measure, grid)
-        weak = weak_lp_norm(sf, w, grid, p)
-        rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
-    return rows
+        values = fn.values
+        sf = oracle_square_function_from_cell_integrals(values * grid.cell_measure, grid)
+        for rows, w in zip(out, weights):
+            strong = strong_lp_norm(values, w, grid, p)
+            weak = weak_lp_norm(sf, w, grid, p)
+            ratio = weak / strong if strong > 0.0 else 0.0
+            rows.append(OperatorNormRow(fn.name, strong, weak, ratio))
+    return out
 
 
 # --- per-weight corpus scans ------------------------------------------------------------
@@ -1108,23 +944,6 @@ def oracle_natural_depth_rows(
         strong = strong_lp_norm(fn.cells, w, grid, p, level=d)
         sf = square_function_from_cell_integrals(fn.cells * at_d.cell_measure, at_d)
         weak = weak_lp_norm(sf, w, grid, p, level=d - 1)
-        rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
-    return max((row.ratio for row in rows), default=0.0), rows
-
-
-def oracle_depth_d_rows(
-    w: Weight, grid: DyadicGrid, p: float, corpus
-) -> Tuple[float, List[OperatorNormRow]]:
-    """Operator-norm rows of one weight with each function and its matrix
-    square function on the level-``d`` cubes of its natural depth ``d``, every
-    sibling pair evaluated apart."""
-    rows: List[OperatorNormRow] = []
-    for fn in corpus:
-        d = fn.depth
-        at_d = DyadicGrid(d)
-        strong = strong_lp_norm(fn.cells, w, grid, p, level=d)
-        sf = oracle_square_function_from_cell_integrals(fn.cells * at_d.cell_measure, at_d)
-        weak = weak_lp_norm(sf, w, grid, p, level=d)
         rows.append(OperatorNormRow(fn.name, strong, weak, weak / strong if strong > 0.0 else 0.0))
     return max((row.ratio for row in rows), default=0.0), rows
 

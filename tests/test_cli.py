@@ -277,6 +277,19 @@ class TestSparseForm:
         assert err == ("error: family JSON must be a list of objects with "
                        "'level', 'index', and 'witness' keys\n")
 
+    def test_values_past_the_double_range_exit_two(self, tmp_path, capsys):
+        # on the root family at L = 2, ⟨f⟩_{1,root}² = 1e600
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([{"level": 0, "index": 0, "witness": [[0, 4]]}]),
+                       encoding="utf-8")
+        f = write_lines(tmp_path / "f.txt", [1e300] * 4)
+        g = write_lines(tmp_path / "g.txt", [1.0] * 4)
+        code, out, err = run_cli(
+            ["sparse-form", "--L", "2", "--family", str(fam), "--f", f, "--g", g], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the sparse form of f and g leaves the double range (got inf)\n"
+
 
 class TestWeakNorm:
     def test_unit_weight_corpus_scan(self, capsys):
@@ -346,6 +359,19 @@ class TestTraceProof:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_a_huge_series_scale_sums_its_series(self, capsys):
+        # q0 just above 2 and a tiny ε make θ'·q0* about 4e17, where 2^{1/x} rounds to 1
+        code, out, _ = run_cli(
+            ["trace-proof", "--unit-weight", "--L", "3", "--p0", "1", "--q0", "2.0001",
+             "--epsilon", "1e-9"], capsys
+        )
+        assert code in (0, 1)
+        obj = json.loads(out)
+        scale = obj["series_scale"] / math.log(2.0)  # Σ 2^{−s/x} = x/ln 2 + 1/2 + O(1/x)
+        assert obj["series_scale"] > 1e17
+        assert obj["series_sum"] == pytest.approx(scale, rel=1e-12)
+        assert obj["series_weighted_sum"] == pytest.approx(scale**2, rel=1e-12)
 
     def test_oversized_epsilon_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -18,9 +18,7 @@ from helpers import (
     every_cube,
     fsum_sharp_rh,
     oracle_max_epsilon_empirical,
-    oracle_sharp_rh,
     oracle_sharp_rh_levels,
-    oracle_worst_ratio,
     seeded_tabulated_weights,
     standard_weight_corpus,
     traced_peak,
@@ -96,14 +94,20 @@ def assert_kernel_is_the_level_oracle(w, t, rh, grid):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def oracle_rows(w, t, rh, grid):
+    """The level oracle's cubes as ``(level, index, lhs, rhs, ratio)``, coarse to fine."""
+    return [(k, i, *sides) for k, *levels in oracle_sharp_rh_levels(w, t, rh, grid)
+            for i, sides in enumerate(zip(*(side.tolist() for side in levels)))]
+
+
 def kernel_worst(w, t, rh, grid):
     """The largest ratio of :func:`sharp_rh_levels` over every cube."""
     return max(float(ratio.max()) for *_, ratio in sharp_rh_levels(w, t, rh, grid))
 
 
-def assert_within_ulps(actual, expected, ulps):
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert np.all(np.abs(actual - expected) <= ulps * np.spacing(np.abs(expected)))
+def oracle_worst(w, t, rh, grid):
+    """The largest ratio of the level oracle over every cube."""
+    return max(float(ratio.max()) for *_, ratio in oracle_sharp_rh_levels(w, t, rh, grid))
 
 
 # name -> weight at a depth; tabulated weights are seeded at that native depth
@@ -122,7 +126,7 @@ class TestSharpReverseHolder:
     def test_unit_weight_ratio_is_half(self, grid6):
         w, t = unit_weight(), 2.0 + 2 / 3
         rh = rh_constant(w, 2.0, grid6)
-        for rows in (kernel_rows(w, t, rh, grid6), oracle_sharp_rh(w, t, rh, grid6)):
+        for rows in (kernel_rows(w, t, rh, grid6), oracle_rows(w, t, rh, grid6)):
             assert len(rows) == 127
             for *_, lhs, rhs, ratio in rows:
                 assert lhs == pytest.approx(1.0, rel=1e-14)
@@ -138,18 +142,16 @@ class TestSharpReverseHolder:
         eps_max = epsilon_range(w, 2.0, grid)
         for t in (2.0 + eps_max / 2, 2.0 + eps_max, 3.5):
             got = kernel_rows(w, t, rh, grid)
-            want = oracle_sharp_rh(w, t, rh, grid)
+            want = oracle_rows(w, t, rh, grid)
             assert [r[:2] for r in got] == [r[:2] for r in want]
             got_sides, want_sides = np.array(got)[:, 2:], np.array(want)[:, 2:]
-            assert np.array_equal(got_sides[:, 0], want_sides[:, 0])
-            assert_within_ulps(got_sides[:, 1:], want_sides[:, 1:], 4)
+            np.testing.assert_array_equal(got_sides.view(np.int64), want_sides.view(np.int64))
 
     def test_max_ratio_agrees_with_per_cube_scan(self, grid6):
         w = seeded_tabulated_weights(1)[0]
         eps = epsilon_range(w, 2.0, grid6)
-        rows = oracle_sharp_rh(w, 2.0 + eps, rh_constant(w, 2.0, grid6), grid6)
-        expected = max(ratio for *_, ratio in rows)
-        assert_within_ulps(sharp_rh_max_ratio(w, 2.0, eps, grid6), expected, 4)
+        expected = oracle_worst(w, 2.0 + eps, rh_constant(w, 2.0, grid6), grid6)
+        assert sharp_rh_max_ratio(w, 2.0, eps, grid6) == expected
 
     @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
     def test_probe_is_the_kernels_worst_ratio(self, name):
@@ -188,7 +190,7 @@ class TestSharpReverseHolder:
         rh = rh_constant(w, 2.0, grid)
         for t in (2.0, 2.0 + epsilon_range(w, 2.0, grid), 3.5, 9.0):
             if w.moment_admissible(t):
-                assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid)
+                assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst(w, t, rh, grid)
 
     @pytest.mark.parametrize("depth", [1, 6, 10])
     @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
@@ -234,7 +236,7 @@ class TestSharpReverseHolder:
             assert np.isinf(rhs).tolist() == [k == 4 and start + i == 13 for i in range(rhs.size)]
             assert np.all(np.isfinite(lhs))
         assert_kernel_is_the_level_oracle(w, t, rh, grid)
-        assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid) == math.inf
+        assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst(w, t, rh, grid) == math.inf
 
     @pytest.mark.parametrize("make", [lambda: seeded_tabulated_weights(1, 16)[0],
                                       lambda: PowerWeight(-0.25)], ids=["tabulated", "power"])
@@ -243,7 +245,7 @@ class TestSharpReverseHolder:
         assert grid.n_cells == 4 * grid_module.BLOCK
         rh = rh_constant(w, 2.0, grid)
         for t in (2.0, 2.5, 3.5):
-            assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst_ratio(w, t, rh, grid)
+            assert gehring._worst_ratio(w, t, rh, grid) == oracle_worst(w, t, rh, grid)
 
     @pytest.mark.parametrize("make, levels", [(lambda: seeded_tabulated_weights(1)[0], 1.1),
                                               (lambda: seeded_tabulated_weights(1, 16)[0], 1.1),

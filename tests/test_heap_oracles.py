@@ -4,11 +4,12 @@ A pyramid is one array indexed by heap id ``2**k - 1 + i``.  The oracles in
 ``helpers`` keep the layout it replaced, one array per level: the heaps must
 be the concatenation of those levels bit for bit.  The suprema walk the
 levels in blocks of at most ``grid.BLOCK`` cubes in reused buffers; each
-level's blocks, joined, must equal the heap-form oracles' (two fresh averages
-heaps) bit for bit, and the supremum must pick the same cube as the heap
-argmax (the first maximum, coarser level first), including the exact ties of
-``x**alpha`` on the left-edge cubes.  With the block cut to 4 cubes, NaN
-cubes, all-NaN levels and ties fall across block boundaries.  A tracemalloc
+level's blocks, joined, must equal the level-form oracles' (built from those
+level lists, not from the store's pyramid) bit for bit, and the supremum must
+pick the same cube as the heap argmax (the first maximum, coarser level
+first), including the exact ties of ``x**alpha`` on the left-edge cubes.
+With the block cut to 4 cubes, NaN cubes, all-NaN levels and ties fall across
+block boundaries.  A tracemalloc
 guard holds ``A_p`` and ``RH_q`` to a few blocks above the moment store, and a
 ``math.fsum`` reference holds stored totals to the pairwise-summation bound.
 """
@@ -28,13 +29,10 @@ from helpers import (
     every_cube,
     fsum_cube_total,
     oracle_a_infty_heap,
-    oracle_ap_heap,
     oracle_averages,
     oracle_heap_sup,
     oracle_level_maxima,
     oracle_power_levels,
-    oracle_rh_heap,
-    oracle_sup,
     oracle_tree_totals,
     seeded_tabulated_weights,
     traced_peak,
@@ -158,16 +156,20 @@ def test_pyramids_and_averages_are_the_level_lists(i, depth):
 
 
 def _oracle_ap(w, p: float, grid: DyadicGrid):
+    """The A_p quantity ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1} of every cube, one array per level."""
     dual_exp = 1.0 - p / (p - 1.0)
     wavg = oracle_averages(grid, _oracle_levels(w, grid, 1.0))
     savg = oracle_averages(grid, _oracle_levels(w, grid, dual_exp))
-    return [wavg[k] * savg[k] ** (p - 1.0) for k in range(grid.depth + 1)]
+    with np.errstate(all="ignore"):
+        return [wavg[k] * savg[k] ** (p - 1.0) for k in range(grid.depth + 1)]
 
 
 def _oracle_rh(w, q: float, grid: DyadicGrid):
+    """The RH_q quantity (⨍_Q w^q)^{1/q} / ⟨w⟩_Q of every cube, one array per level."""
     wavg = oracle_averages(grid, _oracle_levels(w, grid, 1.0))
     qavg = oracle_averages(grid, _oracle_levels(w, grid, q))
-    return [qavg[k] ** (1.0 / q) / wavg[k] for k in range(grid.depth + 1)]
+    with np.errstate(all="ignore"):
+        return [qavg[k] ** (1.0 / q) / wavg[k] for k in range(grid.depth + 1)]
 
 
 def _ap_levels(w, p: float, grid: DyadicGrid):
@@ -179,16 +181,16 @@ def _rh_levels(w, q: float, grid: DyadicGrid):
 
 
 def _check_suprema(w, grid: DyadicGrid) -> None:
-    cases = [(_ap_levels, ap_per_level, oracle_ap_heap, _oracle_ap, p) for p in (2.0, 3.0)]
-    cases += [(_rh_levels, rh_per_level, oracle_rh_heap, _oracle_rh, q)
+    cases = [(_ap_levels, ap_per_level, _oracle_ap, p) for p in (2.0, 3.0)]
+    cases += [(_rh_levels, rh_per_level, _oracle_rh, q)
               for q in (1.5, 2.0) if w.moment_admissible(q)]
-    for walk, kernel, heap_oracle, level_oracle, x in cases:
-        heap, levels = heap_oracle(w, x, grid), level_oracle(w, x, grid)
-        _assert_heap_is_levels(heap, levels)
+    for walk, kernel, oracle, x in cases:
+        levels = oracle(w, x, grid)
+        heap = np.concatenate(levels)
         _assert_heap_is_levels(heap, walked_levels(walk(w, x, grid)))
         maxima = kernel(w, x, grid)
         assert maxima == oracle_level_maxima(levels), (kernel.__name__, x)
-        assert sup_with_argmax(maxima) == oracle_sup(levels) == oracle_heap_sup(heap)
+        assert sup_with_argmax(maxima) == oracle_heap_sup(heap)
 
 
 def _check_a_infty(w, grid: DyadicGrid) -> None:
@@ -196,7 +198,7 @@ def _check_a_infty(w, grid: DyadicGrid) -> None:
     _assert_heap_is_levels(heap, walked_levels(_a_infty_levels(w, grid))[::-1])
     maxima = a_infty_fw_per_level(w, grid)
     assert maxima == oracle_level_maxima(heap_levels(heap))
-    assert sup_with_argmax(maxima) == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
+    assert sup_with_argmax(maxima) == oracle_heap_sup(heap)
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -240,8 +242,8 @@ BLOCK_CASES = {
 def test_block_boundaries_match_the_heap_oracles(case, monkeypatch):
     monkeypatch.setattr(grid_module, "BLOCK", 4)
     w, grid = TabulatedWeight(BLOCK_CASES[case]), DyadicGrid(4)
-    heaps = [(ap_per_level, oracle_ap_heap(w, 2.0, grid), (w, 2.0, grid)),
-             (rh_per_level, oracle_rh_heap(w, 2.0, grid), (w, 2.0, grid)),
+    heaps = [(ap_per_level, np.concatenate(_oracle_ap(w, 2.0, grid)), (w, 2.0, grid)),
+             (rh_per_level, np.concatenate(_oracle_rh(w, 2.0, grid)), (w, 2.0, grid)),
              (a_infty_fw_per_level, oracle_a_infty_heap(w, grid), (w, grid))]
     for kernel, heap, args in heaps:
         levels = heap_levels(heap)
@@ -272,24 +274,24 @@ def test_fine_levels_span_several_real_blocks(make):
 def test_left_edge_ties_of_a_power_weight_break_toward_the_root(alpha):
     # x**alpha is scale invariant, so every left-edge cube (k, 0) has the same
     # A_p and RH_q quantity up to rounding, with exact ties among them; the
-    # walk and both oracles pick the same first maximum
+    # walk and the oracle pick the same first maximum
     w, grid = PowerWeight(alpha), DyadicGrid(10)
-    heap = oracle_ap_heap(w, 2.0, grid)
+    heap = np.concatenate(_oracle_ap(w, 2.0, grid))
     edge = heap[[DyadicCube(k, 0).heap_id for k in range(grid.depth + 1)]]
     assert np.unique(edge).size < edge.size  # exact ties do occur
-    for kernel, oracle, x in ((ap_per_level, oracle_ap_heap, 2.0),
-                              (ap_per_level, oracle_ap_heap, 3.0),
-                              (rh_per_level, oracle_rh_heap, 1.5)):
-        heap = oracle(w, x, grid)
+    for kernel, oracle, x in ((ap_per_level, _oracle_ap, 2.0),
+                              (ap_per_level, _oracle_ap, 3.0),
+                              (rh_per_level, _oracle_rh, 1.5)):
+        heap = np.concatenate(oracle(w, x, grid))
         got = sup_with_argmax(kernel(w, x, grid))
-        assert got == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
+        assert got == oracle_heap_sup(heap)
 
 
 def test_a_infty_argmax_matches_the_level_oracle():
     for w in WEIGHTS:
         heap = oracle_a_infty_heap(w, DyadicGrid(8))
         got = sup_with_argmax(a_infty_fw_per_level(w, DyadicGrid(8)))
-        assert got == oracle_sup(heap_levels(heap)) == oracle_heap_sup(heap)
+        assert got == oracle_heap_sup(heap)
 
 
 # --- NaN cubes are skipped one at a time ---------------------------------------------------
@@ -304,9 +306,6 @@ def test_a_nan_cube_does_not_hide_its_level():
     heap = np.array([1.0, math.nan, 5.0, 0.0, 2.0, math.nan, 3.0])
     assert _fold(heap.copy()) == (5.0, DyadicCube(1, 1))
     assert oracle_heap_sup(heap) == (5.0, DyadicCube(1, 1))
-    # the level-by-level form dropped level 1 whole, as its first maximum is NaN
-    dropped = oracle_sup(heap_levels(np.array([1.0, math.nan, 5.0])))
-    assert dropped == (1.0, DyadicCube(0, 0))
 
 
 def test_an_all_nan_heap_reports_minus_inf_at_the_root():

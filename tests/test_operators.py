@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
-    brute_weak_lp_norm, every_cube, good_set, oracle_maximal_p0, seeded_tabulated_weights,
+    every_cube, good_set, oracle_restricted_maximal_p0, oracle_weak_lp_norm,
+    seeded_tabulated_weights,
 )
 from weightlab import (
     DyadicCube,
@@ -119,7 +120,7 @@ class TestMaximalFunctions:
         gvals = np.abs(rng.standard_normal(grid6.n_cells))
         np.testing.assert_allclose(
             maximal_weighted(gvals, unit_weight(), grid6),
-            oracle_maximal_p0(gvals, grid6, 1.0),
+            oracle_restricted_maximal_p0(gvals, grid6, 1.0, every_cube(grid6), unit_weight()),
             rtol=1e-12,
         )
 
@@ -152,12 +153,11 @@ class TestWeakNorm:
     def test_matches_brute_force(self, grid6):
         rng = np.random.default_rng(41)
         for w in seeded_tabulated_weights(3):
-            cellw = w.cell_integrals(grid6, 1.0)
             for _ in range(5):
                 h = rng.standard_normal(grid6.n_cells)
                 for p in (1.0, 2.0, 3.0):
                     got = weak_lp_norm(h, w, grid6, p)
-                    expected = brute_weak_lp_norm(h, cellw, p)
+                    expected = oracle_weak_lp_norm(h, w, grid6, p)
                     assert got == pytest.approx(expected, rel=1e-12)
 
     def test_weak_below_strong(self, grid6):

@@ -19,7 +19,6 @@ import pytest
 from helpers import (
     dense_witnesses,
     good_set,
-    keyed_peel_layers,
     mask_ranges,
     oracle_bin_witness_stats,
     oracle_build_sparse_random,
@@ -205,9 +204,7 @@ def test_paint_owner_and_layers_match_cube_loops(seed):
     np.testing.assert_array_equal(
         paint_owner(cube_ids(cubes), grid), oracle_paint_owner(cubes, grid)
     )
-    layers = keyed_peel_layers(cubes)
-    assert [id_cubes(layer) for layer in peel_layers(cubes)] == layers
-    assert layers == oracle_peel_layers(cubes)
+    assert [id_cubes(layer) for layer in peel_layers(cubes)] == oracle_peel_layers(cubes)
 
 
 def loaded(load, payload, grid):

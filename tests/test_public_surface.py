@@ -298,23 +298,27 @@ def test_cross_reference_check_rejects_dangling_names():
 
 def test_every_helper_is_used():
     # a helper that no test reaches, directly or through other helpers, is
-    # dead code beside the oracles in use
+    # dead code beside the oracles in use; an oracle or reference that only
+    # other helpers call checks nothing of its own, so a test module names it
     helpers = ast.parse((TESTS / "helpers.py").read_text(encoding="utf-8"))
     calls = {
         node.name: {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
         for node in helpers.body
         if isinstance(node, ast.FunctionDef)
     }
-    reached = set()
+    named = set()
     for path in sorted(TESTS.glob("*.py")):
         if path.name != "helpers.py":
-            reached |= set(re.findall(r"\w+", path.read_text(encoding="utf-8"))) & set(calls)
+            named |= set(re.findall(r"\w+", path.read_text(encoding="utf-8"))) & set(calls)
+    reached = set(named)
     frontier = list(reached)
     while frontier:
         for name in (calls[frontier.pop()] & set(calls)) - reached:
             reached.add(name)
             frontier.append(name)
     assert sorted(set(calls) - reached) == []
+    oracles = {name for name in calls if re.match(r"(oracle|brute|fsum)_", name)}
+    assert sorted(oracles - named) == []
 
 
 # Defaulted parameters that no call in the program, the README, the acceptance

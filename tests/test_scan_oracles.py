@@ -5,9 +5,10 @@ function and level sets once and evaluates every weight from them.  The
 oracle in ``helpers`` rebuilds them for each weight alone; both do the same
 arithmetic on the same values, so the rows must be bit-identical.  Both take
 the square function of a function stored at depth ``d`` one level up, on
-the ``2^(d − 1)`` sibling pairs; the depth-``d`` oracle evaluates it by the
-ancestor matrix on the level-``d`` cubes, where sibling values differ by
-rounding only, so the rows agree to 1e-13 relative.
+the ``2^(d − 1)`` sibling pairs; the dense oracle evaluates it by the ancestor
+matrix on every finest cell, where sibling values differ by rounding only and
+the norms sum in another order, so its weak norms and ratios agree to 1e-13
+relative.
 
 The scans draw the corpus lazily from ``operators._corpus_stream`` through
 ``ordered_map``, which takes one item per free worker: the stream must yield
@@ -28,7 +29,7 @@ import pytest
 
 from helpers import (
     TABULATED_NATIVE_DEPTH,
-    oracle_depth_d_rows,
+    oracle_corpus_rows,
     oracle_natural_depth_rows,
     seeded_tabulated_weights,
 )
@@ -38,6 +39,7 @@ from weightlab import (
     empirical_weak_operator_norm,
     function_corpus,
     ordered_map,
+    strong_lp_norm,
     unit_weight,
 )
 from weightlab.operators import _corpus_stream
@@ -73,11 +75,13 @@ def test_rows_match_the_depth_d_oracle(depth, monkeypatch):
     weights = _weights(depth)
     for p in (2.0, 1.5):
         scans = empirical_weak_operator_norm(weights, grid, p=p, corpus=corpus)
-        for w, (best, rows) in zip(weights, scans):
-            want_best, want_rows = oracle_depth_d_rows(w, grid, p, corpus)
+        wants = oracle_corpus_rows(weights, grid, p, corpus)
+        for w, (best, rows), want_rows in zip(weights, scans, wants):
+            want_best = max((row.ratio for row in want_rows), default=0.0)
             assert [r.name for r in rows] == [r.name for r in want_rows]
-            for got, ref in zip(rows, want_rows):
-                assert got.strong_norm == ref.strong_norm  # f itself did not move
+            for fn, got, ref in zip(corpus, rows, want_rows):
+                # f itself did not move: its norm at its natural depth, bit for bit
+                assert got.strong_norm == strong_lp_norm(fn.cells, w, grid, p, level=fn.depth)
                 assert abs(got.weak_norm_sf - ref.weak_norm_sf) <= 1e-13 * ref.weak_norm_sf
                 assert abs(got.ratio - ref.ratio) <= 1e-13 * ref.ratio
             assert abs(best - want_best) <= 1e-13 * want_best

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     traced_peak,
 )
 from weightlab import (
+    ConfigError,
     DyadicCube,
     DyadicGrid,
     ExponentProfile,
@@ -350,6 +352,18 @@ class TestSparseForm:
         assert sparse_form(
             np.zeros(64), np.ones(64), prof, [DyadicCube(0, 0)], grid6
         ) == 0.0
+
+    @pytest.mark.parametrize("f, g, cubes", [
+        (1e300, 1.0, [DyadicCube(0, 0)]),  # ⟨f⟩² overflows
+        (1.2e154, 1.0, [DyadicCube(0, 0), DyadicCube(1, 0)]),  # two finite terms past it
+        (0.0, 1e300, [DyadicCube(0, 0)]),  # ⟨g⟩_{2} overflows: 0·inf
+    ], ids=["term", "sum", "nan"])
+    def test_a_value_past_the_double_range_is_refused(self, f, g, cubes):
+        grid, prof = DyadicGrid(2), ExponentProfile(p0=1.0, q0=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="leaves the double range"):
+                sparse_form(np.full(4, f), np.full(4, g), prof, cubes, grid)
 
     def test_sparse_family_object_is_accepted(self, grid6):
         prof = ExponentProfile(p0=1.0, q0=4.0)

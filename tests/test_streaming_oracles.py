@@ -1,12 +1,15 @@
-"""Level-recursion kernels against the ancestor-matrix oracles in ``helpers``.
+"""Level-recursion kernels against the oracles in ``helpers``.
 
-The oracles copy every ancestor's value onto every cell, an (L+1)×N matrix,
-and reduce it over levels; the library walks the tree one level at a time.
-Sums run in the same order and maxima are exact, so the two must agree bit
-for bit.  The exception is the square function: the library takes both
-siblings' last jump as ``±(a − b)/2`` and returns one value per sibling pair,
-where the matrix subtracts the parent from each child, so the two agree to a
-few ulps.  The weak norm's candidate levels are reduced by numpy instead of a
+The square function's and both maximal functions' oracles copy every
+ancestor's value onto every cell, an (L+1)×N matrix, and reduce it over
+levels (the ``L^{p0}`` maximal function's holds 0 at a cube outside its
+restriction); the ``A∞`` oracle raises a per-cell running maximum over a fresh
+averages heap.  The library walks the tree one level at a time.  Sums run
+in the same order and maxima are exact, so the two must agree bit for bit.
+The exception is the square function: the library takes both siblings' last
+jump as ``±(a − b)/2`` and returns one value per sibling pair, where the
+matrix subtracts the parent from each child, so the two agree to a few ulps.
+The weak norm's candidate levels are reduced by numpy instead of a
 Python loop, so its power of each tail mass may differ from the loop
 oracle's in the last ulp.
 """
@@ -19,9 +22,8 @@ import pytest
 from helpers import (
     every_cube,
     good_set,
-    oracle_a_infty_fw_per_level,
+    oracle_a_infty_heap,
     oracle_level_maxima,
-    oracle_maximal_p0,
     oracle_maximal_weighted,
     oracle_restricted_maximal_p0,
     oracle_square_function_from_cell_integrals,
@@ -73,7 +75,7 @@ def _assert_levels_equal(got, want):
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_a_infty_per_level_matches_matrix(w, depth):
     grid = DyadicGrid(depth)
-    want = oracle_a_infty_fw_per_level(w, grid)
+    want = heap_levels(oracle_a_infty_heap(w, grid))
     _assert_levels_equal(_a_infty_walk(w, grid), want)
     assert a_infty_fw_per_level(w, grid) == oracle_level_maxima(want)
 
@@ -124,9 +126,10 @@ def test_square_function_of_f_sigma_matches_matrix(w, depth):
 @pytest.mark.parametrize("w", [None] + WEIGHTS, ids=["unweighted"] + WEIGHT_IDS)
 def test_maximal_p0_matches_matrix(w, p0, depth):
     # restricted to every cube, the good set's maximal function is the
-    # unrestricted one, which the matrix oracle forms independently
+    # unrestricted one; unweighted, the moments are those of the unit weight
     grid = DyadicGrid(depth)
-    every = cube_ids(every_cube(grid), grid)
+    cubes = every_cube(grid)
+    every = cube_ids(cubes, grid)
     for values in _corpus(grid):
         if w is None:
             moment_cells = np.abs(values) ** p0 * grid.cell_measure
@@ -134,7 +137,7 @@ def test_maximal_p0_matches_matrix(w, p0, depth):
             moment_cells = composed_moment_cells(grid, values, w, p0)
         assert np.array_equal(
             _restricted_maximal(tree_totals(grid, moment_cells), every, p0),
-            oracle_maximal_p0(values, grid, p0, weight=w),
+            oracle_restricted_maximal_p0(values, grid, p0, cubes, w or unit_weight()),
         )
 
 

@@ -3,8 +3,8 @@
 ``random_subset_checks`` and ``verify_subset_bound`` sum each subset over its
 cube's slice of the finest cells and read the cube's measures from the
 pyramids; the oracle (``helpers.oracle_random_subset_checks``) builds a full
-cell mask per sample and measures it with ``np.sum(cells, where=mask)``
-(``helpers.oracle_measure``).  ``helpers.subset_draws`` repeats the scan's
+cell mask per sample and measures it with ``np.sum(cells, where=mask)``.
+``helpers.subset_draws`` repeats the scan's
 draws for the oracle and for ``verify_subset_bound``, so cubes, ``ε`` values
 and empty draws agree exactly; the sums round differently, so the sides agree
 to a pinned relative tolerance.

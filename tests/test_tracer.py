@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import warnings
@@ -18,9 +19,9 @@ from helpers import (
     geometric_tail_partial,
     good_set,
     oracle_percube_ap_holder_scan,
+    oracle_trace_proof,
     seeded_tabulated_weights,
     traced_peak,
-    verify_average_comparison,
     within_cube,
 )
 from weightlab import (
@@ -77,6 +78,37 @@ class TestGeometricSeries:
     def test_tail_sum_linear_envelope(self, x):
         # 2^(1/x)/(2^(1/x)-1) <= 2x for x >= 1
         assert geometric_tail_sum(x) <= 2.0 * x * (1 + 1e-12)
+
+    def test_within_8_ulps_of_a_decimal_reference(self):
+        # 2^{1/x} − 1 must not be taken from 2^{1/x} rounded to a double: at
+        # x = 1e15 that keeps about 2 bits of it
+        xs = np.concatenate([np.geomspace(1.0, 1e15, 301),
+                             10.0 ** np.random.default_rng(15).uniform(0.0, 15.0, 300)])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = decimal.Decimal(2).ln()
+            for x in xs.tolist():
+                g = (ln2 / decimal.Decimal(x)).exp()
+                for got, want in ((geometric_tail_sum(x), float(g / (g - 1))),
+                                  (geometric_weighted_tail_sum(x), float(g / (g - 1) ** 2))):
+                    assert abs(got - want) <= 8 * math.ulp(want), (x, got, want)
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_finite_or_inf_for_every_positive_scale(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total, weighted = geometric_tail_sum(x), geometric_weighted_tail_sum(x)
+        assert total >= 1.0 and weighted >= 0.0  # NaN fails both
+
+    @pytest.mark.parametrize("x, total, weighted", [
+        (5e-324, 1.0, 0.0),  # 2^{1/x} passes the double range
+        (9e-4, 1.0, 0.0),
+        (1e160, 1e160 / math.log(2.0), math.inf),  # (2^{1/x} − 1)² underflows
+        (1.7976931348623157e308, math.inf, math.inf),  # and 1/(2^{1/x} − 1) overflows
+    ])
+    def test_range_ends_read_their_limits(self, x, total, weighted):
+        assert geometric_tail_sum(x) == pytest.approx(total, rel=1e-15)
+        assert geometric_weighted_tail_sum(x) == weighted
 
 
 @pytest.fixture(scope="module")
@@ -398,17 +430,14 @@ class TestStandaloneAverageComparison:
         w = seeded_tabulated_weights(4)[3]  # a log-normal one
         f = np.ones(grid10.n_cells)
         family = default_trace_family(f, w, grid10, p0=1.0)
-        gs = good_set(f, w, grid10, 1.0, family)
-        trace = trace_proof(f, w, grid10, P14, family)
-        chk = trace.traced
+        chk = trace_proof(f, w, grid10, P14, family).traced
         assert len(chk) >= 1
-        for j, cube in enumerate(id_cubes(chk.ids)):
-            redo = verify_average_comparison(
-                w, 2.0, trace.bounds.epsilon, cube, int(chk.s[j]), gs.good_prime, grid10
-            )
-            assert redo.lhs == pytest.approx(chk.indicator_avg[j], rel=1e-12)
-            assert redo.rhs_strict == pytest.approx(chk.rhs_strict[j], rel=1e-12)
-            assert redo.ratio_strict == pytest.approx(chk.ratio_strict[j], rel=1e-12)
+        rows = oracle_trace_proof(f, w, grid10, P14, id_cubes(family))["rows"]
+        assert id_cubes(chk.ids) == [row[0] for row in rows]
+        assert chk.s.tolist() == [row[6] for row in rows]
+        for column, j in (("indicator_avg", 2), ("rhs_strict", 7), ("ratio_strict", 8)):
+            want = np.array([row[j] for row in rows])
+            assert np.all(np.abs(getattr(chk, column) - want) <= 4 * np.spacing(want)), column
 
 
 class TestDefaultTraceFamily:
