@@ -68,12 +68,17 @@ def power_levels(w: Weight, grid: DyadicGrid, t: float, s: float, op) -> Iterato
         yield k, start, out
 
 
-def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
-    """Per-level first maxima, coarse to fine, of ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1} (A_p)."""
+def ap_moment(p: float) -> Tuple[float, float]:
+    """The moment ``1 − p'`` and the power ``p − 1`` of A_p's dual factor (⨍_Q w^{1-p'})^{p-1}."""
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ConfigError(f"A_p characteristic needs p in (1, ∞), got {p}")
-    return level_maxima(power_levels(w, grid, 1.0 - conjugate_exponent(p), p - 1.0, np.multiply))
+    return 1.0 - conjugate_exponent(p), p - 1.0
+
+
+def ap_per_level(w: Weight, p: float, grid: DyadicGrid) -> List[Tuple[float, int]]:
+    """Per-level first maxima, coarse to fine, of ⟨w⟩_Q (⨍_Q w^{1-p'})^{p-1} (A_p)."""
+    return level_maxima(power_levels(w, grid, *ap_moment(p), np.multiply))
 
 
 def _at_least_one(value: float, name: str, exponent: float, w: Weight) -> float:
@@ -83,6 +88,12 @@ def _at_least_one(value: float, name: str, exponent: float, w: Weight) -> float:
         raise ConfigError(f"[w]_{{{name}_{float(exponent)!r}}} of {w.describe()} reads "
                           f"{value!r}, below 1: the weight's powers leave the double range")
     return value
+
+
+def ap_sup(w: Weight, p: float, grid: DyadicGrid) -> Tuple[float, DyadicCube]:
+    """``[w]_{A_p}`` and the first cube that attains it, from one fold of :func:`ap_per_level`."""
+    value, cube = sup_with_argmax(ap_per_level(w, p, grid))
+    return _at_least_one(value, "A", p, w), cube
 
 
 def ap_constant(w: Weight, p: float, grid: DyadicGrid) -> float:
@@ -242,8 +253,7 @@ def characteristic_report(
     ap: Dict[float, float] = {}
     ap_arg: Dict[float, DyadicCube] = {}
     for p in ap_exponents:
-        ap[float(p)], ap_arg[float(p)] = sup_with_argmax(ap_per_level(w, p, grid))
-        _at_least_one(ap[float(p)], "A", p, w)
+        ap[float(p)], ap_arg[float(p)] = ap_sup(w, p, grid)
     rh: Dict[float, float] = {}
     rh_arg: Dict[float, DyadicCube] = {}
     for q in rh_exponents:

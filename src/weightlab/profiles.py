@@ -7,9 +7,7 @@ exponents:
 
 * ``q0_star = (q0/2)' = q0 / (q0 - 2)`` — the dual exponent governing the
   g-side averages of the quadratic sparse form (1 when ``q0 = ∞``);
-* ``phi_p0 = p0 / (2 - p0)`` — the dual-weight moment exponent that makes the
-  per-cube Muckenhoupt and Hölder steps of the p = 2 argument exact — and
-  ``ap_index = 2/p0``, the Muckenhoupt index of the p = 2 bound;
+* ``ap_index = 2/p0``, the Muckenhoupt index of the p = 2 bound;
 * ``rh_index = (q0/p)'`` and, built on it, the strong-bound exponent, the
   lifted Muckenhoupt index and the extrapolation inflation at ``p``.
 
@@ -106,11 +104,6 @@ class ExponentProfile:
             )
         q0_star = 1.0 if math.isinf(self.q0) else self.q0 / (self.q0 - 2.0)
         object.__setattr__(self, "q0_star", q0_star)
-
-    @property
-    def phi_p0(self) -> float:
-        """Dual-weight moment exponent p0/(2-p0) used by the p = 2 argument."""
-        return self.p0 / (2.0 - self.p0)
 
     @property
     def ap_index(self) -> float:

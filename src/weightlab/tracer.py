@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import BoundsReport, evaluate_bounds
-from .characteristics import ap_constant, level_maxima, power_levels, sup_with_argmax
+from .characteristics import ap_moment, ap_sup, level_maxima, sup_with_argmax
 from .errors import ConfigError, EmptyGoodSetError, WeightlabError, ZeroFunctionError
 from .grid import (
     DyadicCube, DyadicGrid, ancestor_hits, ancestor_max, cube_ids, heap_levels, level_blocks,
@@ -390,7 +390,8 @@ def trace_proof(
 ) -> ProofTrace:
     """Run the full pigeonhole trace; see the module docstring for the steps. The family
     is a cube sequence or an array of heap ids, by default :func:`default_trace_family`'s.
-    The window's constants are one :func:`~weightlab.bounds.evaluate_bounds` report."""
+    The window's constants are one :func:`~weightlab.bounds.evaluate_bounds` report; a
+    ``[w]_{A_{2/p0}}``, ``[w]_{RH_{q0*}}`` or ``[w]_{A∞}`` that is not finite is refused."""
     if not math.isfinite(profile.q0):
         raise ConfigError("the trace needs a finite upper window exponent")
     p0 = profile.p0
@@ -402,6 +403,10 @@ def trace_proof(
 
     bounds = evaluate_bounds(w, grid, p0, profile.q0, epsilon)
     ap, rh, a_inf, eps = bounds.ap_char, bounds.rh_char, bounds.a_infty_char, bounds.epsilon
+    for name, value in ((f"A_{profile.ap_index!r}", ap), (f"RH_{q0s!r}", rh), ("A∞", a_inf)):
+        if not math.isfinite(value):
+            raise ConfigError(f"[w]_{{{name}}} of {w.describe()} reads {value!r}: "
+                              "the weight's powers leave the double range")
     gamma, eps_max = bounds.gamma, admissible_epsilon(q0s, bounds.a_infty_pow_char)
     geh = GehringProfile(q0s, eps, eps_max)
     two_pow = 2.0 ** (1.0 / (geh.theta * q0s))
@@ -413,20 +418,20 @@ def trace_proof(
     family_ids = gs.family_ids
     f_norm_sq, good_prime_mass = gs.f_norm_sq, gs.good_prime_mass
 
-    cellw = heap_levels(w.pyramid(grid, 1.0))[-1]
+    def good_totals(t):  # ∫_{G'∩Q} w^t per cube, from the finest level of w's stored t pyramid
+        return tree_totals(grid, heap_levels(w.pyramid(grid, t))[-1] * gs.good_prime)
 
     # per-cube gathers from exact moment pyramids: the good set's fσ at p0, 1_{G'}·w at q0* and 1
     p0_moments = heap_levels(gs.p0_totals)[-1]
     scale = np.ldexp(1.0, split_ids(family_ids)[0])
     a1 = (gs.p0_totals[family_ids] * scale) ** (1.0 / p0)
-    gp_q = tree_totals(grid, cellw * gs.good_prime)[family_ids]
+    gp_q = good_totals(1.0)[family_ids]
     zero = gp_q <= 0.0
     overflow = ~zero & (a1 <= 0.0)
     binned = ~(zero | overflow)
     ids, scale, a1, gp_q = family_ids[binned], scale[binned], a1[binned], gp_q[binned]
     w_q = w.pyramid(grid, 1.0)[ids]
-    ind_q_moments = heap_levels(w.pyramid(grid, q0s))[-1] * gs.good_prime
-    b_q = (tree_totals(grid, ind_q_moments)[ids] * scale) ** (1.0 / q0s)
+    b_q = (good_totals(q0s)[ids] * scale) ** (1.0 / q0s)
 
     r_raw = np.floor(-np.log2(a1 / gs.threshold)).astype(np.int64)
     r = np.maximum(r_raw, 0)
@@ -443,9 +448,9 @@ def trace_proof(
         quad = math.fsum(quad_terms[rows].tolist())
         # layer witness E_Q: the cells whose deepest cube of the bin is Q
         owner = paint_owner(ids[rows], grid)
-        owned = owner >= 0
-        witness_mass = float(np.sum(f_sq_sigma[owned]))
-        restricted = np.bincount(owner[owned], weights=p0_moments[owned], minlength=rows.size)
+        owner += 1  # bin 0 takes the cells no cube of the bin owns
+        witness_mass = float(np.sum(f_sq_sigma[owner > 0]))
+        restricted = np.bincount(owner, weights=p0_moments, minlength=rows.size + 1)[1:]
         restricted_avg = (restricted * scale[rows]) ** (1.0 / p0)
         comparability = (
             float(np.max(a1[rows] / restricted_avg)) if np.all(restricted_avg > 0.0) else math.inf
@@ -540,35 +545,35 @@ def percube_ap_holder_scan(
 
     * ⟨w⟩_Q · ⟨σ⟩_{L^{φ(p0)},Q} ≤ [w]_{A_{2/p0}} with φ(p0) = p0/(2−p0);
       the left side is the per-cube A_{2/p0} quantity written through the
-      dual weight, so the bound is an identity plus a supremum.
+      dual weight, so the bound is an identity plus a supremum: one
+      :func:`~weightlab.characteristics.ap_sup` fold gives the worst ratio, 1.0
+      (0.0 for an infinite characteristic), at the cube ``char -p 2/p0`` reports.
     * ⟨1_E fσ⟩²_{p0,Q} ≤ ⟨σ⟩_{L^{φ(p0)},Q} · (1/|Q|)·∫_Q 1_E f² σ — Hölder
-      with exponents 2/p0 and 2/(2−p0).
+      with exponents 2/p0 and 2/(2−p0), ⟨σ⟩_{L^φ,Q} read from the fold's pyramid.
 
-    Both must hold to rounding (slack 1e-12) for every cube, any f, any E (``cells``).
+    It must hold to rounding (slack 1e-12) for every cube, any f, any E (``cells``).
     A Hölder ratio that cannot be formed (``inf/inf`` after overflow) leaves its
     cube unverified, with ratio ``inf``.
     """
     profile = ExponentProfile(float(p0), math.inf)  # checks 1 <= p0 < 2
-    p0, phi = profile.p0, profile.phi_p0
+    p0, p = profile.p0, profile.ap_index
+    ap, ap_cube = ap_sup(w, p, grid)
+    moment, power = ap_moment(p)  # σ's moment φ is w's moment 1 − p', and 1/φ = p − 1
     sigma = dual_weight(w, 2.0)
-    ap = ap_constant(w, profile.ap_index, grid)
 
     fvals = None if f is None else grid.check_values(f)
     mask = grid.check_mask(np.ones(grid.n_cells, dtype=bool) if cells is None else cells)
-    sigma_phi = heap_levels(w.pyramid(grid, -phi))  # σ's moment φ is w's moment −φ, one pyramid
+    sigma_phi = heap_levels(w.pyramid(grid, moment))  # the pyramid ap_sup folded
 
     def holder_blocks(levels):  # the Hölder ratio a block at a time, fine to coarse
         for k, start, (lhs, rhs, sigma_avg) in level_blocks(grid, levels):
-            lhs **= profile.ap_index
-            rhs *= sigma_avg ** (1.0 / phi)  # ⟨σ⟩_{L^φ,Q}
+            lhs **= p
+            rhs *= sigma_avg**power  # ⟨σ⟩_{L^φ,Q}
             ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
             ratios[np.isnan(ratios)] = np.inf  # inf/inf after overflow: unverified
             yield k, start, ratios
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # level_sums adds lazily
-        ap_blocks = power_levels(w, grid, -phi, 1.0 / phi, np.multiply)  # ⟨σ⟩_{L^φ,Q}·⟨w⟩_Q
-        worst_ap, worst_ap_cube = sup_with_argmax(
-            level_maxima((k, start, np.divide(v, ap, out=v)) for k, start, v in ap_blocks))
         if fvals is None:  # |fσ|^{p0}·1_E and f²σ·1_E per cell: σ's stored moments masked
             moments, f2s = (heap_levels(sigma.pyramid(grid, t))[-1] * mask for t in (p0, 1.0))
         else:  # the same, scaled by f's powers in place
@@ -581,8 +586,8 @@ def percube_ap_holder_scan(
 
     return PerCubeScan(
         ap_char=ap,
-        worst_ap_ratio=worst_ap,
-        worst_ap_cube=worst_ap_cube,
+        worst_ap_ratio=1.0 if math.isfinite(ap) else 0.0,
+        worst_ap_cube=ap_cube,
         worst_holder_ratio=worst_h,
         worst_holder_cube=worst_h_cube,
     )

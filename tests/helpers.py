@@ -46,6 +46,7 @@ from weightlab import (
 )
 from weightlab import grid as grid_module
 from weightlab.bounds import BoundsReport
+from weightlab.characteristics import ap_moment
 from weightlab.errors import SubsetError
 from weightlab.gehring import EpsilonSearchResult, InequalityCheck
 from weightlab.grid import to_averages, tree_totals
@@ -643,25 +644,28 @@ def oracle_percube_ap_holder_scan(
     cells: Optional[np.ndarray] = None,
 ) -> PerCubeScan:
     """The per-cube scan in heap form: fresh averages heaps of ``⟨w⟩`` and
-    ``⟨σ⟩_{L^φ}``, the tree totals of the two masked cell vectors and whole ratio
-    heaps, each supremum the first maximum in heap order with NaN cubes skipped."""
+    ``⟨σ⟩_{L^φ}`` (at A_{2/p0}'s dual moment and power), the tree totals of the two
+    masked cell vectors and whole ratio heaps, each supremum the first maximum in
+    heap order with NaN cubes skipped.  ``[w]_{A_{2/p0}}`` and its cube are the
+    supremum of the per-cube A heap, the worst A ratio that of the heap over it."""
     profile = ExponentProfile(float(p0), math.inf)
-    p0, phi = profile.p0, profile.phi_p0
+    p0, (moment, power) = profile.p0, ap_moment(profile.ap_index)
     sigma = dual_weight(w, 2.0)
-    ap = ap_constant(w, profile.ap_index, grid)
     fvals = np.ones(grid.n_cells) if f is None else grid.check_values(f)
     mask = cells if cells is not None else np.ones(grid.n_cells, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sigma_norm = sigma.level_averages(grid, phi)
-        sigma_norm **= 1.0 / phi
-        ap_ratios = w.level_averages(grid, 1.0) * sigma_norm / ap
+        sigma_norm = w.level_averages(grid, moment)
+        sigma_norm **= power
+        a_heap = w.level_averages(grid, 1.0) * sigma_norm
+        ap, ap_cube = oracle_heap_sup(a_heap)
+        ap_ratio = oracle_heap_sup(a_heap / ap)[0]
         lhs = to_averages(tree_totals(grid, composed_moment_cells(grid, fvals, sigma, p0) * mask))
         lhs **= profile.ap_index
         f2s = fvals * fvals * heap_levels(sigma.pyramid(grid, 1.0))[-1] * mask
         rhs = to_averages(tree_totals(grid, f2s)) * sigma_norm
         h_ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs > 0.0, np.inf, 0.0))
     h_ratios[np.isnan(h_ratios)] = np.inf
-    return PerCubeScan(ap, *oracle_heap_sup(ap_ratios), *oracle_heap_sup(h_ratios))
+    return PerCubeScan(ap, ap_ratio, ap_cube, *oracle_heap_sup(h_ratios))
 
 
 def ancestor_value_matrix(grid: DyadicGrid, per_level: List[np.ndarray]) -> np.ndarray:

@@ -43,8 +43,8 @@ class TestExponentProfile:
         prof = ExponentProfile(1.0, 4.0)
         assert prof.p == 2.0
         assert prof.q0_star == 2.0
-        assert prof.phi_p0 == 1.0
         assert prof.ap_index == 2.0
+        assert ExponentProfile(1.5, 4.0).ap_index == pytest.approx(4.0 / 3.0)
 
     def test_q0_star_convention_at_infinity(self):
         assert ExponentProfile(1.0, math.inf).q0_star == 1.0
@@ -53,10 +53,6 @@ class TestExponentProfile:
         assert ExponentProfile(1.0, 4.0).q0_star == 2.0
         assert ExponentProfile(1.0, 3.0).q0_star == 3.0
         assert ExponentProfile(1.0, 6.0).q0_star == 1.5
-
-    def test_phi_p0_grows_with_p0(self):
-        assert ExponentProfile(1.5, 4.0).phi_p0 == 3.0
-        assert ExponentProfile(1.5, 4.0).ap_index == pytest.approx(4.0 / 3.0)
 
     @pytest.mark.parametrize("p0", [0.5, 2.0, 2.5])
     def test_p0_outside_window_rejected(self, p0):

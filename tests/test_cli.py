@@ -381,16 +381,16 @@ class TestTraceProof:
         assert "error:" in err
 
     @staticmethod
-    def _refused_in_a_process(tmp_path, value, *options):
-        """The one stderr line of ``trace-proof`` on 64 cells of ``value``, run
-        as a program so that a warning would reach stderr; it must exit 2 and
+    def _refused_in_a_process(tmp_path, value, *options, weight=("--unit-weight",), depth=6):
+        """The one stderr line of ``trace-proof`` on the ``2^depth`` cells of ``value``,
+        run as a program so that a warning would reach stderr; it must exit 2 and
         write no JSON."""
-        f = write_lines(tmp_path / "f.txt", [value] * 64)
+        f = write_lines(tmp_path / "f.txt", [value] * (1 << depth))
         out = tmp_path / "trace.json"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
-            [sys.executable, "-m", "weightlab.cli", "trace-proof", "--unit-weight", "--L", "6",
+            [sys.executable, "-m", "weightlab.cli", "trace-proof", *weight, "--L", str(depth),
              "--f", f, "--out", str(out), *options],
             capture_output=True, text=True, check=False, env=env,
         )
@@ -415,6 +415,14 @@ class TestTraceProof:
 
     def test_zero_function_exits_two_saying_it_vanishes(self, tmp_path):
         assert "vanishes identically" in self._refused_in_a_process(tmp_path, 0.0)
+
+    def test_an_infinite_window_constant_exits_two_without_a_warning(self, tmp_path):
+        # w^{-3} of 1e-200 overflows, so [w]_{A_{4/3}} reads inf and C0 would be nan
+        wfile = write_lines(tmp_path / "w.txt", [1e-200] * 16)
+        line = self._refused_in_a_process(tmp_path, 0.7, "--p0", "1.5", "--q0", "1e6",
+                                          weight=("--weight-file", wfile), depth=4)
+        assert line == ("error: [w]_{A_1.3333333333333333} of tabulated[16 cells] reads inf: "
+                        "the weight's powers leave the double range")
 
 
 class TestBounds:

@@ -474,6 +474,17 @@ class TestDefaultTraceFamily:
         peak = traced_peak(build_good_set, f, w, grid, 1.25, ap_constant(w, 1.6, grid))
         assert peak <= 7.5 * grid.n_cells * 8, peak / (grid.n_cells * 8)
 
+    def test_trace_reads_the_bins_without_masked_copies(self):
+        # each bin's witness moments are one bincount over every cell, and the
+        # 1_{G'}·w^{q0*} cells go straight into their tree: 9.36 N doubles when
+        # the bins loop gathered owner[owned] and p0_moments[owned]
+        w, grid = PowerWeight(-0.25), DyadicGrid(16)
+        f = np.random.default_rng(16).standard_normal(grid.n_cells)
+        profile = ExponentProfile(1.25, 4.0)
+        trace_proof(f, w, grid, profile)  # fill the moment store
+        peak = traced_peak(trace_proof, f, w, grid, profile)
+        assert peak <= 8.0 * grid.n_cells * 8, peak / (grid.n_cells * 8)
+
     @staticmethod
     def trace_heap():
         """The |fσ|^{p0} heap of a trace at L = 16, its moment store filled."""
@@ -527,7 +538,7 @@ class TestPerCubeScan:
 
         g = DyadicGrid(1)
         scan = percube_ap_holder_scan(TabulatedWeight([1.0, 4.0]), 1.0, g)
-        assert scan.worst_ap_ratio == pytest.approx(1.0, rel=1e-12)
+        assert scan.worst_ap_ratio == 1.0
         assert scan.worst_ap_cube == DyadicCube(0, 0)
 
 
@@ -654,6 +665,18 @@ class TestMomentStore:
         family = default_trace_family(f, w, grid6, P14.p0)
         trace_proof(f, w, grid6, P14, family)
         assert len(calls) == len(w._pyramids) == 3
+
+    @pytest.mark.parametrize("p0", [1.25, 1.5])
+    def test_a_trace_and_a_scan_fill_one_pyramid_per_moment(self, grid6, p0):
+        # the scan's A_{2/p0} fold and Hölder half read the store key of the trace's
+        # [w]_{A_{2/p0}}: no second pyramid an ulp away from it
+        w = seeded_tabulated_weights(1)[0]
+        f = np.random.default_rng(5).standard_normal(grid6.n_cells)
+        trace_proof(f, w, grid6, ExponentProfile(p0, 4.0))
+        percube_ap_holder_scan(w, p0, grid6, f=f)
+        keys = sorted(w._pyramids)
+        assert not [(a, b) for a, b in zip(keys, keys[1:])
+                    if a[0] == b[0] and math.isclose(a[1], b[1], rel_tol=1e-12)], keys
 
     def test_cell_masks_stay_writable_and_unchanged(self, grid6):
         rng = np.random.default_rng(12)
